@@ -3,6 +3,7 @@
 use hpa_isa::{Inst, INST_BYTES};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// An assembled program: a contiguous text segment of decoded instructions
 /// plus initial data-memory contents.
@@ -12,28 +13,33 @@ use std::fmt;
 /// to memory before execution starts. Keeping text and data in disjoint
 /// ranges is the program author's responsibility (the workloads place data
 /// at `0x1_0000` and above).
+///
+/// The text, data image and labels are shared, so cloning a program (as
+/// every emulator built from it does) copies no instructions or bytes.
+/// The parts are never mutated once shared: `add_data` on a clone copies
+/// that clone's segment list first.
 #[derive(Clone, Debug, Default)]
 pub struct Program {
-    insts: Vec<Inst>,
-    data: Vec<(u64, Vec<u8>)>,
-    labels: HashMap<String, u64>,
+    insts: Arc<Vec<Inst>>,
+    data: Arc<Vec<(u64, Vec<u8>)>>,
+    labels: Arc<HashMap<String, u64>>,
 }
 
 impl Program {
     /// Creates a program from raw parts.
     #[must_use]
     pub fn new(insts: Vec<Inst>) -> Program {
-        Program { insts, data: Vec::new(), labels: HashMap::new() }
+        Program { insts: Arc::new(insts), ..Program::default() }
     }
 
     /// Adds an initial data segment at the given byte address.
     pub fn add_data(&mut self, addr: u64, bytes: Vec<u8>) {
-        self.data.push((addr, bytes));
+        Arc::make_mut(&mut self.data).push((addr, bytes));
     }
 
     /// Records a label for debugging/disassembly.
     pub(crate) fn add_label(&mut self, name: String, pc: u64) {
-        self.labels.insert(name, pc);
+        Arc::make_mut(&mut self.labels).insert(name, pc);
     }
 
     /// The instructions in program order.
@@ -102,7 +108,7 @@ impl fmt::Display for Program {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // Data segments first, as the directives the parser accepts, so
         // `parse_program(&p.to_string())` reproduces data as well as text.
-        for (addr, bytes) in &self.data {
+        for (addr, bytes) in self.data.iter() {
             writeln!(f, ".org {addr}")?;
             for chunk in bytes.chunks(16) {
                 write!(f, ".byte ")?;
@@ -154,6 +160,23 @@ mod tests {
         let words = p.to_words();
         let back = Program::from_words(&words).unwrap();
         assert_eq!(back.insts(), p.insts());
+    }
+
+    /// The structural guard: a clone shares the text and data image, and
+    /// adding a segment to one side leaves the other as it was.
+    #[test]
+    fn clone_shares_text_and_data_image() {
+        let mut p = Program::new(vec![Inst::nop(), Inst::Halt]);
+        p.add_data(0x1_0000, vec![7; 4096]);
+        let mut q = p.clone();
+        assert!(std::ptr::eq(p.insts(), q.insts()));
+        assert!(std::ptr::eq(p.data_segments(), q.data_segments()));
+        assert_eq!(p.data_segments()[0].1.as_ptr(), q.data_segments()[0].1.as_ptr());
+
+        q.add_data(0x2_0000, vec![9]);
+        assert_eq!(p.data_segments().len(), 1);
+        assert_eq!(q.data_segments().len(), 2);
+        assert_eq!(q.data_segments()[0], (0x1_0000, vec![7; 4096]));
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Sparse paged data memory.
 
+use std::sync::Arc;
+
 const PAGE_SHIFT: u64 = 12;
 const PAGE_SIZE: u64 = 1 << PAGE_SHIFT;
 const PAGE_MASK: u64 = PAGE_SIZE - 1;
@@ -7,13 +9,21 @@ const PAGE_MASK: u64 = PAGE_SIZE - 1;
 /// Size in bytes of one memory page (the snapshot granularity).
 pub const PAGE_BYTES: usize = PAGE_SIZE as usize;
 
-type Page = Box<[u8; PAGE_BYTES]>;
+/// One resident page. Pages are shared copy-on-write: cloning a
+/// [`Memory`] (or capturing a snapshot) bumps a reference count per page,
+/// and a write copies a page only while some other owner still holds it.
+type Page = Arc<[u8; PAGE_BYTES]>;
 
 /// A sparse, byte-addressed 64-bit memory backed by 4 KiB pages.
 ///
 /// Reads of untouched memory return zero, so programs can rely on
 /// zero-initialized buffers. All multi-byte accesses are little-endian and
 /// may straddle page boundaries.
+///
+/// Pages are copy-on-write. Every write goes through [`Arc::make_mut`], so
+/// a clone of a memory shares all of its pages until one side writes one;
+/// that write copies the single 4 KiB page, and neither side ever sees
+/// the other's later writes.
 ///
 /// The page table is a hand-rolled open-addressed hash table (linear
 /// probing over a power-of-two slot array, keyed by `page_no + 1` so zero
@@ -30,6 +40,17 @@ pub struct Memory {
     /// Occupied slots; the table grows at 1/2 load factor.
     used: usize,
 }
+
+/// Memories are equal when the same pages are resident and hold the same
+/// bytes, whatever their table layout or insertion history. Pages still
+/// shared between the two compare by pointer without reading them.
+impl PartialEq for Memory {
+    fn eq(&self, other: &Memory) -> bool {
+        self.used == other.used && self.shared_pages_sorted() == other.shared_pages_sorted()
+    }
+}
+
+impl Eq for Memory {}
 
 impl Default for Memory {
     fn default() -> Memory {
@@ -69,12 +90,17 @@ impl Memory {
     /// memories compare equal byte for byte.
     #[must_use]
     pub fn pages_sorted(&self) -> Vec<(u64, &[u8; PAGE_BYTES])> {
-        let mut out: Vec<(u64, &[u8; PAGE_BYTES])> = self
+        self.shared_pages_sorted().into_iter().map(|(page_no, page)| (page_no, &**page)).collect()
+    }
+
+    /// Every resident page's shared handle, sorted by page number.
+    fn shared_pages_sorted(&self) -> Vec<(u64, &Page)> {
+        let mut out: Vec<(u64, &Page)> = self
             .keys
             .iter()
             .zip(self.pages.iter())
             .filter(|(&k, _)| k != 0)
-            .map(|(&k, p)| (k - 1, &**p.as_ref().expect("occupied slot holds a page")))
+            .map(|(&k, p)| (k - 1, p.as_ref().expect("occupied slot holds a page")))
             .collect();
         out.sort_unstable_by_key(|&(page_no, _)| page_no);
         out
@@ -97,7 +123,9 @@ impl Memory {
         }
     }
 
-    fn find_or_insert(&mut self, page_no: u64) -> &mut Page {
+    /// The page holding `page_no`, inserted zero-filled if absent and
+    /// copied first if another owner shares it: the single write path.
+    fn page_mut(&mut self, page_no: u64) -> &mut [u8; PAGE_BYTES] {
         if self.used * 2 >= self.keys.len() {
             self.grow();
         }
@@ -108,7 +136,7 @@ impl Memory {
             let k = self.keys[slot];
             if k == 0 {
                 self.keys[slot] = key;
-                self.pages[slot] = Some(Box::new([0; PAGE_SIZE as usize]));
+                self.pages[slot] = Some(Arc::new([0; PAGE_BYTES]));
                 self.used += 1;
                 break;
             }
@@ -117,7 +145,7 @@ impl Memory {
             }
             slot = (slot + 1) & (cap - 1);
         }
-        self.pages[slot].as_mut().expect("occupied slot holds a page")
+        Arc::make_mut(self.pages[slot].as_mut().expect("occupied slot holds a page"))
     }
 
     fn grow(&mut self) {
@@ -151,7 +179,7 @@ impl Memory {
 
     /// Writes one byte.
     pub fn write_u8(&mut self, addr: u64, value: u8) {
-        let page = self.find_or_insert(addr >> PAGE_SHIFT);
+        let page = self.page_mut(addr >> PAGE_SHIFT);
         page[(addr & PAGE_MASK) as usize] = value;
     }
 
@@ -178,7 +206,7 @@ impl Memory {
         // Fast path: within one page, one table probe for the whole write.
         let off = (addr & PAGE_MASK) as usize;
         if off + bytes.len() <= PAGE_SIZE as usize {
-            let page = self.find_or_insert(addr >> PAGE_SHIFT);
+            let page = self.page_mut(addr >> PAGE_SHIFT);
             page[off..off + bytes.len()].copy_from_slice(bytes);
             return;
         }
@@ -218,6 +246,17 @@ impl Memory {
     /// Writes a little-endian `u64`.
     pub fn write_u64(&mut self, addr: u64, value: u64) {
         self.write_bytes(addr, &value.to_le_bytes());
+    }
+}
+
+#[cfg(test)]
+impl Memory {
+    /// Whether both memories hold the same resident pages as the very same
+    /// shared allocations (the structural guard against a deep copy).
+    pub(crate) fn shares_every_page_with(&self, other: &Memory) -> bool {
+        let (a, b) = (self.shared_pages_sorted(), other.shared_pages_sorted());
+        a.len() == b.len()
+            && a.iter().zip(&b).all(|((na, pa), (nb, pb))| na == nb && Arc::ptr_eq(pa, pb))
     }
 }
 
@@ -387,6 +426,72 @@ mod tests {
             assert!(bytes[..3].iter().all(|&b| b == 0));
         }
         assert_eq!(Memory::new().pages_sorted(), vec![]);
+    }
+
+    #[test]
+    fn clones_share_pages_until_written_and_never_see_each_other() {
+        let edge = 2 * PAGE_SIZE;
+        let mut a = Memory::new();
+        a.write_u64(0x100, 0x0101_0101_0101_0101);
+        a.write_u64(edge - 4, 0x1111_2222_3333_4444); // straddles pages 1 and 2
+        a.write_u64(5 * PAGE_SIZE, 55); // neither side writes page 5 again
+        let mut b = a.clone();
+        assert!(a.shares_every_page_with(&b), "a clone copies no page");
+        assert_eq!(a, b);
+
+        // Different bytes on each side, including a page-straddling quad
+        // and a page only one side creates.
+        a.write_u64(edge - 4, 0xAAAA_AAAA_AAAA_AAAA);
+        b.write_u64(edge - 4, 0xBBBB_BBBB_BBBB_BBBB);
+        b.write_u8(0x100, 0x99);
+        a.write_u32(7 * PAGE_SIZE, 0x7777);
+
+        assert_eq!(a.read_u64(edge - 4), 0xAAAA_AAAA_AAAA_AAAA);
+        assert_eq!(b.read_u64(edge - 4), 0xBBBB_BBBB_BBBB_BBBB);
+        assert_eq!(a.read_u64(0x100), 0x0101_0101_0101_0101);
+        assert_eq!(b.read_u64(0x100), 0x0101_0101_0101_0199);
+        assert_eq!(a.read_u32(7 * PAGE_SIZE), 0x7777);
+        assert_eq!(b.read_u32(7 * PAGE_SIZE), 0, "page created on the other side");
+        assert_eq!((a.resident_pages(), b.resident_pages()), (5, 4));
+        assert_ne!(a, b);
+
+        // Only written pages were copied; page 5 is still one allocation.
+        let shared = |m: &Memory| Arc::clone(m.shared_pages_sorted()[3].1);
+        assert_eq!(a.shared_pages_sorted()[3].0, 5);
+        assert!(Arc::ptr_eq(&shared(&a), &shared(&b)));
+        assert_eq!(b.read_u64(5 * PAGE_SIZE), 55);
+    }
+
+    #[test]
+    fn sole_owner_writes_in_place() {
+        let mut a = Memory::new();
+        a.write_u64(0x40, 1);
+        let page = |m: &Memory| Arc::as_ptr(m.shared_pages_sorted()[0].1);
+        let before = page(&a);
+        let b = a.clone();
+        drop(b);
+        a.write_u64(0x40, 2);
+        assert_eq!(page(&a), before, "a page no one else holds is not copied");
+        assert_eq!(a.read_u64(0x40), 2);
+    }
+
+    #[test]
+    fn equality_is_by_content_not_layout() {
+        let (mut a, mut b) = (Memory::new(), Memory::new());
+        for page in [1u64, 40, 3] {
+            a.write_u8(page << PAGE_SHIFT, page as u8);
+        }
+        for page in (0..64u64).rev() {
+            b.write_u8(page << PAGE_SHIFT, 0); // forces growth, then zeroes
+        }
+        assert_ne!(a, b, "different resident sets");
+        let mut c = Memory::new();
+        for page in [3u64, 1, 40] {
+            c.write_u8(page << PAGE_SHIFT, page as u8);
+        }
+        assert_eq!(a, c, "same pages and bytes in another insertion order");
+        c.write_u8(40 << PAGE_SHIFT | 1, 1);
+        assert_ne!(a, c);
     }
 
     #[test]

@@ -2,22 +2,33 @@
 //! cheaply and rebuild an identical machine from it later.
 //!
 //! A snapshot holds the register files, PC, halt flag, executed count and
-//! the *memory delta* — every resident page of the sparse page table, in
-//! sorted page order. Untouched memory reads as zero on both sides of a
-//! round trip, so resident pages are the whole story. Sampled simulation
-//! fast-forwards a functional emulator, snapshots at each sample boundary,
-//! and seeds a detailed timing window from the checkpoint; the lockstep
-//! oracle in `hpa-verify` proves the window's commit stream matches full
-//! execution reaching the same region.
+//! the memory image — every resident page of the sparse page table.
+//! Untouched memory reads as zero on both sides of a round trip, so
+//! resident pages are the whole story. Sampled simulation fast-forwards a
+//! functional emulator, snapshots at each sample boundary, and seeds a
+//! detailed timing window from the checkpoint; the lockstep oracle in
+//! `hpa-verify` proves the window's commit stream matches full execution
+//! reaching the same region.
+//!
+//! # Cost
+//!
+//! Memory pages are shared copy-on-write (see [`Memory`]), and the
+//! [`Program`] shares its text and data image. Capturing a snapshot,
+//! building a machine from one and restoring one therefore cost one
+//! reference-count bump per resident page plus a copy of the page table's
+//! slot array; no page contents are copied. A page is copied later, once,
+//! by the first write to it on a side that still shares it — so a detailed
+//! window pays for the pages it stores to, not for the whole image.
 
 use crate::machine::Emulator;
-use crate::memory::{Memory, PAGE_BYTES};
+use crate::memory::Memory;
 use hpa_asm::Program;
 
 /// A complete architectural checkpoint of an [`Emulator`].
 ///
 /// Floating-point registers are stored as raw `f64` bits so NaN payloads
-/// and signed zeros round-trip exactly and snapshots compare with `==`.
+/// and signed zeros round-trip exactly and snapshots compare with `==`;
+/// memory compares by content, not by table layout or page sharing.
 /// The program text is *not* captured — programs are immutable, so the
 /// caller re-supplies the [`Program`] on restore.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -28,7 +39,7 @@ pub struct Snapshot {
     halted: bool,
     executed: u64,
     strict_alignment: bool,
-    pages: Vec<(u64, Box<[u8; PAGE_BYTES]>)>,
+    memory: Memory,
 }
 
 impl Snapshot {
@@ -53,23 +64,13 @@ impl Snapshot {
     /// Number of memory pages captured.
     #[must_use]
     pub fn resident_pages(&self) -> usize {
-        self.pages.len()
-    }
-
-    /// Rebuilds the captured memory image: every captured page written
-    /// into a fresh table (one probe per page via the aligned full-page
-    /// fast path of `write_bytes`).
-    fn rebuild_memory(&self) -> Memory {
-        let mut memory = Memory::new();
-        for (page_no, bytes) in &self.pages {
-            memory.write_bytes(page_no * PAGE_BYTES as u64, &bytes[..]);
-        }
-        memory
+        self.memory.resident_pages()
     }
 }
 
 impl Emulator {
-    /// Captures the machine's complete architectural state.
+    /// Captures the machine's complete architectural state, sharing every
+    /// memory page with this machine.
     #[must_use]
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
@@ -79,19 +80,15 @@ impl Emulator {
             halted: self.halted,
             executed: self.executed,
             strict_alignment: self.strict_alignment,
-            pages: self
-                .memory
-                .pages_sorted()
-                .into_iter()
-                .map(|(page_no, bytes)| (page_no, Box::new(*bytes)))
-                .collect(),
+            memory: self.memory.clone(),
         }
     }
 
     /// Builds a machine running `program` whose architectural state is
-    /// exactly `snap`. The caller is responsible for pairing a snapshot
-    /// with the program it was captured under; nothing in the snapshot
-    /// identifies the text segment.
+    /// exactly `snap`, sharing every memory page with the snapshot. The
+    /// caller is responsible for pairing a snapshot with the program it
+    /// was captured under; nothing in the snapshot identifies the text
+    /// segment.
     #[must_use]
     pub fn from_snapshot(program: &Program, snap: &Snapshot) -> Emulator {
         Emulator {
@@ -101,7 +98,7 @@ impl Emulator {
             pc: snap.pc,
             halted: snap.halted,
             executed: snap.executed,
-            memory: snap.rebuild_memory(),
+            memory: snap.memory.clone(),
             strict_alignment: snap.strict_alignment,
         }
     }
@@ -113,7 +110,7 @@ impl Emulator {
         self.pc = snap.pc;
         self.halted = snap.halted;
         self.executed = snap.executed;
-        self.memory = snap.rebuild_memory();
+        self.memory = snap.memory.clone();
         self.strict_alignment = snap.strict_alignment;
     }
 }
@@ -205,6 +202,34 @@ mod tests {
         assert!(restored.halted());
         assert_eq!(restored.step().unwrap(), None, "stays halted");
         assert_eq!(restored.snapshot(), snap);
+    }
+
+    /// The structural guard: capture, build and restore share every page
+    /// and the program instead of copying them.
+    #[test]
+    fn snapshot_from_snapshot_and_restore_share_pages() {
+        let program = program();
+        let mut emu = Emulator::new(&program);
+        emu.run(20).unwrap();
+        assert!(emu.memory().resident_pages() > 0);
+        let snap = emu.snapshot();
+        assert!(snap.memory.shares_every_page_with(emu.memory()), "snapshot copies no page");
+
+        let restored = Emulator::from_snapshot(&program, &snap);
+        assert!(restored.memory().shares_every_page_with(&snap.memory));
+        assert!(std::ptr::eq(restored.program().insts(), program.insts()));
+
+        let mut other = Emulator::new(&program);
+        other.run(1_000).unwrap();
+        other.restore(&snap);
+        assert!(other.memory().shares_every_page_with(&snap.memory));
+
+        // Shared pages must not cost thread mobility: parallel runners
+        // move machines and snapshots between threads.
+        fn assert_send<T: Send>() {}
+        assert_send::<Memory>();
+        assert_send::<Emulator>();
+        assert_send::<Snapshot>();
     }
 
     #[test]

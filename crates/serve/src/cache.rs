@@ -309,6 +309,24 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// Keys pinned from earlier builds: a change to how a `Program` is
+    /// held in memory must move no key, or a persisted `--cache-dir`
+    /// stops hitting. Only a deliberate encoding change (with a `MAGIC`
+    /// bump) may update these values.
+    #[test]
+    fn golden_keys_are_unchanged() {
+        assert_eq!(key_for("gcc", Scheme::Base, 7, None), 0x92b4_cb45_b3c8_c9cd, "Tiny workload");
+        // An `rv-*` binary cell, resolved the way a binary job is.
+        let image = hpa_core::rv::load_elf(hpa_core::rv::fixtures::QUICKSORT_ELF).expect("loads");
+        let program = hpa_core::rv::translate(&image).expect("translates");
+        let config = Scheme::Base.configure(MachineWidth::Four);
+        assert_eq!(
+            cell_key(&program, &config, Scheme::Base, 7, None),
+            0x9dfb_0e87_5dcc_e5c4,
+            "rv-quicksort binary"
+        );
+    }
+
     #[test]
     fn every_single_field_change_changes_the_key() {
         let base = key_for("gcc", Scheme::Base, 7, None);

@@ -19,6 +19,12 @@
 //! Every instruction is still functionally executed exactly once by the
 //! runner's main emulator, so workload checksums remain verifiable on the
 //! [`SampledOutcome`].
+//!
+//! A window costs what it simulates, not the size of the memory image:
+//! the window's emulator is built from a snapshot that shares the main
+//! emulator's pages copy-on-write, so it copies only the pages it stores
+//! to, and it is dropped before the main emulator catches up, so the
+//! main emulator's own writes copy nothing.
 
 use crate::config::SimConfig;
 use crate::frontend::BranchWarmth;
@@ -231,42 +237,31 @@ impl SampledRunner {
         // seed sweep can vary the sampled population.
         let mut ff_budget = splitmix64(self.seed) % ff;
         loop {
-            // Fast-forward functionally, warming the branch tables.
-            let mut remaining = ff_budget;
-            while remaining > 0 {
-                match emu.step().map_err(|error| SimFault::Emu { cycle: 0, error })? {
-                    Some(step) => warmth.observe(&step),
-                    None => break,
-                }
-                remaining -= 1;
-            }
+            fast_forward(&mut emu, &mut warmth, ff_budget)?;
             if emu.halted() {
                 break;
             }
-            // Detailed window from a checkpoint of the current state.
-            let snap = emu.snapshot();
+            // Detailed window from a checkpoint of the current state (the
+            // snapshot is a temporary, gone once the window is built).
+            let start_inst = emu.executed();
             let window_config =
                 self.config.clone().with_warmup(warmup).with_max_insts(warmup + detail);
-            let mut sim = Simulator::from_snapshot(program, window_config, &snap, warmth.clone());
+            let mut sim =
+                Simulator::from_snapshot(program, window_config, &emu.snapshot(), warmth.clone());
             sim.try_run()?;
             let stats = sim.stats();
             samples.push(SampleIpc {
-                start_inst: snap.executed(),
+                start_inst,
                 committed: stats.committed,
                 cycles: stats.cycles,
                 ipc: stats.ipc(),
             });
+            // Drop the window before catching up, so the main emulator
+            // owns its pages alone again and its writes copy nothing.
+            drop(sim);
             // Catch the main emulator up over the window's stretch, still
             // training the tables (the window trained only its own clone).
-            let mut catchup = warmup + detail;
-            while catchup > 0 {
-                match emu.step().map_err(|error| SimFault::Emu { cycle: 0, error })? {
-                    Some(step) => warmth.observe(&step),
-                    None => break,
-                }
-                detailed_insts += 1;
-                catchup -= 1;
-            }
+            detailed_insts += fast_forward(&mut emu, &mut warmth, warmup + detail)?;
             if emu.halted() {
                 break;
             }
@@ -277,6 +272,23 @@ impl SampledRunner {
             emulator: emu,
         })
     }
+}
+
+/// Steps `emu` functionally for up to `budget` instructions, training
+/// `warmth` on each, and returns how many it stepped (fewer only when the
+/// program halts first).
+fn fast_forward(
+    emu: &mut Emulator,
+    warmth: &mut BranchWarmth,
+    budget: u64,
+) -> Result<u64, SimFault> {
+    for stepped in 0..budget {
+        match emu.step().map_err(|error| SimFault::Emu { cycle: 0, error })? {
+            Some(step) => warmth.observe(&step),
+            None => return Ok(stepped),
+        }
+    }
+    Ok(budget)
 }
 
 /// Folds the samples into an estimate: mean per-sample CPI (equal

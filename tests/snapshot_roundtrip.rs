@@ -12,9 +12,13 @@
 //!   independently advanced shadow emulator, so any state the snapshot
 //!   failed to carry surfaces as a divergence.
 //!
+//! A third test checks that snapshots and the machines restored from
+//! them are isolated from one another's later writes, since memory pages
+//! are shared copy-on-write between them.
+//!
 //! Each test sweeps fixed seeds; failures reproduce exactly.
 
-use half_price::emu::{Emulator, RunOutcome};
+use half_price::emu::{Emulator, RunOutcome, PAGE_BYTES};
 use half_price::sim::SimConfig;
 use half_price::verify::{run_lockstep_window, ArchState, GenProgram};
 use half_price::workloads::SplitMix64;
@@ -71,6 +75,63 @@ fn snapshot_round_trips_architecturally_on_fuzzed_programs() {
         );
         assert_eq!(restored.executed(), original.executed(), "seed {seed}: final executed");
     }
+}
+
+#[test]
+fn snapshots_and_restored_machines_are_isolated_from_later_writes() {
+    let mut wrote_after_cut = 0;
+    for seed in 0..24u64 {
+        let mut rng = SplitMix64::new(0xC0_0000 + seed);
+        let program = GenProgram::random(&mut rng).lower();
+        let total = total_executed(&program, seed);
+        let cut = 1 + rng.below(total.max(2) - 1);
+
+        // An unshared reference for the state at the cut and at the end.
+        let mut at_cut = Emulator::new(&program);
+        at_cut.run(cut).expect("reference run is clean");
+        let mut at_end = Emulator::new(&program);
+        at_end.run(BUDGET).expect("reference run finishes");
+
+        let mut original = Emulator::new(&program);
+        original.run(cut).expect("pre-snapshot run is clean");
+        let snap = original.snapshot();
+        // The original runs on, writing pages the snapshot shares.
+        original.run(BUDGET).expect("original finishes");
+        if original.memory() != at_cut.memory() {
+            wrote_after_cut += 1;
+        }
+        assert_eq!(snap, at_cut.snapshot(), "seed {seed}: snapshot saw the original's writes");
+        assert_eq!(
+            Emulator::from_snapshot(&program, &snap).snapshot(),
+            at_cut.snapshot(),
+            "seed {seed}: restore after the original ran on"
+        );
+
+        // Two machines restored from one snapshot diverge independently:
+        // one overwrites every resident page, the other runs to the end.
+        let mut poisoned = Emulator::from_snapshot(&program, &snap);
+        let mut finisher = Emulator::from_snapshot(&program, &snap);
+        let pages: Vec<u64> = poisoned
+            .memory()
+            .pages_sorted()
+            .iter()
+            .map(|&(page_no, _)| page_no * PAGE_BYTES as u64)
+            .collect();
+        for &page in &pages {
+            poisoned.memory_mut().write_u64(page, u64::MAX);
+        }
+        finisher.run(BUDGET).expect("restored machine finishes");
+        assert_eq!(finisher.snapshot(), at_end.snapshot(), "seed {seed}: finisher saw poison");
+        for &page in &pages {
+            assert_eq!(poisoned.memory().read_u64(page), u64::MAX, "seed {seed}");
+        }
+        assert_eq!(
+            snap,
+            at_cut.snapshot(),
+            "seed {seed}: snapshot saw a restored machine's writes"
+        );
+    }
+    assert!(wrote_after_cut > 0, "the sweep must write memory after some cut");
 }
 
 #[test]
