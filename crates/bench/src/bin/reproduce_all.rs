@@ -207,7 +207,6 @@ fn main() {
     eprintln!("== sampled vs full detailed (long scale) ==");
     sampled_throughput(&mut md);
 
-    let _ = writeln!(md, "\n{}", THROUGHPUT_NOTES.trim());
     let _ = writeln!(md, "\n## Divergence notes\n");
     let _ = writeln!(md, "{}", DIVERGENCES.trim());
     let _ = writeln!(
@@ -222,9 +221,8 @@ fn main() {
 }
 
 /// Emits the sampled-simulation throughput table: two long-running
-/// workloads measured full detailed and SMARTS-style sampled (same units
-/// and seed as `perf_smoke`'s `sampled` section), with wall-clock speedup
-/// and the estimate's error against the full run.
+/// workloads measured full detailed and SMARTS-style sampled, with
+/// wall-clock speedup and the estimate's error against the full run.
 fn sampled_throughput(md: &mut String) {
     let units = SampleUnits::new(2_000, 10_000, 488_000).expect("valid units");
     let seed = 42u64;
@@ -313,52 +311,6 @@ fn summarize(md: &mut String, m: &MatrixResult, schemes: &[Scheme]) {
     }
     let _ = writeln!(md);
 }
-
-const THROUGHPUT_NOTES: &str = "
-## Simulator throughput: the BENCH_2 → BENCH_3 drop, and BENCH_4
-
-`BENCH_3.json` (2.96 aggregate Mcycles/s, tiny scale) sits 26% below
-`BENCH_2.json` (4.01), which looked like the observability PR had
-regressed the cycle loop. Diagnosis with the v4 per-phase stopwatches
-and a rebuilt pre-observability binary on the *current* host says
-otherwise — the drop decomposes into two parts:
-
-* **Host speed (dominant).** These artifacts were captured in different
-  container sessions, and the container's effective clock drifts between
-  sessions (the current host is a single vCPU with ±5% run-to-run noise
-  on the tiny aggregate). Re-running the BENCH_2-era code on the
-  BENCH_3-era host reproduces most of the gap with zero code change;
-  absolute Mcycles/s are only comparable within one artifact, which is
-  why `perf_smoke --baseline` embeds the before run in the same file.
-* **A real but small observability cost (~7%).** With counters off the
-  recording sites still pay their `is_enabled()` gates and the
-  end-of-cycle accounting hook; side-by-side builds on one host put
-  this near 7%, not 26%. The v4 per-phase block shows it directly: the
-  `obs` phase carries ~6.6% of cycle-loop wall time in the counters-off
-  run (`BENCH_4.json`).
-
-Conclusion: **BENCH_3 was not a 26% cycle-loop regression** — it was a
-slower host plus a ~7% observability tax. This resolves the ROADMAP
-\"diagnose the BENCH_3 drop\" item, and is why `tools/check.sh`'s
-throughput warning now attributes any drop per phase (like-for-like
-counters-off `ns_per_cycle`) instead of comparing only the headline
-number across hosts.
-
-`BENCH_4.json` records the structure-of-arrays window rewrite on the
-same 1-vCPU host as its own baseline run: aggregate 3.48 Mcycles/s
-best-of-4 (+18% over BENCH_3; repeat runs spread 2.4–3.5 on this host,
-so the committed artifact is the least-noise run), with gprofng
-profiles confirming the mechanism — the two ~290-byte `DynInst`
-memmoves per instruction (libc memmove, 11.4% of CPU, 56% charged to
-insert and 37% to commit) are gone after in-place construction and
-narrow-copy commit. The issue's aspirational 2× target (5.92) assumed
-the BENCH_3 number was a regression that the rewrite would claw back on
-a fast host; since most of that gap was host speed, 2× is not reachable
-on this hardware — the honest result is +18% real cycle-loop
-improvement, per-phase timings for future regressions, and a profile
-that is now flat (select 22%, insert 15%, events 14%, wakeup 14%,
-fetch 12%, commit 12%, obs 6% — no single hot line ≥ 2%).
-";
 
 const DIVERGENCES: &str = "
 * **Workloads.** Hand-written kernels stand in for compiled SPEC binaries.

@@ -11,11 +11,12 @@
 //! aggregates them, and the accounting invariant — the books must balance,
 //! `cpi.total() == cycles × width` — is enforced by the property suite.
 //!
-//! Two generic utilities live here because every layer shares them: the
+//! Three generic utilities live here because every layer shares them: the
 //! hand-rolled [`json`] value/parser (the workspace carries no
-//! serialization dependency) and the [`digest`] machinery (FNV-1a over
+//! serialization dependency), the [`digest`] machinery (FNV-1a over
 //! bytes or debug formatting) behind the golden-stats tests and the
-//! serve-layer result cache. [`ServeCounters`] is the daemon-side
+//! serve-layer result cache, and the [`SplitMix64`] generator behind
+//! every seeded input. [`ServeCounters`] is the daemon-side
 //! registry (cache hits/misses, queue depth, job latency).
 //!
 //! See `DESIGN.md` §8 for the category taxonomy and its invariants.
@@ -28,7 +29,9 @@ mod cpi;
 pub mod digest;
 pub mod json;
 mod registry;
+mod rng;
 
 pub use chrome::InstSpan;
 pub use cpi::{CpiCategory, CpiStack};
 pub use registry::{Counters, Histogram, ServeCounters};
+pub use rng::SplitMix64;

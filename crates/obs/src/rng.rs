@@ -1,8 +1,8 @@
-//! A tiny deterministic PRNG for input generation.
+//! The workspace's one deterministic PRNG.
 //!
-//! Workload inputs must be bit-identical across runs and platforms so that
-//! every simulator configuration sees exactly the same instruction stream;
-//! a self-contained SplitMix64 keeps the library dependency-free.
+//! Workload inputs, the RISC-V fixtures' data and the sampled-mode start
+//! offset must be bit-identical across runs and platforms, so every layer
+//! draws from this self-contained SplitMix64.
 
 /// The SplitMix64 generator (Steele, Lea & Flood; public-domain algorithm).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

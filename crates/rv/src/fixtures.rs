@@ -16,6 +16,7 @@
 
 use crate::decode::{RvBranch, RvOp, RvWidth};
 use crate::rvasm::{build_elf, RvAsm, DATA_BASE, TEXT_BASE};
+use hpa_obs::SplitMix64;
 
 /// The checked-in quicksort binary (see [`quicksort`]).
 pub const QUICKSORT_ELF: &[u8] = include_bytes!("../fixtures/quicksort.elf");
@@ -57,16 +58,6 @@ pub fn by_name(name: &str) -> Option<Fixture> {
 /// The fixture registry names, in order.
 pub const FIXTURE_NAMES: [&str; 3] = ["rv-quicksort", "rv-matmul", "rv-sieve"];
 
-/// The deterministic value stream both the data segments and the host
-/// models draw from (splitmix64).
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 fn u64s_to_bytes(words: &[u64]) -> Vec<u8> {
     words.iter().flat_map(|w| w.to_le_bytes()).collect()
 }
@@ -97,8 +88,8 @@ const T5: u8 = 30;
 #[must_use]
 pub fn quicksort() -> Fixture {
     const N: usize = 64;
-    let mut state = 0x5EED_0001u64;
-    let data: Vec<u64> = (0..N).map(|_| splitmix(&mut state)).collect();
+    let mut rng = SplitMix64::new(0x5EED_0001);
+    let data: Vec<u64> = (0..N).map(|_| rng.next_u64()).collect();
 
     // Host model: the sorted order is the spec, not the algorithm.
     let mut sorted = data.clone();
@@ -198,9 +189,9 @@ pub fn quicksort() -> Fixture {
 #[must_use]
 pub fn matmul() -> Fixture {
     const DIM: u64 = 8;
-    let mut state = 0x5EED_0002u64;
-    let a_mat: Vec<u64> = (0..DIM * DIM).map(|_| splitmix(&mut state)).collect();
-    let b_mat: Vec<u64> = (0..DIM * DIM).map(|_| splitmix(&mut state)).collect();
+    let mut rng = SplitMix64::new(0x5EED_0002);
+    let a_mat: Vec<u64> = (0..DIM * DIM).map(|_| rng.next_u64()).collect();
+    let b_mat: Vec<u64> = (0..DIM * DIM).map(|_| rng.next_u64()).collect();
 
     // Host model, mirrored operation-for-operation (all wrapping).
     let mut csum = 0u64;

@@ -34,7 +34,7 @@ use crate::frontend::{BranchWarmth, FrontEnd};
 use crate::fu::FuPool;
 use crate::phases::PhaseTimes;
 use crate::stats::SimStats;
-use crate::trace::{PipeTrace, TraceRecord, TraceSink};
+use crate::trace::{PipeTrace, TraceRecord};
 use crate::wheel::EventWheel;
 use crate::window::{slot_flags, slot_state, state_code, SlotBitset, WakeupMatrix, Window};
 use hpa_asm::Program;
@@ -70,7 +70,7 @@ pub enum SimFault {
         /// Debug rendering of the window head, if any.
         head: String,
     },
-    /// A per-cycle invariant check failed (strict-invariants mode).
+    /// A per-cycle invariant check failed (strict invariants mode).
     Invariant {
         /// Cycle of the violation.
         cycle: u64,
@@ -290,9 +290,6 @@ pub struct Simulator {
     /// In-flight store sequence numbers in program order, so LSQ
     /// disambiguation walks only stores instead of the whole window.
     store_queue: VecDeque<u64>,
-    /// Per-issue/commit event logging to stderr (`HPA_TRACE=1`),
-    /// buffered so tracing does not serialize the cycle loop.
-    trace: Option<TraceSink>,
     /// Optional pipeline-diagram recording (see [`Simulator::enable_trace`]).
     pipetrace: Option<PipeTrace>,
     /// Total commits including warmup (drives `max_insts`/halt).
@@ -306,9 +303,9 @@ pub struct Simulator {
     commit_hook: Option<Box<dyn CommitHook>>,
     /// First fault observed; stops `try_run` at the end of the cycle.
     fault: Option<SimFault>,
-    /// Run the full invariant sweep at the end of every cycle. Defaults to
-    /// the `strict-invariants` cargo feature; the verifier enables it at
-    /// runtime regardless of the feature.
+    /// Run the full invariant sweep at the end of every cycle. On in this
+    /// crate's unit tests; the verifier and fault campaigns enable it at
+    /// runtime.
     strict_invariants: bool,
     /// Armed fault injection (mutation testing), if any.
     injection: Option<FaultInjection>,
@@ -492,14 +489,13 @@ impl Simulator {
             cycle: 0,
             finished: false,
             issue_stall_until: 0,
-            trace: TraceSink::from_env(),
             pipetrace: None,
             committed_total: 0,
             stats_start_cycle: 0,
             scratch: Scratch::default(),
             commit_hook: None,
             fault: None,
-            strict_invariants: cfg!(feature = "strict-invariants"),
+            strict_invariants: cfg!(test),
             injection: None,
             injection_events: 0,
             cycle_budget: u64::MAX,
@@ -519,8 +515,7 @@ impl Simulator {
 
     /// Runs the full [`Simulator::check_invariants`] sweep at the end of
     /// every cycle, converting the first violation into
-    /// [`SimFault::Invariant`]. On by default when the crate is built with
-    /// the `strict-invariants` feature.
+    /// [`SimFault::Invariant`]. On by default in this crate's unit tests.
     pub fn set_strict_invariants(&mut self, on: bool) {
         self.strict_invariants = on;
     }
@@ -659,7 +654,7 @@ impl Simulator {
     /// # Errors
     ///
     /// The first [`SimFault`] observed: an emulator fault at fetch, a
-    /// commit-hook divergence, a strict-invariants violation, or a
+    /// commit-hook divergence, a strict invariant violation, or a
     /// scheduling deadlock.
     pub fn try_run(&mut self) -> Result<(), SimFault> {
         let mut last_progress = (0u64, 0u64);
@@ -696,14 +691,11 @@ impl Simulator {
         self.stats.cycles = self.cycle - self.stats_start_cycle;
         self.stats.hierarchy = self.hierarchy.stats();
         self.stats.last_arrival = self.la_bank.results();
-        if let Some(t) = self.trace.as_mut() {
-            t.flush();
-        }
         result
     }
 
     /// The first fault observed so far, if any (set by faulting phases and
-    /// by strict-invariants checking; cleared only by construction).
+    /// by strict invariant checking; cleared only by construction).
     #[must_use]
     pub fn fault(&self) -> Option<&SimFault> {
         self.fault.as_ref()
@@ -1213,15 +1205,6 @@ impl Simulator {
             };
             let slot = self.window.slot_of(seq);
             self.window.state[slot] = slot_state::ISSUED;
-            if self.trace.is_some() {
-                let (pc, inst) = {
-                    let i = self.inst(seq).expect("candidate");
-                    (i.pc, i.inst)
-                };
-                if let Some(t) = self.trace.as_mut() {
-                    t.line(format_args!("{cycle} ISSUE {seq} pc={pc:#x} {inst} seq_rf={seq_rf}"));
-                }
-            }
 
             if is_load {
                 let l_spec = self.load_spec_latency();
@@ -1769,9 +1752,6 @@ impl Simulator {
                         Some(SimFault::Hook { seq, cycle, reason, dump: self.dump_state() });
                     return;
                 }
-            }
-            if let Some(t) = self.trace.as_mut() {
-                t.line(format_args!("{cycle} COMMIT {seq} pc={pc:#x} {inst}"));
             }
             self.stats.committed += 1;
             self.committed_total += 1;
@@ -2645,8 +2625,8 @@ impl Simulator {
 
     /// Checks the scheduler's internal invariants, returning the first
     /// violation as a description instead of panicking. Runs every cycle
-    /// under strict-invariants mode (the `strict-invariants` cargo feature
-    /// or [`Simulator::set_strict_invariants`]), where a violation
+    /// under strict invariants mode ([`Simulator::set_strict_invariants`],
+    /// on by default in this crate's unit tests), where a violation
     /// surfaces as [`SimFault::Invariant`].
     ///
     /// # Errors

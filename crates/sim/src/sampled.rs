@@ -31,6 +31,7 @@ use crate::frontend::BranchWarmth;
 use crate::pipeline::{SimFault, Simulator};
 use hpa_asm::Program;
 use hpa_emu::Emulator;
+use hpa_obs::SplitMix64;
 use std::fmt;
 
 /// Two-sided 95% Student-t critical values for `df = 1..=30`; larger
@@ -40,16 +41,6 @@ const T_95: [f64; 30] = [
     2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086, 2.080, 2.074, 2.069, 2.064, 2.060, 2.056,
     2.052, 2.048, 2.045, 2.042,
 ];
-
-/// SplitMix64 step, used to derive the deterministic starting offset of
-/// the first sampling unit from the seed (kept inline so `hpa-sim` takes
-/// no dependency on the workload crate's RNG).
-fn splitmix64(state: u64) -> u64 {
-    let mut z = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// The three stretch lengths of one systematic sampling unit, in
 /// instructions: functional fast-forward, detailed-but-unmeasured warmup,
@@ -235,7 +226,7 @@ impl SampledRunner {
         let mut detailed_insts = 0u64;
         // First unit starts at a seed-derived offset inside [0, ff) so a
         // seed sweep can vary the sampled population.
-        let mut ff_budget = splitmix64(self.seed) % ff;
+        let mut ff_budget = SplitMix64::new(self.seed).next_u64() % ff;
         loop {
             fast_forward(&mut emu, &mut warmth, ff_budget)?;
             if emu.halted() {

@@ -8,55 +8,7 @@
 //! replayed load shadow.
 
 use hpa_isa::Inst;
-use std::fmt;
 use std::fmt::Write as _;
-use std::io::Write as _;
-
-/// A buffered stderr sink for the per-issue/commit event log
-/// (`HPA_TRACE=1`).
-///
-/// `eprintln!` locks and flushes stderr on every line, which serializes
-/// the hot loop when tracing is on; this sink batches lines through a
-/// large [`std::io::BufWriter`] instead and flushes once at the end of the
-/// run (and on drop).
-pub(crate) struct TraceSink {
-    out: std::io::BufWriter<std::io::Stderr>,
-}
-
-impl TraceSink {
-    /// A sink if `HPA_TRACE` is set, otherwise `None`.
-    pub fn from_env() -> Option<TraceSink> {
-        std::env::var_os("HPA_TRACE").is_some().then(TraceSink::new)
-    }
-
-    fn new() -> TraceSink {
-        TraceSink { out: std::io::BufWriter::with_capacity(64 << 10, std::io::stderr()) }
-    }
-
-    /// Appends one formatted line to the buffer.
-    pub fn line(&mut self, args: fmt::Arguments<'_>) {
-        let _ = self.out.write_fmt(args);
-        let _ = self.out.write_all(b"\n");
-    }
-
-    /// Drains the buffer to stderr.
-    pub fn flush(&mut self) {
-        let _ = self.out.flush();
-    }
-}
-
-/// Cloning a simulator starts an independent (empty) trace buffer.
-impl Clone for TraceSink {
-    fn clone(&self) -> TraceSink {
-        TraceSink::new()
-    }
-}
-
-impl fmt::Debug for TraceSink {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TraceSink").finish_non_exhaustive()
-    }
-}
 
 /// Stage timestamps of one committed instruction.
 #[derive(Clone, Debug)]

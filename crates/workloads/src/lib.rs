@@ -44,9 +44,8 @@
 #![warn(missing_docs)]
 
 mod kernels;
-mod rng;
 
-pub use rng::SplitMix64;
+pub use hpa_obs::SplitMix64;
 
 use hpa_asm::Program;
 use hpa_emu::{Emulator, RunOutcome};

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Pre-merge gate: formatting, lints, the full offline test suite and a
-# tiny perf smoke run. Everything here works with no network access.
+# benchmark smoke run. Everything here works with no network access.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 . tools/lib.sh
@@ -20,10 +20,23 @@ cargo build --release --workspace
 echo "== cargo test (workspace) =="
 cargo test -q --workspace
 
-echo "== cargo test (sim, strict-invariants) =="
-# The fuzzer always runs with runtime invariants on; this pass makes sure
-# the compile-time feature gate builds and the sim suite holds under it.
-cargo test -q -p hpa-sim --features strict-invariants
+echo "== benchmark smoke =="
+# hpabench has a [workspace] of its own, so the --workspace build and
+# clippy above never compile it. Build it offline and run the traced
+# serve-mixed battery once: `--trace 1` calls every layer the benchmark
+# uses (run_prepared and its observed and phase-timed variants, the
+# sampled runner with snapshot and restore, journal, cache key and result
+# cache, JSON, ELF load and translate). A public-API change that breaks
+# the benchmark, or makes it compute a wrong result, fails here.
+cargo build --release -q --offline --manifest-path hpabench/Cargo.toml
+bench_line="$(hpabench/target/release/hpabench --workload serve-mixed --seed 1 --seconds 1 \
+  --trace 1 | tail -n 1)"
+if [ "$(json_scalar "$bench_line" correct)" != "true" ] ||
+   [ "$(json_scalar "$bench_line" failed)" != "0" ]; then
+  echo "ERROR: hpabench serve-mixed did not report a correct run with 0 failed: $bench_line" >&2
+  exit 1
+fi
+echo "hpabench serve-mixed: correct, $(json_scalar "$bench_line" attempted) attempted, 0 failed"
 
 echo "== fuzz smoke (fixed seed) =="
 # Differential fuzzing gate: 200 random programs, each run in lockstep with
@@ -250,51 +263,6 @@ for b in gcc perl; do
     echo "WARNING: sampled IPC off by >10% vs full detailed on $b ($sampled vs $full)" >&2
   fi
 done
-
-echo "== perf smoke (tiny) =="
-out="$(mktemp /tmp/hpa-perf-smoke.XXXXXX.json)"
-cargo run --release -q -p hpa-bench --bin perf_smoke -- --scale tiny --out "$out"
-echo "perf smoke wrote $out"
-
-echo "== throughput regression check =="
-# Compare the fresh tiny-scale aggregate against the newest committed
-# BENCH_*.json, picked by numeric suffix (tools/lib.sh — a filename sort
-# would choose BENCH_9 over BENCH_10). Non-fatal: wall-clock throughput is
-# machine-dependent, so a drop only warns — but a >10% drop on the same
-# machine usually means a real cycle-loop regression worth investigating.
-baseline_file="$(newest_bench_json .)"
-if [ -n "$baseline_file" ]; then
-  fresh="$(grep -o '"aggregate_mcycles_per_sec": [0-9.]*' "$out" | head -1 | grep -o '[0-9.]*$')"
-  base="$(grep -o '"aggregate_mcycles_per_sec": [0-9.]*' "$baseline_file" | head -1 | grep -o '[0-9.]*$')"
-  echo "fresh aggregate: $fresh Mcycles/s; $baseline_file: $base Mcycles/s"
-  if awk -v f="$fresh" -v b="$base" 'BEGIN { exit !(b > 0 && f < 0.9 * b) }'; then
-    echo "WARNING: aggregate throughput dropped >10% vs $baseline_file ($fresh < 0.9 * $base)" >&2
-    # Attribute the drop: like-for-like (counters-off) per-phase ns/cycle,
-    # worst regression first, so the log says *which* pipeline phase got
-    # slower — not just that something did. Pre-v4 baselines carry no
-    # phase timings; say so instead of comparing nothing.
-    phases="$(phase_regressions "$out" "$baseline_file")"
-    if [ -n "$phases" ]; then
-      echo "per-phase ns/cycle (fresh vs $baseline_file, worst first):" >&2
-      printf '%s\n' "$phases" |
-        awk '{ printf "  %-8s %8.1f vs %8.1f  (x%.3f)\n", $1, $2, $3, $4 }' >&2
-      worst="$(printf '%s\n' "$phases" | head -1)"
-      echo "largest regression: $(printf '%s' "$worst" | cut -d' ' -f1) phase" >&2
-    else
-      echo "baseline $baseline_file predates per-phase timings (pre-v4); cannot attribute the drop" >&2
-    fi
-  fi
-else
-  echo "no committed BENCH_*.json baseline; skipping"
-fi
-
-echo "== cycle-loop profile (non-fatal) =="
-# Function-level CPU profile of a tiny perf_smoke run via gprofng, so a
-# throughput warning above comes with "which function" attribution in the
-# same log. Skips cleanly when the host has no profiler (or refuses the
-# collector); never fails the gate.
-tools/profile.sh --scale tiny --top 12 || \
-  echo "WARNING: tools/profile.sh failed (non-fatal)" >&2
 
 echo "== coverage report (non-fatal) =="
 # Line-coverage summary via cargo-llvm-cov when the host has it; purely

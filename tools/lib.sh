@@ -2,67 +2,15 @@
 # unit-tested by tools/test_check_lib.sh; keep everything here POSIX-ish
 # and side-effect free.
 
-# Prints the BENCH_<N>.json in `$1` (default: .) with the largest N,
-# compared numerically — a lexicographic pick would choose BENCH_9.json
-# over BENCH_10.json. Prints nothing when no artifact exists.
-newest_bench_json() {
-  local dir="${1:-.}" name
-  ls "$dir" 2>/dev/null | while read -r name; do
-    case "$name" in
-      BENCH_*.json)
-        n="${name#BENCH_}"
-        n="${n%.json}"
-        case "$n" in
-          '' | *[!0-9]*) ;; # non-numeric suffix: not a perf artifact
-          *) printf '%s %s\n' "$n" "$name" ;;
-        esac
-        ;;
-    esac
-  done | sort -k1,1n | tail -1 | cut -d' ' -f2-
-}
-
-# Prints `<phase> <ns_per_cycle>` lines from a perf_smoke JSON (`$1`),
-# taking the FIRST occurrence of each `phase_<name>_ns_per_cycle` key —
-# v4 artifacts carry two phase blocks (counters off, then on) and the
-# counters-off block comes first, so both sides of a comparison read the
-# like-for-like numbers. Prints nothing for pre-v4 artifacts.
-phase_ns_per_cycle() {
-  grep -o '"phase_[a-z]*_ns_per_cycle": [0-9.]*' "$1" 2>/dev/null |
-    sed 's/"phase_\([a-z]*\)_ns_per_cycle": \(.*\)/\1 \2/' |
-    awk '!seen[$1]++'
-}
-
 # Prints the value of the FIRST `"key":<scalar>` pair in the JSON text
 # `$1` (key in `$2`): strings are unquoted, numbers/booleans print as-is,
 # and a missing key prints nothing. Scalar fields only — values holding
-# `,`, `}` or escaped quotes are out of scope (the serve wire format
-# keeps its greppable fields — status, cached, digests — scalar).
+# `,`, `}` or escaped quotes are out of scope (the serve wire format and
+# the hpabench result line keep their greppable fields — status, cached,
+# digests, correct, failed — scalar).
 json_scalar() {
   printf '%s' "$1" |
     grep -o "\"$2\": *\(\"[^\"]*\"\|[^,}]*\)" |
     head -1 |
     sed 's/^"[^"]*": *//; s/ *$//; s/^"//; s/"$//'
-}
-
-# Like-for-like per-phase comparison of two perf_smoke JSONs
-# (`$1` = fresh, `$2` = baseline). For every phase present in both,
-# prints `<phase> <fresh> <baseline> <ratio>` (ratio > 1 means the fresh
-# run spends more ns/cycle there), sorted worst-regression first. Prints
-# nothing when either side lacks per-phase data (pre-v4 baselines).
-phase_regressions() {
-  local fresh base
-  fresh="$(phase_ns_per_cycle "$1")"
-  base="$(phase_ns_per_cycle "$2")"
-  [ -n "$fresh" ] && [ -n "$base" ] || return 0
-  {
-    printf '%s\n' "$fresh" | sed 's/^/f /'
-    printf '%s\n' "$base" | sed 's/^/b /'
-  } | awk '
-    $1 == "f" { f[$2] = $3 }
-    $1 == "b" { b[$2] = $3 }
-    END {
-      for (p in f)
-        if (p in b && b[p] > 0)
-          printf "%s %.1f %.1f %.3f\n", p, f[p], b[p], f[p] / b[p]
-    }' | sort -k4,4rn
 }

@@ -1,55 +1,62 @@
 #!/usr/bin/env bash
-# Profiling harness for the cycle loop: collects a CPU profile of a
-# perf_smoke run and prints the hottest functions, so "which phase got
-# slower" (check.sh's per-phase comparison) can be followed up with
-# "which function inside that phase".
+# Profiling harness for the repository benchmark: collects a CPU profile
+# of one short `hpabench` run and prints the hottest functions, so a
+# per-layer metric that moved in an A/B (tools/ab.sh) can be followed up
+# with "which function inside that layer".
 #
 # Uses gprofng (binutils) — the containers this repo grows in ship it,
 # while `perf` is typically absent and the kernel's perf_event interface
 # is often locked down. Skips cleanly (exit 0, a message on stderr) when
-# no profiler is available, so check.sh can call it non-fatally.
+# no profiler is available. hpabench runs its cells on worker threads,
+# and gprofng 2.40 has been seen to record clock samples from the main
+# thread only: check the <Total> line against the run's wall time before
+# reading the shares.
 #
-# Usage: tools/profile.sh [--scale tiny|default|large] [--top N] [--keep]
-#   --scale  workload scale passed to perf_smoke (default: tiny)
-#   --top    number of hottest functions to print (default: 15)
-#   --keep   keep the experiment directory and print its path
+# Usage: tools/profile.sh [--top N] [--keep] WORKLOAD
+#   WORKLOAD  a BENCHMARK.json workload: paper-matrix, sampled-long or
+#             serve-mixed (run with --seed 1 --seconds 1 --trace 0)
+#   --top     number of hottest functions to print (default: 15)
+#   --keep    keep the experiment directory and print its path
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-scale=tiny
+usage="usage: tools/profile.sh [--top N] [--keep] WORKLOAD"
+workload=
 top=15
 keep=0
 while [ $# -gt 0 ]; do
   case "$1" in
-    --scale) scale="${2:?--scale needs a value}"; shift 2 ;;
     --top) top="${2:?--top needs a value}"; shift 2 ;;
     --keep) keep=1; shift ;;
-    *) echo "usage: tools/profile.sh [--scale S] [--top N] [--keep]" >&2; exit 2 ;;
+    -*) echo "$usage" >&2; exit 2 ;;
+    *) workload="$1"; shift ;;
   esac
 done
+[ -n "$workload" ] || { echo "$usage" >&2; exit 2; }
 
 if ! command -v gprofng >/dev/null 2>&1; then
   echo "profile.sh: gprofng not found; skipping (install binutils-gprofng to enable)" >&2
   exit 0
 fi
 
-# The release profile carries line tables (debug = 1 in Cargo.toml), so
-# the collected samples attribute to source lines, not just symbols.
-echo "== building perf_smoke (release) =="
-cargo build --release -q -p hpa-bench --bin perf_smoke
+# The benchmark's release profile carries line tables (debug = 1), so the
+# collected samples attribute to source lines, not just symbols.
+echo "== building hpabench (release) =="
+cargo build --release -q --offline --manifest-path hpabench/Cargo.toml
 
 expdir="$(mktemp -d /tmp/hpa-profile.XXXXXX)"
-exp="$expdir/perf_smoke.er"
-out="$expdir/perf_smoke.json"
+exp="$expdir/hpabench.er"
 cleanup() { [ "$keep" -eq 1 ] || rm -rf "$expdir"; }
 trap cleanup EXIT
 
-echo "== collecting profile (scale=$scale) =="
-if ! gprofng collect app -o "$exp" \
-  target/release/perf_smoke --scale "$scale" --out "$out" >/dev/null 2>&1; then
+echo "== collecting profile (workload=$workload) =="
+if ! gprofng collect app -o "$exp" hpabench/target/release/hpabench \
+  --workload "$workload" --seed 1 --seconds 1 --trace 0 >"$expdir/run.txt" 2>&1; then
   # Some hardened hosts refuse the collector's ptrace/LD_PRELOAD hooks;
-  # that is an environment limitation, not a repo failure.
+  # that is an environment limitation, not a repo failure. A benchmark
+  # that itself fails shows in the run output.
   echo "profile.sh: gprofng collect failed on this host; skipping" >&2
+  tail -n 5 "$expdir/run.txt" >&2
   exit 0
 fi
 
