@@ -4,8 +4,9 @@
 //! "relatively insensitive to the predictor accuracy".
 use hpa_bench::HarnessArgs;
 use hpa_core::report::Table;
-use hpa_core::sim::{Simulator, WakeupScheme};
-use hpa_core::workloads::{workload, CHECKSUM_REG};
+use hpa_core::sim::WakeupScheme;
+use hpa_core::workloads::workload;
+use hpa_core::{run, RunSpec, Scheme};
 
 const SIZES: [usize; 5] = [64, 256, 1024, 4096, 16384];
 
@@ -24,18 +25,20 @@ fn main() {
         };
         for name in &args.benches {
             let w = workload(name, args.scale).expect("known name");
-            let run = |wakeup: WakeupScheme| {
-                let mut sim = Simulator::new(&w.program, width.base_config().with_wakeup(wakeup));
-                sim.run();
-                assert_eq!(sim.emulator().reg(CHECKSUM_REG), w.expected_checksum, "{name}");
-                sim.stats().ipc()
+            let ipc_with = |wakeup: WakeupScheme| {
+                let config = width.base_config().with_wakeup(wakeup);
+                run(&RunSpec { config, ..RunSpec::workload(&w, Scheme::Base, width) })
+                    .unwrap_or_else(|e| panic!("{e}"))
+                    .stats
+                    .ipc()
             };
-            let base = run(WakeupScheme::Conventional);
+            let base = ipc_with(WakeupScheme::Conventional);
             let mut row = vec![(*name).to_string(), format!("{base:.3}")];
-            let stat = run(WakeupScheme::SequentialWakeup { predictor_entries: None });
+            let stat = ipc_with(WakeupScheme::SequentialWakeup { predictor_entries: None });
             row.push(format!("{:.3}", stat / base));
             for &entries in &SIZES {
-                let ipc = run(WakeupScheme::SequentialWakeup { predictor_entries: Some(entries) });
+                let ipc =
+                    ipc_with(WakeupScheme::SequentialWakeup { predictor_entries: Some(entries) });
                 row.push(format!("{:.3}", ipc / base));
             }
             t.push_row(row);

@@ -3,8 +3,9 @@
 //! the design-space point the paper's Section 3.1 discussion turns on.
 use hpa_bench::HarnessArgs;
 use hpa_core::report::Table;
-use hpa_core::sim::{RecoveryKind, Simulator};
-use hpa_core::workloads::{workload, CHECKSUM_REG};
+use hpa_core::sim::RecoveryKind;
+use hpa_core::workloads::workload;
+use hpa_core::{run, RunSpec, Scheme};
 
 fn main() {
     let args = HarnessArgs::parse();
@@ -18,12 +19,12 @@ fn main() {
             let mut row = vec![(*name).to_string()];
             let mut replays = Vec::new();
             for kind in [RecoveryKind::NonSelective, RecoveryKind::Selective] {
-                let cfg = width.base_config().with_recovery(kind);
-                let mut sim = Simulator::new(&w.program, cfg);
-                sim.run();
-                assert_eq!(sim.emulator().reg(CHECKSUM_REG), w.expected_checksum);
-                row.push(format!("{:.3}", sim.stats().ipc()));
-                replays.push(sim.stats().replayed_insts.to_string());
+                let config = width.base_config().with_recovery(kind);
+                let stats = run(&RunSpec { config, ..RunSpec::workload(&w, Scheme::Base, width) })
+                    .unwrap_or_else(|e| panic!("{e}"))
+                    .stats;
+                row.push(format!("{:.3}", stats.ipc()));
+                replays.push(stats.replayed_insts.to_string());
             }
             row.extend(replays);
             t.push_row(row);

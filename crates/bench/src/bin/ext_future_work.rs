@@ -4,8 +4,9 @@
 //! same methodology as Figures 14–16.
 use hpa_bench::HarnessArgs;
 use hpa_core::report::Table;
-use hpa_core::sim::{BypassScheme, RenameScheme, Simulator};
-use hpa_core::workloads::{workload, CHECKSUM_REG};
+use hpa_core::sim::{BypassScheme, RenameScheme, SimConfig};
+use hpa_core::workloads::workload;
+use hpa_core::{run, RunSpec, Scheme};
 
 fn main() {
     let args = HarnessArgs::parse();
@@ -24,21 +25,22 @@ fn main() {
         );
         for name in &args.benches {
             let w = workload(name, args.scale).expect("known name");
-            let run = |cfg: hpa_core::sim::SimConfig| {
-                let mut sim = Simulator::new(&w.program, cfg);
-                sim.run();
-                assert_eq!(sim.emulator().reg(CHECKSUM_REG), w.expected_checksum, "{name}");
-                sim.stats().clone()
+            let stats_with = |config: SimConfig| {
+                run(&RunSpec { config, ..RunSpec::workload(&w, Scheme::Base, width) })
+                    .unwrap_or_else(|e| panic!("{e}"))
+                    .stats
             };
-            let base = run(width.base_config());
-            let rename = run(width.base_config().with_rename(RenameScheme::HalfPorts));
-            let bypass = run(width.base_config().with_bypass(BypassScheme::HalfPaths));
+            let base = stats_with(width.base_config());
+            let rename = stats_with(width.base_config().with_rename(RenameScheme::HalfPorts));
+            let bypass = stats_with(width.base_config().with_bypass(BypassScheme::HalfPaths));
             // The full "operand-centric" machine: every 2-operand structure
             // halved at once (scheduling + RF + rename + bypass).
-            let all = run(hpa_core::Scheme::Combined
-                .configure(width)
-                .with_rename(RenameScheme::HalfPorts)
-                .with_bypass(BypassScheme::HalfPaths));
+            let all = stats_with(
+                Scheme::Combined
+                    .configure(width)
+                    .with_rename(RenameScheme::HalfPorts)
+                    .with_bypass(BypassScheme::HalfPaths),
+            );
             t.push_row(vec![
                 (*name).to_string(),
                 format!("{:.3}", base.ipc()),

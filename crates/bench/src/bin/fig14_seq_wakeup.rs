@@ -1,7 +1,7 @@
 //! Regenerates Figure 14: IPC of sequential wakeup (with and without the
 //! last-arriving predictor) and tag elimination, normalized to base.
 use hpa_bench::HarnessArgs;
-use hpa_core::{report, run_matrix_parallel, Scheme};
+use hpa_core::{report, run_matrix, Scheme};
 
 const SCHEMES: [Scheme; 4] =
     [Scheme::Base, Scheme::SeqWakeupPredictor, Scheme::TagElimination, Scheme::SeqWakeupStatic];
@@ -9,7 +9,7 @@ const SCHEMES: [Scheme; 4] =
 fn main() {
     let args = HarnessArgs::parse();
     for &width in &args.widths {
-        let m = run_matrix_parallel(&args.benches, args.scale, width, &SCHEMES, args.jobs, |r| {
+        let m = run_matrix(&args.benches, args.scale, width, &SCHEMES, args.jobs, false, |r| {
             eprintln!("  {} / {} : ipc {:.3}", r.workload, r.scheme.label(), r.stats.ipc());
         })
         .unwrap_or_else(|e| panic!("{e}"));

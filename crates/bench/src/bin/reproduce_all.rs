@@ -7,11 +7,8 @@
 use hpa_bench::{as_refs, base_runs, HarnessArgs};
 use hpa_core::report::{self, Table};
 use hpa_core::sim::SampleUnits;
-use hpa_core::workloads::Scale;
-use hpa_core::{
-    run_matrix_parallel, run_matrix_parallel_observed, run_workload, run_workload_sampled,
-    MachineWidth, MatrixResult, Scheme,
-};
+use hpa_core::workloads::{workload, Scale};
+use hpa_core::{run, run_matrix, run_workload, MachineWidth, MatrixResult, Mode, RunSpec, Scheme};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -118,7 +115,7 @@ fn main() {
     let f14: [Scheme; 4] =
         [Scheme::Base, Scheme::SeqWakeupPredictor, Scheme::TagElimination, Scheme::SeqWakeupStatic];
     for &width in &args.widths {
-        let m = matrix(&args, width, &f14);
+        let m = matrix(&args, width, &f14, false);
         let title = format!("Figure 14: sequential wakeup vs tag elimination [{}]", width.label());
         push(
             &mut md,
@@ -135,7 +132,7 @@ fn main() {
     let f15: [Scheme; 4] =
         [Scheme::Base, Scheme::SeqRegAccess, Scheme::ExtraRfStage, Scheme::HalfPortsCrossbar];
     for &width in &args.widths {
-        let m = matrix(&args, width, &f15);
+        let m = matrix(&args, width, &f15, false);
         let title = format!("Figure 15: register file schemes [{}]", width.label());
         push(
             &mut md,
@@ -151,7 +148,7 @@ fn main() {
     eprintln!("== figure 16 (combined) ==");
     let f16: [Scheme; 2] = [Scheme::Base, Scheme::Combined];
     for &width in &args.widths {
-        let m = matrix(&args, width, &f16);
+        let m = matrix(&args, width, &f16, false);
         let title = format!("Figure 16: combined half-price architecture [{}]", width.label());
         push(
             &mut md,
@@ -168,7 +165,7 @@ fn main() {
     let cpi_schemes: [Scheme; 4] =
         [Scheme::Base, Scheme::SeqWakeupPredictor, Scheme::SeqRegAccess, Scheme::Combined];
     for &width in &args.widths {
-        let m = matrix_observed(&args, width, &cpi_schemes);
+        let m = matrix(&args, width, &cpi_schemes, true);
         let title =
             format!("CPI stack: issue-slot attribution, % of cycles x width [{}]", width.label());
         push(
@@ -249,7 +246,9 @@ fn sampled_throughput(md: &mut String) {
             run_workload(name, Scale::Long, width, Scheme::Base).unwrap_or_else(|e| panic!("{e}"));
         let full_s = t0.elapsed().as_secs_f64();
         let t0 = Instant::now();
-        let sampled = run_workload_sampled(name, Scale::Long, width, Scheme::Base, units, seed)
+        let w = workload(name, Scale::Long).expect("known workload");
+        let mode = Mode::Sampled { units, seed };
+        let sampled = run(&RunSpec { mode, ..RunSpec::workload(&w, Scheme::Base, width) })
             .unwrap_or_else(|e| panic!("{e}"));
         let sampled_s = t0.elapsed().as_secs_f64();
         let est = sampled.sampled.expect("sampled run records an estimate");
@@ -271,27 +270,21 @@ fn sampled_throughput(md: &mut String) {
     let _ = writeln!(md);
 }
 
-fn matrix(args: &HarnessArgs, width: MachineWidth, schemes: &[Scheme]) -> MatrixResult {
-    run_matrix_parallel(&args.benches, args.scale, width, schemes, args.jobs, |r| {
+/// Runs the benchmarks × `schemes` matrix, with CPI stacks when `observe`.
+fn matrix(
+    args: &HarnessArgs,
+    width: MachineWidth,
+    schemes: &[Scheme],
+    observe: bool,
+) -> MatrixResult {
+    run_matrix(&args.benches, args.scale, width, schemes, args.jobs, observe, |r| {
         eprintln!(
-            "  {} / {} [{}]: ipc {:.3}",
+            "  {} / {} [{}]: ipc {:.3}{}",
             r.workload,
             r.scheme.label(),
             width.label(),
-            r.stats.ipc()
-        );
-    })
-    .unwrap_or_else(|e| panic!("{e}"))
-}
-
-fn matrix_observed(args: &HarnessArgs, width: MachineWidth, schemes: &[Scheme]) -> MatrixResult {
-    run_matrix_parallel_observed(&args.benches, args.scale, width, schemes, args.jobs, true, |r| {
-        eprintln!(
-            "  {} / {} [{}]: ipc {:.3} (observed)",
-            r.workload,
-            r.scheme.label(),
-            width.label(),
-            r.stats.ipc()
+            r.stats.ipc(),
+            if observe { " (observed)" } else { "" }
         );
     })
     .unwrap_or_else(|e| panic!("{e}"))

@@ -16,9 +16,7 @@
 
 use hpa_core::sim::SimStats;
 use hpa_core::workloads::{Scale, WORKLOAD_NAMES};
-use hpa_core::{run_workload, MachineWidth, RunResult, Scheme};
-
-pub mod microbench;
+use hpa_core::{run_workload, MachineWidth, Scheme};
 
 /// Parsed command-line options shared by every harness binary.
 #[derive(Clone, Debug)]
@@ -113,18 +111,12 @@ pub fn base_runs(args: &HarnessArgs, width: MachineWidth) -> Vec<(&'static str, 
         .iter()
         .map(|name| {
             eprint!("  {name} ({})...", width.label());
-            let r = run_once(name, args.scale, width, Scheme::Base);
+            let r = run_workload(name, args.scale, width, Scheme::Base)
+                .unwrap_or_else(|e| panic!("{e}"));
             eprintln!(" ipc {:.3}", r.stats.ipc());
             (*name, r.stats)
         })
         .collect()
-}
-
-/// Runs one workload/scheme, panicking on harness-level errors (bad name,
-/// checksum mismatch) since those are not recoverable mid-experiment.
-#[must_use]
-pub fn run_once(name: &str, scale: Scale, width: MachineWidth, scheme: Scheme) -> RunResult {
-    run_workload(name, scale, width, scheme).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Borrows `(name, stats)` pairs in the form the report functions take.

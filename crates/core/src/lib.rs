@@ -11,11 +11,15 @@
 //!   combined);
 //! * [`MachineWidth`] selects the paper's 4-wide or 8-wide machine
 //!   (Table 1);
-//! * [`run_workload`] simulates one benchmark under one configuration and
-//!   verifies that timing never changed the architectural result;
-//! * [`run_matrix`] sweeps benchmarks × schemes serially, and
-//!   [`run_matrix_parallel`] fans the independent cells out across worker
-//!   threads ([`pool`]) with bit-identical results;
+//! * [`run`] is the one way to simulate: a [`RunSpec`] names the program,
+//!   its reference checksum, the scheme, width and machine configuration,
+//!   full or sampled [`Mode`], what to record and a cycle budget; the
+//!   [`RunResult`] carries the statistics, and timing must never change
+//!   the architectural result;
+//! * [`run_workload`] resolves a benchmark name and runs it;
+//! * [`run_matrix`] sweeps benchmarks × schemes, fanning the independent
+//!   cells out across worker threads ([`pool`]) with results that do not
+//!   depend on the thread count;
 //! * [`report`] renders every figure and table of the paper's evaluation
 //!   from the collected statistics.
 //!
@@ -54,18 +58,15 @@ pub use hpa_rv as rv;
 pub use hpa_sim as sim;
 pub use hpa_workloads as workloads;
 
-mod backend;
 pub mod pool;
 pub mod report;
 mod runner;
 mod scheme;
 
-pub use backend::{ArchView, Backend, BackendError};
 pub use hpa_obs::{Counters, CpiCategory, CpiStack};
 pub use pool::{default_jobs, parallel_map, parallel_map_isolated, JobError};
 pub use runner::{
-    run_matrix, run_matrix_parallel, run_matrix_parallel_observed, run_prepared,
-    run_prepared_observed, run_prepared_phase_timed, run_workload, run_workload_observed,
-    run_workload_sampled, MatrixResult, RunError, RunResult,
+    run, run_matrix, run_prepared, run_prepared_observed, run_prepared_phase_timed, run_workload,
+    MatrixResult, Mode, RunError, RunResult, RunSpec,
 };
 pub use scheme::{MachineWidth, Scheme};

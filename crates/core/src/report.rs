@@ -302,7 +302,7 @@ pub fn normalized_ipc_figure(title: &str, matrix: &MatrixResult, schemes: &[Sche
 }
 
 /// CPI-stack table from an *observed* matrix (see
-/// [`crate::run_matrix_parallel_observed`]): one row per (workload,
+/// [`crate::run_matrix`] with `observe` set): one row per (workload,
 /// scheme) cell, one column per [`CpiCategory`], each the percentage of
 /// the machine's issue slots attributed to that cause. The per-scheme
 /// deltas against the base rows are the paper's Figures 10–14 degradation
@@ -429,6 +429,8 @@ mod matrix_report_tests {
             Scale::Tiny,
             MachineWidth::Four,
             &[Scheme::Base, Scheme::SeqRegAccess, Scheme::Combined],
+            1,
+            false,
             |_| {},
         )
         .expect("runs");
@@ -447,8 +449,16 @@ mod matrix_report_tests {
 
     #[test]
     fn missing_scheme_renders_a_dash() {
-        let m = run_matrix(&["gcc"], Scale::Tiny, MachineWidth::Four, &[Scheme::Base], |_| {})
-            .expect("runs");
+        let m = run_matrix(
+            &["gcc"],
+            Scale::Tiny,
+            MachineWidth::Four,
+            &[Scheme::Base],
+            1,
+            false,
+            |_| {},
+        )
+        .expect("runs");
         let t = normalized_ipc_figure("test", &m, &[Scheme::Combined]);
         assert_eq!(t.rows[0][2], "-");
     }

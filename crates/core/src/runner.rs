@@ -1,8 +1,11 @@
-//! Experiment execution: workloads × schemes, with architectural
-//! verification after every run.
+//! Experiment execution: [`run`] simulates one program under one
+//! configuration and verifies its architectural result; everything else
+//! here (single workloads, the prepared-workload shims, the
+//! workloads × schemes matrix) builds a [`RunSpec`] and calls it.
 
 use crate::pool::parallel_map_isolated;
 use crate::scheme::{MachineWidth, Scheme};
+use hpa_asm::Program;
 use hpa_obs::Counters;
 use hpa_sim::{
     PhaseTimes, SampleUnits, SampledEstimate, SampledRunner, SimConfig, SimFault, SimStats,
@@ -11,7 +14,7 @@ use hpa_sim::{
 use hpa_workloads::{workload, Scale, Workload, CHECKSUM_REG};
 use std::fmt;
 
-/// Errors from [`run_workload`].
+/// Errors from [`run`] and the functions built on it.
 #[derive(Clone, Debug)]
 pub enum RunError {
     /// The workload name is not one of the twelve benchmarks.
@@ -68,6 +71,99 @@ impl fmt::Display for RunError {
 
 impl std::error::Error for RunError {}
 
+/// How [`run`] drives the program.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Mode {
+    /// Cycle-level detail from the first instruction to `halt`.
+    Full,
+    /// SMARTS-style sampling (see `hpa_sim::SampledRunner`): functional
+    /// fast-forward with branch-table warming between short detailed
+    /// windows, whose placement `seed` shifts.
+    Sampled {
+        /// Warmup / detail / fast-forward lengths of one sampling unit.
+        units: SampleUnits,
+        /// Sampling seed.
+        seed: u64,
+    },
+}
+
+/// One simulation: which program, on which machine, in which mode, and
+/// what to record. Build one with [`RunSpec::workload`] or
+/// [`RunSpec::new`] and override fields with struct-update syntax:
+///
+/// ```
+/// use hpa_core::workloads::{workload, Scale};
+/// use hpa_core::{run, MachineWidth, RunSpec, Scheme};
+///
+/// let w = workload("gcc", Scale::Tiny).expect("known workload");
+/// let spec = RunSpec::workload(&w, Scheme::Combined, MachineWidth::Four);
+/// let r = run(&RunSpec { counters: true, ..spec }).expect("checksum verified");
+/// assert!(r.counters.is_some());
+/// ```
+#[derive(Clone, Debug)]
+pub struct RunSpec<'a> {
+    /// Name carried into [`RunResult::workload`] and error messages.
+    pub name: &'static str,
+    /// The program to simulate.
+    pub program: &'a Program,
+    /// The value the program must leave in [`CHECKSUM_REG`]; `None` runs
+    /// it unverified (source programs and binaries have no oracle).
+    pub checksum: Option<u64>,
+    /// Scheme label for the result (the machine itself is `config`).
+    pub scheme: Scheme,
+    /// Machine width label for the result.
+    pub width: MachineWidth,
+    /// The simulated machine.
+    pub config: SimConfig,
+    /// Full detail or sampled.
+    pub mode: Mode,
+    /// Record the observability registry into [`RunResult::counters`]
+    /// (full mode only).
+    pub counters: bool,
+    /// Record per-phase wall time into [`RunResult::phase_times`] (full
+    /// mode only). The stopwatch reads slow the run.
+    pub phase_timing: bool,
+    /// Cycles after which a still-active run fails with
+    /// [`SimFault::Deadlock`] (full mode only; the sampled runner's own
+    /// deadlock detector bounds its windows).
+    pub cycle_budget: u64,
+}
+
+impl<'a> RunSpec<'a> {
+    /// A full-detail, unobserved, unbounded and unverified run of
+    /// `program` on `scheme`'s machine at `width`.
+    #[must_use]
+    pub fn new(
+        name: &'static str,
+        program: &'a Program,
+        scheme: Scheme,
+        width: MachineWidth,
+    ) -> RunSpec<'a> {
+        RunSpec {
+            name,
+            program,
+            checksum: None,
+            scheme,
+            width,
+            config: scheme.configure(width),
+            mode: Mode::Full,
+            counters: false,
+            phase_timing: false,
+            cycle_budget: u64::MAX,
+        }
+    }
+
+    /// [`RunSpec::new`] for a built-in workload, verified against its
+    /// reference checksum.
+    #[must_use]
+    pub fn workload(w: &'a Workload, scheme: Scheme, width: MachineWidth) -> RunSpec<'a> {
+        RunSpec {
+            checksum: Some(w.expected_checksum),
+            ..RunSpec::new(w.name, &w.program, scheme, width)
+        }
+    }
+}
+
 /// The outcome of simulating one workload under one configuration.
 #[derive(Clone, PartialEq, Debug)]
 pub struct RunResult {
@@ -80,116 +176,112 @@ pub struct RunResult {
     /// Full simulator statistics.
     pub stats: SimStats,
     /// Observability registry (CPI stack, penalty histograms); present
-    /// only for `*_observed` runs. Never affects `stats` — the
-    /// differential suite holds observed and unobserved runs
+    /// only when [`RunSpec::counters`] was set. Never affects `stats` —
+    /// the differential suite holds observed and unobserved runs
     /// bit-identical.
     pub counters: Option<Counters>,
     /// Sampled-mode estimate (mean IPC ± confidence interval and the
-    /// per-window samples); present only for [`run_workload_sampled`]
-    /// runs. When set, `stats` holds the *summed* detailed-window
-    /// statistics — cycles and commits across all measured stretches —
-    /// not a whole-program simulation.
+    /// per-window samples); present only for [`Mode::Sampled`] runs.
+    /// When set, `stats` holds the *summed* detailed-window statistics —
+    /// cycles and commits across all measured stretches — not a
+    /// whole-program simulation.
     pub sampled: Option<SampledEstimate>,
+    /// Per-phase wall time; present only when [`RunSpec::phase_timing`]
+    /// was set.
+    pub phase_times: Option<PhaseTimes>,
+}
+
+/// Runs one simulation and verifies its architectural result.
+///
+/// In sampled mode the checksum is read from the runner's main emulator,
+/// which functionally executes the complete program regardless of
+/// sampling — sampled timing is approximate, sampled architecture is not.
+///
+/// # Errors
+///
+/// [`RunError::Sim`] if the simulation faulted (emulator error, deadlock,
+/// exhausted cycle budget) and [`RunError::ChecksumMismatch`] if the
+/// program left the wrong value in [`CHECKSUM_REG`].
+pub fn run(spec: &RunSpec<'_>) -> Result<RunResult, RunError> {
+    let sim_fault = |fault| RunError::Sim { name: spec.name.to_string(), fault };
+    let (actual, stats, counters, sampled, phase_times) = match spec.mode {
+        Mode::Full => {
+            let mut sim = Simulator::new(spec.program, spec.config.clone());
+            sim.set_cycle_budget(spec.cycle_budget);
+            if spec.counters {
+                sim.enable_counters();
+            }
+            if spec.phase_timing {
+                sim.enable_phase_timing();
+            }
+            sim.try_run().map_err(sim_fault)?;
+            (
+                sim.emulator().reg(CHECKSUM_REG),
+                sim.stats().clone(),
+                spec.counters.then(|| sim.counters().clone()),
+                None,
+                sim.phase_times().copied(),
+            )
+        }
+        Mode::Sampled { units, seed } => {
+            let runner = SampledRunner::new(spec.config.clone(), units).with_seed(seed);
+            let outcome = runner.run(spec.program).map_err(sim_fault)?;
+            let estimate = outcome.estimate;
+            let stats = SimStats {
+                committed: estimate.samples.iter().map(|s| s.committed).sum(),
+                cycles: estimate.samples.iter().map(|s| s.cycles).sum(),
+                ..SimStats::default()
+            };
+            (outcome.emulator.reg(CHECKSUM_REG), stats, None, Some(estimate), None)
+        }
+    };
+    match spec.checksum {
+        Some(expected) if actual != expected => {
+            Err(RunError::ChecksumMismatch { name: spec.name.to_string(), actual, expected })
+        }
+        _ => Ok(RunResult {
+            workload: spec.name,
+            scheme: spec.scheme,
+            width: spec.width,
+            stats,
+            counters,
+            sampled,
+            phase_times,
+        }),
+    }
+}
+
+/// Builds a named workload.
+fn resolve(name: &str, scale: Scale) -> Result<Workload, RunError> {
+    workload(name, scale).ok_or_else(|| RunError::UnknownWorkload { name: name.to_string() })
 }
 
 /// Simulates one workload under a named scheme, verifying the checksum.
 ///
 /// # Errors
 ///
-/// [`RunError::UnknownWorkload`] for a bad name and
-/// [`RunError::ChecksumMismatch`] if timing altered semantics (never
-/// expected; would indicate a simulator bug).
+/// [`RunError::UnknownWorkload`] for a bad name, otherwise as [`run`].
 pub fn run_workload(
     name: &str,
     scale: Scale,
     width: MachineWidth,
     scheme: Scheme,
 ) -> Result<RunResult, RunError> {
-    run_workload_observed(name, scale, width, scheme, false)
+    run(&RunSpec::workload(&resolve(name, scale)?, scheme, width))
 }
 
-/// [`run_workload`] with the observability registry enabled when
-/// `observe` is set: the result then carries [`RunResult::counters`].
+/// [`run`] of an already-built workload under an explicit configuration.
 ///
 /// # Errors
 ///
-/// As [`run_workload`].
-pub fn run_workload_observed(
-    name: &str,
-    scale: Scale,
-    width: MachineWidth,
-    scheme: Scheme,
-    observe: bool,
-) -> Result<RunResult, RunError> {
-    let w = workload(name, scale)
-        .ok_or_else(|| RunError::UnknownWorkload { name: name.to_string() })?;
-    run_prepared_observed(&w, scheme.configure(width), scheme, width, observe)
-}
-
-/// Simulates one workload in SMARTS-style sampled mode: functional
-/// fast-forward with branch-table warming between short detailed windows
-/// (see `hpa_sim::SampledRunner`). Orders of magnitude faster than
-/// [`run_workload`] on long workloads; the IPC arrives as an estimate
-/// with a confidence interval in [`RunResult::sampled`], and
-/// [`RunResult::stats`] carries the summed measured-window statistics.
-///
-/// The workload checksum is verified on the runner's main emulator, which
-/// functionally executes the complete program regardless of sampling —
-/// sampled timing is approximate, sampled architecture is not.
-///
-/// # Errors
-///
-/// As [`run_workload`], plus [`RunError::Sim`] for a fault in any
-/// detailed window.
-pub fn run_workload_sampled(
-    name: &str,
-    scale: Scale,
-    width: MachineWidth,
-    scheme: Scheme,
-    units: SampleUnits,
-    seed: u64,
-) -> Result<RunResult, RunError> {
-    let w = workload(name, scale)
-        .ok_or_else(|| RunError::UnknownWorkload { name: name.to_string() })?;
-    let runner = SampledRunner::new(scheme.configure(width), units).with_seed(seed);
-    let outcome =
-        runner.run(&w.program).map_err(|fault| RunError::Sim { name: name.to_string(), fault })?;
-    let actual = outcome.emulator.reg(CHECKSUM_REG);
-    if actual != w.expected_checksum {
-        return Err(RunError::ChecksumMismatch {
-            name: w.name.to_string(),
-            actual,
-            expected: w.expected_checksum,
-        });
-    }
-    let estimate = outcome.estimate;
-    let stats = SimStats {
-        committed: estimate.samples.iter().map(|s| s.committed).sum(),
-        cycles: estimate.samples.iter().map(|s| s.cycles).sum(),
-        ..SimStats::default()
-    };
-    Ok(RunResult {
-        workload: w.name,
-        scheme,
-        width,
-        stats,
-        counters: None,
-        sampled: Some(estimate),
-    })
-}
-
-/// Simulates an already-built workload under an explicit configuration.
-///
-/// # Errors
-///
-/// [`RunError::ChecksumMismatch`] if timing altered semantics.
+/// As [`run`].
 pub fn run_prepared(
     w: &Workload,
     config: SimConfig,
     scheme: Scheme,
     width: MachineWidth,
 ) -> Result<RunResult, RunError> {
-    run_prepared_observed(w, config, scheme, width, false)
+    run(&RunSpec { config, ..RunSpec::workload(w, scheme, width) })
 }
 
 /// [`run_prepared`] with the observability registry enabled when
@@ -197,7 +289,7 @@ pub fn run_prepared(
 ///
 /// # Errors
 ///
-/// As [`run_prepared`].
+/// As [`run`].
 pub fn run_prepared_observed(
     w: &Workload,
     config: SimConfig,
@@ -205,38 +297,15 @@ pub fn run_prepared_observed(
     width: MachineWidth,
     observe: bool,
 ) -> Result<RunResult, RunError> {
-    let mut sim = Simulator::new(&w.program, config);
-    if observe {
-        sim.enable_counters();
-    }
-    sim.try_run().map_err(|fault| RunError::Sim { name: w.name.to_string(), fault })?;
-    let actual = sim.emulator().reg(CHECKSUM_REG);
-    if actual != w.expected_checksum {
-        return Err(RunError::ChecksumMismatch {
-            name: w.name.to_string(),
-            actual,
-            expected: w.expected_checksum,
-        });
-    }
-    Ok(RunResult {
-        workload: w.name,
-        scheme,
-        width,
-        stats: sim.stats().clone(),
-        counters: observe.then(|| sim.counters().clone()),
-        sampled: None,
-    })
+    run(&RunSpec { config, counters: observe, ..RunSpec::workload(w, scheme, width) })
 }
 
-/// [`run_prepared`] with per-phase wall-time accounting enabled: returns
-/// the result plus the [`PhaseTimes`] accumulated over the run. Used by
-/// the perf harness to attribute throughput changes to a phase; the
-/// stopwatch reads slow the run, so the timed run is kept separate from
-/// headline throughput measurements.
+/// [`run_prepared_observed`] with per-phase wall-time accounting: returns
+/// the result plus its [`RunResult::phase_times`].
 ///
 /// # Errors
 ///
-/// As [`run_prepared`].
+/// As [`run`].
 pub fn run_prepared_phase_timed(
     w: &Workload,
     config: SimConfig,
@@ -244,32 +313,16 @@ pub fn run_prepared_phase_timed(
     width: MachineWidth,
     observe: bool,
 ) -> Result<(RunResult, PhaseTimes), RunError> {
-    let mut sim = Simulator::new(&w.program, config);
-    if observe {
-        sim.enable_counters();
-    }
-    sim.enable_phase_timing();
-    sim.try_run().map_err(|fault| RunError::Sim { name: w.name.to_string(), fault })?;
-    let actual = sim.emulator().reg(CHECKSUM_REG);
-    if actual != w.expected_checksum {
-        return Err(RunError::ChecksumMismatch {
-            name: w.name.to_string(),
-            actual,
-            expected: w.expected_checksum,
-        });
-    }
-    let times = *sim.phase_times().expect("phase timing was enabled");
-    Ok((
-        RunResult {
-            workload: w.name,
-            scheme,
-            width,
-            stats: sim.stats().clone(),
-            counters: observe.then(|| sim.counters().clone()),
-            sampled: None,
-        },
-        times,
-    ))
+    run(&RunSpec {
+        config,
+        counters: observe,
+        phase_timing: true,
+        ..RunSpec::workload(w, scheme, width)
+    })
+    .map(|r| {
+        let times = r.phase_times.expect("phase timing was enabled");
+        (r, times)
+    })
 }
 
 /// Results of a benchmarks × schemes sweep at one machine width.
@@ -337,69 +390,25 @@ impl MatrixResult {
     }
 }
 
-/// Runs `workload_names` × `schemes` at one width, calling `progress`
-/// after each simulation (for harness logging).
+/// Runs `workload_names` × `schemes` at one width, with the
+/// observability registry on in every cell when `observe` is set, and the
+/// independent `(workload, scheme)` cells fanned out across `jobs` worker
+/// threads.
 ///
-/// # Errors
-///
-/// Propagates the first [`RunError`].
-pub fn run_matrix(
-    workload_names: &[&str],
-    scale: Scale,
-    width: MachineWidth,
-    schemes: &[Scheme],
-    mut progress: impl FnMut(&RunResult),
-) -> Result<MatrixResult, RunError> {
-    let mut rows = Vec::with_capacity(workload_names.len());
-    for name in workload_names {
-        let w = workload(name, scale)
-            .ok_or_else(|| RunError::UnknownWorkload { name: (*name).to_string() })?;
-        let mut row = Vec::with_capacity(schemes.len());
-        for &scheme in schemes {
-            let r = run_prepared(&w, scheme.configure(width), scheme, width)?;
-            progress(&r);
-            row.push(r);
-        }
-        rows.push(row);
-    }
-    Ok(MatrixResult { width, rows })
-}
-
-/// Runs `workload_names` × `schemes` at one width with the independent
-/// `(workload, scheme)` cells fanned out across `jobs` worker threads.
-///
-/// The result is bit-identical to [`run_matrix`]: each cell is a
-/// self-contained single-threaded simulation, rows and columns keep the
-/// input order, and on failure the error of the *first* failing cell (in
-/// row-major order) is returned, regardless of completion order. The
-/// `progress` callback fires from worker threads as cells complete, so
-/// its call order is nondeterministic (pass `jobs = 1` for serial order).
+/// The result does not depend on `jobs`: each cell is a self-contained
+/// single-threaded simulation, rows and columns keep the input order, and
+/// on failure the error of the *first* failing cell (in row-major order)
+/// is returned, regardless of completion order. Each cell runs
+/// panic-isolated, so a panicking cell becomes [`RunError::CellPanic`]
+/// while its siblings still run. The `progress` callback fires from
+/// worker threads as cells complete, so its call order is
+/// nondeterministic unless `jobs = 1`.
 ///
 /// # Errors
 ///
 /// [`RunError::UnknownWorkload`] for a bad name (checked up front, in
 /// order) and the row-major-first [`RunError`] of any failed cell.
-pub fn run_matrix_parallel(
-    workload_names: &[&str],
-    scale: Scale,
-    width: MachineWidth,
-    schemes: &[Scheme],
-    jobs: usize,
-    progress: impl Fn(&RunResult) + Sync,
-) -> Result<MatrixResult, RunError> {
-    run_matrix_parallel_observed(workload_names, scale, width, schemes, jobs, false, progress)
-}
-
-/// [`run_matrix_parallel`] with the observability registry enabled when
-/// `observe` is set: every cell then carries its [`RunResult::counters`]
-/// (CPI stacks for the report layer). Observation never perturbs timing,
-/// so the `stats` of an observed matrix are bit-identical to an
-/// unobserved one.
-///
-/// # Errors
-///
-/// As [`run_matrix_parallel`].
-pub fn run_matrix_parallel_observed(
+pub fn run_matrix(
     workload_names: &[&str],
     scale: Scale,
     width: MachineWidth,
@@ -408,22 +417,15 @@ pub fn run_matrix_parallel_observed(
     observe: bool,
     progress: impl Fn(&RunResult) + Sync,
 ) -> Result<MatrixResult, RunError> {
-    let workloads = workload_names
-        .iter()
-        .map(|name| {
-            workload(name, scale)
-                .ok_or_else(|| RunError::UnknownWorkload { name: (*name).to_string() })
-        })
-        .collect::<Result<Vec<_>, _>>()?;
+    let workloads =
+        workload_names.iter().map(|name| resolve(name, scale)).collect::<Result<Vec<_>, _>>()?;
     let cells: Vec<(usize, usize)> =
         (0..workloads.len()).flat_map(|wi| (0..schemes.len()).map(move |si| (wi, si))).collect();
-    // Each cell runs panic-isolated: a panicking cell becomes a structured
-    // `CellPanic` error instead of tearing down the whole sweep, and every
-    // other cell still runs to completion.
     let results = parallel_map_isolated(&cells, jobs, |_, &(wi, si)| {
-        let scheme = schemes[si];
-        let r =
-            run_prepared_observed(&workloads[wi], scheme.configure(width), scheme, width, observe);
+        let r = run(&RunSpec {
+            counters: observe,
+            ..RunSpec::workload(&workloads[wi], schemes[si], width)
+        });
         if let Ok(ref ok) = r {
             progress(ok);
         }
@@ -453,6 +455,11 @@ pub fn run_matrix_parallel_observed(
 mod tests {
     use super::*;
 
+    /// The test workload, built once per call.
+    fn gcc() -> Workload {
+        workload("gcc", Scale::Tiny).expect("known workload")
+    }
+
     #[test]
     fn unknown_workload_is_an_error() {
         let e = run_workload("nonesuch", Scale::Tiny, MachineWidth::Four, Scheme::Base);
@@ -462,10 +469,13 @@ mod tests {
 
     #[test]
     fn sampled_run_estimates_ipc_and_verifies_checksum() {
+        let w = gcc();
         let units = SampleUnits::parse("500:1000:4000").expect("valid units");
-        let sampled =
-            run_workload_sampled("gcc", Scale::Tiny, MachineWidth::Four, Scheme::Base, units, 42)
-                .expect("sampled run succeeds (checksum verified inside)");
+        let spec = RunSpec {
+            mode: Mode::Sampled { units, seed: 42 },
+            ..RunSpec::workload(&w, Scheme::Base, MachineWidth::Four)
+        };
+        let sampled = run(&spec).expect("sampled run succeeds (checksum verified inside)");
         let estimate = sampled.sampled.as_ref().expect("sampled estimate present");
         assert!(estimate.mean_ipc > 0.0);
         assert!(!estimate.samples.is_empty());
@@ -478,10 +488,67 @@ mod tests {
         let err = estimate.rel_error(full.stats.ipc());
         assert!(err < 0.15, "sampled IPC off by {:.1}% from full", err * 100.0);
         // Deterministic: same (workload, units, seed) -> identical result.
-        let again =
-            run_workload_sampled("gcc", Scale::Tiny, MachineWidth::Four, Scheme::Base, units, 42)
-                .unwrap();
-        assert_eq!(sampled, again);
+        assert_eq!(sampled, run(&spec).unwrap());
+    }
+
+    /// A program without an oracle runs unverified: whatever it leaves in
+    /// the checksum register is its result.
+    #[test]
+    fn source_program_without_a_checksum_runs_unverified() {
+        let program = hpa_asm::parse_program(
+            "li r1, #5\nloop:\n  add r2, #1, r2\n  sub r1, #1, r1\n  bgt r1, loop\n  halt\n",
+        )
+        .expect("valid source");
+        let r = run(&RunSpec::new("source", &program, Scheme::Combined, MachineWidth::Four))
+            .expect("unverified run succeeds");
+        assert_eq!(r.workload, "source");
+        assert!(r.stats.committed > 0 && r.stats.cycles > 0);
+        assert!(r.counters.is_none() && r.sampled.is_none() && r.phase_times.is_none());
+    }
+
+    #[test]
+    fn wrong_expected_checksum_is_a_mismatch() {
+        let w = gcc();
+        let spec = RunSpec {
+            checksum: Some(w.expected_checksum ^ 1),
+            ..RunSpec::workload(&w, Scheme::Base, MachineWidth::Four)
+        };
+        match run(&spec) {
+            Err(RunError::ChecksumMismatch { name, actual, expected }) => {
+                assert_eq!(name, "gcc");
+                assert_eq!(actual, w.expected_checksum);
+                assert_eq!(expected, w.expected_checksum ^ 1);
+            }
+            other => panic!("expected ChecksumMismatch, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn exhausted_cycle_budget_is_a_sim_fault() {
+        let w = gcc();
+        let spec =
+            RunSpec { cycle_budget: 10, ..RunSpec::workload(&w, Scheme::Base, MachineWidth::Four) };
+        match run(&spec) {
+            Err(RunError::Sim { name, fault: SimFault::Deadlock { cycle, .. } }) => {
+                assert_eq!(name, "gcc");
+                assert_eq!(cycle, 10);
+            }
+            other => panic!("expected a Sim deadlock fault, got {other:?}"),
+        }
+    }
+
+    /// Phase timing reads stopwatches only: the timed run's statistics
+    /// equal the untimed run's.
+    #[test]
+    fn phase_timing_records_times_without_perturbing_stats() {
+        let w = gcc();
+        let config = Scheme::Combined.configure(MachineWidth::Four);
+        let (timed, times) =
+            run_prepared_phase_timed(&w, config, Scheme::Combined, MachineWidth::Four, false)
+                .expect("runs");
+        assert_eq!(timed.phase_times, Some(times));
+        let plain = run_workload("gcc", Scale::Tiny, MachineWidth::Four, Scheme::Combined).unwrap();
+        assert_eq!(timed.stats, plain.stats);
     }
 
     #[test]
@@ -491,6 +558,8 @@ mod tests {
             Scale::Tiny,
             MachineWidth::Four,
             &[Scheme::Base, Scheme::Combined],
+            1,
+            false,
             |_| {},
         )
         .expect("runs");
@@ -502,21 +571,19 @@ mod tests {
         assert!((avg - worst).abs() < 1e-12, "single workload: avg == worst");
     }
 
-    /// The tentpole determinism guarantee: the parallel matrix is
-    /// bit-identical to the serial one — every `SimStats` counter, every
+    /// The determinism guarantee: a parallel matrix is bit-identical to
+    /// the serial (`jobs = 1`) one — every `SimStats` counter, every
     /// row/column position — at both machine widths.
     #[test]
     fn parallel_matrix_is_bit_identical_to_serial() {
         let names = ["gcc", "mcf"];
         let schemes = [Scheme::Base, Scheme::Combined];
         for width in MachineWidth::ALL {
-            let serial =
-                run_matrix(&names, Scale::Tiny, width, &schemes, |_| {}).expect("serial runs");
-            for jobs in [1, 3] {
-                let par = run_matrix_parallel(&names, Scale::Tiny, width, &schemes, jobs, |_| {})
-                    .expect("parallel runs");
-                assert_eq!(serial, par, "jobs={jobs} width={width:?}");
-            }
+            let serial = run_matrix(&names, Scale::Tiny, width, &schemes, 1, false, |_| {})
+                .expect("serial runs");
+            let par = run_matrix(&names, Scale::Tiny, width, &schemes, 3, false, |_| {})
+                .expect("parallel runs");
+            assert_eq!(serial, par, "width={width:?}");
         }
     }
 
@@ -527,18 +594,11 @@ mod tests {
     fn observed_matrix_balances_books_without_perturbing_stats() {
         let names = ["gcc"];
         let schemes = [Scheme::Base, Scheme::Combined];
-        let plain =
-            run_matrix(&names, Scale::Tiny, MachineWidth::Four, &schemes, |_| {}).expect("runs");
-        let observed = run_matrix_parallel_observed(
-            &names,
-            Scale::Tiny,
-            MachineWidth::Four,
-            &schemes,
-            2,
-            true,
-            |_| {},
-        )
-        .expect("runs");
+        let plain = run_matrix(&names, Scale::Tiny, MachineWidth::Four, &schemes, 1, false, |_| {})
+            .expect("runs");
+        let observed =
+            run_matrix(&names, Scale::Tiny, MachineWidth::Four, &schemes, 2, true, |_| {})
+                .expect("runs");
         let width = u64::from(MachineWidth::Four.base_config().width);
         for (prow, orow) in plain.rows.iter().zip(&observed.rows) {
             for (p, o) in prow.iter().zip(orow) {
@@ -557,12 +617,13 @@ mod tests {
     /// row-major order wins, regardless of completion order.
     #[test]
     fn parallel_matrix_propagates_unknown_workload() {
-        let e = run_matrix_parallel(
+        let e = run_matrix(
             &["gcc", "nonesuch"],
             Scale::Tiny,
             MachineWidth::Four,
             &[Scheme::Base],
             4,
+            false,
             |_| {},
         );
         assert!(matches!(e, Err(RunError::UnknownWorkload { .. })));
@@ -574,12 +635,13 @@ mod tests {
     fn parallel_matrix_isolates_a_panicking_cell() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let completed = AtomicUsize::new(0);
-        let e = run_matrix_parallel(
+        let e = run_matrix(
             &["gcc", "gzip"],
             Scale::Tiny,
             MachineWidth::Four,
             &[Scheme::Base, Scheme::Combined],
             2,
+            false,
             |r| {
                 assert!(
                     !(r.workload == "gzip" && r.scheme == Scheme::Combined),
@@ -604,12 +666,13 @@ mod tests {
     fn parallel_progress_fires_per_cell() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let count = AtomicUsize::new(0);
-        let m = run_matrix_parallel(
+        let m = run_matrix(
             &["gcc", "gzip"],
             Scale::Tiny,
             MachineWidth::Four,
             &[Scheme::Base, Scheme::SeqRegAccess],
             2,
+            false,
             |_| {
                 count.fetch_add(1, Ordering::Relaxed);
             },

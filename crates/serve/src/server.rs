@@ -24,12 +24,12 @@ use crate::proto::{
 use crate::queue::JobQueue;
 use hpa_asm::Program;
 use hpa_core::pool::parallel_map_isolated;
-use hpa_core::Scheme;
+use hpa_core::{run, Mode, RunSpec, Scheme};
 use hpa_obs::digest::debug_digest;
 use hpa_obs::json::escape_into;
 use hpa_obs::ServeCounters;
-use hpa_sim::{SampledEstimate, SampledRunner, SimConfig, SimStats, Simulator};
-use hpa_workloads::{workload, CHECKSUM_REG};
+use hpa_sim::{SampledEstimate, SimConfig, SimStats};
+use hpa_workloads::workload;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::{self, BufReader};
@@ -562,6 +562,8 @@ fn handle_health(state: &ServerState) -> Response {
 /// A job's program resolved to executable form.
 #[derive(Debug)]
 struct ResolvedProgram {
+    /// The workload name, or `source` / `binary`.
+    name: &'static str,
     program: Program,
     /// The reference checksum, for built-in workloads (source programs
     /// have no oracle — they run unverified).
@@ -573,16 +575,20 @@ fn resolve_program(request: &JobRequest) -> Result<ResolvedProgram, String> {
         JobProgram::Workload { name, scale } => {
             let w = workload(name, *scale)
                 .ok_or_else(|| format!("unknown workload `{name}`; see `hpa list`"))?;
-            Ok(ResolvedProgram { program: w.program, checksum: Some(w.expected_checksum) })
+            Ok(ResolvedProgram {
+                name: w.name,
+                program: w.program,
+                checksum: Some(w.expected_checksum),
+            })
         }
         JobProgram::Source(text) => {
             let program = hpa_asm::parse_program(text).map_err(|e| format!("assembly: {e}"))?;
-            Ok(ResolvedProgram { program, checksum: None })
+            Ok(ResolvedProgram { name: "source", program, checksum: None })
         }
         JobProgram::Binary(bytes) => {
             let image = hpa_core::rv::load_elf(bytes).map_err(|e| format!("elf: {e}"))?;
             let program = hpa_core::rv::translate(&image).map_err(|e| format!("translate: {e}"))?;
-            Ok(ResolvedProgram { program, checksum: None })
+            Ok(ResolvedProgram { name: "binary", program, checksum: None })
         }
     }
 }
@@ -759,41 +765,17 @@ fn run_cell(
     config: &SimConfig,
     key: u64,
 ) -> Result<String, String> {
-    match request.sampled {
-        None => {
-            let mut sim = Simulator::new(&resolved.program, config.clone());
-            sim.set_cycle_budget(request.cycle_budget);
-            sim.try_run().map_err(|fault| fault.to_string())?;
-            verify_checksum(resolved, sim.emulator().reg(CHECKSUM_REG))?;
-            Ok(render_payload(request, scheme, key, sim.stats(), None))
-        }
-        Some(units) => {
-            // The cycle-budget watchdog does not reach inside the sampled
-            // runner's windows; its own deadlock detector bounds them.
-            let runner = SampledRunner::new(config.clone(), units).with_seed(request.seed);
-            let outcome = runner.run(&resolved.program).map_err(|fault| fault.to_string())?;
-            verify_checksum(resolved, outcome.emulator.reg(CHECKSUM_REG))?;
-            let estimate = outcome.estimate;
-            // Mirror `run_workload_sampled`: stats carry the summed
-            // measured-window counters, so the digest is comparable with
-            // a direct `hpa bench --sampled` run.
-            let stats = SimStats {
-                committed: estimate.samples.iter().map(|s| s.committed).sum(),
-                cycles: estimate.samples.iter().map(|s| s.cycles).sum(),
-                ..SimStats::default()
-            };
-            Ok(render_payload(request, scheme, key, &stats, Some(&estimate)))
-        }
-    }
-}
-
-fn verify_checksum(resolved: &ResolvedProgram, actual: u64) -> Result<(), String> {
-    match resolved.checksum {
-        Some(expected) if actual != expected => {
-            Err(format!("checksum mismatch: got {actual:#x}, expected {expected:#x}"))
-        }
-        _ => Ok(()),
-    }
+    let spec = RunSpec {
+        checksum: resolved.checksum,
+        config: config.clone(),
+        mode: request
+            .sampled
+            .map_or(Mode::Full, |units| Mode::Sampled { units, seed: request.seed }),
+        cycle_budget: request.cycle_budget,
+        ..RunSpec::new(resolved.name, &resolved.program, scheme, request.width)
+    };
+    let r = run(&spec).map_err(|e| e.to_string())?;
+    Ok(render_payload(request, scheme, key, &r.stats, r.sampled.as_ref()))
 }
 
 /// Renders one cell's canonical payload — the unit of cache storage.
@@ -878,10 +860,9 @@ mod tests {
         assert_eq!(v.get("mode").and_then(|x| x.as_str()), Some("full"));
         let cell = CellResult::new(Scheme::Base, false, payload);
         assert_eq!(cell.cache_key(), Some(key));
-        // The payload digest equals a from-scratch run's stats digest.
-        let mut sim = Simulator::new(&resolved.program, config);
-        sim.try_run().unwrap();
-        assert_eq!(cell.stats_digest(), Some(debug_digest(sim.stats())));
+        // The payload digest equals a direct run's stats digest.
+        let direct = hpa_core::run_workload("gcc", Scale::Tiny, request.width, Scheme::Base);
+        assert_eq!(cell.stats_digest(), Some(debug_digest(&direct.unwrap().stats)));
         assert!(cell.ipc().unwrap() > 0.0);
     }
 

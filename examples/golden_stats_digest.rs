@@ -11,8 +11,8 @@
 
 use half_price::obs::digest::debug_digest as digest;
 use half_price::sim::SampleUnits;
-use half_price::workloads::Scale;
-use half_price::{run_workload, run_workload_observed, run_workload_sampled, MachineWidth, Scheme};
+use half_price::workloads::{workload, Scale};
+use half_price::{run, run_workload, MachineWidth, Mode, RunSpec, Scheme};
 
 /// Schemes whose observability registry is pinned (kept in sync with
 /// `COUNTER_GOLDEN` in `tests/stats_golden.rs`).
@@ -32,8 +32,12 @@ fn main() {
     println!("const COUNTER_GOLDEN: [(&str, Scheme, u64); 12] = [");
     for name in ["gap", "mcf", "perl"] {
         for scheme in COUNTER_SCHEMES {
-            let r = run_workload_observed(name, Scale::Tiny, MachineWidth::Four, scheme, true)
-                .unwrap_or_else(|e| panic!("{e}"));
+            let w = workload(name, Scale::Tiny).expect("known workload");
+            let r = run(&RunSpec {
+                counters: true,
+                ..RunSpec::workload(&w, scheme, MachineWidth::Four)
+            })
+            .unwrap_or_else(|e| panic!("{e}"));
             let c = r.counters.expect("observed run records counters");
             println!("    (\"{name}\", Scheme::{scheme:?}, {:#018x}),", digest(&c));
         }
@@ -49,7 +53,9 @@ fn main() {
     }
     println!("];\n");
     let units = SampleUnits::parse("500:2000:7500").expect("valid units");
-    let r = run_workload_sampled("gcc", Scale::Tiny, MachineWidth::Four, Scheme::Base, units, 42)
+    let w = workload("gcc", Scale::Tiny).expect("known workload");
+    let mode = Mode::Sampled { units, seed: 42 };
+    let r = run(&RunSpec { mode, ..RunSpec::workload(&w, Scheme::Base, MachineWidth::Four) })
         .unwrap_or_else(|e| panic!("{e}"));
     let est = r.sampled.expect("sampled run records an estimate");
     println!("const SAMPLED_GOLDEN: u64 = {:#018x};", digest(&est));

@@ -4,9 +4,10 @@
 //! [`COMMANDS`] table for the full registry, which is also what `hpa`
 //! with no/unknown arguments prints).
 //!
-//! Exit codes: `0` success, `1` operational error (I/O, bad input file),
-//! `2` usage error, `3` a fault/divergence was detected, `4` silent data
-//! corruption (SDC) was detected.
+//! Exit codes: `0` success, `1` operational error (I/O, bad input file,
+//! a program that faults the emulator), `2` usage error, `3` a
+//! fault/divergence was detected, `4` silent data corruption (SDC) was
+//! detected.
 
 use half_price::asm::parse_program;
 use half_price::emu::Emulator;
@@ -16,10 +17,10 @@ use half_price::obs::digest::debug_digest;
 use half_price::sdk::{Client, ClientError};
 use half_price::serve::proto::{JobProgram, JobRequest, JobStatus};
 use half_price::serve::server::{Server, ServerConfig};
-use half_price::sim::{SampleUnits, SampledEstimate, SampledRunner, SimStats, Simulator};
+use half_price::sim::{SampleUnits, SampledEstimate, SimConfig, SimFault, SimStats, Simulator};
 use half_price::verify;
 use half_price::workloads::{workload, Scale, WORKLOAD_NAMES};
-use half_price::{MachineWidth, Scheme};
+use half_price::{run, MachineWidth, Mode, RunError, RunSpec, Scheme};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -50,7 +51,7 @@ const COMMANDS: &[Subcommand] = &[
     Subcommand {
         name: "run",
         help: "functional execution, dump registers",
-        usage: "hpa run <file.s|file.elf> [--insts N] [--sampled W:D:F [--seed S]]",
+        usage: "hpa run <file.s|file.elf> [--insts N]",
         run: cmd_run,
     },
     Subcommand {
@@ -199,6 +200,22 @@ fn other(msg: impl std::fmt::Display) -> CliError {
     CliError::Other(msg.to_string())
 }
 
+/// Maps a failed simulation onto the exit codes; every subcommand that
+/// simulates reports through here. A program that faults the emulator is
+/// bad input (exit 1, as `hpa run` reports it), an unknown benchmark is a
+/// usage error, and a deadlock, invariant violation, checksum mismatch or
+/// panicked cell is a detected fault (exit 3).
+fn run_error(e: RunError) -> CliError {
+    match e {
+        RunError::UnknownWorkload { .. } => usage(format!("{e}; see `hpa list`")),
+        RunError::Sim { fault: SimFault::Emu { .. }, .. } => other(e),
+        _ => CliError::Fault(e.to_string()),
+    }
+}
+
+/// [`RunSpec::name`] of a program loaded from a file.
+const PROGRAM: &str = "program";
+
 fn cmd_list(_args: &[String]) -> CliResult {
     println!("workloads (SPEC CINT2000 stand-ins):");
     for name in WORKLOAD_NAMES {
@@ -286,21 +303,6 @@ fn cmd_asm(args: &[String]) -> CliResult {
 
 fn cmd_run(args: &[String]) -> CliResult {
     let program = load_program(args)?;
-    // `--sampled W:D:F` switches from functional execution to the sampled
-    // simulator — the quick way to get timing out of a real binary.
-    if let Some((units, seed)) = sampled_flag(args)? {
-        let scheme = parse_scheme(&flag(args, "--scheme").unwrap_or_else(|| "base".into()))?;
-        let width = machine_width(args)?;
-        let runner = SampledRunner::new(scheme.configure(width), units).with_seed(seed);
-        let out = runner.run(&program).map_err(|e| CliError::Fault(e.to_string()))?;
-        println!(
-            "{} on the {} machine (sampled {units}, seed {seed}):",
-            scheme.label(),
-            width.label()
-        );
-        print_sampled(&out.estimate);
-        return Ok(());
-    }
     let budget: u64 = num_flag(args, "--insts", 100_000_000)?;
     let mut emu = Emulator::new(&program);
     let outcome = emu.run(budget).map_err(other)?;
@@ -349,15 +351,15 @@ fn print_stats(s: &SimStats) {
     println!("stats digest      {}", half_price::serve::proto::format_hex(debug_digest(s)));
 }
 
-/// Parses `--sampled W:D:F` (plus the optional `--seed`); `None` when the
-/// flag is absent.
-fn sampled_flag(args: &[String]) -> Result<Option<(SampleUnits, u64)>, CliError> {
+/// Parses `--sampled W:D:F` (plus the optional `--seed`);
+/// [`Mode::Full`] when the flag is absent.
+fn mode_flag(args: &[String]) -> Result<Mode, CliError> {
     match flag(args, "--sampled") {
-        None => Ok(None),
+        None => Ok(Mode::Full),
         Some(v) => {
             let units = SampleUnits::parse(&v).map_err(usage)?;
             let seed: u64 = num_flag(args, "--seed", 0)?;
-            Ok(Some((units, seed)))
+            Ok(Mode::Sampled { units, seed })
         }
     }
 }
@@ -381,49 +383,74 @@ fn cmd_sim(args: &[String]) -> CliResult {
     let width = machine_width(args)?;
     let want_cpi = bool_flag(args, "--cpi-stack");
     let want_counters = bool_flag(args, "--counters");
-    if let Some((units, seed)) = sampled_flag(args)? {
-        if want_cpi || want_counters || bool_flag(args, "--json") {
+    let trace: usize = num_flag(args, "--trace", 0)?;
+    let spec = RunSpec {
+        mode: mode_flag(args)?,
+        counters: want_cpi || want_counters,
+        ..RunSpec::new(PROGRAM, &program, scheme, width)
+    };
+    if let Mode::Sampled { units, seed } = spec.mode {
+        if spec.counters || bool_flag(args, "--json") {
             return Err(usage("--sampled is incompatible with --json/--cpi-stack/--counters"));
         }
-        if num_flag::<usize>(args, "--trace", 0)? > 0 {
+        if trace > 0 {
             return Err(usage("--sampled is incompatible with --trace"));
         }
-        let runner = SampledRunner::new(scheme.configure(width), units).with_seed(seed);
-        let out = runner.run(&program).map_err(|e| CliError::Fault(e.to_string()))?;
+        let r = run(&spec).map_err(run_error)?;
         println!(
             "{} on the {} machine (sampled {units}, seed {seed}):",
             scheme.label(),
             width.label()
         );
-        print_sampled(&out.estimate);
+        print_sampled(&r.sampled.expect("sampled run records an estimate"));
         return Ok(());
     }
-    let mut sim = Simulator::new(&program, scheme.configure(width));
-    let trace: usize = num_flag(args, "--trace", 0)?;
-    if trace > 0 {
-        sim.enable_trace(trace);
-    }
-    if want_cpi || want_counters {
-        sim.enable_counters();
-    }
-    sim.run();
+    let (stats, counters, diagram) = if trace > 0 {
+        let sim = traced_sim(&program, spec.config, trace, spec.counters)?;
+        let diagram = sim.pipetrace().map(|t| t.render());
+        (sim.stats().clone(), spec.counters.then(|| sim.counters().clone()), diagram)
+    } else {
+        let r = run(&spec).map_err(run_error)?;
+        (r.stats, r.counters, None)
+    };
     if bool_flag(args, "--json") {
-        println!("{}", sim.stats().to_json());
+        println!("{}", stats.to_json());
         return Ok(());
     }
     println!("{} on the {} machine:", scheme.label(), width.label());
-    print_stats(sim.stats());
-    if want_cpi {
-        println!("\n{}", render_cpi_stack(sim.counters(), sim.stats()));
+    print_stats(&stats);
+    if let Some(c) = &counters {
+        if want_cpi {
+            println!("\n{}", render_cpi_stack(c, &stats));
+        }
+        if want_counters {
+            println!("\n{c}");
+        }
     }
-    if want_counters {
-        println!("\n{}", sim.counters());
-    }
-    if let Some(t) = sim.pipetrace() {
+    if let Some(d) = diagram {
         println!("\npipeline diagram (first {trace} committed instructions):");
-        print!("{}", t.render());
+        print!("{d}");
     }
     Ok(())
+}
+
+/// Simulates `program` recording a pipeline trace of the first `insts`
+/// committed instructions. The trace lives in the simulator, so the two
+/// trace surfaces (`sim --trace`, `trace-viz`) drive it directly instead
+/// of through [`run`]; a fault still reports through [`run_error`].
+fn traced_sim(
+    program: &half_price::asm::Program,
+    config: SimConfig,
+    insts: usize,
+    counters: bool,
+) -> Result<Simulator, CliError> {
+    let mut sim = Simulator::new(program, config);
+    sim.enable_trace(insts);
+    if counters {
+        sim.enable_counters();
+    }
+    sim.try_run().map_err(|fault| run_error(RunError::Sim { name: PROGRAM.into(), fault }))?;
+    Ok(sim)
 }
 
 /// Renders the CPI stack as a per-category table: issue slots charged,
@@ -466,18 +493,18 @@ fn cmd_counters(args: &[String]) -> CliResult {
     let scheme = parse_scheme(&flag(args, "--scheme").unwrap_or_else(|| "base".into()))?;
     let width = machine_width(args)?;
 
-    let (counters, stats) = if std::path::Path::new(target).is_file() {
-        let program = load_program(args)?;
-        let mut sim = Simulator::new(&program, scheme.configure(width));
-        sim.enable_counters();
-        sim.run();
-        (sim.counters().clone(), sim.stats().clone())
+    let (program, w);
+    let spec = if std::path::Path::new(target).is_file() {
+        program = load_program(args)?;
+        RunSpec::new(PROGRAM, &program, scheme, width)
     } else {
-        let scale = scale_flag(args)?;
-        let r = half_price::run_workload_observed(target, scale, width, scheme, true)
-            .map_err(|e| usage(format!("`{target}` is neither a file nor a benchmark: {e}")))?;
-        (r.counters.expect("observed run records counters"), r.stats)
+        w = workload(target, scale_flag(args)?).ok_or_else(|| {
+            usage(format!("`{target}` is neither a file nor a benchmark; see `hpa list`"))
+        })?;
+        RunSpec::workload(&w, scheme, width)
     };
+    let r = run(&RunSpec { counters: true, ..spec }).map_err(run_error)?;
+    let (counters, stats) = (r.counters.expect("counters were on"), r.stats);
 
     if bool_flag(args, "--json") {
         println!("{}", counters.to_json());
@@ -503,9 +530,7 @@ fn cmd_trace_viz(args: &[String]) -> CliResult {
     let out = flag(args, "--out").unwrap_or_else(|| "trace.json".into());
     let config = scheme.configure(width);
     let frontend_depth = config.frontend_depth;
-    let mut sim = Simulator::new(&program, config);
-    sim.enable_trace(insts);
-    sim.run();
+    let sim = traced_sim(&program, config, insts, false)?;
     let trace = sim.pipetrace().expect("trace was enabled");
     let spans = trace.chrome_spans(frontend_depth);
     std::fs::write(&out, half_price::obs::chrome::render(&spans))
@@ -531,21 +556,24 @@ fn cmd_bench(args: &[String]) -> CliResult {
     let scheme_key = flag(args, "--scheme").unwrap_or_else(|| "base".into());
     let names: Vec<&str> =
         if name == "all" { WORKLOAD_NAMES.to_vec() } else { vec![name.as_str()] };
-    if let Some((units, seed)) = sampled_flag(args)? {
+    let mode = mode_flag(args)?;
+    if let Mode::Sampled { units, seed } = mode {
         if scheme_key == "all" {
             return Err(usage("--sampled runs one scheme at a time; pick --scheme S"));
         }
         let scheme = parse_scheme(&scheme_key)?;
         for bench in &names {
-            let r = half_price::run_workload_sampled(bench, scale, width, scheme, units, seed)
-                .map_err(other)?;
-            let est = r.sampled.expect("sampled run records an estimate");
+            let w = workload(bench, scale).ok_or_else(|| {
+                run_error(RunError::UnknownWorkload { name: (*bench).to_string() })
+            })?;
+            let r = run(&RunSpec { mode, ..RunSpec::workload(&w, scheme, width) })
+                .map_err(run_error)?;
             println!(
                 "`{bench}` under {} on the {} machine (sampled {units}, seed {seed}):",
                 scheme.label(),
                 width.label()
             );
-            print_sampled(&est);
+            print_sampled(&r.sampled.expect("sampled run records an estimate"));
         }
         return Ok(());
     }
@@ -556,7 +584,7 @@ fn cmd_bench(args: &[String]) -> CliResult {
     if names.len() > 1 {
         return bench_matrix_schemes(&names, scale, width, &[scheme], jobs);
     }
-    let r = half_price::run_workload(name, scale, width, scheme).map_err(other)?;
+    let r = half_price::run_workload(name, scale, width, scheme).map_err(run_error)?;
     println!("`{name}` under {} on the {} machine:", scheme.label(), width.label());
     print_stats(&r.stats);
     Ok(())
@@ -738,10 +766,10 @@ fn bench_matrix_schemes(
     jobs: usize,
 ) -> CliResult {
     let t0 = std::time::Instant::now();
-    let m = half_price::run_matrix_parallel(names, scale, width, schemes, jobs, |r| {
+    let m = half_price::run_matrix(names, scale, width, schemes, jobs, false, |r| {
         eprintln!("  {} / {}: ipc {:.3}", r.workload, r.scheme.label(), r.stats.ipc());
     })
-    .map_err(other)?;
+    .map_err(run_error)?;
     println!(
         "{} benchmark(s) x {} scheme(s) on the {} machine ({jobs} job(s), {:.1}s):",
         names.len(),

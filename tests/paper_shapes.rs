@@ -7,7 +7,7 @@ use half_price::workloads::{Scale, WORKLOAD_NAMES};
 use half_price::{run_matrix, MachineWidth, MatrixResult, Scheme};
 
 fn matrix(schemes: &[Scheme]) -> MatrixResult {
-    run_matrix(&WORKLOAD_NAMES, Scale::Tiny, MachineWidth::Four, schemes, |_| {})
+    run_matrix(&WORKLOAD_NAMES, Scale::Tiny, MachineWidth::Four, schemes, 1, false, |_| {})
         .expect("matrix runs")
 }
 

@@ -11,8 +11,8 @@
 
 use half_price::obs::digest::debug_digest as digest;
 use half_price::sim::SampleUnits;
-use half_price::workloads::Scale;
-use half_price::{run_workload, run_workload_observed, run_workload_sampled, MachineWidth, Scheme};
+use half_price::workloads::{workload, Scale};
+use half_price::{run, run_workload, MachineWidth, Mode, RunSpec, Scheme};
 
 const GOLDEN: [(&str, Scheme, u64); 24] = [
     ("gap", Scheme::Base, 0xb63cdac63665bc31),
@@ -128,8 +128,10 @@ fn riscv_stats_match_golden_digests() {
 fn observed_runs_keep_stats_digests_and_pin_counter_digests() {
     let mut failures = Vec::new();
     for &(name, scheme, expected) in &COUNTER_GOLDEN {
-        let r = run_workload_observed(name, Scale::Tiny, MachineWidth::Four, scheme, true)
-            .unwrap_or_else(|e| panic!("{e}"));
+        let w = workload(name, Scale::Tiny).expect("known workload");
+        let r =
+            run(&RunSpec { counters: true, ..RunSpec::workload(&w, scheme, MachineWidth::Four) })
+                .unwrap_or_else(|e| panic!("{e}"));
         let stats_expected = GOLDEN
             .iter()
             .find(|&&(n, s, _)| n == name && s == scheme)
@@ -156,7 +158,9 @@ fn observed_runs_keep_stats_digests_and_pin_counter_digests() {
 #[test]
 fn sampled_run_matches_golden_digest() {
     let units = SampleUnits::parse("500:2000:7500").expect("valid units");
-    let r = run_workload_sampled("gcc", Scale::Tiny, MachineWidth::Four, Scheme::Base, units, 42)
+    let w = workload("gcc", Scale::Tiny).expect("known workload");
+    let mode = Mode::Sampled { units, seed: 42 };
+    let r = run(&RunSpec { mode, ..RunSpec::workload(&w, Scheme::Base, MachineWidth::Four) })
         .unwrap_or_else(|e| panic!("{e}"));
     let est = r.sampled.expect("sampled run records an estimate");
     let got = digest(&est);
