@@ -1,9 +1,9 @@
 //! Campaign results: aggregation, the human-readable table, and the
-//! `RESILIENCE.json` rendering (hand-rolled — the workspace is
-//! dependency-free, so no serde).
+//! `RESILIENCE.json` document (an [`hpa_core::obs::json::Json`] value).
 
 use crate::classify::Classification;
 use crate::model::FaultClass;
+use hpa_core::obs::json::Json;
 use hpa_core::Scheme;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -182,103 +182,62 @@ impl CampaignReport {
 
     /// The machine-readable `RESILIENCE.json` document.
     #[must_use]
-    pub fn json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"seed\": {},", self.seed);
-        let _ = writeln!(out, "  \"programs\": {},", self.programs);
-        let _ = writeln!(out, "  \"runs\": {},", self.cells.len());
-        let _ = writeln!(out, "  \"detected\": {},", self.detected());
-        let _ = writeln!(out, "  \"masked\": {},", self.masked());
-        let _ = writeln!(out, "  \"sdc\": {},", self.sdc());
-        let _ = writeln!(out, "  \"aborted\": {},", self.aborted.len());
-        out.push_str("  \"schemes\": [\n");
-        let schemes = self.schemes();
+    pub fn to_json(&self) -> Json {
         let classes = self.classes();
-        for (i, scheme) in schemes.iter().enumerate() {
-            let _ = writeln!(out, "    {{\"scheme\": \"{}\", \"classes\": [", scheme.key());
-            let mut rows = Vec::new();
-            for class in &classes {
-                let (d, m, s) = self.tally(*scheme, *class);
-                if d + m + s == 0 {
-                    continue;
-                }
-                rows.push(format!(
-                    "      {{\"class\": \"{}\", \"detected\": {d}, \"masked\": {m}, \"sdc\": {s}}}",
-                    class.key()
-                ));
-            }
-            out.push_str(&rows.join(",\n"));
-            out.push('\n');
-            let _ = writeln!(out, "    ]}}{}", if i + 1 < schemes.len() { "," } else { "" });
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"sdc_cells\": [\n");
-        let sdc_rows: Vec<String> = self
-            .cells
-            .iter()
-            .filter_map(|c| {
-                let Classification::Sdc { reason } = &c.classification else { return None };
-                Some(format!(
-                    "    {{\"program\": {}, \"scheme\": \"{}\", \"class\": \"{}\", \
-                     \"injection\": \"{}\", \"reason\": \"{}\", \"reproducer\": {}}}",
-                    c.program,
-                    c.scheme.key(),
-                    c.class.key(),
-                    json_escape(&c.injection),
-                    json_escape(reason),
-                    match &c.reproducer {
-                        Some(p) => format!("\"{}\"", json_escape(&p.display().to_string())),
-                        None => "null".to_string(),
-                    }
-                ))
-            })
-            .collect();
-        out.push_str(&sdc_rows.join(",\n"));
-        if !sdc_rows.is_empty() {
-            out.push('\n');
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"panics\": [\n");
-        let panic_rows: Vec<String> = self
-            .panics
-            .iter()
-            .map(|p| {
-                format!(
-                    "    {{\"cell\": {}, \"attempt\": {}, \"recovered\": {}, \"message\": \"{}\"}}",
-                    p.cell,
-                    p.attempt,
-                    p.recovered,
-                    json_escape(&p.message)
-                )
-            })
-            .collect();
-        out.push_str(&panic_rows.join(",\n"));
-        if !panic_rows.is_empty() {
-            out.push('\n');
-        }
-        out.push_str("  ]\n}\n");
-        out
+        let schemes = self.schemes().into_iter().map(|scheme| {
+            let rows = classes.iter().filter_map(|&class| {
+                let (d, m, s) = self.tally(scheme, class);
+                (d + m + s > 0).then(|| {
+                    Json::obj(vec![
+                        ("class", Json::from(class.key())),
+                        ("detected", Json::from(d)),
+                        ("masked", Json::from(m)),
+                        ("sdc", Json::from(s)),
+                    ])
+                })
+            });
+            Json::obj(vec![
+                ("scheme", Json::from(scheme.key())),
+                ("classes", Json::Arr(rows.collect())),
+            ])
+        });
+        let sdc_cells = self.cells.iter().filter_map(|c| {
+            let Classification::Sdc { reason } = &c.classification else { return None };
+            Some(Json::obj(vec![
+                ("program", Json::from(c.program)),
+                ("scheme", Json::from(c.scheme.key())),
+                ("class", Json::from(c.class.key())),
+                ("injection", Json::from(c.injection.as_str())),
+                ("reason", Json::from(reason.as_str())),
+                (
+                    "reproducer",
+                    c.reproducer
+                        .as_ref()
+                        .map_or(Json::Null, |p| Json::from(p.display().to_string())),
+                ),
+            ]))
+        });
+        let panics = self.panics.iter().map(|p| {
+            Json::obj(vec![
+                ("cell", Json::from(p.cell)),
+                ("attempt", Json::from(u64::from(p.attempt))),
+                ("recovered", Json::from(p.recovered)),
+                ("message", Json::from(p.message.as_str())),
+            ])
+        });
+        Json::obj(vec![
+            ("seed", Json::from(self.seed)),
+            ("programs", Json::from(self.programs)),
+            ("runs", Json::from(self.cells.len())),
+            ("detected", Json::from(self.detected())),
+            ("masked", Json::from(self.masked())),
+            ("sdc", Json::from(self.sdc())),
+            ("aborted", Json::from(self.aborted.len())),
+            ("schemes", Json::Arr(schemes.collect())),
+            ("sdc_cells", Json::Arr(sdc_cells.collect())),
+            ("panics", Json::Arr(panics.collect())),
+        ])
     }
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -342,20 +301,13 @@ mod tests {
 
     #[test]
     fn json_is_well_formed_enough_to_round_trip_quotes() {
-        let j = sample().json();
-        assert!(j.contains("\"seed\": 42"));
-        assert!(j.contains("\"sdc\": 1"));
-        // The embedded quote in the SDC reason must be escaped.
-        assert!(j.contains("r3 \\\"differs\\\""));
-        // Balanced braces/brackets as a cheap structural check.
-        let opens = j.matches('{').count() + j.matches('[').count();
-        let closes = j.matches('}').count() + j.matches(']').count();
-        assert_eq!(opens, closes);
-    }
-
-    #[test]
-    fn json_escape_handles_control_chars() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
+        let j = hpa_core::obs::json::parse(&sample().to_json().render()).expect("valid JSON");
+        assert_eq!(j.get("seed").and_then(Json::as_u64), Some(42));
+        assert_eq!(j.get("sdc").and_then(Json::as_u64), Some(1));
+        // The embedded quote in the SDC reason survives the round trip.
+        let sdc = j.get("sdc_cells").and_then(Json::as_arr).expect("sdc_cells");
+        assert_eq!(sdc.len(), 1);
+        assert_eq!(sdc[0].get("reason").and_then(Json::as_str), Some("r3 \"differs\""));
+        assert_eq!(sdc[0].get("reproducer"), Some(&Json::Null));
     }
 }

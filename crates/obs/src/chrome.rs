@@ -1,14 +1,12 @@
 //! Chrome trace-event export of per-instruction lifetime spans.
 //!
-//! [`render`] turns a list of [`InstSpan`]s into the Chrome trace-event
+//! [`to_json`] turns a list of [`InstSpan`]s into the Chrome trace-event
 //! JSON format (`chrome://tracing` / Perfetto "X" complete events, one
 //! per retired instruction, timestamps in cycles), and [`parse`] reads
 //! that exact format back — the round-trip the export test relies on.
-//! Both are hand-rolled on [`crate::json`]: the workspace carries no
-//! JSON dependency.
+//! Both go through [`crate::json`].
 
-use crate::json::{self, escape_into, Json};
-use std::fmt::Write as _;
+use crate::json::{self, Json};
 
 /// The lifetime of one retired instruction, as stage timestamps in
 /// cycles. Stage order is monotone: `fetch ≤ dispatch ≤ wakeup ≤ select ≤
@@ -42,35 +40,38 @@ pub struct InstSpan {
 /// Number of display lanes (Chrome `tid`s) the spans are spread over.
 const LANES: u64 = 16;
 
-/// Renders spans as a Chrome trace-event JSON document. Timestamps are in
+/// The spans as a Chrome trace-event JSON document. Timestamps are in
 /// cycles (the viewer displays them as microseconds; only relative scale
 /// matters).
 #[must_use]
-pub fn render(spans: &[InstSpan]) -> String {
-    let mut out = String::with_capacity(128 + spans.len() * 256);
-    out.push_str("{\"traceEvents\":[");
-    for (k, s) in spans.iter().enumerate() {
-        if k > 0 {
-            out.push(',');
-        }
-        out.push_str("\n{\"name\":\"");
-        escape_into(&mut out, &s.name);
-        let dur = s.commit.saturating_sub(s.fetch).max(1);
-        let _ = write!(
-            out,
-            "\",\"ph\":\"X\",\"pid\":0,\"tid\":{},\"ts\":{},\"dur\":{dur},\"args\":{{",
-            s.seq % LANES,
-            s.fetch
-        );
-        let _ = write!(
-            out,
-            "\"seq\":{},\"pc\":{},\"fetch\":{},\"dispatch\":{},\"wakeup\":{},\"select\":{},\"exec\":{},\"commit\":{},\"replays\":{},\"seq_rf\":{}}}}}",
-            s.seq, s.pc, s.fetch, s.dispatch, s.wakeup, s.select, s.complete, s.commit,
-            s.replays, s.seq_rf
-        );
-    }
-    out.push_str("\n],\"displayTimeUnit\":\"ns\"}\n");
-    out
+pub fn to_json(spans: &[InstSpan]) -> Json {
+    let events = spans.iter().map(|s| {
+        let args = Json::obj(vec![
+            ("seq", Json::from(s.seq)),
+            ("pc", Json::from(s.pc)),
+            ("fetch", Json::from(s.fetch)),
+            ("dispatch", Json::from(s.dispatch)),
+            ("wakeup", Json::from(s.wakeup)),
+            ("select", Json::from(s.select)),
+            ("exec", Json::from(s.complete)),
+            ("commit", Json::from(s.commit)),
+            ("replays", Json::from(u64::from(s.replays))),
+            ("seq_rf", Json::from(s.seq_rf)),
+        ]);
+        Json::obj(vec![
+            ("name", Json::from(s.name.as_str())),
+            ("ph", Json::from("X")),
+            ("pid", Json::from(0u64)),
+            ("tid", Json::from(s.seq % LANES)),
+            ("ts", Json::from(s.fetch)),
+            ("dur", Json::from(s.commit.saturating_sub(s.fetch).max(1))),
+            ("args", args),
+        ])
+    });
+    Json::obj(vec![
+        ("traceEvents", Json::Arr(events.collect())),
+        ("displayTimeUnit", Json::from("ns")),
+    ])
 }
 
 // ------------------------------------------------------------- parsing --
@@ -85,7 +86,7 @@ fn num(obj: &Json, key: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("trace JSON: field `{key}` is not an unsigned integer"))
 }
 
-/// Parses a document produced by [`render`] back into spans (commit
+/// Parses a document produced by [`to_json`] back into spans (commit
 /// order is the emitted order).
 ///
 /// # Errors
@@ -149,7 +150,7 @@ mod tests {
     #[test]
     fn render_parse_round_trips() {
         let spans: Vec<_> = (0..20).map(span).collect();
-        let json = render(&spans);
+        let json = to_json(&spans).render();
         let back = parse(&json).expect("parses");
         assert_eq!(back, spans);
     }
@@ -158,7 +159,7 @@ mod tests {
     fn renders_escapes_and_reparses() {
         let mut s = span(1);
         s.name = String::from("weird \"name\" \\ tab\there");
-        let back = parse(&render(std::slice::from_ref(&s))).expect("parses");
+        let back = parse(&to_json(std::slice::from_ref(&s)).render()).expect("parses");
         assert_eq!(back[0].name, s.name);
     }
 
@@ -166,13 +167,13 @@ mod tests {
     fn multi_byte_utf8_names_round_trip() {
         let mut s = span(2);
         s.name = String::from("μops — 半価 ✓");
-        let back = parse(&render(std::slice::from_ref(&s))).expect("parses");
+        let back = parse(&to_json(std::slice::from_ref(&s)).render()).expect("parses");
         assert_eq!(back[0].name, s.name);
     }
 
     #[test]
     fn empty_trace_round_trips() {
-        assert_eq!(parse(&render(&[])).expect("parses"), Vec::<InstSpan>::new());
+        assert_eq!(parse(&to_json(&[]).render()).expect("parses"), Vec::<InstSpan>::new());
     }
 
     #[test]

@@ -1,12 +1,17 @@
-//! A minimal hand-rolled JSON value, parser and string escaper.
+//! The workspace's one JSON path: a minimal value, its renderer, a
+//! parser and the string escaper.
 //!
-//! The workspace carries no serialization dependency, so every JSON
-//! producer hand-writes its output (`Counters::to_json`, the Chrome
-//! trace exporter, the perf harness) and every consumer parses with this
-//! module. The value model is deliberately small: numbers keep their
-//! source text so integer consumers ([`Json::as_u64`]) never round-trip
-//! through `f64`, and objects preserve field order so a parsed document
-//! re-renders byte-identically enough for digest comparisons.
+//! The workspace carries no serialization dependency. Every producer
+//! (`Counters::to_json`, `SimStats::to_json`, the serve protocol and
+//! journal, the Chrome trace exporter, the fault-campaign report) builds
+//! a [`Json`] value from the `From` conversions and [`Json::obj`], and
+//! the caller renders it once with [`Json::render`]; every consumer
+//! parses with [`parse`]. Rendering is canonical and compact: numbers
+//! keep their text, so integer consumers ([`Json::as_u64`]) never
+//! round-trip through `f64`; objects keep their field order; strings go
+//! through [`escape_into`]. A parsed document therefore re-renders
+//! byte-identically, which the serve cache relies on. Non-finite floats
+//! render as `null`, so every rendered document is valid JSON.
 
 use std::fmt::Write as _;
 
@@ -92,7 +97,24 @@ impl Json {
         }
     }
 
-    /// Renders the value back to compact JSON.
+    /// An object from `(key, value)` pairs, in order.
+    #[must_use]
+    pub fn obj(fields: Vec<(&str, Json)>) -> Json {
+        Json::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    }
+
+    /// A float with exactly `decimals` fractional digits (`null` when
+    /// not finite), for report fields whose text is fixed-width.
+    #[must_use]
+    pub fn fixed(value: f64, decimals: usize) -> Json {
+        if value.is_finite() {
+            Json::Num(format!("{value:.decimals$}"))
+        } else {
+            Json::Null
+        }
+    }
+
+    /// Renders the value as compact JSON.
     #[must_use]
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -136,6 +158,48 @@ impl Json {
                 out.push('}');
             }
         }
+    }
+}
+
+impl From<u64> for Json {
+    fn from(n: u64) -> Json {
+        Json::Num(n.to_string())
+    }
+}
+
+impl From<usize> for Json {
+    fn from(n: usize) -> Json {
+        Json::Num(n.to_string())
+    }
+}
+
+/// Rust's shortest round-trip text; `null` when not finite (JSON has no
+/// infinity or NaN).
+impl From<f64> for Json {
+    fn from(x: f64) -> Json {
+        if x.is_finite() {
+            Json::Num(x.to_string())
+        } else {
+            Json::Null
+        }
+    }
+}
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_string())
+    }
+}
+
+impl From<String> for Json {
+    fn from(s: String) -> Json {
+        Json::Str(s)
     }
 }
 
@@ -397,6 +461,40 @@ mod tests {
     #[test]
     fn escapes_round_trip() {
         let v = Json::Str("weird \"s\" \\ tab\t μ 半".into());
+        assert_eq!(parse(&v.render()).unwrap(), v);
+        for (raw, escaped) in [
+            ("a\"b", r#""a\"b""#),
+            ("a\\b", r#""a\\b""#),
+            ("a\nb", r#""a\u000ab""#),
+            ("\u{1}", r#""\u0001""#),
+            ("a\rb", r#""a\u000db""#),
+            ("a\tb", r#""a\u0009b""#),
+            ("μ", "\"μ\""),
+        ] {
+            let v = Json::from(raw);
+            assert_eq!(v.render(), escaped, "{raw:?}");
+            assert_eq!(parse(escaped).unwrap(), v, "{raw:?}");
+        }
+    }
+
+    #[test]
+    fn constructors_render_canonically() {
+        let v = Json::obj(vec![
+            ("n", Json::from(u64::MAX)),
+            ("len", Json::from(3usize)),
+            ("ipc", Json::from(1.5)),
+            ("whole", Json::from(2.0)),
+            ("inf", Json::from(f64::INFINITY)),
+            ("nan", Json::from(f64::NAN)),
+            ("mean", Json::fixed(0.5, 4)),
+            ("bad", Json::fixed(f64::NEG_INFINITY, 4)),
+            ("ok", Json::from(true)),
+            ("s", Json::from(String::from("x"))),
+        ]);
+        assert_eq!(
+            v.render(),
+            r#"{"n":18446744073709551615,"len":3,"ipc":1.5,"whole":2,"inf":null,"nan":null,"mean":0.5000,"bad":null,"ok":true,"s":"x"}"#
+        );
         assert_eq!(parse(&v.render()).unwrap(), v);
     }
 }

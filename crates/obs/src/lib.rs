@@ -12,8 +12,9 @@
 //! `cpi.total() == cycles × width` — is enforced by the property suite.
 //!
 //! Three generic utilities live here because every layer shares them: the
-//! hand-rolled [`json`] value/parser (the workspace carries no
-//! serialization dependency), the [`digest`] machinery (FNV-1a over
+//! [`json`] value, renderer and parser — the one JSON path every emitter
+//! builds a value on and every consumer parses with (the workspace
+//! carries no serialization dependency) — the [`digest`] machinery (FNV-1a over
 //! bytes or debug formatting) behind the golden-stats tests and the
 //! serve-layer result cache, and the [`SplitMix64`] generator behind
 //! every seeded input. [`ServeCounters`] is the daemon-side

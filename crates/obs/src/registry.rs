@@ -3,14 +3,15 @@
 //! The pipeline carries one [`Counters`] value. In the default
 //! [`Counters::disabled`] state every recording site reduces to a single
 //! branch on [`Counters::is_enabled`], so the hot cycle loop pays nothing
-//! measurable (pinned by the perf-smoke comparison). Enabling the
+//! measurable (`obs.counters_overhead` in the `hpabench` per-layer
+//! record tracks it). Enabling the
 //! registry must never perturb timing: recording reads simulator state
 //! but writes only into this struct, and the differential suite asserts
 //! bit-identical `SimStats` and retire streams either way.
 
 use crate::cpi::{CpiCategory, CpiStack};
+use crate::json::Json;
 use std::fmt;
-use std::fmt::Write as _;
 
 /// Number of buckets in a [`Histogram`]; values at or above
 /// `BUCKETS - 1` land in the last (overflow) bucket.
@@ -61,15 +62,9 @@ impl Histogram {
         *self = Histogram::default();
     }
 
-    fn json_into(&self, out: &mut String) {
-        out.push('[');
-        for (k, b) in self.buckets.iter().enumerate() {
-            if k > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{b}");
-        }
-        out.push(']');
+    /// The bucket counts as a JSON array.
+    fn buckets_json(&self) -> Json {
+        Json::Arr(self.buckets.iter().map(|&b| Json::from(b)).collect())
     }
 }
 
@@ -138,32 +133,19 @@ impl Counters {
         self.rf_rereads = 0;
     }
 
-    /// Renders the registry as a JSON object (hand-rolled; the workspace
-    /// carries no serialization dependency).
+    /// The registry as a JSON object.
     #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(512);
-        out.push_str("{\n  \"enabled\": ");
-        let _ = write!(out, "{}", self.on);
-        out.push_str(",\n  \"cpi_stack\": {");
-        for (k, cat) in CpiCategory::ALL.iter().enumerate() {
-            if k > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\n    \"{}\": {}", cat.key(), self.cpi.get(*cat));
-        }
-        out.push_str("\n  },\n  \"cpi_total_slots\": ");
-        let _ = write!(out, "{}", self.cpi.total());
-        out.push_str(",\n  \"wakeup_to_select\": ");
-        self.wakeup_to_select.json_into(&mut out);
-        out.push_str(",\n  \"wakeup_to_select_mean\": ");
-        let _ = write!(out, "{:.4}", self.wakeup_to_select.mean());
-        out.push_str(",\n  \"slow_bus_occupancy\": ");
-        self.slow_bus_occupancy.json_into(&mut out);
-        out.push_str(",\n  \"rf_rereads\": ");
-        let _ = write!(out, "{}", self.rf_rereads);
-        out.push_str("\n}\n");
-        out
+    pub fn to_json(&self) -> Json {
+        let cpi = CpiCategory::ALL.iter().map(|&cat| (cat.key(), Json::from(self.cpi.get(cat))));
+        Json::obj(vec![
+            ("enabled", Json::from(self.on)),
+            ("cpi_stack", Json::obj(cpi.collect())),
+            ("cpi_total_slots", Json::from(self.cpi.total())),
+            ("wakeup_to_select", self.wakeup_to_select.buckets_json()),
+            ("wakeup_to_select_mean", Json::fixed(self.wakeup_to_select.mean(), 4)),
+            ("slow_bus_occupancy", self.slow_bus_occupancy.buckets_json()),
+            ("rf_rereads", Json::from(self.rf_rereads)),
+        ])
     }
 }
 
@@ -268,43 +250,26 @@ impl ServeCounters {
         }
     }
 
-    /// Renders the registry as a JSON object (hand-rolled, like
-    /// [`Counters::to_json`]).
+    /// The registry as a JSON object (served by `/health`).
     #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256);
-        out.push_str("{\"serve_cache_hits\":");
-        let _ = write!(out, "{}", self.cache_hits);
-        out.push_str(",\"serve_cache_misses\":");
-        let _ = write!(out, "{}", self.cache_misses);
-        out.push_str(",\"hit_rate\":");
-        let _ = write!(out, "{:.4}", self.hit_rate());
-        out.push_str(",\"jobs_done\":");
-        let _ = write!(out, "{}", self.jobs_done);
-        out.push_str(",\"jobs_failed\":");
-        let _ = write!(out, "{}", self.jobs_failed);
-        out.push_str(",\"jobs_expired\":");
-        let _ = write!(out, "{}", self.jobs_expired);
-        out.push_str(",\"jobs_rejected\":");
-        let _ = write!(out, "{}", self.jobs_rejected);
-        out.push_str(",\"cache_evictions\":");
-        let _ = write!(out, "{}", self.cache_evictions);
-        out.push_str(",\"journal_records_skipped\":");
-        let _ = write!(out, "{}", self.journal_records_skipped);
-        out.push_str(",\"journal_jobs_requeued\":");
-        let _ = write!(out, "{}", self.journal_jobs_requeued);
-        out.push_str(",\"journal_jobs_rehydrated\":");
-        let _ = write!(out, "{}", self.journal_jobs_rehydrated);
-        out.push_str(",\"mean_latency_ms\":");
-        let _ = write!(out, "{}", self.mean_latency_ms().unwrap_or(0));
-        out.push_str(",\"queue_depth\":");
-        self.queue_depth.json_into(&mut out);
-        out.push_str(",\"queue_depth_mean\":");
-        let _ = write!(out, "{:.4}", self.queue_depth.mean());
-        out.push_str(",\"job_latency_log2_ms\":");
-        self.job_latency_log2_ms.json_into(&mut out);
-        out.push('}');
-        out
+    pub fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("serve_cache_hits", Json::from(self.cache_hits)),
+            ("serve_cache_misses", Json::from(self.cache_misses)),
+            ("hit_rate", Json::fixed(self.hit_rate(), 4)),
+            ("jobs_done", Json::from(self.jobs_done)),
+            ("jobs_failed", Json::from(self.jobs_failed)),
+            ("jobs_expired", Json::from(self.jobs_expired)),
+            ("jobs_rejected", Json::from(self.jobs_rejected)),
+            ("cache_evictions", Json::from(self.cache_evictions)),
+            ("journal_records_skipped", Json::from(self.journal_records_skipped)),
+            ("journal_jobs_requeued", Json::from(self.journal_jobs_requeued)),
+            ("journal_jobs_rehydrated", Json::from(self.journal_jobs_rehydrated)),
+            ("mean_latency_ms", Json::from(self.mean_latency_ms().unwrap_or(0))),
+            ("queue_depth", self.queue_depth.buckets_json()),
+            ("queue_depth_mean", Json::fixed(self.queue_depth.mean(), 4)),
+            ("job_latency_log2_ms", self.job_latency_log2_ms.buckets_json()),
+        ])
     }
 }
 
@@ -378,12 +343,14 @@ mod tests {
         let mut c = Counters::enabled();
         c.cpi.add(CpiCategory::SeqWakeupDelay, 2);
         c.wakeup_to_select.record(1);
-        let j = c.to_json();
+        let j = crate::json::parse(&c.to_json().render()).expect("valid JSON");
+        let stack = j.get("cpi_stack").expect("cpi_stack");
         for cat in CpiCategory::ALL {
-            assert!(j.contains(&format!("\"{}\"", cat.key())), "{j}");
+            let want = if cat == CpiCategory::SeqWakeupDelay { 2 } else { 0 };
+            assert_eq!(stack.get(cat.key()).and_then(Json::as_u64), Some(want), "{j:?}");
         }
-        assert!(j.contains("\"cpi_total_slots\": 2"), "{j}");
-        assert!(j.contains("\"rf_rereads\": 0"), "{j}");
+        assert_eq!(j.get("cpi_total_slots").and_then(Json::as_u64), Some(2), "{j:?}");
+        assert_eq!(j.get("rf_rereads").and_then(Json::as_u64), Some(0), "{j:?}");
     }
 
     #[test]
@@ -417,7 +384,7 @@ mod tests {
         s.jobs_done = 4;
         s.queue_depth.record(2);
         assert!((s.hit_rate() - 0.75).abs() < 1e-12);
-        let j = s.to_json();
+        let j = s.to_json().render();
         assert!(j.contains("\"serve_cache_hits\":3"), "{j}");
         assert!(j.contains("\"serve_cache_misses\":1"), "{j}");
         assert!(j.contains("\"jobs_done\":4"), "{j}");
@@ -433,6 +400,6 @@ mod tests {
         s.record_latency_ms(100);
         s.record_latency_ms(300);
         assert_eq!(s.mean_latency_ms(), Some(200));
-        assert!(s.to_json().contains("\"mean_latency_ms\":200"));
+        assert!(s.to_json().render().contains("\"mean_latency_ms\":200"));
     }
 }

@@ -255,7 +255,7 @@ impl Client {
     /// [`ClientError::Server`] for rejected requests (bad workload name,
     /// draining server), plus transport failures.
     pub fn submit(&self, request: &JobRequest) -> Result<SubmitResponse, ClientError> {
-        let v = self.call_json_retrying("POST", "/submit", &request.to_json())?;
+        let v = self.call_json_retrying("POST", "/submit", &request.to_json().render())?;
         SubmitResponse::from_json(&v).map_err(ClientError::Protocol)
     }
 

@@ -134,8 +134,9 @@ impl ResultCache {
     }
 
     /// Opens a cache. With a directory, existing `<0x-key>.json` entries
-    /// are loaded into the index (unreadable or misnamed files are
-    /// skipped — the cache is advisory, never load-bearing); the
+    /// are loaded into the index (unreadable or misnamed files, and
+    /// entries that are not valid JSON, are skipped — the cache is
+    /// advisory, never load-bearing); the
     /// directory is created if missing. With `None`, the cache is
     /// memory-only and dies with the server.
     ///
@@ -162,7 +163,10 @@ impl ResultCache {
                 let Ok(entry) = entry else { continue };
                 let path = entry.path();
                 let Some(key) = entry_key(&path) else { continue };
-                if let Ok(payload) = std::fs::read_to_string(&path) {
+                let Ok(payload) = std::fs::read_to_string(&path) else { continue };
+                // A payload that is not JSON (say, a bare `inf` written by
+                // an older build) would poison every response embedding it.
+                if hpa_obs::json::parse(&payload).is_ok() {
                     cache.insert_locked(&mut state, key, payload);
                 }
             }
@@ -410,10 +414,11 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("hpa-cache-evict-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cache = ResultCache::open_bounded(Some(dir.clone()), None, Some(10)).unwrap();
-        cache.put(1, "aaaa"); // 4 bytes
-        cache.put(2, "bbbb"); // 8 bytes
+        // Payloads are JSON (a reload skips anything else): 4 bytes each.
+        cache.put(1, "1111"); // 4 bytes
+        cache.put(2, "2222"); // 8 bytes
         assert_eq!(cache.evictions(), 0);
-        cache.put(3, "cccc"); // 12 bytes -> evict key 1
+        cache.put(3, "3333"); // 12 bytes -> evict key 1
         assert_eq!(cache.evictions(), 1);
         assert_eq!(cache.bytes(), 8);
         assert!(
@@ -452,6 +457,22 @@ mod tests {
             .filter(|e| e.file_name().to_string_lossy().ends_with(".tmp"))
             .collect();
         assert!(leftovers.is_empty(), "{leftovers:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn disk_entries_that_are_not_json_are_skipped_on_reload() {
+        let dir = std::env::temp_dir().join(format!("hpa-cache-bad-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let good = "{\"ci_half_width\":null}";
+        std::fs::write(dir.join(format!("{}.json", format_hex(0xabc))), good).unwrap();
+        std::fs::write(dir.join(format!("{}.json", format_hex(0xdef))), "{\"ci_half_width\":inf}")
+            .unwrap();
+        let cache = ResultCache::open(Some(dir.clone())).unwrap();
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.get(0xabc).as_deref(), Some(good));
+        assert_eq!(cache.get(0xdef), None, "an invalid payload is never served");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -7,6 +7,7 @@
 //! writes responses, the SDK writes requests and reads responses — so a
 //! framing change cannot desynchronize them.
 
+use hpa_obs::json::Json;
 use std::io::{self, BufRead, Write};
 
 /// Bound on header-section and body sizes: big enough for any assembled
@@ -40,19 +41,22 @@ pub struct Response {
 }
 
 impl Response {
+    /// A response whose body is `body`, rendered here once.
+    #[must_use]
+    pub fn json(status: u16, body: Json) -> Response {
+        Response { status, body: body.render() }
+    }
+
     /// A `200 OK` JSON response.
     #[must_use]
-    pub fn ok(body: String) -> Response {
-        Response { status: 200, body }
+    pub fn ok(body: Json) -> Response {
+        Response::json(200, body)
     }
 
     /// An error response with a `{"error": ...}` body.
     #[must_use]
     pub fn error(status: u16, message: &str) -> Response {
-        let mut body = String::from("{\"error\":\"");
-        hpa_obs::json::escape_into(&mut body, message);
-        body.push_str("\"}");
-        Response { status, body }
+        Response::json(status, Json::obj(vec![("error", Json::from(message))]))
     }
 }
 
@@ -236,7 +240,7 @@ mod tests {
     #[test]
     fn response_round_trips_through_a_buffer() {
         for resp in [
-            Response::ok("{\"job_id\":1}".into()),
+            Response::ok(Json::obj(vec![("job_id", Json::from(1u64))])),
             Response::error(404, "no such job"),
             Response { status: 200, body: String::new() },
         ] {

@@ -37,10 +37,9 @@
 //! results are never discarded because an earlier record died. A
 //! `submitted`/`started` with no terminal record re-enqueues.
 
-use crate::proto::{format_hex, parse_cells_json, render_cells_into, CellResult, JobRequest};
+use crate::proto::{format_hex, parse_cells_json, CellResult, JobRequest};
 use hpa_obs::digest::fnv1a;
-use hpa_obs::json::{escape_into, Json};
-use std::fmt::Write as _;
+use hpa_obs::json::Json;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -105,37 +104,29 @@ impl Record {
         }
     }
 
-    /// Renders the record's JSON body (the checksummed unit).
+    /// The record's JSON body (rendered, the checksummed unit).
     #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(128);
-        match self {
-            Record::Submitted { id, request } => {
-                let _ = write!(out, "{{\"type\":\"submitted\",\"id\":{id},\"request\":");
-                out.push_str(&request.to_json());
-                out.push('}');
+    pub fn to_json(&self) -> Json {
+        let (kind, detail) = match self {
+            Record::Submitted { request, .. } => {
+                ("submitted", vec![("request", request.to_json())])
             }
-            Record::Started { id } => {
-                let _ = write!(out, "{{\"type\":\"started\",\"id\":{id}}}");
+            Record::Started { .. } => ("started", vec![]),
+            Record::Done { cached, cells, .. } => (
+                "done",
+                vec![
+                    ("cached", Json::from(*cached)),
+                    ("cells", Json::Arr(cells.iter().map(CellResult::to_json).collect())),
+                ],
+            ),
+            Record::Failed { error, .. } => ("failed", vec![("error", Json::from(error.as_str()))]),
+            Record::Expired { error, .. } => {
+                ("expired", vec![("error", Json::from(error.as_str()))])
             }
-            Record::Done { id, cached, cells } => {
-                let _ = write!(out, "{{\"type\":\"done\",\"id\":{id},\"cached\":{cached},");
-                out.push_str("\"cells\":");
-                render_cells_into(&mut out, cells);
-                out.push('}');
-            }
-            Record::Failed { id, error } => {
-                let _ = write!(out, "{{\"type\":\"failed\",\"id\":{id},\"error\":\"");
-                escape_into(&mut out, error);
-                out.push_str("\"}");
-            }
-            Record::Expired { id, error } => {
-                let _ = write!(out, "{{\"type\":\"expired\",\"id\":{id},\"error\":\"");
-                escape_into(&mut out, error);
-                out.push_str("\"}");
-            }
-        }
-        out
+        };
+        let mut fields = vec![("type", Json::from(kind)), ("id", Json::from(self.id()))];
+        fields.extend(detail);
+        Json::obj(fields)
     }
 
     /// Decodes a record from its JSON body.
@@ -218,8 +209,9 @@ struct Inner {
     appended: u64,
 }
 
-/// Frames one record body into its on-disk line.
-fn frame(json: &str) -> String {
+/// Renders one record and frames it into its on-disk line.
+fn frame(record: &Record) -> String {
+    let json = record.to_json().render();
     format!("{} {} {json}\n", json.len(), format_hex(fnv1a(json.as_bytes())))
 }
 
@@ -284,7 +276,7 @@ impl Journal {
     /// process. Disk errors are swallowed (journaling is best-effort
     /// protection; it must never fail the job it protects).
     pub fn append(&self, record: &Record, durable: bool) {
-        let line = frame(&record.to_json());
+        let line = frame(record);
         let mut inner = self.inner.lock().expect("journal");
         let _ = inner.file.write_all(line.as_bytes());
         if durable {
@@ -320,7 +312,7 @@ fn write_records(path: &Path, records: &[Record]) -> io::Result<File> {
     {
         let mut f = File::create(&tmp)?;
         for r in records {
-            f.write_all(frame(&r.to_json()).as_bytes())?;
+            f.write_all(frame(r).as_bytes())?;
         }
         f.sync_data()?;
     }
@@ -424,7 +416,7 @@ mod tests {
             Record::Expired { id: 5, error: "deadline passed".into() },
         ];
         for r in cases {
-            let v = hpa_obs::json::parse(&r.to_json()).expect("valid JSON");
+            let v = hpa_obs::json::parse(&r.to_json().render()).expect("valid JSON");
             assert_eq!(Record::from_json(&v).expect("decodes"), r);
         }
     }
@@ -480,11 +472,11 @@ mod tests {
     fn truncation_at_every_offset_never_panics_and_keeps_the_prefix() {
         let mut bytes = Vec::new();
         for record in [Record::Submitted { id: 1, request: request(1) }, done_record(1)] {
-            bytes.extend_from_slice(frame(&record.to_json()).as_bytes());
+            bytes.extend_from_slice(frame(&record).as_bytes());
         }
         let full = replay_bytes(&bytes);
         assert_eq!(full.records, 2);
-        let first_len = frame(&Record::Submitted { id: 1, request: request(1) }.to_json()).len();
+        let first_len = frame(&Record::Submitted { id: 1, request: request(1) }).len();
         for cut in 0..bytes.len() {
             let replay = replay_bytes(&bytes[..cut]);
             // The intact prefix always survives; the cut record is
@@ -509,10 +501,9 @@ mod tests {
     #[test]
     fn every_single_bit_flip_is_skipped_never_fatal() {
         let mut bytes = Vec::new();
-        bytes.extend_from_slice(
-            frame(&Record::Submitted { id: 1, request: request(1) }.to_json()).as_bytes(),
-        );
-        bytes.extend_from_slice(frame(&done_record(1).to_json()).as_bytes());
+        bytes
+            .extend_from_slice(frame(&Record::Submitted { id: 1, request: request(1) }).as_bytes());
+        bytes.extend_from_slice(frame(&done_record(1)).as_bytes());
         for i in 0..bytes.len() {
             let mut damaged = bytes.clone();
             damaged[i] ^= 0x10;
@@ -528,7 +519,7 @@ mod tests {
         bytes.extend_from_slice(b"this is not a journal line\n");
         bytes.extend_from_slice(b"12 0xnothex {}\n");
         // An orphan `done` (its `submitted` was lost) still rehydrates.
-        bytes.extend_from_slice(frame(&done_record(9).to_json()).as_bytes());
+        bytes.extend_from_slice(frame(&done_record(9)).as_bytes());
         let replay = replay_bytes(&bytes);
         assert_eq!(replay.skipped, 2);
         assert_eq!(replay.records, 1);

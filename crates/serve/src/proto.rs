@@ -1,15 +1,16 @@
 //! The wire protocol: typed request/response structs shared by the
-//! daemon and the `hpa-sdk` client, with hand-rolled JSON codecs.
+//! daemon and the `hpa-sdk` client, with their JSON codecs.
 //!
 //! Every type encodes with `to_json` and decodes with `from_json` over
-//! [`hpa_obs::json::Json`]; the daemon and the SDK link the *same*
-//! definitions, so a protocol change is a single-crate edit and the
-//! round-trip tests below are the compatibility contract. 64-bit values
+//! [`hpa_obs::json::Json`]; the sender renders the value once. The
+//! daemon and the SDK link the *same* definitions, so a protocol change
+//! is a single-crate edit and the round-trip tests below are the
+//! compatibility contract. 64-bit values
 //! that must survive exactly (cache keys, stats digests) travel as
 //! `0x`-prefixed hex strings, never as JSON numbers.
 
 use hpa_core::{MachineWidth, Scheme};
-use hpa_obs::json::{escape_into, Json};
+use hpa_obs::json::Json;
 use hpa_sim::SampleUnits;
 use hpa_workloads::Scale;
 use std::fmt::Write as _;
@@ -95,49 +96,33 @@ impl JobRequest {
         }
     }
 
-    /// Renders the request as JSON.
+    /// The request as JSON.
     #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256);
-        out.push('{');
-        match &self.program {
+    pub fn to_json(&self) -> Json {
+        let mut fields = match &self.program {
             JobProgram::Workload { name, scale } => {
-                out.push_str("\"workload\":\"");
-                escape_into(&mut out, name);
-                let _ = write!(out, "\",\"scale\":\"{}\"", scale.key());
+                vec![("workload", Json::from(name.as_str())), ("scale", Json::from(scale.key()))]
             }
-            JobProgram::Source(text) => {
-                out.push_str("\"source\":\"");
-                escape_into(&mut out, text);
-                out.push('"');
-            }
-            JobProgram::Binary(bytes) => {
-                out.push_str("\"binary\":\"");
-                out.push_str(&bytes_to_hex(bytes));
-                out.push('"');
-            }
-        }
-        let _ = write!(out, ",\"width\":{}", self.width.base_config().width);
-        out.push_str(",\"schemes\":[");
-        for (k, s) in self.schemes.iter().enumerate() {
-            if k > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\"", s.key());
-        }
-        let _ = write!(out, "],\"seed\":{}", self.seed);
+            JobProgram::Source(text) => vec![("source", Json::from(text.as_str()))],
+            JobProgram::Binary(bytes) => vec![("binary", Json::from(bytes_to_hex(bytes)))],
+        };
+        fields.push(("width", Json::from(u64::from(self.width.base_config().width))));
+        fields.push((
+            "schemes",
+            Json::Arr(self.schemes.iter().map(|s| Json::from(s.key())).collect()),
+        ));
+        fields.push(("seed", Json::from(self.seed)));
         if let Some(units) = self.sampled {
-            let _ = write!(out, ",\"sampled\":\"{units}\"");
+            fields.push(("sampled", Json::from(units.to_string())));
         }
         if let Some(ms) = self.deadline_ms {
-            let _ = write!(out, ",\"deadline_ms\":{ms}");
+            fields.push(("deadline_ms", Json::from(ms)));
         }
-        let _ = write!(out, ",\"cycle_budget\":{}", self.cycle_budget);
+        fields.push(("cycle_budget", Json::from(self.cycle_budget)));
         if let Some(n) = self.pc_table_entries {
-            let _ = write!(out, ",\"pc_table_entries\":{n}");
+            fields.push(("pc_table_entries", Json::from(n)));
         }
-        out.push('}');
-        out
+        Json::obj(fields)
     }
 
     /// Decodes a request.
@@ -285,15 +270,10 @@ pub struct SubmitResponse {
 }
 
 impl SubmitResponse {
-    /// Renders the response as JSON.
+    /// The response as JSON.
     #[must_use]
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"job_id\":{},\"status\":\"{}\",\"cached\":{}}}",
-            self.job_id,
-            self.status.key(),
-            self.cached
-        )
+    pub fn to_json(&self) -> Json {
+        Json::obj(job_fields(self.job_id, self.status, self.cached, None))
     }
 
     /// Decodes a response.
@@ -311,6 +291,23 @@ impl SubmitResponse {
             cached: v.get("cached").and_then(Json::as_bool).unwrap_or(false),
         })
     }
+}
+
+/// The `job_id`, `status`, `cached` and optional `error` fields every
+/// job response leads with.
+fn job_fields(
+    job_id: u64,
+    status: JobStatus,
+    cached: bool,
+    error: Option<&str>,
+) -> Vec<(&'static str, Json)> {
+    let mut fields = vec![
+        ("job_id", Json::from(job_id)),
+        ("status", Json::from(status.key())),
+        ("cached", Json::from(cached)),
+    ];
+    fields.extend(error.map(|e| ("error", Json::from(e))));
+    fields
 }
 
 fn parse_status(v: &Json) -> Result<JobStatus, String> {
@@ -333,22 +330,10 @@ pub struct StatusResponse {
 }
 
 impl StatusResponse {
-    /// Renders the response as JSON.
+    /// The response as JSON.
     #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"job_id\":{},\"status\":\"{}\",\"cached\":{}",
-            self.job_id,
-            self.status.key(),
-            self.cached
-        );
-        if let Some(e) = &self.error {
-            out.push_str(",\"error\":\"");
-            escape_into(&mut out, e);
-            out.push('"');
-        }
-        out.push('}');
-        out
+    pub fn to_json(&self) -> Json {
+        Json::obj(job_fields(self.job_id, self.status, self.cached, self.error.as_deref()))
     }
 
     /// Decodes a response.
@@ -404,6 +389,20 @@ impl CellResult {
     #[must_use]
     pub fn payload(&self) -> Option<Json> {
         hpa_obs::json::parse(&self.payload).ok()
+    }
+
+    /// The cell as a `{scheme, cached, result}` object, embedding the
+    /// parsed payload (`null` if it does not parse). Rendering is
+    /// canonical, so the embedded payload renders back to the exact
+    /// cached bytes. `/result` responses and the job journal's `done`
+    /// records both carry arrays of these.
+    #[must_use]
+    pub fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("scheme", Json::from(self.scheme.key())),
+            ("cached", Json::from(self.cached)),
+            ("result", self.payload().unwrap_or(Json::Null)),
+        ])
     }
 
     /// The FNV-1a digest of the full `SimStats` debug formatting, from
@@ -463,28 +462,7 @@ pub fn bytes_from_hex(s: &str) -> Option<Vec<u8>> {
         .collect()
 }
 
-/// Renders a cell array (`[{scheme, cached, result}, ...]`) into `out`.
-/// Payloads are embedded verbatim: they are already JSON, and
-/// re-rendering could perturb byte identity with the cache. Shared by
-/// `/result` responses and the job journal's `done` records.
-pub fn render_cells_into(out: &mut String, cells: &[CellResult]) {
-    out.push('[');
-    for (k, c) in cells.iter().enumerate() {
-        if k > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"scheme\":\"{}\",\"cached\":{},\"result\":{}}}",
-            c.scheme.key(),
-            c.cached,
-            c.payload
-        );
-    }
-    out.push(']');
-}
-
-/// Decodes a cell array rendered by [`render_cells_into`].
+/// Decodes a cell array of [`CellResult::to_json`] objects.
 ///
 /// # Errors
 ///
@@ -534,24 +512,12 @@ pub struct ResultResponse {
 }
 
 impl ResultResponse {
-    /// Renders the response as JSON.
+    /// The response as JSON.
     #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"job_id\":{},\"status\":\"{}\",\"cached\":{}",
-            self.job_id,
-            self.status.key(),
-            self.cached
-        );
-        if let Some(e) = &self.error {
-            out.push_str(",\"error\":\"");
-            escape_into(&mut out, e);
-            out.push('"');
-        }
-        out.push_str(",\"cells\":");
-        render_cells_into(&mut out, &self.cells);
-        out.push('}');
-        out
+    pub fn to_json(&self) -> Json {
+        let mut fields = job_fields(self.job_id, self.status, self.cached, self.error.as_deref());
+        fields.push(("cells", Json::Arr(self.cells.iter().map(CellResult::to_json).collect())));
+        Json::obj(fields)
     }
 
     /// Decodes a response.
@@ -582,7 +548,7 @@ mod tests {
     use super::*;
 
     fn round_trip_request(r: &JobRequest) {
-        let v = hpa_obs::json::parse(&r.to_json()).expect("valid JSON");
+        let v = hpa_obs::json::parse(&r.to_json().render()).expect("valid JSON");
         assert_eq!(&JobRequest::from_json(&v).expect("decodes"), r);
     }
 
@@ -651,7 +617,7 @@ mod tests {
     #[test]
     fn responses_round_trip() {
         let submit = SubmitResponse { job_id: 7, status: JobStatus::Done, cached: true };
-        let v = hpa_obs::json::parse(&submit.to_json()).unwrap();
+        let v = hpa_obs::json::parse(&submit.to_json().render()).unwrap();
         assert_eq!(SubmitResponse::from_json(&v).unwrap(), submit);
 
         let status = StatusResponse {
@@ -660,22 +626,21 @@ mod tests {
             cached: false,
             error: Some("cell panicked: \"quoted\"".into()),
         };
-        let v = hpa_obs::json::parse(&status.to_json()).unwrap();
+        let v = hpa_obs::json::parse(&status.to_json().render()).unwrap();
         assert_eq!(StatusResponse::from_json(&v).unwrap(), status);
 
+        let payload =
+            r#"{"cache_key":"0x00000000000000ff","stats_digest":"0xfedcba9876543210","ipc":1.5}"#;
         let result = ResultResponse {
             job_id: 9,
             status: JobStatus::Done,
             cached: false,
             error: None,
-            cells: vec![CellResult::new(
-                Scheme::Base,
-                true,
-                r#"{"cache_key":"0x00000000000000ff","stats_digest":"0xfedcba9876543210","ipc":1.5}"#
-                    .to_string(),
-            )],
+            cells: vec![CellResult::new(Scheme::Base, true, payload.to_string())],
         };
-        let v = hpa_obs::json::parse(&result.to_json()).unwrap();
+        let text = result.to_json().render();
+        assert!(text.contains(payload), "the payload is embedded byte-identically: {text}");
+        let v = hpa_obs::json::parse(&text).unwrap();
         let back = ResultResponse::from_json(&v).unwrap();
         assert_eq!(back.cells.len(), 1);
         assert_eq!(back.cells[0].scheme, Scheme::Base);

@@ -26,12 +26,11 @@ use hpa_asm::Program;
 use hpa_core::pool::parallel_map_isolated;
 use hpa_core::{run, Mode, RunSpec, Scheme};
 use hpa_obs::digest::debug_digest;
-use hpa_obs::json::escape_into;
+use hpa_obs::json::Json;
 use hpa_obs::ServeCounters;
 use hpa_sim::{SampledEstimate, SimConfig, SimStats};
 use hpa_workloads::workload;
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -351,7 +350,7 @@ fn route(state: &ServerState, req: &Request) -> Response {
             // the one whose completion breaks the loop.
             state.queue.drain();
             state.shutdown.store(true, Ordering::SeqCst);
-            Response::ok("{\"ok\":true}".to_string())
+            Response::ok(Json::obj(vec![("ok", Json::from(true))]))
         }
         ("GET", "/health") => handle_health(state),
         ("GET", path) => {
@@ -487,10 +486,13 @@ fn reject_overflow(state: &ServerState, depth: usize) -> Response {
     drop(counters);
     let waves = (depth as u64).div_ceil(state.workers as u64).max(1);
     let retry_after_ms = (mean * waves).clamp(100, 60_000);
-    let mut body = String::from("{\"error\":\"");
-    escape_into(&mut body, &format!("queue full: {depth} job(s) queued"));
-    let _ = write!(body, "\",\"retry_after_ms\":{retry_after_ms}}}");
-    Response { status: 429, body }
+    Response::json(
+        429,
+        Json::obj(vec![
+            ("error", Json::from(format!("queue full: {depth} job(s) queued"))),
+            ("retry_after_ms", Json::from(retry_after_ms)),
+        ]),
+    )
 }
 
 impl SubmitResponse {
@@ -546,17 +548,15 @@ fn handle_health(state: &ServerState) -> Response {
         counters.cache_evictions = state.cache.evictions();
         counters.to_json()
     };
-    let body = format!(
-        "{{\"ok\":true,\"draining\":{},\"queue_depth\":{},\"max_queue\":{},\
-         \"cache_entries\":{},\"cache_bytes\":{},\"counters\":{}}}",
-        state.queue.is_draining(),
-        state.queue.len(),
-        state.max_queue.map_or_else(|| "null".to_string(), |m| m.to_string()),
-        state.cache.len(),
-        state.cache.bytes(),
-        counters
-    );
-    Response::ok(body)
+    Response::ok(Json::obj(vec![
+        ("ok", Json::from(true)),
+        ("draining", Json::from(state.queue.is_draining())),
+        ("queue_depth", Json::from(state.queue.len())),
+        ("max_queue", state.max_queue.map_or(Json::Null, Json::from)),
+        ("cache_entries", Json::from(state.cache.len())),
+        ("cache_bytes", Json::from(state.cache.bytes())),
+        ("counters", counters),
+    ]))
 }
 
 /// A job's program resolved to executable form.
@@ -775,68 +775,53 @@ fn run_cell(
         ..RunSpec::new(resolved.name, &resolved.program, scheme, request.width)
     };
     let r = run(&spec).map_err(|e| e.to_string())?;
-    Ok(render_payload(request, scheme, key, &r.stats, r.sampled.as_ref()))
+    Ok(cell_payload(request, scheme, key, &r.stats, r.sampled.as_ref()).render())
 }
 
-/// Renders one cell's canonical payload — the unit of cache storage.
+/// One cell's canonical payload — rendered, the unit of cache storage.
 /// Deterministic by construction: every field is derived from the
-/// deterministic simulation, floats use Rust's shortest round-trip
-/// formatting, and field order is fixed.
-fn render_payload(
+/// deterministic simulation, floats use Rust's shortest round-trip text
+/// (`null` when not finite), and field order is fixed.
+fn cell_payload(
     request: &JobRequest,
     scheme: Scheme,
     key: u64,
     stats: &SimStats,
     sampled: Option<&SampledEstimate>,
-) -> String {
-    let mut out = String::with_capacity(768);
-    out.push('{');
-    match &request.program {
+) -> Json {
+    let mut fields = match &request.program {
         JobProgram::Workload { name, scale } => {
-            out.push_str("\"workload\":\"");
-            escape_into(&mut out, name);
-            let _ = write!(out, "\",\"scale\":\"{}\"", scale.key());
+            vec![("workload", Json::from(name.as_str())), ("scale", Json::from(scale.key()))]
         }
-        JobProgram::Source(_) => out.push_str("\"program\":\"source\""),
-        JobProgram::Binary(_) => out.push_str("\"program\":\"binary\""),
-    }
-    let _ = write!(
-        out,
-        ",\"scheme\":\"{}\",\"width\":{},\"seed\":{}",
-        scheme.key(),
-        request.width.base_config().width,
-        request.seed
-    );
-    match request.sampled {
-        None => out.push_str(",\"mode\":\"full\""),
-        Some(units) => {
-            let _ = write!(out, ",\"mode\":\"sampled:{units}\"");
-        }
-    }
-    let _ = write!(
-        out,
-        ",\"cache_key\":\"{}\",\"stats_digest\":\"{}\"",
-        format_hex(key),
-        format_hex(debug_digest(stats))
-    );
-    let ipc = sampled.map_or_else(|| stats.ipc(), |e| e.mean_ipc);
-    let _ =
-        write!(out, ",\"ipc\":{ipc},\"cycles\":{},\"committed\":{}", stats.cycles, stats.committed);
+        JobProgram::Source(_) => vec![("program", Json::from("source"))],
+        JobProgram::Binary(_) => vec![("program", Json::from("binary"))],
+    };
+    let mode = request.sampled.map_or_else(|| "full".to_string(), |u| format!("sampled:{u}"));
+    fields.extend(vec![
+        ("scheme", Json::from(scheme.key())),
+        ("width", Json::from(u64::from(request.width.base_config().width))),
+        ("seed", Json::from(request.seed)),
+        ("mode", Json::from(mode)),
+        ("cache_key", Json::from(format_hex(key))),
+        ("stats_digest", Json::from(format_hex(debug_digest(stats)))),
+        ("ipc", Json::from(sampled.map_or_else(|| stats.ipc(), |e| e.mean_ipc))),
+        ("cycles", Json::from(stats.cycles)),
+        ("committed", Json::from(stats.committed)),
+    ]);
     if let Some(e) = sampled {
-        let _ = write!(
-            out,
-            ",\"sampled\":{{\"mean_ipc\":{},\"ci_half_width\":{},\"samples\":{},\
-             \"detailed_insts\":{},\"total_insts\":{}}}",
-            e.mean_ipc,
-            e.ci_half_width,
-            e.samples.len(),
-            e.detailed_insts,
-            e.total_insts
-        );
+        fields.push((
+            "sampled",
+            Json::obj(vec![
+                ("mean_ipc", Json::from(e.mean_ipc)),
+                ("ci_half_width", Json::from(e.ci_half_width)),
+                ("samples", Json::from(e.samples.len())),
+                ("detailed_insts", Json::from(e.detailed_insts)),
+                ("total_insts", Json::from(e.total_insts)),
+            ]),
+        ));
     }
-    let _ = write!(out, ",\"stats\":{}", stats.to_json());
-    out.push('}');
-    out
+    fields.push(("stats", stats.to_json()));
+    Json::obj(fields)
 }
 
 #[cfg(test)]

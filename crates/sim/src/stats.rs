@@ -3,6 +3,7 @@
 
 use hpa_bpred::LastArrivalStats;
 use hpa_cache::HierarchyStats;
+use hpa_obs::json::Json;
 
 /// Dynamic-stream format statistics (paper Figures 2 and 3), gathered over
 /// fetched instructions (identical to committed instructions in this
@@ -201,52 +202,32 @@ impl SimStats {
         }
     }
 
-    /// Renders the headline counters as a compact JSON object (used by
-    /// the serve-layer result payload and `hpa sim --json`). All-numeric,
-    /// deterministic field order; integers are emitted as integers so a
-    /// `u64` survives a parse round-trip exactly.
+    /// The headline counters as a JSON object (used by the serve-layer
+    /// result payload and `hpa sim --json`). All-numeric, deterministic
+    /// field order; integers stay integers so a `u64` survives a parse
+    /// round-trip exactly.
     #[must_use]
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::with_capacity(512);
-        let _ = write!(
-            out,
-            "{{\"cycles\":{},\"committed\":{},\"fetched\":{},\"ipc\":{}",
-            self.cycles,
-            self.committed,
-            self.fetched,
-            self.ipc()
-        );
-        let _ = write!(
-            out,
-            ",\"branches\":{},\"branch_mispredicts\":{}",
-            self.branches, self.branch_mispredicts
-        );
-        let _ = write!(
-            out,
-            ",\"load_miss_replays\":{},\"replayed_insts\":{}",
-            self.load_miss_replays, self.replayed_insts
-        );
-        let _ = write!(
-            out,
-            ",\"seq_wakeup_slow_last\":{},\"simultaneous_wakeups\":{},\"te_misfires\":{}",
-            self.seq_wakeup_slow_last, self.simultaneous_wakeups, self.te_misfires
-        );
-        let _ = write!(
-            out,
-            ",\"seq_rf_accesses\":{},\"crossbar_deferrals\":{}",
-            self.seq_rf_accesses, self.crossbar_deferrals
-        );
-        let _ = write!(out, ",\"window_occupancy_sum\":{}", self.window_occupancy_sum);
-        out.push_str(",\"issue_histogram\":[");
-        for (k, n) in self.issue_histogram.iter().enumerate() {
-            if k > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{n}");
-        }
-        out.push_str("]}");
-        out
+    pub fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("cycles", Json::from(self.cycles)),
+            ("committed", Json::from(self.committed)),
+            ("fetched", Json::from(self.fetched)),
+            ("ipc", Json::from(self.ipc())),
+            ("branches", Json::from(self.branches)),
+            ("branch_mispredicts", Json::from(self.branch_mispredicts)),
+            ("load_miss_replays", Json::from(self.load_miss_replays)),
+            ("replayed_insts", Json::from(self.replayed_insts)),
+            ("seq_wakeup_slow_last", Json::from(self.seq_wakeup_slow_last)),
+            ("simultaneous_wakeups", Json::from(self.simultaneous_wakeups)),
+            ("te_misfires", Json::from(self.te_misfires)),
+            ("seq_rf_accesses", Json::from(self.seq_rf_accesses)),
+            ("crossbar_deferrals", Json::from(self.crossbar_deferrals)),
+            ("window_occupancy_sum", Json::from(self.window_occupancy_sum)),
+            (
+                "issue_histogram",
+                Json::Arr(self.issue_histogram.iter().map(|&n| Json::from(n)).collect()),
+            ),
+        ])
     }
 }
 
@@ -309,7 +290,7 @@ mod tests {
             issue_histogram: vec![1, 0, 2],
             ..SimStats::default()
         };
-        let v = hpa_obs::json::parse(&s.to_json()).expect("valid JSON");
+        let v = hpa_obs::json::parse(&s.to_json().render()).expect("valid JSON");
         assert_eq!(v.get("cycles").and_then(|x| x.as_u64()), Some(3));
         assert_eq!(v.get("ipc").and_then(|x| x.as_f64()), Some(2.0));
         // u64 values above 2^53 survive exactly (numbers keep source text).

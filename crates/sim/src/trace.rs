@@ -72,7 +72,7 @@ impl PipeTrace {
     /// Converts the recorded instructions into Chrome trace-event spans
     /// (see [`hpa_obs::chrome`]). `frontend_depth` back-dates the fetch
     /// stage from the insert cycle; render the result with
-    /// [`hpa_obs::chrome::render`].
+    /// [`hpa_obs::chrome::to_json`].
     #[must_use]
     pub fn chrome_spans(&self, frontend_depth: u32) -> Vec<hpa_obs::InstSpan> {
         self.records

@@ -414,7 +414,7 @@ fn cmd_sim(args: &[String]) -> CliResult {
         (r.stats, r.counters, None)
     };
     if bool_flag(args, "--json") {
-        println!("{}", stats.to_json());
+        println!("{}", stats.to_json().render());
         return Ok(());
     }
     println!("{} on the {} machine:", scheme.label(), width.label());
@@ -507,7 +507,7 @@ fn cmd_counters(args: &[String]) -> CliResult {
     let (counters, stats) = (r.counters.expect("counters were on"), r.stats);
 
     if bool_flag(args, "--json") {
-        println!("{}", counters.to_json());
+        println!("{}", counters.to_json().render());
         return Ok(());
     }
     println!("`{target}` under {} on the {} machine:", scheme.label(), width.label());
@@ -533,7 +533,7 @@ fn cmd_trace_viz(args: &[String]) -> CliResult {
     let sim = traced_sim(&program, config, insts, false)?;
     let trace = sim.pipetrace().expect("trace was enabled");
     let spans = trace.chrome_spans(frontend_depth);
-    std::fs::write(&out, half_price::obs::chrome::render(&spans))
+    std::fs::write(&out, half_price::obs::chrome::to_json(&spans).render() + "\n")
         .map_err(|e| other(format_args!("writing {out}: {e}")))?;
     println!(
         "wrote {} span(s) to {out} ({} committed, {} cycles under {})",
@@ -724,7 +724,7 @@ fn cmd_faults(args: &[String]) -> CliResult {
         spec.jobs,
         t0.elapsed().as_secs_f64()
     );
-    std::fs::write(&out_path, report.json())
+    std::fs::write(&out_path, report.to_json().render() + "\n")
         .map_err(|e| other(format_args!("writing {out_path}: {e}")))?;
     println!("resilience report written to {out_path}");
 
@@ -934,7 +934,7 @@ fn cmd_submit(args: &[String]) -> CliResult {
         // collects the results later (even across a daemon restart,
         // with a journal).
         if bool_flag(args, "--json") {
-            println!("{}", submit.to_json());
+            println!("{}", submit.to_json().render());
         } else {
             println!("job {} {} (cached: {})", submit.job_id, submit.status.key(), submit.cached);
         }
@@ -970,7 +970,7 @@ fn cmd_job(args: &[String]) -> CliResult {
 /// workload from the payload itself, so the caller needs no context.
 fn report_result(result: half_price::serve::proto::ResultResponse, json: bool) -> CliResult {
     if json {
-        println!("{}", result.to_json());
+        println!("{}", result.to_json().render());
     } else {
         println!("job {} {} (cached: {})", result.job_id, result.status.key(), result.cached);
         for cell in &result.cells {

@@ -148,7 +148,7 @@ fn chrome_trace_round_trips_and_nests() {
     }
 
     // Render -> parse is the identity.
-    let json = chrome::render(&spans);
+    let json = chrome::to_json(&spans).render();
     let back = chrome::parse(&json).expect("exported trace reparses");
     assert_eq!(back, spans, "round trip preserves every span");
 }

@@ -4,9 +4,11 @@
 //! exercise, minus the process boundary.
 
 use half_price::obs::digest::debug_digest;
+use half_price::obs::json::Json;
 use half_price::sdk::{Client, ClientError};
 use half_price::serve::proto::{JobProgram, JobRequest, JobStatus};
 use half_price::serve::server::{Server, ServerConfig};
+use half_price::sim::SampleUnits;
 use half_price::workloads::Scale;
 use half_price::{MachineWidth, Scheme};
 use std::io;
@@ -236,6 +238,27 @@ fn source_programs_run_end_to_end() {
     for cell in &result.cells {
         assert!(cell.ipc().is_some_and(|ipc| ipc > 0.0));
     }
+
+    client.shutdown().expect("shutdown");
+    handle.join().expect("server thread").expect("clean exit");
+}
+
+#[test]
+fn sampled_job_without_a_confidence_interval_reports_null() {
+    let (client, handle) = start_server(1);
+
+    // A fast-forward period longer than the whole program measures no
+    // window, so the estimate has no confidence interval: its half-width
+    // is infinite, and the payload must still be valid JSON.
+    let mut request = JobRequest::workload("gcc", Scale::Tiny, Scheme::Base);
+    request.sampled = Some(SampleUnits::parse("100:1000:1000000").expect("valid units"));
+    let submit = client.submit(&request).expect("submit");
+    let result = client.wait(submit.job_id, WAIT).expect("result parses");
+    assert_eq!(result.status, JobStatus::Done);
+    let payload = result.cells[0].payload().expect("payload parses");
+    let sampled = payload.get("sampled").expect("sampled block");
+    assert!(sampled.get("samples").and_then(|v| v.as_u64()).is_some_and(|n| n < 2));
+    assert_eq!(sampled.get("ci_half_width"), Some(&Json::Null));
 
     client.shutdown().expect("shutdown");
     handle.join().expect("server thread").expect("clean exit");

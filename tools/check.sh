@@ -104,7 +104,7 @@ echo "== cycle-accounting smoke =="
 # to cycles x width (the integration suites prove this exhaustively; this
 # gate proves the CLI path stays wired).
 counters_json="$(cargo run --release -q --bin hpa -- counters gcc --scale tiny --scheme combined --json)"
-total="$(printf '%s\n' "$counters_json" | grep -o '"cpi_total_slots": [0-9]*' | grep -o '[0-9]*$')"
+total="$(json_scalar "$counters_json" cpi_total_slots)"
 if [ -z "$total" ] || [ "$total" -eq 0 ]; then
   echo "ERROR: hpa counters --json reported no attributed issue slots" >&2
   exit 1
