@@ -15,7 +15,9 @@
 //!   its reference checksum, the scheme, width and machine configuration,
 //!   full or sampled [`Mode`], what to record and a cycle budget; the
 //!   [`RunResult`] carries the statistics, and timing must never change
-//!   the architectural result;
+//!   the architectural result; [`RunResult::to_json`] is the one record
+//!   every result surface renders, stamped with the [`model`]
+//!   fingerprint;
 //! * [`run_workload`] resolves a benchmark name and runs it;
 //! * [`run_matrix`] sweeps benchmarks × schemes, fanning the independent
 //!   cells out across worker threads ([`pool`]) with results that do not
@@ -58,6 +60,7 @@ pub use hpa_rv as rv;
 pub use hpa_sim as sim;
 pub use hpa_workloads as workloads;
 
+pub mod model;
 pub mod pool;
 pub mod report;
 mod runner;

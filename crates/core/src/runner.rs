@@ -6,6 +6,8 @@
 use crate::pool::parallel_map_isolated;
 use crate::scheme::{MachineWidth, Scheme};
 use hpa_asm::Program;
+use hpa_obs::digest::{debug_digest, format_hex};
+use hpa_obs::json::Json;
 use hpa_obs::Counters;
 use hpa_sim::{
     PhaseTimes, SampleUnits, SampledEstimate, SampledRunner, SimConfig, SimFault, SimStats,
@@ -189,6 +191,52 @@ pub struct RunResult {
     /// Per-phase wall time; present only when [`RunSpec::phase_timing`]
     /// was set.
     pub phase_times: Option<PhaseTimes>,
+}
+
+impl RunResult {
+    /// The run record, the one JSON rendering of a simulation outcome
+    /// (`hpa sim --json`, serve cell payloads). Fields, in order: the
+    /// spec echo (`workload`, `scheme`, `width`, `mode`), the `model`
+    /// fingerprint ([`crate::model::FINGERPRINT`]), `stats_digest`,
+    /// `ipc` (the sampled mean in sampled mode), `cycles` and `committed`,
+    /// then `sampled` (sampled mode),
+    /// `counters` (when recorded) and the full `stats`.
+    #[must_use]
+    pub fn to_json(&self) -> Json {
+        let mode =
+            self.sampled.as_ref().map_or_else(|| "full".into(), |e| format!("sampled:{}", e.units));
+        let mut fields = vec![
+            ("workload", Json::from(self.workload)),
+            ("scheme", Json::from(self.scheme.key())),
+            ("width", Json::from(u64::from(self.width.base_config().width))),
+            ("mode", Json::from(mode)),
+            ("model", Json::from(format_hex(crate::model::FINGERPRINT))),
+            ("stats_digest", Json::from(format_hex(debug_digest(&self.stats)))),
+            (
+                "ipc",
+                Json::from(self.sampled.as_ref().map_or_else(|| self.stats.ipc(), |e| e.mean_ipc)),
+            ),
+            ("cycles", Json::from(self.stats.cycles)),
+            ("committed", Json::from(self.stats.committed)),
+        ];
+        if let Some(e) = &self.sampled {
+            fields.push((
+                "sampled",
+                Json::obj(vec![
+                    ("mean_ipc", Json::from(e.mean_ipc)),
+                    ("ci_half_width", Json::from(e.ci_half_width)),
+                    ("samples", Json::from(e.samples.len())),
+                    ("detailed_insts", Json::from(e.detailed_insts)),
+                    ("total_insts", Json::from(e.total_insts)),
+                ]),
+            ));
+        }
+        if let Some(c) = &self.counters {
+            fields.push(("counters", c.to_json()));
+        }
+        fields.push(("stats", self.stats.to_json()));
+        Json::obj(fields)
+    }
 }
 
 /// Runs one simulation and verifies its architectural result.

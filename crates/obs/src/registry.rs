@@ -150,7 +150,7 @@ impl Counters {
 }
 
 /// Text rendering: one line per CPI category with percentages, then the
-/// registry counters — the `hpa counters` / `hpa sim --counters` view.
+/// registry counters — the `hpa sim --cpi-stack --counters` view.
 impl fmt::Display for Counters {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if !self.on {
@@ -215,6 +215,12 @@ pub struct ServeCounters {
     pub journal_jobs_requeued: u64,
     /// Terminal journaled jobs rehydrated into the table during replay.
     pub journal_jobs_rehydrated: u64,
+    /// Cache disk entries dropped at startup for carrying another model
+    /// fingerprint.
+    pub cache_stale_dropped: u64,
+    /// Journaled `done` records dropped at replay for carrying another
+    /// model fingerprint (their jobs re-run).
+    pub journal_stale_dropped: u64,
     /// Queue depth observed at each submission (pressure distribution).
     pub queue_depth: Histogram,
     /// Submit-to-terminal-state latency per job, as `log2(1 + ms)` — the
@@ -265,6 +271,8 @@ impl ServeCounters {
             ("journal_records_skipped", Json::from(self.journal_records_skipped)),
             ("journal_jobs_requeued", Json::from(self.journal_jobs_requeued)),
             ("journal_jobs_rehydrated", Json::from(self.journal_jobs_rehydrated)),
+            ("cache_stale_dropped", Json::from(self.cache_stale_dropped)),
+            ("journal_stale_dropped", Json::from(self.journal_stale_dropped)),
             ("mean_latency_ms", Json::from(self.mean_latency_ms().unwrap_or(0))),
             ("queue_depth", self.queue_depth.buckets_json()),
             ("queue_depth_mean", Json::fixed(self.queue_depth.mean(), 4)),
@@ -292,6 +300,11 @@ impl fmt::Display for ServeCounters {
             f,
             "journal replay:         {} requeued, {} rehydrated, {} skipped",
             self.journal_jobs_requeued, self.journal_jobs_rehydrated, self.journal_records_skipped
+        )?;
+        writeln!(
+            f,
+            "stale results dropped:  {} cached, {} journaled",
+            self.cache_stale_dropped, self.journal_stale_dropped
         )?;
         writeln!(
             f,

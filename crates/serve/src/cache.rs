@@ -21,14 +21,19 @@
 //! written to a temp file and atomically renamed into place so a crash
 //! mid-write can never leave a half-written entry for a later server to
 //! serve. Writes are write-through; the in-memory index fronts reads.
+//!
+//! The key names the work, not the model that did it: every payload
+//! carries the `model` fingerprint it was computed under, and a reload
+//! drops entries from any other model, so a timing change never serves
+//! a stale result.
 
-use crate::proto::format_hex;
 use hpa_asm::Program;
+use hpa_core::model::FINGERPRINT;
 use hpa_core::Scheme;
-use hpa_obs::digest::fnv1a;
+use hpa_obs::digest::{fnv1a, format_hex, parse_hex};
+use hpa_obs::json::Json;
 use hpa_sim::{SampleUnits, SimConfig};
 use std::collections::{HashMap, VecDeque};
-use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -111,6 +116,9 @@ struct CacheState {
     bytes: u64,
     /// Entries evicted over this cache's lifetime (served by `/health`).
     evictions: u64,
+    /// Disk entries dropped at open for carrying another model
+    /// fingerprint (served by `/health`).
+    stale_dropped: u64,
 }
 
 /// The result cache: an in-memory index over an optional on-disk store,
@@ -134,10 +142,12 @@ impl ResultCache {
     }
 
     /// Opens a cache. With a directory, existing `<0x-key>.json` entries
-    /// are loaded into the index (unreadable or misnamed files, and
-    /// entries that are not valid JSON, are skipped — the cache is
-    /// advisory, never load-bearing); the
-    /// directory is created if missing. With `None`, the cache is
+    /// are loaded into the index. Unreadable or misnamed files and
+    /// entries that are not valid JSON are skipped (the cache is
+    /// advisory, never load-bearing); entries whose `model` is not this
+    /// build's [`FINGERPRINT`] are deleted and counted
+    /// ([`ResultCache::stale_dropped`]). The directory is created if
+    /// missing. With `None`, the cache is
     /// memory-only and dies with the server.
     ///
     /// `max_entries` / `max_bytes` bound the index for long-lived
@@ -165,9 +175,15 @@ impl ResultCache {
                 let Some(key) = entry_key(&path) else { continue };
                 let Ok(payload) = std::fs::read_to_string(&path) else { continue };
                 // A payload that is not JSON (say, a bare `inf` written by
-                // an older build) would poison every response embedding it.
-                if hpa_obs::json::parse(&payload).is_ok() {
+                // an older build) would poison every response embedding
+                // it; one computed under another timing model would pass
+                // a stale result off as current, so it is deleted.
+                let Ok(v) = hpa_obs::json::parse(&payload) else { continue };
+                if v.get("model").and_then(Json::as_str).and_then(parse_hex) == Some(FINGERPRINT) {
                     cache.insert_locked(&mut state, key, payload);
+                } else {
+                    state.stale_dropped += 1;
+                    let _ = std::fs::remove_file(&path);
                 }
             }
         }
@@ -253,6 +269,13 @@ impl ResultCache {
         self.state.lock().expect("cache index").evictions
     }
 
+    /// Disk entries dropped at open because another timing model
+    /// computed them.
+    #[must_use]
+    pub fn stale_dropped(&self) -> u64 {
+        self.state.lock().expect("cache index").stale_dropped
+    }
+
     /// Flushes the index to disk. Writes are already write-through, so
     /// this re-persists any entry whose earlier disk write failed (it
     /// was downgraded to memory-only) and is otherwise a no-op; called
@@ -269,28 +292,13 @@ impl ResultCache {
             let _ = std::fs::write(&tmp, payload).and_then(|()| std::fs::rename(&tmp, &final_path));
         }
     }
-
-    /// A one-line summary for logs.
-    #[must_use]
-    pub fn describe(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(out, "{} entries", self.len());
-        match &self.dir {
-            Some(dir) => {
-                let _ = write!(out, " in {}", dir.display());
-            }
-            None => out.push_str(" (memory only)"),
-        }
-        out
-    }
 }
 
 /// Parses `<0x-key>.json` file names back to keys; `None` for anything
 /// else (temp files, strays).
 fn entry_key(path: &Path) -> Option<u64> {
     let name = path.file_name()?.to_str()?;
-    let hex = name.strip_suffix(".json")?;
-    crate::proto::parse_hex(hex)
+    parse_hex(name.strip_suffix(".json")?)
 }
 
 #[cfg(test)]
@@ -298,6 +306,11 @@ mod tests {
     use super::*;
     use hpa_core::MachineWidth;
     use hpa_workloads::{workload, Scale};
+
+    /// A current-model payload carrying `ipc`.
+    fn payload(ipc: &str) -> String {
+        format!("{{\"model\":\"{}\",\"ipc\":{ipc}}}", format_hex(FINGERPRINT))
+    }
 
     fn key_for(name: &str, scheme: Scheme, seed: u64, sampled: Option<SampleUnits>) -> u64 {
         let w = workload(name, Scale::Tiny).expect("known workload");
@@ -390,7 +403,6 @@ mod tests {
         cache.put(42, "{\"ipc\":1.5}");
         assert_eq!(cache.get(42).as_deref(), Some("{\"ipc\":1.5}"));
         assert_eq!(cache.len(), 1);
-        assert!(cache.describe().contains("memory only"));
     }
 
     #[test]
@@ -413,14 +425,16 @@ mod tests {
     fn byte_bound_evicts_until_under_and_prunes_disk() {
         let dir = std::env::temp_dir().join(format!("hpa-cache-evict-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let cache = ResultCache::open_bounded(Some(dir.clone()), None, Some(10)).unwrap();
-        // Payloads are JSON (a reload skips anything else): 4 bytes each.
-        cache.put(1, "1111"); // 4 bytes
-        cache.put(2, "2222"); // 8 bytes
+        // Payloads are current-model JSON (a reload skips anything else),
+        // all the same length.
+        let len = payload("1").len() as u64;
+        let cache = ResultCache::open_bounded(Some(dir.clone()), None, Some(2 * len + 2)).unwrap();
+        cache.put(1, &payload("1"));
+        cache.put(2, &payload("2"));
         assert_eq!(cache.evictions(), 0);
-        cache.put(3, "3333"); // 12 bytes -> evict key 1
+        cache.put(3, &payload("3")); // 3 x len bytes -> evict key 1
         assert_eq!(cache.evictions(), 1);
-        assert_eq!(cache.bytes(), 8);
+        assert_eq!(cache.bytes(), 2 * len);
         assert!(
             !dir.join(format!("{}.json", format_hex(1))).exists(),
             "eviction prunes the disk store"
@@ -439,8 +453,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         {
             let cache = ResultCache::open(Some(dir.clone())).unwrap();
-            cache.put(0xabc, "{\"cycles\":100}");
-            cache.put(0xdef, "{\"cycles\":200}");
+            cache.put(0xabc, &payload("100"));
+            cache.put(0xdef, &payload("200"));
             cache.flush();
         }
         // A fresh cache over the same directory sees both entries; a
@@ -448,8 +462,8 @@ mod tests {
         std::fs::write(dir.join("not-an-entry.txt"), "junk").unwrap();
         let cache = ResultCache::open(Some(dir.clone())).unwrap();
         assert_eq!(cache.len(), 2);
-        assert_eq!(cache.get(0xabc).as_deref(), Some("{\"cycles\":100}"));
-        assert_eq!(cache.get(0xdef).as_deref(), Some("{\"cycles\":200}"));
+        assert_eq!(cache.get(0xabc), Some(payload("100")));
+        assert_eq!(cache.get(0xdef), Some(payload("200")));
         // No temp files were left behind by the atomic writes.
         let leftovers: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
@@ -465,14 +479,32 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("hpa-cache-bad-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let good = "{\"ci_half_width\":null}";
-        std::fs::write(dir.join(format!("{}.json", format_hex(0xabc))), good).unwrap();
+        let good = payload("null");
+        std::fs::write(dir.join(format!("{}.json", format_hex(0xabc))), &good).unwrap();
         std::fs::write(dir.join(format!("{}.json", format_hex(0xdef))), "{\"ci_half_width\":inf}")
             .unwrap();
         let cache = ResultCache::open(Some(dir.clone())).unwrap();
         assert_eq!(cache.len(), 1);
-        assert_eq!(cache.get(0xabc).as_deref(), Some(good));
+        assert_eq!(cache.get(0xabc), Some(good));
         assert_eq!(cache.get(0xdef), None, "an invalid payload is never served");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn disk_entries_from_another_model_are_dropped_on_reload() {
+        let dir = std::env::temp_dir().join(format!("hpa-cache-stale-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let stale = format!("{{\"model\":\"{}\",\"ipc\":1}}", format_hex(FINGERPRINT ^ 1));
+        let stale_path = dir.join(format!("{}.json", format_hex(0xdef)));
+        std::fs::write(&stale_path, stale).unwrap();
+        std::fs::write(dir.join(format!("{}.json", format_hex(0x123))), "{\"ipc\":1}").unwrap();
+        std::fs::write(dir.join(format!("{}.json", format_hex(0xabc))), payload("1")).unwrap();
+        let cache = ResultCache::open(Some(dir.clone())).unwrap();
+        assert_eq!(cache.len(), 1, "only the current-model entry loads");
+        assert_eq!(cache.get(0xabc), Some(payload("1")));
+        assert_eq!(cache.stale_dropped(), 2, "another model, and no model at all");
+        assert!(!stale_path.exists(), "a stale entry is deleted");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

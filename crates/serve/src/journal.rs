@@ -35,10 +35,16 @@
 //! Replay rules: the *last intact* record per id wins; a terminal record
 //! without its `submitted` line (lost to corruption) still rehydrates —
 //! results are never discarded because an earlier record died. A
-//! `submitted`/`started` with no terminal record re-enqueues.
+//! `submitted`/`started` with no terminal record re-enqueues. A `done`
+//! record whose cells carry another `model` fingerprint than this
+//! build's is stale: it is dropped and counted ([`Replay::stale`]), so
+//! its job replays as pending and re-runs under the current model (an
+//! orphaned stale `done` is simply gone). Compaction keeps every job's
+//! `submitted` record beside its terminal one, which that re-run needs.
 
-use crate::proto::{format_hex, parse_cells_json, CellResult, JobRequest};
-use hpa_obs::digest::fnv1a;
+use crate::proto::{parse_cells_json, CellResult, JobRequest};
+use hpa_core::model::FINGERPRINT;
+use hpa_obs::digest::{fnv1a, format_hex, parse_hex};
 use hpa_obs::json::Json;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
@@ -165,22 +171,24 @@ fn record_error(v: &Json) -> Result<String, String> {
         .to_string())
 }
 
-/// One replayed job's effective state: the last intact record wins.
-#[derive(Clone, PartialEq, Debug)]
-pub enum ReplayedJob {
-    /// Submitted (and possibly started) but never finished: re-enqueue.
-    Pending(JobRequest),
-    /// Finished with results: rehydrate the table and the cache.
-    Done {
-        /// Whether every cell was originally a cache hit.
-        cached: bool,
-        /// The job's cells, payloads verbatim.
-        cells: Vec<CellResult>,
-    },
-    /// Failed terminally: rehydrate the terminal record.
-    Failed(String),
-    /// Expired terminally: rehydrate the terminal record.
-    Expired(String),
+/// One replayed job: its request and its terminal record, as last
+/// journaled. Either may be missing when corruption took its line.
+#[derive(Clone, PartialEq, Debug, Default)]
+pub struct ReplayedJob {
+    /// The original request (`None` when its `submitted` record was lost).
+    pub request: Option<JobRequest>,
+    /// The `done`, `failed` or `expired` record that ended the job;
+    /// `None` while it is pending (re-enqueue it).
+    pub terminal: Option<Record>,
+}
+
+impl ReplayedJob {
+    /// The records that journal this state again: `submitted`, then the
+    /// terminal record.
+    pub(crate) fn records(&self, id: u64) -> impl Iterator<Item = Record> {
+        let submitted = self.request.clone().map(|request| Record::Submitted { id, request });
+        submitted.into_iter().chain(self.terminal.clone())
+    }
 }
 
 /// What [`Journal::open`] recovered from an existing journal.
@@ -195,6 +203,8 @@ pub struct Replay {
     pub records: u64,
     /// Corrupt, truncated or unparsable records skipped (never fatal).
     pub skipped: u64,
+    /// `done` records dropped because another timing model computed them.
+    pub stale: u64,
 }
 
 /// The append-only journal over one `journal.jsonl` file.
@@ -220,7 +230,7 @@ fn frame(record: &Record) -> String {
 fn unframe(line: &[u8]) -> Option<&[u8]> {
     let mut parts = line.splitn(3, |&b| b == b' ');
     let len: usize = std::str::from_utf8(parts.next()?).ok()?.parse().ok()?;
-    let checksum = crate::proto::parse_hex(std::str::from_utf8(parts.next()?).ok()?)?;
+    let checksum = parse_hex(std::str::from_utf8(parts.next()?).ok()?)?;
     let body = parts.next()?;
     (body.len() == len && fnv1a(body) == checksum).then_some(body)
 }
@@ -252,20 +262,8 @@ impl Journal {
         // and corrupt records) via temp + atomic rename, so the journal
         // cannot grow without bound across restarts and a damaged file
         // is healed the moment it is replayed.
-        let records: Vec<Record> = replay
-            .jobs
-            .iter()
-            .map(|(id, job)| match job {
-                ReplayedJob::Pending(request) => {
-                    Record::Submitted { id: *id, request: request.clone() }
-                }
-                ReplayedJob::Done { cached, cells } => {
-                    Record::Done { id: *id, cached: *cached, cells: cells.clone() }
-                }
-                ReplayedJob::Failed(e) => Record::Failed { id: *id, error: e.clone() },
-                ReplayedJob::Expired(e) => Record::Expired { id: *id, error: e.clone() },
-            })
-            .collect();
+        let records: Vec<Record> =
+            replay.jobs.iter().flat_map(|(id, job)| job.records(*id)).collect();
         write_records(&path, &records)?;
         let file = OpenOptions::new().append(true).open(&path)?;
         Ok((Journal { inner: Mutex::new(Inner { path, file, appended: 0 }) }, replay))
@@ -343,35 +341,43 @@ fn replay_bytes(bytes: &[u8]) -> Replay {
         };
         replay.records += 1;
         replay.next_id = replay.next_id.max(record.id() + 1);
-        apply(&mut replay.jobs, record);
+        apply(&mut replay, record);
     }
     replay
 }
 
 /// Folds one intact record into the per-job state list, preserving
 /// first-record order.
-fn apply(jobs: &mut Vec<(u64, ReplayedJob)>, record: Record) {
+fn apply(replay: &mut Replay, record: Record) {
     let id = record.id();
-    let state = match record {
-        // A duplicate `submitted` (or one arriving after a terminal
-        // record during an unclean rotation race) must not resurrect the
-        // job; only a first `submitted` creates a pending entry.
-        Record::Submitted { request, .. } => {
-            if jobs.iter().all(|(j, _)| *j != id) {
-                jobs.push((id, ReplayedJob::Pending(request)));
-            }
+    match &record {
+        Record::Started { .. } => return, // recovery hint only
+        // Another model's results: the job stays pending, and an
+        // orphaned record is simply gone.
+        Record::Done { cells, .. } if cells.iter().any(|c| c.model() != Some(FINGERPRINT)) => {
+            replay.stale += 1;
             return;
         }
-        Record::Started { .. } => return, // recovery hint only
-        Record::Done { cached, cells, .. } => ReplayedJob::Done { cached, cells },
-        Record::Failed { error, .. } => ReplayedJob::Failed(error),
-        Record::Expired { error, .. } => ReplayedJob::Expired(error),
+        _ => {}
+    }
+    let slot = match replay.jobs.iter().position(|(j, _)| *j == id) {
+        Some(i) => i,
+        None => {
+            replay.jobs.push((id, ReplayedJob::default()));
+            replay.jobs.len() - 1
+        }
     };
-    match jobs.iter_mut().find(|(j, _)| *j == id) {
-        Some((_, slot)) => *slot = state,
-        // Orphaned terminal record (its `submitted` line was lost):
-        // results still rehydrate.
-        None => jobs.push((id, state)),
+    let job = &mut replay.jobs[slot].1;
+    match record {
+        // A duplicate `submitted` (or one arriving after a terminal
+        // record during an unclean rotation race) must not resurrect the
+        // job: the first request and any terminal record stand.
+        Record::Submitted { request, .. } => {
+            job.request.get_or_insert(request);
+        }
+        // A terminal record without its `submitted` line (lost to
+        // corruption) still rehydrates.
+        terminal => job.terminal = Some(terminal),
     }
 }
 
@@ -387,23 +393,35 @@ mod tests {
         dir
     }
 
+    fn pending(job: &ReplayedJob) -> bool {
+        job.request.is_some() && job.terminal.is_none()
+    }
+
+    fn done(job: &ReplayedJob) -> bool {
+        matches!(job.terminal, Some(Record::Done { .. }))
+    }
+
     fn request(seed: u64) -> JobRequest {
         let mut r = JobRequest::workload("gcc", Scale::Tiny, Scheme::Base);
         r.seed = seed;
         r
     }
 
-    fn done_record(id: u64) -> Record {
+    /// A `done` record whose one cell was computed under `model`.
+    fn done_record_under(id: u64, model: u64) -> Record {
+        let payload = format!(
+            r#"{{"model":"{}","cache_key":"0x00000000000000ff","stats_digest":"0x0000000000000001","ipc":1.5}}"#,
+            format_hex(model)
+        );
         Record::Done {
             id,
             cached: false,
-            cells: vec![CellResult::new(
-                Scheme::Base,
-                false,
-                r#"{"cache_key":"0x00000000000000ff","stats_digest":"0x0000000000000001","ipc":1.5}"#
-                    .to_string(),
-            )],
+            cells: vec![CellResult::new(Scheme::Base, false, payload)],
         }
+    }
+
+    fn done_record(id: u64) -> Record {
+        done_record_under(id, FINGERPRINT)
     }
 
     #[test]
@@ -440,10 +458,10 @@ mod tests {
         assert_eq!(replay.next_id, 5);
         let ids: Vec<u64> = replay.jobs.iter().map(|(id, _)| *id).collect();
         assert_eq!(ids, vec![1, 2, 3, 4], "original submit order is preserved");
-        assert!(matches!(replay.jobs[0].1, ReplayedJob::Done { .. }));
-        assert!(matches!(replay.jobs[1].1, ReplayedJob::Pending(_)), "started-but-unfinished");
-        assert!(matches!(replay.jobs[2].1, ReplayedJob::Pending(_)), "queued-but-unfinished");
-        assert!(matches!(replay.jobs[3].1, ReplayedJob::Failed(_)));
+        assert!(done(&replay.jobs[0].1));
+        assert!(pending(&replay.jobs[1].1), "started-but-unfinished");
+        assert!(pending(&replay.jobs[2].1), "queued-but-unfinished");
+        assert!(matches!(replay.jobs[3].1.terminal, Some(Record::Failed { .. })));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -456,15 +474,16 @@ mod tests {
             journal.append(&Record::Started { id: 1 }, false);
             journal.append(&done_record(1), true);
         }
-        // Second open compacts 3 records to 1 (the terminal `done`).
+        // Second open compacts 3 records to 2: the `submitted` a re-run
+        // would need, then the terminal `done`.
         let _ = Journal::open(&dir).unwrap();
         let text = std::fs::read_to_string(dir.join("journal.jsonl")).unwrap();
-        assert_eq!(text.lines().count(), 1, "{text}");
-        assert!(text.contains("\"type\":\"done\""), "{text}");
+        assert_eq!(text.lines().count(), 2, "{text}");
+        assert!(text.lines().nth(1).unwrap().contains("\"type\":\"done\""), "{text}");
         // And the compacted file replays identically.
         let (_, replay) = Journal::open(&dir).unwrap();
         assert_eq!(replay.jobs.len(), 1);
-        assert!(matches!(replay.jobs[0].1, ReplayedJob::Done { .. }));
+        assert!(done(&replay.jobs[0].1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -495,7 +514,7 @@ mod tests {
         let replay = replay_bytes(&bytes[..first_len + 10]);
         assert_eq!(replay.records, 1);
         assert_eq!(replay.skipped, 1, "the truncated tail is counted");
-        assert!(matches!(replay.jobs[0].1, ReplayedJob::Pending(_)));
+        assert!(pending(&replay.jobs[0].1));
     }
 
     #[test]
@@ -524,7 +543,7 @@ mod tests {
         assert_eq!(replay.skipped, 2);
         assert_eq!(replay.records, 1);
         assert_eq!(replay.next_id, 10);
-        assert!(matches!(replay.jobs[..], [(9, ReplayedJob::Done { .. })]));
+        assert!(matches!(&replay.jobs[..], [(9, job)] if done(job)));
     }
 
     #[test]
@@ -541,11 +560,32 @@ mod tests {
         assert_eq!(text.lines().count(), 1);
         drop(journal);
         let (_, replay) = Journal::open(&dir).unwrap();
-        assert!(matches!(replay.jobs[..], [(99, ReplayedJob::Pending(_))]));
+        assert!(matches!(&replay.jobs[..], [(99, job)] if pending(job)));
         assert!(
             !dir.join("journal.jsonl.tmp").exists(),
             "rotation must not leave a temp file behind"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn done_from_another_model_replays_as_pending() {
+        let dir = tmp_dir("stale");
+        {
+            let (journal, _) = Journal::open(&dir).unwrap();
+            journal.append(&Record::Submitted { id: 1, request: request(1) }, true);
+            journal.append(&done_record_under(1, FINGERPRINT ^ 1), true);
+            journal.append(&Record::Submitted { id: 2, request: request(2) }, true);
+            journal.append(&done_record(2), true);
+            journal.append(&done_record_under(3, FINGERPRINT ^ 1), true); // orphan
+        }
+        let (_journal, replay) = Journal::open(&dir).unwrap();
+        assert_eq!(replay.stale, 2);
+        assert!(matches!(&replay.jobs[..], [(1, a), (2, b)] if pending(a) && done(b)));
+        assert_eq!(replay.jobs[0].1.request, Some(request(1)));
+        // Compaction kept the re-run: a second open sees the same jobs.
+        let (_, again) = Journal::open(&dir).unwrap();
+        assert_eq!((again.stale, again.jobs), (0, replay.jobs));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -10,6 +10,7 @@
 //! `0x`-prefixed hex strings, never as JSON numbers.
 
 use hpa_core::{MachineWidth, Scheme};
+use hpa_obs::digest::parse_hex;
 use hpa_obs::json::Json;
 use hpa_sim::SampleUnits;
 use hpa_workloads::Scale;
@@ -68,24 +69,19 @@ impl JobRequest {
     /// defaults everywhere else.
     #[must_use]
     pub fn workload(name: &str, scale: Scale, scheme: Scheme) -> JobRequest {
-        JobRequest {
-            program: JobProgram::Workload { name: name.to_string(), scale },
-            width: MachineWidth::Four,
-            schemes: vec![scheme],
-            seed: 0,
-            sampled: None,
-            deadline_ms: None,
-            cycle_budget: DEFAULT_CYCLE_BUDGET,
-            pc_table_entries: None,
-        }
+        JobRequest::new(JobProgram::Workload { name: name.to_string(), scale }, scheme)
     }
 
     /// A full-detail job for a raw RISC-V ELF image under one scheme
     /// with defaults everywhere else.
     #[must_use]
     pub fn binary(bytes: Vec<u8>, scheme: Scheme) -> JobRequest {
+        JobRequest::new(JobProgram::Binary(bytes), scheme)
+    }
+
+    fn new(program: JobProgram, scheme: Scheme) -> JobRequest {
         JobRequest {
-            program: JobProgram::Binary(bytes),
+            program,
             width: MachineWidth::Four,
             schemes: vec![scheme],
             seed: 0,
@@ -418,17 +414,17 @@ impl CellResult {
         parse_hex(self.payload()?.get("cache_key")?.as_str()?)
     }
 
+    /// The model fingerprint the payload was computed under.
+    #[must_use]
+    pub fn model(&self) -> Option<u64> {
+        parse_hex(self.payload()?.get("model")?.as_str()?)
+    }
+
     /// The cell's IPC (full-detail) or mean IPC (sampled).
     #[must_use]
     pub fn ipc(&self) -> Option<f64> {
         self.payload()?.get("ipc")?.as_f64()
     }
-}
-
-/// Parses a `0x`-prefixed hex u64.
-#[must_use]
-pub fn parse_hex(s: &str) -> Option<u64> {
-    u64::from_str_radix(s.strip_prefix("0x")?, 16).ok()
 }
 
 /// Renders a byte blob as plain lowercase hex (no `0x` prefix — the
@@ -486,12 +482,6 @@ pub fn parse_cells_json(arr: &Json) -> Result<Vec<CellResult>, String> {
             })
         })
         .collect()
-}
-
-/// Formats a u64 as the wire's `0x`-prefixed, zero-padded hex.
-#[must_use]
-pub fn format_hex(v: u64) -> String {
-    format!("{v:#018x}")
 }
 
 /// Response to `GET /result/<id>`.
@@ -648,14 +638,6 @@ mod tests {
         assert_eq!(back.cells[0].cache_key(), Some(0xff));
         assert_eq!(back.cells[0].stats_digest(), Some(0xfedc_ba98_7654_3210));
         assert_eq!(back.cells[0].ipc(), Some(1.5));
-    }
-
-    #[test]
-    fn hex_round_trips_full_range() {
-        for v in [0, 1, u64::MAX, 0x8000_0000_0000_0000] {
-            assert_eq!(parse_hex(&format_hex(v)), Some(v));
-        }
-        assert_eq!(parse_hex("123"), None, "missing 0x prefix");
     }
 
     #[test]

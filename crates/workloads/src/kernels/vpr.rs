@@ -1,8 +1,8 @@
 //! `vpr` stand-in: breadth-first maze routing on an obstructed grid — the
 //! wavefront-expansion router at the heart of VPR's route phase.
 
-use super::{emit_align, emit_mix, Checksum};
-use crate::{Scale, SplitMix64, Workload, CHECKSUM_REG, DATA_BASE};
+use super::{emit_align, emit_mix, Checksum, Regions};
+use crate::{Scale, SplitMix64, Workload, CHECKSUM_REG};
 use hpa_asm::Asm;
 use hpa_isa::Reg;
 
@@ -101,9 +101,10 @@ pub fn build(scale: Scale) -> Workload {
     let maze = generate_maze(routes);
     let expected = reference(&maze);
 
-    let obst_base = DATA_BASE;
+    let mut regions = Regions::new();
+    let obst_base = regions.alloc(CELLS + routes as u64 * 16);
     let pairs_base = obst_base + CELLS;
-    let dist_base = DATA_BASE + (1 << 20);
+    let dist_base = regions.alloc(CELLS * 8); // the BFS queue follows
     let queue_base = dist_base + CELLS * 8;
 
     let mut pair_words = Vec::with_capacity(routes * 2);
@@ -222,12 +223,6 @@ pub fn build(scale: Scale) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn kernel_matches_reference() {
-        let w = build(Scale::Tiny);
-        w.verify().expect("verify");
-    }
 
     #[test]
     fn bfs_on_open_grid_is_manhattan() {

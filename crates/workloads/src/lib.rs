@@ -262,6 +262,25 @@ mod tests {
         assert!(workload("rv-nonesuch", Scale::Tiny).is_none());
     }
 
+    /// Every kernel computes its reference result at every scale: however
+    /// large an input grows, no data region starts inside another. One
+    /// thread per kernel, since the Long rows take seconds each.
+    #[test]
+    fn every_workload_verifies_at_every_scale() {
+        std::thread::scope(|threads| {
+            for name in WORKLOAD_NAMES {
+                threads.spawn(move || {
+                    for scale in Scale::ALL {
+                        let w = workload(name, scale).expect("known workload");
+                        let executed =
+                            w.verify().unwrap_or_else(|e| panic!("{name} at {}: {e}", scale.key()));
+                        assert!(executed > 10_000, "{name} at {}: a non-trivial run", scale.key());
+                    }
+                });
+            }
+        });
+    }
+
     #[test]
     fn riscv_workloads_resolve_and_verify() {
         for name in RISCV_WORKLOAD_NAMES {

@@ -1,9 +1,11 @@
-//! Prints the stats digest table consumed by `tests/stats_golden.rs`.
+//! Prints the golden digest tables of `hpa_core::model`, which
+//! `tests/stats_golden.rs` checks and the model fingerprint is derived
+//! from.
 //!
 //! The digest is an FNV-1a hash of the full `SimStats` debug formatting, so
 //! any counter change — IPC, histograms, predictor accuracy — changes the
 //! digest. Run after an intentional behavior change and paste the output
-//! over the `GOLDEN` table in the test:
+//! over the tables in `crates/core/src/model.rs`:
 //!
 //! ```text
 //! cargo run --release --example golden_stats_digest
@@ -15,12 +17,12 @@ use half_price::workloads::{workload, Scale};
 use half_price::{run, run_workload, MachineWidth, Mode, RunSpec, Scheme};
 
 /// Schemes whose observability registry is pinned (kept in sync with
-/// `COUNTER_GOLDEN` in `tests/stats_golden.rs`).
+/// `COUNTER_GOLDEN` in `hpa_core::model`).
 const COUNTER_SCHEMES: [Scheme; 4] =
     [Scheme::Base, Scheme::SeqWakeupPredictor, Scheme::SeqRegAccess, Scheme::Combined];
 
 fn main() {
-    println!("const GOLDEN: [(&str, Scheme, u64); 24] = [");
+    println!("pub const GOLDEN: [(&str, Scheme, u64); 24] = [");
     for name in ["gap", "mcf", "perl"] {
         for scheme in Scheme::ALL {
             let r = run_workload(name, Scale::Tiny, MachineWidth::Four, scheme)
@@ -29,7 +31,7 @@ fn main() {
         }
     }
     println!("];\n");
-    println!("const COUNTER_GOLDEN: [(&str, Scheme, u64); 12] = [");
+    println!("pub const COUNTER_GOLDEN: [(&str, Scheme, u64); 12] = [");
     for name in ["gap", "mcf", "perl"] {
         for scheme in COUNTER_SCHEMES {
             let w = workload(name, Scale::Tiny).expect("known workload");
@@ -43,7 +45,7 @@ fn main() {
         }
     }
     println!("];\n");
-    println!("const RISCV_GOLDEN: [(&str, Scheme, u64); 12] = [");
+    println!("pub const RISCV_GOLDEN: [(&str, Scheme, u64); 12] = [");
     for name in half_price::workloads::RISCV_WORKLOAD_NAMES {
         for scheme in COUNTER_SCHEMES {
             let r = run_workload(name, Scale::Tiny, MachineWidth::Four, scheme)
@@ -58,5 +60,5 @@ fn main() {
     let r = run(&RunSpec { mode, ..RunSpec::workload(&w, Scheme::Base, MachineWidth::Four) })
         .unwrap_or_else(|e| panic!("{e}"));
     let est = r.sampled.expect("sampled run records an estimate");
-    println!("const SAMPLED_GOLDEN: u64 = {:#018x};", digest(&est));
+    println!("pub const SAMPLED_GOLDEN: u64 = {:#018x};", digest(&est));
 }

@@ -9,18 +9,19 @@
 //! fault/divergence was detected, `4` silent data corruption (SDC) was
 //! detected.
 
-use half_price::asm::parse_program;
+use half_price::asm::{parse_program, Program};
 use half_price::emu::Emulator;
 use half_price::faultsim;
 use half_price::isa::Reg;
-use half_price::obs::digest::debug_digest;
+use half_price::obs::digest::{debug_digest, format_hex};
+use half_price::obs::json::Json;
 use half_price::sdk::{Client, ClientError};
 use half_price::serve::proto::{JobProgram, JobRequest, JobStatus};
 use half_price::serve::server::{Server, ServerConfig};
-use half_price::sim::{SampleUnits, SampledEstimate, SimConfig, SimFault, SimStats, Simulator};
+use half_price::sim::{SampleUnits, SampledEstimate, SimFault, SimStats, Simulator};
 use half_price::verify;
-use half_price::workloads::{workload, Scale, WORKLOAD_NAMES};
-use half_price::{run, MachineWidth, Mode, RunError, RunSpec, Scheme};
+use half_price::workloads::{workload, Scale, CHECKSUM_REG, WORKLOAD_NAMES};
+use half_price::{run, MachineWidth, Mode, RunError, RunResult, RunSpec, Scheme};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -45,39 +46,34 @@ const COMMANDS: &[Subcommand] = &[
     Subcommand {
         name: "asm",
         help: "assemble + disassemble a program",
-        usage: "hpa asm <file.s>",
+        usage: "hpa asm <file.s|file.elf|bench> [--scale K]",
         run: cmd_asm,
     },
     Subcommand {
         name: "run",
         help: "functional execution, dump registers",
-        usage: "hpa run <file.s|file.elf> [--insts N]",
+        usage: "hpa run <file.s|file.elf|bench> [--scale K] [--insts N]",
         run: cmd_run,
     },
     Subcommand {
         name: "sim",
-        help: "cycle-level simulation of one program",
-        usage: "hpa sim <file.s> [--scheme S] [--width 4|8] [--trace N] [--cpi-stack] \
-                [--counters] [--json] [--sampled W:D:F [--seed S]]",
+        help: "cycle-level simulation of one program (--json: the run record)",
+        usage: "hpa sim <file.s|file.elf|bench> [--scale K] [--scheme S] [--width 4|8] \
+                [--trace N] [--cpi-stack] [--counters] [--json] [--sampled W:D:F [--seed S]]",
         run: cmd_sim,
     },
     Subcommand {
         name: "bench",
-        help: "built-in benchmarks (sweep with `all`)",
+        help: "built-in benchmarks: one name and scheme runs as `hpa sim`; `all` sweeps",
         usage: "hpa bench <name|all> [--scheme S|all] [--scale tiny|default|large|long] \
                 [--width 4|8] [--jobs N] [--sampled W:D:F [--seed S]]",
         run: cmd_bench,
     },
     Subcommand {
-        name: "counters",
-        help: "cycle-accounting report",
-        usage: "hpa counters <file.s|bench> [--scheme S] [--width 4|8] [--scale K] [--json]",
-        run: cmd_counters,
-    },
-    Subcommand {
         name: "trace-viz",
         help: "Chrome trace-event JSON export",
-        usage: "hpa trace-viz <file.s> [--scheme S] [--width 4|8] [--insts N] [--out FILE]",
+        usage: "hpa trace-viz <file.s|file.elf|bench> [--scale K] [--scheme S] [--width 4|8] \
+                [--insts N] [--out FILE]",
         run: cmd_trace_viz,
     },
     Subcommand {
@@ -252,20 +248,30 @@ fn bool_flag(args: &[String], name: &str) -> bool {
 }
 
 /// Parses the value of `--name` as an integer, with a usage error naming
-/// the flag on failure; `default` when the flag is absent.
+/// the flag on failure; `None` when the flag is absent.
+fn opt_num_flag<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, CliError> {
+    flag(args, name)
+        .map(|v| v.parse().map_err(|_| usage(format!("bad {name} `{v}` (want an integer)"))))
+        .transpose()
+}
+
+/// [`opt_num_flag`] with a `default` for an absent flag.
 fn num_flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T, CliError> {
-    match flag(args, name) {
-        None => Ok(default),
-        Some(v) => v.parse().map_err(|_| usage(format!("bad {name} `{v}` (want an integer)"))),
+    Ok(opt_num_flag(args, name)?.unwrap_or(default))
+}
+
+/// A count flag that must be at least 1 (`--jobs`, `--max-queue`);
+/// `None` when absent.
+fn count_flag(args: &[String], name: &str) -> Result<Option<usize>, CliError> {
+    match opt_num_flag(args, name)? {
+        Some(0) => Err(usage(format!("bad {name} `0` (want an integer >= 1)"))),
+        n => Ok(n),
     }
 }
 
+/// `--jobs`, defaulting to one worker per core.
 fn jobs_flag(args: &[String]) -> Result<usize, CliError> {
-    let jobs = num_flag(args, "--jobs", half_price::default_jobs())?;
-    if jobs == 0 {
-        return Err(usage("bad --jobs `0` (want an integer >= 1)"));
-    }
-    Ok(jobs)
+    Ok(count_flag(args, "--jobs")?.unwrap_or_else(half_price::default_jobs))
 }
 
 /// Parses `--scale`, defaulting to [`Scale::Default`].
@@ -276,33 +282,74 @@ fn scale_flag(args: &[String]) -> Result<Scale, CliError> {
     }
 }
 
-fn load_program(args: &[String]) -> Result<half_price::asm::Program, CliError> {
-    let path = args
-        .iter()
-        .find(|a| !a.starts_with("--") && !is_flag_value(args, a))
-        .ok_or_else(|| usage("missing program file argument"))?;
+/// A program named on the command line: a file (internal assembly or a
+/// RISC-V ELF) or a built-in benchmark at `--scale`. Every subcommand
+/// that takes a program resolves it through [`load_target`].
+struct Target {
+    /// [`RunSpec::name`]: the benchmark's name, or [`PROGRAM`] for a file.
+    name: &'static str,
+    program: Program,
+    /// The benchmark's reference checksum; files have no oracle.
+    checksum: Option<u64>,
+}
+
+impl Target {
+    /// A full-detail run of the target, verified when it has an oracle.
+    fn spec(&self, scheme: Scheme, width: MachineWidth) -> RunSpec<'_> {
+        RunSpec { checksum: self.checksum, ..RunSpec::new(self.name, &self.program, scheme, width) }
+    }
+}
+
+/// The first positional argument, skipping flags and their values.
+fn positional(args: &[String]) -> Option<&String> {
+    args.iter().find(|a| !a.starts_with("--") && !is_flag_value(args, a))
+}
+
+/// Resolves the positional `<file|bench>` argument: an existing file is
+/// loaded, anything else must name a benchmark.
+fn load_target(args: &[String]) -> Result<Target, CliError> {
+    let target = positional(args)
+        .ok_or_else(|| usage("missing program file or benchmark name; see `hpa list`"))?;
+    if !std::path::Path::new(target).is_file() {
+        return bench_target(target, scale_flag(args)?);
+    }
+    Ok(Target { name: PROGRAM, program: load_file(target)?.0, checksum: None })
+}
+
+fn bench_target(name: &str, scale: Scale) -> Result<Target, CliError> {
+    let w = workload(name, scale).ok_or_else(|| {
+        usage(format!("`{name}` is neither a file nor a benchmark; see `hpa list`"))
+    })?;
+    Ok(Target { name: w.name, program: w.program, checksum: Some(w.expected_checksum) })
+}
+
+/// Loads a program file, returning it with its raw form for a serve job.
+/// Real RISC-V binaries go through the hpa-rv frontend; anything else is
+/// internal assembly text.
+fn load_file(path: &str) -> Result<(Program, JobProgram), CliError> {
     let bytes = std::fs::read(path).map_err(|e| other(format_args!("{path}: {e}")))?;
-    // Real RISC-V binaries go through the hpa-rv frontend; anything else
-    // is internal assembly text.
     if bytes.starts_with(b"\x7fELF") {
         let image =
             half_price::rv::load_elf(&bytes).map_err(|e| other(format_args!("{path}: {e}")))?;
-        return half_price::rv::translate(&image).map_err(|e| other(format_args!("{path}: {e}")));
+        let program =
+            half_price::rv::translate(&image).map_err(|e| other(format_args!("{path}: {e}")))?;
+        return Ok((program, JobProgram::Binary(bytes)));
     }
     let source = String::from_utf8(bytes)
         .map_err(|e| other(format_args!("{path}: not an ELF and not UTF-8 assembly: {e}")))?;
-    parse_program(&source).map_err(|e| other(format_args!("{path}: {e}")))
+    let program = parse_program(&source).map_err(|e| other(format_args!("{path}: {e}")))?;
+    Ok((program, JobProgram::Source(source)))
 }
 
 fn cmd_asm(args: &[String]) -> CliResult {
-    let program = load_program(args)?;
+    let program = load_target(args)?.program;
     print!("{program}");
     println!("; {} instructions, {} bytes encoded", program.len(), program.len() * 4);
     Ok(())
 }
 
 fn cmd_run(args: &[String]) -> CliResult {
-    let program = load_program(args)?;
+    let program = load_target(args)?.program;
     let budget: u64 = num_flag(args, "--insts", 100_000_000)?;
     let mut emu = Emulator::new(&program);
     let outcome = emu.run(budget).map_err(other)?;
@@ -348,7 +395,7 @@ fn print_stats(s: &SimStats) {
     }
     // The same digest the serve payloads carry, so a direct run and a
     // daemon result can be compared by grepping one line each.
-    println!("stats digest      {}", half_price::serve::proto::format_hex(debug_digest(s)));
+    println!("stats digest      {}", format_hex(debug_digest(s)));
 }
 
 /// Parses `--sampled W:D:F` (plus the optional `--seed`);
@@ -365,10 +412,16 @@ fn mode_flag(args: &[String]) -> Result<Mode, CliError> {
 }
 
 /// Prints a sampled-mode estimate; the `mean IPC` line is the greppable
-/// contract the accuracy gate in `tools/check.sh` relies on.
+/// contract the accuracy gate in `tools/check.sh` relies on. Below two
+/// measured windows there is no confidence interval: it prints `n/a`.
 fn print_sampled(est: &SampledEstimate) {
+    let ci = if est.ci_half_width.is_finite() {
+        format!("{:.3}", est.ci_half_width)
+    } else {
+        "n/a".to_string()
+    };
     println!("samples           {:>12}", est.samples.len());
-    println!("mean IPC          {:>12.3} ± {:.3} (95% CI)", est.mean_ipc, est.ci_half_width);
+    println!("mean IPC          {:>12.3} ± {ci} (95% CI)", est.mean_ipc);
     println!(
         "detailed insts    {:>12} ({:.2}% of {} executed)",
         est.detailed_insts,
@@ -378,7 +431,12 @@ fn print_sampled(est: &SampledEstimate) {
 }
 
 fn cmd_sim(args: &[String]) -> CliResult {
-    let program = load_program(args)?;
+    sim_target(args, &load_target(args)?)
+}
+
+/// Simulates one program under the `hpa sim` flags and prints its run
+/// record (`--json`) or a text report.
+fn sim_target(args: &[String], target: &Target) -> CliResult {
     let scheme = parse_scheme(&flag(args, "--scheme").unwrap_or_else(|| "base".into()))?;
     let width = machine_width(args)?;
     let want_cpi = bool_flag(args, "--cpi-stack");
@@ -387,41 +445,42 @@ fn cmd_sim(args: &[String]) -> CliResult {
     let spec = RunSpec {
         mode: mode_flag(args)?,
         counters: want_cpi || want_counters,
-        ..RunSpec::new(PROGRAM, &program, scheme, width)
+        ..target.spec(scheme, width)
     };
-    if let Mode::Sampled { units, seed } = spec.mode {
-        if spec.counters || bool_flag(args, "--json") {
-            return Err(usage("--sampled is incompatible with --json/--cpi-stack/--counters"));
-        }
-        if trace > 0 {
-            return Err(usage("--sampled is incompatible with --trace"));
-        }
-        let r = run(&spec).map_err(run_error)?;
-        println!(
-            "{} on the {} machine (sampled {units}, seed {seed}):",
-            scheme.label(),
-            width.label()
-        );
-        print_sampled(&r.sampled.expect("sampled run records an estimate"));
-        return Ok(());
+    if spec.mode != Mode::Full && (spec.counters || trace > 0) {
+        return Err(usage("--sampled is incompatible with --cpi-stack/--counters/--trace"));
     }
-    let (stats, counters, diagram) = if trace > 0 {
-        let sim = traced_sim(&program, spec.config, trace, spec.counters)?;
-        let diagram = sim.pipetrace().map(|t| t.render());
-        (sim.stats().clone(), spec.counters.then(|| sim.counters().clone()), diagram)
+    let (r, diagram) = if trace > 0 {
+        let sim = traced_sim(&spec, trace)?;
+        let r = RunResult {
+            workload: target.name,
+            scheme,
+            width,
+            stats: sim.stats().clone(),
+            counters: spec.counters.then(|| sim.counters().clone()),
+            sampled: None,
+            phase_times: None,
+        };
+        (r, sim.pipetrace().map(|t| t.render()))
     } else {
-        let r = run(&spec).map_err(run_error)?;
-        (r.stats, r.counters, None)
+        (run(&spec).map_err(run_error)?, None)
     };
     if bool_flag(args, "--json") {
-        println!("{}", stats.to_json().render());
+        println!("{}", r.to_json().render());
         return Ok(());
     }
-    println!("{} on the {} machine:", scheme.label(), width.label());
-    print_stats(&stats);
-    if let Some(c) = &counters {
+    let how = match spec.mode {
+        Mode::Full => String::new(),
+        Mode::Sampled { units, seed } => format!(" (sampled {units}, seed {seed})"),
+    };
+    println!("`{}` under {} on the {} machine{how}:", target.name, scheme.label(), width.label());
+    match &r.sampled {
+        Some(est) => print_sampled(est),
+        None => print_stats(&r.stats),
+    }
+    if let Some(c) = &r.counters {
         if want_cpi {
-            println!("\n{}", render_cpi_stack(c, &stats));
+            println!("\n{}", render_cpi_stack(c, &r.stats));
         }
         if want_counters {
             println!("\n{c}");
@@ -434,23 +493,26 @@ fn cmd_sim(args: &[String]) -> CliResult {
     Ok(())
 }
 
-/// Simulates `program` recording a pipeline trace of the first `insts`
-/// committed instructions. The trace lives in the simulator, so the two
-/// trace surfaces (`sim --trace`, `trace-viz`) drive it directly instead
-/// of through [`run`]; a fault still reports through [`run_error`].
-fn traced_sim(
-    program: &half_price::asm::Program,
-    config: SimConfig,
-    insts: usize,
-    counters: bool,
-) -> Result<Simulator, CliError> {
-    let mut sim = Simulator::new(program, config);
+/// Simulates `spec` in full detail, recording a pipeline trace of the
+/// first `insts` committed instructions, and verifies its checksum. The
+/// trace lives in the simulator, so the two trace surfaces (`sim
+/// --trace`, `trace-viz`) drive it directly instead of through [`run`];
+/// failures still report through [`run_error`].
+fn traced_sim(spec: &RunSpec<'_>, insts: usize) -> Result<Simulator, CliError> {
+    let mut sim = Simulator::new(spec.program, spec.config.clone());
     sim.enable_trace(insts);
-    if counters {
+    if spec.counters {
         sim.enable_counters();
     }
-    sim.try_run().map_err(|fault| run_error(RunError::Sim { name: PROGRAM.into(), fault }))?;
-    Ok(sim)
+    let name = spec.name.to_string();
+    sim.try_run().map_err(|fault| run_error(RunError::Sim { name: name.clone(), fault }))?;
+    let actual = sim.emulator().reg(CHECKSUM_REG);
+    match spec.checksum {
+        Some(expected) if actual != expected => {
+            Err(run_error(RunError::ChecksumMismatch { name, actual, expected }))
+        }
+        _ => Ok(sim),
+    }
 }
 
 /// Renders the CPI stack as a per-category table: issue slots charged,
@@ -483,44 +545,11 @@ fn render_cpi_stack(c: &half_price::Counters, stats: &SimStats) -> String {
     out
 }
 
-/// Cycle-accounting report for a program file or built-in benchmark:
-/// CPI stack plus the counter registry, human-readable or `--json`.
-fn cmd_counters(args: &[String]) -> CliResult {
-    let target = args
-        .iter()
-        .find(|a| !a.starts_with("--") && !is_flag_value(args, a))
-        .ok_or_else(|| usage("missing program file or benchmark name; see `hpa list`"))?;
-    let scheme = parse_scheme(&flag(args, "--scheme").unwrap_or_else(|| "base".into()))?;
-    let width = machine_width(args)?;
-
-    let (program, w);
-    let spec = if std::path::Path::new(target).is_file() {
-        program = load_program(args)?;
-        RunSpec::new(PROGRAM, &program, scheme, width)
-    } else {
-        w = workload(target, scale_flag(args)?).ok_or_else(|| {
-            usage(format!("`{target}` is neither a file nor a benchmark; see `hpa list`"))
-        })?;
-        RunSpec::workload(&w, scheme, width)
-    };
-    let r = run(&RunSpec { counters: true, ..spec }).map_err(run_error)?;
-    let (counters, stats) = (r.counters.expect("counters were on"), r.stats);
-
-    if bool_flag(args, "--json") {
-        println!("{}", counters.to_json().render());
-        return Ok(());
-    }
-    println!("`{target}` under {} on the {} machine:", scheme.label(), width.label());
-    println!("{}", render_cpi_stack(&counters, &stats));
-    println!("\n{counters}");
-    Ok(())
-}
-
 /// Exports per-instruction lifetime spans (fetch -> dispatch -> wakeup ->
 /// select -> exec -> commit) as Chrome trace-event JSON; open the file at
 /// `chrome://tracing` or <https://ui.perfetto.dev>.
 fn cmd_trace_viz(args: &[String]) -> CliResult {
-    let program = load_program(args)?;
+    let target = load_target(args)?;
     let scheme = parse_scheme(&flag(args, "--scheme").unwrap_or_else(|| "base".into()))?;
     let width = machine_width(args)?;
     let insts: usize = num_flag(args, "--insts", 4096)?;
@@ -528,11 +557,10 @@ fn cmd_trace_viz(args: &[String]) -> CliResult {
         return Err(usage("bad --insts `0` (want an integer >= 1)"));
     }
     let out = flag(args, "--out").unwrap_or_else(|| "trace.json".into());
-    let config = scheme.configure(width);
-    let frontend_depth = config.frontend_depth;
-    let sim = traced_sim(&program, config, insts, false)?;
+    let spec = target.spec(scheme, width);
+    let sim = traced_sim(&spec, insts)?;
     let trace = sim.pipetrace().expect("trace was enabled");
-    let spans = trace.chrome_spans(frontend_depth);
+    let spans = trace.chrome_spans(spec.config.frontend_depth);
     std::fs::write(&out, half_price::obs::chrome::to_json(&spans).render() + "\n")
         .map_err(|e| other(format_args!("writing {out}: {e}")))?;
     println!(
@@ -545,58 +573,37 @@ fn cmd_trace_viz(args: &[String]) -> CliResult {
     Ok(())
 }
 
+/// Built-in benchmarks. One benchmark under one scheme is `hpa sim
+/// <bench>`; `all` and `--scheme all` sweep (sampled sweeps run one
+/// scheme, benchmark by benchmark).
 fn cmd_bench(args: &[String]) -> CliResult {
-    let name = args
-        .iter()
-        .find(|a| !a.starts_with("--") && !is_flag_value(args, a))
-        .ok_or_else(|| usage("missing benchmark name; see `hpa list`"))?;
-    let scale = scale_flag(args)?;
-    let width = machine_width(args)?;
-    let jobs = jobs_flag(args)?;
+    let name = positional(args).ok_or_else(|| usage("missing benchmark name; see `hpa list`"))?;
     let scheme_key = flag(args, "--scheme").unwrap_or_else(|| "base".into());
+    if name != "all" && scheme_key != "all" {
+        return cmd_sim(args);
+    }
+    let scale = scale_flag(args)?;
     let names: Vec<&str> =
         if name == "all" { WORKLOAD_NAMES.to_vec() } else { vec![name.as_str()] };
-    let mode = mode_flag(args)?;
-    if let Mode::Sampled { units, seed } = mode {
+    if mode_flag(args)? != Mode::Full {
         if scheme_key == "all" {
             return Err(usage("--sampled runs one scheme at a time; pick --scheme S"));
         }
-        let scheme = parse_scheme(&scheme_key)?;
-        for bench in &names {
-            let w = workload(bench, scale).ok_or_else(|| {
-                run_error(RunError::UnknownWorkload { name: (*bench).to_string() })
-            })?;
-            let r = run(&RunSpec { mode, ..RunSpec::workload(&w, scheme, width) })
-                .map_err(run_error)?;
-            println!(
-                "`{bench}` under {} on the {} machine (sampled {units}, seed {seed}):",
-                scheme.label(),
-                width.label()
-            );
-            print_sampled(&r.sampled.expect("sampled run records an estimate"));
+        for bench in names {
+            sim_target(args, &bench_target(bench, scale)?)?;
         }
         return Ok(());
     }
-    if scheme_key == "all" {
-        return bench_matrix(&names, scale, width, jobs);
-    }
-    let scheme = parse_scheme(&scheme_key)?;
-    if names.len() > 1 {
-        return bench_matrix_schemes(&names, scale, width, &[scheme], jobs);
-    }
-    let r = half_price::run_workload(name, scale, width, scheme).map_err(run_error)?;
-    println!("`{name}` under {} on the {} machine:", scheme.label(), width.label());
-    print_stats(&r.stats);
-    Ok(())
+    let schemes =
+        if scheme_key == "all" { Scheme::ALL.to_vec() } else { vec![parse_scheme(&scheme_key)?] };
+    bench_matrix(&names, scale, machine_width(args)?, &schemes, jobs_flag(args)?)
 }
 
 /// Checks a program (or a whole corpus directory) against the lockstep
 /// oracle. A single file runs either one scheme (`--scheme S`) or the full
 /// differential set; a directory replays every `.s` reproducer in it.
 fn cmd_verify(args: &[String]) -> CliResult {
-    let target = args
-        .iter()
-        .find(|a| !a.starts_with("--") && !is_flag_value(args, a))
+    let target = positional(args)
         .ok_or_else(|| usage("missing file or directory; usage: hpa verify <file.s|dir>"))?;
     let path = std::path::Path::new(target);
 
@@ -622,7 +629,7 @@ fn cmd_verify(args: &[String]) -> CliResult {
     let case = if is_elf {
         verify::CorpusCase {
             path: path.to_path_buf(),
-            program: load_program(args)?,
+            program: load_file(target)?.0,
             scheme: None,
             width: MachineWidth::Four,
         }
@@ -753,12 +760,9 @@ fn is_flag_value(args: &[String], a: &String) -> bool {
         .is_some_and(|prev| prev.starts_with("--") && !BOOL_FLAGS.contains(&prev.as_str()))
 }
 
-/// Sweeps `names` × all schemes and prints an IPC table (base-normalized).
-fn bench_matrix(names: &[&str], scale: Scale, width: MachineWidth, jobs: usize) -> CliResult {
-    bench_matrix_schemes(names, scale, width, &Scheme::ALL, jobs)
-}
-
-fn bench_matrix_schemes(
+/// Sweeps `names` × `schemes` and prints an IPC table, plus each
+/// scheme's average degradation when base is in the sweep.
+fn bench_matrix(
     names: &[&str],
     scale: Scale,
     width: MachineWidth,
@@ -810,45 +814,19 @@ fn cmd_serve(args: &[String]) -> CliResult {
         println!("shutdown requested; {addr} is draining");
         return Ok(());
     }
-    let workers = num_flag(args, "--jobs", half_price::default_jobs().min(4))?;
-    if workers == 0 {
-        return Err(usage("bad --jobs `0` (want an integer >= 1)"));
-    }
+    let workers = count_flag(args, "--jobs")?.unwrap_or(half_price::default_jobs().min(4));
     let cache_dir = flag(args, "--cache-dir").map(std::path::PathBuf::from);
     let cache_desc =
         cache_dir.as_ref().map_or_else(|| "memory only".to_string(), |d| d.display().to_string());
     let journal_dir = flag(args, "--journal-dir").map(std::path::PathBuf::from);
-    let max_queue = match flag(args, "--max-queue") {
-        None => None,
-        Some(v) => Some(
-            v.parse::<usize>()
-                .ok()
-                .filter(|&n| n > 0)
-                .ok_or_else(|| usage(format!("bad --max-queue `{v}` (want an integer >= 1)")))?,
-        ),
-    };
-    let cache_max_entries = match flag(args, "--cache-max-entries") {
-        None => None,
-        Some(v) => Some(
-            v.parse::<usize>()
-                .map_err(|_| usage(format!("bad --cache-max-entries `{v}` (want an integer)")))?,
-        ),
-    };
-    let cache_max_bytes = match flag(args, "--cache-max-bytes") {
-        None => None,
-        Some(v) => Some(
-            v.parse::<u64>()
-                .map_err(|_| usage(format!("bad --cache-max-bytes `{v}` (want an integer)")))?,
-        ),
-    };
     let server = Server::bind(ServerConfig {
         addr,
         workers,
         cache_dir,
         journal_dir,
-        max_queue,
-        cache_max_entries,
-        cache_max_bytes,
+        max_queue: count_flag(args, "--max-queue")?,
+        cache_max_entries: opt_num_flag(args, "--cache-max-entries")?,
+        cache_max_bytes: opt_num_flag(args, "--cache-max-bytes")?,
     })
     .map_err(other)?;
     let local = server.local_addr().map_err(other)?;
@@ -872,9 +850,7 @@ fn client_err(e: ClientError) -> CliError {
 
 /// Submits one job to a running daemon and waits for its results.
 fn cmd_submit(args: &[String]) -> CliResult {
-    let target = args
-        .iter()
-        .find(|a| !a.starts_with("--") && !is_flag_value(args, a))
+    let target = positional(args)
         .ok_or_else(|| usage("missing benchmark name or program file; see `hpa list`"))?;
     let addr = flag(args, "--addr").unwrap_or_else(|| "127.0.0.1:8080".into());
     let scheme_key = flag(args, "--scheme").unwrap_or_else(|| "base".into());
@@ -882,23 +858,10 @@ fn cmd_submit(args: &[String]) -> CliResult {
         if scheme_key == "all" { Scheme::ALL.to_vec() } else { vec![parse_scheme(&scheme_key)?] };
     let scale = scale_flag(args)?;
     let program = if std::path::Path::new(target).is_file() {
-        let bytes = std::fs::read(target).map_err(|e| other(format_args!("{target}: {e}")))?;
-        if bytes.starts_with(b"\x7fELF") {
-            // Load + translate locally first so a bad binary surfaces
-            // with the usual message instead of a daemon-side 400; the
-            // daemon re-translates the raw bytes itself.
-            let image = half_price::rv::load_elf(&bytes)
-                .map_err(|e| other(format_args!("{target}: {e}")))?;
-            half_price::rv::translate(&image).map_err(|e| other(format_args!("{target}: {e}")))?;
-            JobProgram::Binary(bytes)
-        } else {
-            let source = String::from_utf8(bytes)
-                .map_err(|e| other(format_args!("{target}: not an ELF and not UTF-8: {e}")))?;
-            // Assemble locally first so syntax errors surface with the
-            // usual message instead of a daemon-side 400.
-            parse_program(&source).map_err(|e| other(format_args!("{target}: {e}")))?;
-            JobProgram::Source(source)
-        }
+        // Load (and assemble or translate) locally first so a bad file
+        // surfaces with the usual message instead of a daemon-side 400;
+        // the daemon gets the raw text or bytes and loads them itself.
+        load_file(target)?.1
     } else {
         JobProgram::Workload { name: target.clone(), scale }
     };
@@ -912,13 +875,7 @@ fn cmd_submit(args: &[String]) -> CliResult {
         schemes,
         seed: num_flag(args, "--seed", 0)?,
         sampled,
-        deadline_ms: match flag(args, "--deadline-ms") {
-            None => None,
-            Some(v) => Some(
-                v.parse()
-                    .map_err(|_| usage(format!("bad --deadline-ms `{v}` (want an integer)")))?,
-            ),
-        },
+        deadline_ms: opt_num_flag(args, "--deadline-ms")?,
         cycle_budget: num_flag(
             args,
             "--cycle-budget",
@@ -952,9 +909,7 @@ fn cmd_submit(args: &[String]) -> CliResult {
 /// Fetches one job's results from a running daemon, waiting for a
 /// terminal state first.
 fn cmd_job(args: &[String]) -> CliResult {
-    let id: u64 = args
-        .iter()
-        .find(|a| !a.starts_with("--") && !is_flag_value(args, a))
+    let id: u64 = positional(args)
         .ok_or_else(|| usage("missing job id; see `hpa submit`"))?
         .parse()
         .map_err(|_| usage("bad job id (want an integer)"))?;
@@ -974,25 +929,19 @@ fn report_result(result: half_price::serve::proto::ResultResponse, json: bool) -
     } else {
         println!("job {} {} (cached: {})", result.job_id, result.status.key(), result.cached);
         for cell in &result.cells {
-            let scheme = cell.scheme;
-            let target = cell
-                .payload()
-                .and_then(|p| p.get("workload").and_then(|w| w.as_str().map(str::to_string)))
-                .unwrap_or_else(|| "source".to_string());
-            println!("`{target}` under {} (cached: {}):", scheme.label(), cell.cached);
-            if let Some(p) = cell.payload() {
-                if let Some(ipc) = cell.ipc() {
-                    println!("  ipc               {ipc:>12.3}");
+            let p = cell.payload().unwrap_or(Json::Null);
+            let target = p.get("workload").and_then(Json::as_str).unwrap_or("source");
+            println!("`{target}` under {} (cached: {}):", cell.scheme.label(), cell.cached);
+            if let Some(ipc) = p.get("ipc").and_then(Json::as_f64) {
+                println!("  ipc               {ipc:>12.3}");
+            }
+            for field in ["cycles", "committed"] {
+                if let Some(v) = p.get(field).and_then(Json::as_u64) {
+                    println!("  {field:<17} {v:>12}");
                 }
-                for field in ["cycles", "committed"] {
-                    if let Some(v) = p.get(field).and_then(half_price::obs::json::Json::as_u64) {
-                        println!("  {field:<17} {v:>12}");
-                    }
-                }
-                if let Some(d) = p.get("stats_digest").and_then(half_price::obs::json::Json::as_str)
-                {
-                    println!("  stats digest    {d:>14}");
-                }
+            }
+            if let Some(d) = p.get("stats_digest").and_then(Json::as_str) {
+                println!("  stats digest    {d:>14}");
             }
         }
     }

@@ -30,7 +30,7 @@ fn faulting_program_exits_1_with_one_error_line_and_no_panic() {
         &["run", prog],
         &["sim", prog],
         &["sim", prog, "--sampled", "10:10:10"],
-        &["counters", prog],
+        &["sim", prog, "--counters", "--json"],
         &["trace-viz", prog, "--out", trace_out],
     ];
     for args in cases {

@@ -3,10 +3,12 @@
 //! [`hpa_sdk`] client — the same wire path `hpa serve` / `hpa submit`
 //! exercise, minus the process boundary.
 
-use half_price::obs::digest::debug_digest;
+use half_price::model::FINGERPRINT;
+use half_price::obs::digest::{debug_digest, format_hex};
 use half_price::obs::json::Json;
 use half_price::sdk::{Client, ClientError};
-use half_price::serve::proto::{JobProgram, JobRequest, JobStatus};
+use half_price::serve::journal::{Journal, Record};
+use half_price::serve::proto::{CellResult, JobProgram, JobRequest, JobStatus};
 use half_price::serve::server::{Server, ServerConfig};
 use half_price::sim::SampleUnits;
 use half_price::workloads::Scale;
@@ -262,4 +264,90 @@ fn sampled_job_without_a_confidence_interval_reports_null() {
 
     client.shutdown().expect("shutdown");
     handle.join().expect("server thread").expect("clean exit");
+}
+
+/// Results computed under another timing model are never served. A
+/// daemon restarted on a cache directory and a journal whose payloads
+/// name another `model` fingerprint drops them, counts them in
+/// `/health`, simulates the cell again on its first submit and re-runs
+/// the journaled job, while current-model entries still hit.
+#[test]
+fn restart_drops_cached_and_journaled_results_of_another_model() {
+    let dir = std::env::temp_dir().join(format!("hpa-serve-stale-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        cache_dir: Some(dir.join("cache")),
+        journal_dir: Some(dir.join("journal")),
+        ..ServerConfig::default()
+    };
+    // Three distinct cells (the seed is part of the cache key): `cached`
+    // goes stale in the cache only, `journaled` in the cache and in its
+    // job's `done` record, and `current` stays current.
+    let cell = |seed| JobRequest { seed, ..JobRequest::workload("gcc", Scale::Tiny, Scheme::Base) };
+    let (cached, journaled, current) = (cell(1), cell(2), cell(3));
+
+    let (client, handle) = start_server_with(config.clone());
+    let mut results = Vec::new();
+    for request in [&cached, &journaled, &current] {
+        let id = client.submit(request).expect("submit").job_id;
+        results.push(client.wait(id, WAIT).expect("result"));
+    }
+    client.shutdown().expect("shutdown");
+    handle.join().expect("server thread").expect("clean exit");
+
+    // Re-stamp the first two cells as another model's results.
+    let model = format_hex(FINGERPRINT);
+    let stale = |cell: &CellResult| {
+        let payload = cell.payload_json().replace(&model, &format_hex(!FINGERPRINT));
+        CellResult::new(cell.scheme, cell.cached, payload)
+    };
+    for r in &results[..2] {
+        let key = r.cells[0].cache_key().expect("payload has a key");
+        let path = dir.join("cache").join(format!("{}.json", format_hex(key)));
+        std::fs::write(&path, stale(&r.cells[0]).payload_json()).expect("rewrite entry");
+    }
+    let (journal, _) = Journal::open(&dir.join("journal")).expect("journal opens");
+    journal.rewrite(&[
+        Record::Submitted { id: results[1].job_id, request: journaled.clone() },
+        Record::Done {
+            id: results[1].job_id,
+            cached: false,
+            cells: vec![stale(&results[1].cells[0])],
+        },
+        Record::Submitted { id: results[2].job_id, request: current.clone() },
+        Record::Done { id: results[2].job_id, cached: false, cells: results[2].cells.clone() },
+    ]);
+    drop(journal);
+
+    let (client, handle) = start_server_with(config);
+    let health = client.health().expect("health");
+    let counter =
+        |key: &str| health.get("counters").and_then(|c| c.get(key)).and_then(Json::as_u64);
+    assert_eq!(counter("cache_stale_dropped"), Some(2));
+    assert_eq!(counter("journal_stale_dropped"), Some(1));
+
+    // The journaled job re-runs and serves a current-model result.
+    let rerun = client.wait(results[1].job_id, WAIT).expect("re-run job");
+    assert_eq!(rerun.status, JobStatus::Done);
+    assert!(!rerun.cells[0].cached, "the stale result was simulated again, not served");
+    assert_eq!(rerun.cells[0].model(), Some(FINGERPRINT));
+    assert_eq!(rerun.cells[0].stats_digest(), results[1].cells[0].stats_digest());
+
+    // The stale cache-only cell misses on its first submit.
+    let submit = client.submit(&cached).expect("submit stale cell");
+    assert!(!submit.cached, "a stale entry must not hit");
+    let again = client.wait(submit.job_id, WAIT).expect("result");
+    assert_eq!(again.cells[0].payload_json(), results[0].cells[0].payload_json());
+
+    // Current-model entries still hit, byte-identically.
+    let submit = client.submit(&current).expect("submit current cell");
+    assert!(submit.cached && submit.status == JobStatus::Done);
+    let hit = client.result(submit.job_id).expect("result");
+    assert_eq!(hit.cells[0].payload_json(), results[2].cells[0].payload_json());
+
+    client.shutdown().expect("shutdown");
+    handle.join().expect("server thread").expect("clean exit");
+    let _ = std::fs::remove_dir_all(&dir);
 }

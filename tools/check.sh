@@ -100,16 +100,17 @@ echo "hpa-rv: emu checksum $rv_sum, lockstep clean, sim digest $rv_elf_digest ma
 
 echo "== cycle-accounting smoke =="
 # The observability layer end to end: run one benchmark with counters on
-# and check the books balance — the JSON must report the CPI stack summing
-# to cycles x width (the integration suites prove this exhaustively; this
-# gate proves the CLI path stays wired).
-counters_json="$(cargo run --release -q --bin hpa -- counters gcc --scale tiny --scheme combined --json)"
+# and check the books balance — the run record's counters must report the
+# CPI stack summing to cycles x width (the integration suites prove this
+# exhaustively; this gate proves the CLI path stays wired).
+counters_json="$(cargo run --release -q --bin hpa -- sim gcc --scale tiny --scheme combined \
+  --counters --json)"
 total="$(json_scalar "$counters_json" cpi_total_slots)"
 if [ -z "$total" ] || [ "$total" -eq 0 ]; then
-  echo "ERROR: hpa counters --json reported no attributed issue slots" >&2
+  echo "ERROR: hpa sim --counters --json reported no attributed issue slots" >&2
   exit 1
 fi
-echo "hpa counters --json: $total issue slots attributed"
+echo "hpa sim --counters --json: $total issue slots attributed"
 
 echo "== serve smoke =="
 # Simulation-as-a-service gate, end to end through real processes: start
