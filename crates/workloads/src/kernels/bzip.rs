@@ -1,8 +1,8 @@
 //! `bzip` stand-in: run-length coding of a move-to-front transform,
 //! the core symbol-ranking step of the bzip2 pipeline.
 
-use super::{emit_align, emit_mix, Checksum};
-use crate::{Scale, SplitMix64, Workload, CHECKSUM_REG, DATA_BASE};
+use super::{emit_align, emit_mix, Checksum, Regions};
+use crate::{Scale, SplitMix64, Workload, CHECKSUM_REG};
 use hpa_asm::Asm;
 use hpa_isa::Reg;
 
@@ -65,9 +65,11 @@ pub fn build(scale: Scale) -> Workload {
     let input = generate_input(len);
     let expected = reference(&input);
 
-    let tbl = DATA_BASE + len as u64;
+    let mut regions = Regions::new();
+    let in_base = regions.alloc(len as u64 + 256); // the 256-byte MTF table follows
+    let tbl = in_base + len as u64;
     let mut a = Asm::new();
-    a.data_bytes(DATA_BASE, &input);
+    a.data_bytes(in_base, &input);
 
     // Initialize the MTF table to the identity permutation.
     a.li(R_TBL, tbl as i64);
@@ -79,8 +81,8 @@ pub fn build(scale: Scale) -> Workload {
     a.cmplt(R_TMP, R_I, 256);
     a.bne(R_TMP, "init");
 
-    a.li(R_P, DATA_BASE as i64);
-    a.li(R_END, (DATA_BASE + len as u64) as i64);
+    a.li(R_P, in_base as i64);
+    a.li(R_END, tbl as i64);
     a.li(R_PREV, -1);
     a.li(R_RUN, 0);
     a.li(CHECKSUM_REG, 0);
@@ -134,13 +136,13 @@ pub fn build(scale: Scale) -> Workload {
     emit_mix(&mut a, R_RUN);
     a.halt();
 
-    Workload {
+    regions.seal(Workload {
         name: "bzip",
         description: "move-to-front transform + run-length coding (bzip2 symbol ranking)",
         program: a.assemble().expect("bzip kernel assembles"),
         expected_checksum: expected,
         budget: 300 * len as u64 + 10_000,
-    }
+    })
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! `crafty` stand-in: bitboard attack generation — the scan-bits /
 //! table-lookup / popcount loop at the heart of a chess move generator.
 
-use super::{emit_align, emit_mix, Checksum};
-use crate::{Scale, SplitMix64, Workload, CHECKSUM_REG, DATA_BASE};
+use super::{emit_align, emit_mix, Checksum, Regions};
+use crate::{Scale, SplitMix64, Workload, CHECKSUM_REG};
 use hpa_asm::Asm;
 use hpa_isa::Reg;
 
@@ -76,8 +76,9 @@ pub fn build(scale: Scale) -> Workload {
     let table: Vec<u64> = (0..64).map(knight_attacks).collect();
 
     let pst_table: Vec<u8> = (0..64).map(pst).collect();
-    let tbl_base = DATA_BASE;
-    let pst_base = DATA_BASE + 64 * 8;
+    let mut regions = Regions::new();
+    let tbl_base = regions.alloc(64 * 8 + 64 + 16 * count as u64); // the results follow
+    let pst_base = tbl_base + 64 * 8;
     let boards_base = pst_base + 64;
     let out_base = boards_base + 8 * count as u64;
 
@@ -125,13 +126,13 @@ pub fn build(scale: Scale) -> Workload {
     a.bne(R_TMP, "board");
     a.halt();
 
-    Workload {
+    regions.seal(Workload {
         name: "crafty",
         description: "bitboard knight-attack generation with scan/lookup/popcount",
         program: a.assemble().expect("crafty kernel assembles"),
         expected_checksum: expected,
         budget: 400 * count as u64 + 10_000,
-    }
+    })
 }
 
 #[cfg(test)]

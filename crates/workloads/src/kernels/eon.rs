@@ -2,8 +2,8 @@
 //! inner loop of a ray tracer (eon is the only C++/graphics code in
 //! CINT2000; its hot loops are dense FP arithmetic like this).
 
-use super::{emit_align, emit_mix, Checksum};
-use crate::{Scale, SplitMix64, Workload, CHECKSUM_REG, DATA_BASE};
+use super::{emit_align, emit_mix, Checksum, Regions};
+use crate::{Scale, SplitMix64, Workload, CHECKSUM_REG};
 use hpa_asm::Asm;
 use hpa_isa::{FReg, Reg};
 
@@ -87,7 +87,9 @@ pub fn build(scale: Scale) -> Workload {
     let scene = generate_scene(ray_count);
     let expected = reference(&scene);
 
-    let sph_base = DATA_BASE;
+    let mut regions = Regions::new();
+    // The spheres, the rays, then 16 result bytes per ray.
+    let sph_base = regions.alloc((SPHERES * 4 * 8 + ray_count * (3 * 8 + 16)) as u64);
     let ray_base = sph_base + (SPHERES * 4 * 8) as u64;
 
     let mut a = Asm::new();
@@ -162,13 +164,13 @@ pub fn build(scale: Scale) -> Workload {
     emit_mix(&mut a, R_SUM);
     a.halt();
 
-    Workload {
+    regions.seal(Workload {
         name: "eon",
         description: "floating-point ray-sphere intersection inner loop",
         program: a.assemble().expect("eon kernel assembles"),
         expected_checksum: expected,
         budget: 60 * (ray_count * SPHERES) as u64 + 10_000,
-    }
+    })
 }
 
 #[cfg(test)]

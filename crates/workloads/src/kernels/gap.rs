@@ -2,7 +2,7 @@
 //! propagation plus a Euclid GCD phase — the arithmetic core of a
 //! computational group-theory system.
 
-use super::{emit_align, emit_mix, Checksum};
+use super::{emit_align, emit_mix, Checksum, Regions};
 use crate::{Scale, Workload, CHECKSUM_REG};
 use hpa_asm::Asm;
 use hpa_isa::Reg;
@@ -87,7 +87,8 @@ pub fn build(scale: Scale) -> Workload {
     let gcd_pairs = 24 * scale.factor(8);
     let expected = reference(mac_iters, gcd_pairs);
 
-    let acc_base = crate::DATA_BASE; // 8 zero-initialized limbs
+    let mut regions = Regions::new();
+    let acc_base = regions.alloc(8 * 8); // 8 zero-initialized limbs
     let mut a = Asm::new();
     a.li(R_S, 1);
     a.li(R_LCGM, LCG_MUL);
@@ -159,13 +160,13 @@ pub fn build(scale: Scale) -> Workload {
     a.bgt(R_K, "pair");
     a.halt();
 
-    Workload {
+    regions.seal(Workload {
         name: "gap",
         description: "multi-limb multiply-accumulate + Euclid GCD (bignum arithmetic)",
         program: a.assemble().expect("gap kernel assembles"),
         expected_checksum: expected,
         budget: 80 * mac_iters + 800 * gcd_pairs + 10_000,
-    }
+    })
 }
 
 #[cfg(test)]

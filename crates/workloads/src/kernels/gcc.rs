@@ -228,13 +228,13 @@ pub fn build(scale: Scale) -> Workload {
     a.stq(R_VA, R_VSP, -8);
     a.ret(Reg::R26);
 
-    Workload {
+    regions.seal(Workload {
         name: "gcc",
         description: "expression tokenizer + shunting-yard evaluator (compiler front end)",
         program: a.assemble().expect("gcc kernel assembles"),
         expected_checksum: expected,
         budget: 400 * input.len() as u64 + 10_000,
-    }
+    })
 }
 
 #[cfg(test)]

@@ -258,13 +258,13 @@ pub fn build(scale: Scale) -> Workload {
     emit_mix(&mut a, R_BITCNT);
     a.halt();
 
-    Workload {
+    regions.seal(Workload {
         name: "gzip",
         description: "greedy LZ77 hash-chain match finder (deflate inner loop)",
         program: a.assemble().expect("gzip kernel assembles"),
         expected_checksum: expected,
         budget: 200 * len as u64 + 10_000,
-    }
+    })
 }
 
 #[cfg(test)]

@@ -4,8 +4,8 @@
 //! it has the lowest IPC in the paper's Table 2; the graph here is sized
 //! past the L2 to reproduce that character.
 
-use super::{emit_align, emit_mix, Checksum};
-use crate::{Scale, SplitMix64, Workload, CHECKSUM_REG, DATA_BASE};
+use super::{emit_align, emit_mix, Checksum, Regions};
+use crate::{Scale, SplitMix64, Workload, CHECKSUM_REG};
 use hpa_asm::Asm;
 use hpa_isa::Reg;
 
@@ -83,7 +83,8 @@ pub fn build(scale: Scale) -> Workload {
     let expected = reference(&g);
     let e = g.src.len() as u64;
 
-    let dist_base = DATA_BASE;
+    let mut regions = Regions::new();
+    let dist_base = regions.alloc(v * 8 + e * 12); // distances, then src, dst and w
     let src_base = dist_base + v * 8;
     let dst_base = src_base + e * 4;
     let w_base = dst_base + e * 4;
@@ -145,13 +146,13 @@ pub fn build(scale: Scale) -> Workload {
     a.bne(R_TMP, "fold");
     a.halt();
 
-    Workload {
+    regions.seal(Workload {
         name: "mcf",
         description: "Bellman-Ford relaxation over an L2-sized sparse network",
         program: a.assemble().expect("mcf kernel assembles"),
         expected_checksum: expected,
         budget: 60 * e * ROUNDS + 40 * v + 10_000,
-    }
+    })
 }
 
 #[cfg(test)]

@@ -194,13 +194,13 @@ pub fn build(scale: Scale) -> Workload {
     emit_mix(&mut a, R_NODES);
     a.halt();
 
-    Workload {
+    regions.seal(Workload {
         name: "parser",
         description: "chained hash-table dictionary over a skewed word stream",
         program: a.assemble().expect("parser kernel assembles"),
         expected_checksum: expected,
         budget: 600 * words as u64 + 50_000,
-    }
+    })
 }
 
 #[cfg(test)]

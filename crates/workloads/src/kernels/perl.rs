@@ -268,13 +268,13 @@ pub fn build(scale: Scale) -> Workload {
     a.bne(R_TMP, "newprog");
     a.halt();
 
-    Workload {
+    regions.seal(Workload {
         name: "perl",
         description: "bytecode VM with indirect-threaded dispatch (interpreter loop)",
         program: a.assemble().expect("perl kernel assembles"),
         expected_checksum: expected,
         budget: 40_000 * count as u64 + 50_000,
-    }
+    })
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! `twolf` stand-in: simulated-annealing standard-cell placement — the
 //! pick/swap/evaluate-delta/accept loop that dominates TimberWolf.
 
-use super::{emit_align, emit_mix, Checksum};
-use crate::{Scale, Workload, CHECKSUM_REG, DATA_BASE};
+use super::{emit_align, emit_mix, Checksum, Regions};
+use crate::{Scale, Workload, CHECKSUM_REG};
 use hpa_asm::Asm;
 use hpa_isa::Reg;
 
@@ -100,8 +100,9 @@ pub fn build(scale: Scale) -> Workload {
     let expected = reference(iters);
     let p = initial_placement();
 
-    let px_base = DATA_BASE;
-    let py_base = DATA_BASE + CELLS * 8;
+    let mut regions = Regions::new();
+    let px_base = regions.alloc(CELLS * 16); // x then y coordinates
+    let py_base = px_base + CELLS * 8;
 
     let mut a = Asm::new();
     a.data_u64s(px_base, &p.px);
@@ -212,13 +213,13 @@ pub fn build(scale: Scale) -> Workload {
     emit_mix(&mut a, R_OLD);
     a.halt();
 
-    Workload {
+    regions.seal(Workload {
         name: "twolf",
         description: "simulated-annealing placement: swap, delta-cost, accept/reject",
         program: a.assemble().expect("twolf kernel assembles"),
         expected_checksum: expected,
         budget: 400 * iters + 50_000,
-    }
+    })
 }
 
 #[cfg(test)]

@@ -290,13 +290,13 @@ pub fn build(scale: Scale) -> Workload {
     emit_mix(&mut a, R_TMP);
     a.halt();
 
-    Workload {
+    regions.seal(Workload {
         name: "vortex",
         description: "BST object store: branchy inserts, interleaved branchless lookups",
         program: a.assemble().expect("vortex kernel assembles"),
         expected_checksum: expected,
         budget: 40 * DEPTH as u64 * lookups.len() as u64 + 400 * INSERTS as u64 + 50_000,
-    }
+    })
 }
 
 #[cfg(test)]

@@ -211,13 +211,13 @@ pub fn build(scale: Scale) -> Workload {
     a.bgt(R_ROUTE, "route");
     a.halt();
 
-    Workload {
+    regions.seal(Workload {
         name: "vpr",
         description: "BFS wavefront maze routing on an obstructed grid",
         program: a.assemble().expect("vpr kernel assembles"),
         expected_checksum: expected,
         budget: routes as u64 * 80 * CELLS + 50_000,
-    }
+    })
 }
 
 #[cfg(test)]

@@ -37,6 +37,18 @@ if [ "$(json_scalar "$bench_line" correct)" != "true" ] ||
   exit 1
 fi
 echo "hpabench serve-mixed: correct, $(json_scalar "$bench_line" attempted) attempted, 0 failed"
+# The sampled runner end to end at Long scale: all 12 programs through
+# pipelined windows (each detailed window on a worker thread while the
+# main emulator fast-forwards on); the benchmark checks every program's
+# checksum against its host reference.
+bench_line="$(hpabench/target/release/hpabench --workload sampled-long --seed 1 --seconds 1 \
+  --trace 0 | tail -n 1)"
+if [ "$(json_scalar "$bench_line" correct)" != "true" ] ||
+   [ "$(json_scalar "$bench_line" failed)" != "0" ]; then
+  echo "ERROR: hpabench sampled-long did not report a correct run with 0 failed: $bench_line" >&2
+  exit 1
+fi
+echo "hpabench sampled-long: correct, $(json_scalar "$bench_line" attempted) attempted, 0 failed"
 
 echo "== fuzz smoke (fixed seed) =="
 # Differential fuzzing gate: 200 random programs, each run in lockstep with
