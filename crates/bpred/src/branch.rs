@@ -224,6 +224,12 @@ impl Ras {
         self.depth = (self.depth + 1).min(self.slots.len());
     }
 
+    /// The return address [`Ras::pop`] would return, without popping it.
+    #[must_use]
+    pub fn peek(&self) -> Option<u64> {
+        (self.depth > 0).then(|| self.slots[self.top])
+    }
+
     /// Pops the predicted return address (on returns).
     pub fn pop(&mut self) -> Option<u64> {
         if self.depth == 0 {
@@ -318,8 +324,10 @@ mod tests {
         ras.push(1);
         ras.push(2);
         ras.push(3); // overwrites oldest; depth stays capped at 2
+        assert_eq!(ras.peek(), Some(3), "peek does not pop");
         assert_eq!(ras.pop(), Some(3));
         assert_eq!(ras.pop(), Some(2));
+        assert_eq!(ras.peek(), None);
         assert_eq!(ras.pop(), None, "entry 1 was lost to the overflow");
     }
 }

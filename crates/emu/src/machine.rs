@@ -255,6 +255,14 @@ impl Emulator {
     ///
     /// [`EmuError::PcOutOfRange`] if the PC escapes the text segment.
     pub fn step(&mut self) -> Result<Option<StepRecord>, EmuError> {
+        self.exec()
+    }
+
+    /// The one instruction body behind [`Emulator::step`] and
+    /// [`Emulator::run_with`]. Always inlined, so the run loop executes it
+    /// in place instead of calling out once per instruction.
+    #[inline(always)]
+    fn exec(&mut self) -> Result<Option<StepRecord>, EmuError> {
         if self.halted {
             return Ok(None);
         }
@@ -377,9 +385,29 @@ impl Emulator {
     ///
     /// Propagates [`EmuError`] from [`Emulator::step`].
     pub fn run(&mut self, budget: u64) -> Result<RunOutcome, EmuError> {
+        self.run_with(budget, |_| {})
+    }
+
+    /// Runs like [`Emulator::run`], handing each executed instruction's
+    /// [`StepRecord`] to `observe` — the same records, in the same order,
+    /// as `budget` calls of [`Emulator::step`]. The observer is a
+    /// compile-time parameter: `run` passes a no-op and pays nothing for
+    /// it, and sampled fast-forward trains its branch tables in it.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`EmuError`] from [`Emulator::step`]; the faulting
+    /// instruction is not observed and leaves the state unchanged.
+    #[inline]
+    pub fn run_with(
+        &mut self,
+        budget: u64,
+        mut observe: impl FnMut(&StepRecord),
+    ) -> Result<RunOutcome, EmuError> {
         for executed in 0..budget {
-            if self.step()?.is_none() {
-                return Ok(RunOutcome::Halted { executed });
+            match self.exec()? {
+                Some(step) => observe(&step),
+                None => return Ok(RunOutcome::Halted { executed }),
             }
         }
         Ok(RunOutcome::BudgetExhausted { executed: budget })
@@ -580,7 +608,7 @@ mod tests {
 #[cfg(test)]
 mod edge_case_tests {
     use super::*;
-    use hpa_asm::Asm;
+    use hpa_asm::{Asm, Program};
     use hpa_isa::{FReg, Reg};
 
     #[test]
@@ -728,6 +756,92 @@ mod edge_case_tests {
         assert_eq!(emu.arch_value(ArchReg::from(FReg::F2)), 7.0f64.to_bits());
         assert_eq!(emu.arch_value(ArchReg::from(Reg::R31)), 0);
         assert_eq!(emu.arch_value(ArchReg::from(FReg::F31)), 0.0f64.to_bits());
+    }
+
+    /// `budget` calls of [`Emulator::step`], with the outcome folded the
+    /// way [`Emulator::run_with`] reports it.
+    fn step_by_step(
+        emu: &mut Emulator,
+        budget: u64,
+    ) -> (Vec<StepRecord>, Result<RunOutcome, EmuError>) {
+        let mut records = Vec::new();
+        for executed in 0..budget {
+            match emu.step() {
+                Ok(Some(record)) => records.push(record),
+                Ok(None) => return (records, Ok(RunOutcome::Halted { executed })),
+                Err(e) => return (records, Err(e)),
+            }
+        }
+        (records, Ok(RunOutcome::BudgetExhausted { executed: budget }))
+    }
+
+    /// Runs `program` for `budget` instructions both ways and asserts they
+    /// agree on every record, the outcome and the final machine state.
+    fn run_with_matches_step(
+        program: &Program,
+        budget: u64,
+    ) -> (Emulator, Result<RunOutcome, EmuError>) {
+        let mut stepped = Emulator::new(program);
+        let (expected, expected_outcome) = step_by_step(&mut stepped, budget);
+        let mut run = Emulator::new(program);
+        let mut records = Vec::new();
+        let outcome = run.run_with(budget, |record| records.push(*record));
+        assert_eq!(records, expected, "budget {budget}");
+        assert_eq!(outcome, expected_outcome, "budget {budget}");
+        assert_eq!(run.executed(), stepped.executed(), "budget {budget}");
+        assert_eq!(run.pc(), stepped.pc(), "budget {budget}");
+        assert_eq!(run.snapshot(), stepped.snapshot(), "budget {budget}");
+        (run, outcome)
+    }
+
+    /// A loop that calls a subroutine, stores and loads, then either halts
+    /// or loads from outside data memory.
+    fn looping_program(fault: bool) -> Program {
+        let mut a = Asm::new();
+        a.li(Reg::R1, 20);
+        a.li(Reg::R5, 0x1_0000);
+        a.label("loop");
+        a.bsr(Reg::R26, "body");
+        a.sub(Reg::R1, Reg::R1, 1);
+        a.bgt(Reg::R1, "loop");
+        if fault {
+            a.li(Reg::R6, -1);
+            a.ldq(Reg::R3, Reg::R6, 0);
+        }
+        a.halt();
+        a.label("body");
+        a.add(Reg::R2, Reg::R2, Reg::R1);
+        a.stq(Reg::R2, Reg::R5, 0);
+        a.ldq(Reg::R4, Reg::R5, 0);
+        a.add(Reg::R5, Reg::R5, 8);
+        a.ret(Reg::R26);
+        a.assemble().unwrap()
+    }
+
+    #[test]
+    fn run_with_observes_exactly_what_step_returns() {
+        let program = looping_program(false);
+        let outcome = |budget| run_with_matches_step(&program, budget).1;
+        let Ok(RunOutcome::Halted { executed: total }) = outcome(u64::MAX) else {
+            panic!("runs to halt");
+        };
+        assert_eq!(outcome(0), Ok(RunOutcome::BudgetExhausted { executed: 0 }));
+        assert_eq!(outcome(7), Ok(RunOutcome::BudgetExhausted { executed: 7 }));
+        // The halt is the last instruction the budget allows: the budget,
+        // not the halt, ends the run.
+        assert_eq!(outcome(total), Ok(RunOutcome::BudgetExhausted { executed: total }));
+        assert_eq!(outcome(total + 1), Ok(RunOutcome::Halted { executed: total }));
+    }
+
+    #[test]
+    fn run_with_stops_at_a_mid_budget_fault_like_step() {
+        let (emu, outcome) = run_with_matches_step(&looping_program(true), 10_000);
+        let Err(EmuError::MemOutOfRange { pc, addr: u64::MAX, width: 8 }) = outcome else {
+            panic!("faults at the wild load: {outcome:?}");
+        };
+        assert_eq!(emu.pc(), pc, "the faulting load does not advance the PC");
+        assert!(!emu.halted());
+        assert!(emu.executed() > 20 * 8, "faults after the loop, mid-budget");
     }
 
     #[test]

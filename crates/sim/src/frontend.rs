@@ -30,14 +30,15 @@ pub struct FetchedInst {
     pub mem_data: Option<u64>,
 }
 
-/// Pre-trained branch-prediction state for seeding a [`FrontEnd`].
+/// The branch-prediction tables of a [`FrontEnd`], and the one place
+/// they are trained.
 ///
 /// Sampled simulation fast-forwards in the functional emulator between
 /// detailed windows; branch predictor tables hold history spanning far
 /// more instructions than a window's warmup can rebuild, so they are
-/// *functionally warmed* during the fast-forward instead: [`Self::observe`]
-/// applies exactly the training updates [`FrontEnd`] performs at fetch,
-/// without the prediction-side effects (predict/lookup are read-only).
+/// *functionally warmed* during the fast-forward instead. Fetch and
+/// fast-forward train through the same [`Self::observe`]; fetch only
+/// reads its predictions from the tables first.
 #[derive(Clone, Debug)]
 pub struct BranchWarmth {
     direction: CombinedPredictor,
@@ -63,9 +64,10 @@ impl BranchWarmth {
         }
     }
 
-    /// Trains the tables on one functionally executed instruction,
-    /// mirroring the update half of `FrontEnd::predict` (same table,
-    /// same outcome, same RAS discipline).
+    /// Trains the tables on one executed instruction: conditional
+    /// branches update the direction predictor, indirect jumps the BTB,
+    /// calls push and returns pop the RAS.
+    #[inline]
     pub fn observe(&mut self, step: &StepRecord) {
         let fallthrough = step.pc + INST_BYTES;
         match step.inst {
@@ -97,9 +99,7 @@ impl BranchWarmth {
 #[derive(Clone, Debug)]
 pub struct FrontEnd {
     emu: Emulator,
-    direction: CombinedPredictor,
-    btb: Btb,
-    ras: Ras,
+    warmth: BranchWarmth,
     queue: VecDeque<FetchedInst>,
     queue_cap: usize,
     width: u32,
@@ -126,9 +126,7 @@ impl FrontEnd {
     pub fn with_warmth(emu: Emulator, width: u32, depth: u32, warmth: BranchWarmth) -> FrontEnd {
         FrontEnd {
             emu,
-            direction: warmth.direction,
-            btb: warmth.btb,
-            ras: warmth.ras,
+            warmth,
             queue: VecDeque::new(),
             queue_cap: (width * depth) as usize,
             width,
@@ -250,51 +248,35 @@ impl FrontEnd {
         Ok(())
     }
 
-    /// Predicts one control instruction; returns whether fetch goes wrong.
+    /// Predicts one control instruction, then trains the tables on it;
+    /// returns whether fetch goes wrong.
     fn predict(&mut self, step: &StepRecord, stats: &mut SimStats) -> bool {
-        let fallthrough = step.pc + INST_BYTES;
-        match step.inst {
+        let tables = &self.warmth;
+        let wrong = match step.inst {
             Inst::Branch { .. } | Inst::FBranch { .. } | Inst::BranchCmp { .. } => {
                 stats.branches += 1;
-                let predicted_taken = self.direction.predict(step.pc);
-                self.direction.update(step.pc, step.taken);
                 // Direct targets come from the decoded instruction; the
                 // direction is the speculated part.
-                let wrong = predicted_taken != step.taken;
-                if wrong {
-                    stats.branch_mispredicts += 1;
-                }
-                wrong
+                tables.direction.predict(step.pc) != step.taken
             }
-            Inst::Br { ra, .. } => {
-                // Unconditional direct branch/call: target known at
-                // decode, never mispredicted. Calls push the RAS.
-                if !ra.is_zero() {
-                    self.ras.push(fallthrough);
-                }
-                false
-            }
-            Inst::Jump { kind, rt, .. } => {
+            // Unconditional direct branch/call: target known at decode,
+            // never mispredicted.
+            Inst::Br { .. } => false,
+            Inst::Jump { kind, .. } => {
                 stats.branches += 1;
                 let predicted = match kind {
-                    JumpKind::Ret => self.ras.pop(),
-                    JumpKind::Jmp | JumpKind::Jsr => {
-                        let p = self.btb.lookup(step.pc);
-                        self.btb.update(step.pc, step.next_pc);
-                        p
-                    }
+                    JumpKind::Ret => tables.ras.peek(),
+                    JumpKind::Jmp | JumpKind::Jsr => tables.btb.lookup(step.pc),
                 };
-                if kind == JumpKind::Jsr || (kind == JumpKind::Jmp && !rt.is_zero()) {
-                    self.ras.push(fallthrough);
-                }
-                let wrong = predicted != Some(step.next_pc);
-                if wrong {
-                    stats.branch_mispredicts += 1;
-                }
-                wrong
+                predicted != Some(step.next_pc)
             }
             _ => false,
+        };
+        if wrong {
+            stats.branch_mispredicts += 1;
         }
+        self.warmth.observe(step);
+        wrong
     }
 }
 

@@ -18,7 +18,12 @@
 //!
 //! Every instruction is still functionally executed exactly once by the
 //! runner's main emulator, so workload checksums remain verifiable on the
-//! [`SampledOutcome`].
+//! [`SampledOutcome`]. Fast-forward is one [`Emulator::run_with`] call per
+//! stretch whose observer trains the [`BranchWarmth`] tables: the
+//! emulator's own run loop, with the instruction body inlined, so warmed
+//! fast-forward costs about 1.14x a plain [`Emulator::run`] instead of an
+//! out-of-line `step` call per instruction (1.44x). Warming more state
+//! functionally is one more call in that observer.
 //!
 //! Windows are pipelined with fast-forward, as in FSA (Sandberg et al.,
 //! "Full Speed Ahead", IISWC 2015): a window depends only on its
@@ -48,7 +53,7 @@ use crate::config::SimConfig;
 use crate::frontend::BranchWarmth;
 use crate::pipeline::{SimFault, Simulator};
 use hpa_asm::Program;
-use hpa_emu::Emulator;
+use hpa_emu::{Emulator, RunOutcome};
 use hpa_obs::SplitMix64;
 use std::fmt;
 use std::panic;
@@ -305,21 +310,20 @@ fn land(
     Ok(())
 }
 
-/// Steps `emu` functionally for up to `budget` instructions, training
-/// `warmth` on each, and returns how many it stepped (fewer only when the
+/// Runs `emu` functionally for up to `budget` instructions, training
+/// `warmth` on each, and returns how many it executed (fewer only when the
 /// program halts first).
 fn fast_forward(
     emu: &mut Emulator,
     warmth: &mut BranchWarmth,
     budget: u64,
 ) -> Result<u64, SimFault> {
-    for stepped in 0..budget {
-        match emu.step().map_err(|error| SimFault::Emu { cycle: 0, error })? {
-            Some(step) => warmth.observe(&step),
-            None => return Ok(stepped),
+    match emu.run_with(budget, |step| warmth.observe(step)) {
+        Ok(RunOutcome::Halted { executed } | RunOutcome::BudgetExhausted { executed }) => {
+            Ok(executed)
         }
+        Err(error) => Err(SimFault::Emu { cycle: 0, error }),
     }
-    Ok(budget)
 }
 
 /// Folds the samples into an estimate: mean per-sample CPI (equal
@@ -400,8 +404,25 @@ mod tests {
         a.assemble().expect("assembles")
     }
 
+    /// [`fast_forward`] one [`Emulator::step`] at a time, so the serial
+    /// loop below does not share the runner's `run_with` loop.
+    fn step_forward(
+        emu: &mut Emulator,
+        warmth: &mut BranchWarmth,
+        budget: u64,
+    ) -> Result<u64, SimFault> {
+        for stepped in 0..budget {
+            match emu.step().map_err(|error| SimFault::Emu { cycle: 0, error })? {
+                Some(step) => warmth.observe(&step),
+                None => return Ok(stepped),
+            }
+        }
+        Ok(budget)
+    }
+
     /// The runner as it was before windows ran off the main thread: each
-    /// window is simulated to the end before the main emulator catches up.
+    /// window is simulated to the end before the main emulator catches up,
+    /// and fast-forward steps one instruction at a time.
     fn serial_run(runner: &SampledRunner, program: &Program) -> Result<SampledOutcome, SimFault> {
         let SampleUnits { warmup, detail, ff } = runner.units;
         let mut emu = Emulator::new(program);
@@ -410,7 +431,7 @@ mod tests {
         let mut detailed_insts = 0u64;
         let mut ff_budget = SplitMix64::new(runner.seed).next_u64() % ff;
         loop {
-            fast_forward(&mut emu, &mut warmth, ff_budget)?;
+            step_forward(&mut emu, &mut warmth, ff_budget)?;
             if emu.halted() {
                 break;
             }
@@ -428,7 +449,7 @@ mod tests {
                 ipc: stats.ipc(),
             });
             drop(sim);
-            detailed_insts += fast_forward(&mut emu, &mut warmth, warmup + detail)?;
+            detailed_insts += step_forward(&mut emu, &mut warmth, warmup + detail)?;
             if emu.halted() {
                 break;
             }

@@ -3,7 +3,7 @@
 use crate::generate::ArchState;
 use crate::Divergence;
 use hpa_core::asm::Program;
-use hpa_core::emu::{Emulator, Snapshot};
+use hpa_core::emu::{Emulator, RunOutcome, Snapshot};
 use hpa_core::isa::{Inst, MemWidth};
 use hpa_core::sim::{BranchWarmth, CommitHook, CommitRecord, SimConfig, SimFault, Simulator};
 
@@ -269,44 +269,23 @@ pub fn run_lockstep_window(
 ) -> Result<LockstepOutcome, Divergence> {
     // Independent functional replay up to the snapshot point.
     let mut shadow = Emulator::new(program);
-    for _ in 0..snap.executed() {
-        match shadow.step() {
-            Ok(Some(_)) => {}
-            Ok(None) => {
-                return Err(Divergence {
-                    seq: 0,
-                    cycle: 0,
-                    reason: format!(
-                        "shadow halted after {} steps, before the snapshot point ({} executed) \
-                         — the snapshot's executed count does not match the program",
-                        shadow.executed(),
-                        snap.executed()
-                    ),
-                    dump: String::new(),
-                });
-            }
-            Err(e) => {
-                return Err(Divergence {
-                    seq: 0,
-                    cycle: 0,
-                    reason: format!("shadow emulation faulted before the snapshot point: {e}"),
-                    dump: String::new(),
-                });
-            }
-        }
-    }
-    if shadow.pc() != snap.pc() {
-        return Err(Divergence {
-            seq: 0,
-            cycle: 0,
-            reason: format!(
-                "snapshot pc {:#x} disagrees with functional replay pc {:#x} at the same \
-                 instruction count",
-                snap.pc(),
-                shadow.pc()
-            ),
-            dump: String::new(),
-        });
+    let replay_error = match shadow.run(snap.executed()) {
+        Ok(RunOutcome::BudgetExhausted { .. }) if shadow.pc() == snap.pc() => None,
+        Ok(RunOutcome::BudgetExhausted { .. }) => Some(format!(
+            "snapshot pc {:#x} disagrees with functional replay pc {:#x} at the same \
+             instruction count",
+            snap.pc(),
+            shadow.pc()
+        )),
+        Ok(RunOutcome::Halted { executed }) => Some(format!(
+            "shadow halted after {executed} steps, before the snapshot point ({} executed) \
+             — the snapshot's executed count does not match the program",
+            snap.executed()
+        )),
+        Err(e) => Some(format!("shadow emulation faulted before the snapshot point: {e}")),
+    };
+    if let Some(reason) = replay_error {
+        return Err(Divergence { seq: 0, cycle: 0, reason, dump: String::new() });
     }
 
     let mut sim = Simulator::from_snapshot(program, config, snap, BranchWarmth::cold());
@@ -318,21 +297,14 @@ pub fn run_lockstep_window(
     // total instruction count must agree with the window's fetch-front
     // emulator (restored state + window execution ≡ straight-line
     // functional execution).
-    let total = sim.emulator().executed();
     let mut reference = Emulator::new(program);
-    while reference.executed() < total {
-        match reference.step() {
-            Ok(Some(_)) => {}
-            Ok(None) => break,
-            Err(e) => {
-                return Err(Divergence {
-                    seq: 0,
-                    cycle: sim.cycle(),
-                    reason: format!("reference emulation faulted: {e}"),
-                    dump: String::new(),
-                });
-            }
-        }
+    if let Err(e) = reference.run(sim.emulator().executed()) {
+        return Err(Divergence {
+            seq: 0,
+            cycle: sim.cycle(),
+            reason: format!("reference emulation faulted: {e}"),
+            dump: String::new(),
+        });
     }
     let sim_state = ArchState::capture(sim.emulator());
     let ref_state = ArchState::capture(&reference);
@@ -349,4 +321,53 @@ pub fn run_lockstep_window(
         committed: sim.stats().committed,
         state: sim_state,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hpa_core::asm::Asm;
+    use hpa_core::isa::Reg;
+
+    /// `lead` nops, then a 50-iteration countdown loop.
+    fn countdown(lead: usize) -> Program {
+        let mut a = Asm::new();
+        for _ in 0..lead {
+            a.nop();
+        }
+        a.li(Reg::R1, 50);
+        a.label("loop");
+        a.sub(Reg::R1, Reg::R1, 1);
+        a.bgt(Reg::R1, "loop");
+        a.halt();
+        a.assemble().unwrap()
+    }
+
+    fn replay_divergence(program: &Program, snap: &Snapshot) -> String {
+        let config = SimConfig::four_wide().with_max_insts(10);
+        run_lockstep_window(program, config, snap).expect_err("replay diverges").reason
+    }
+
+    #[test]
+    fn window_replay_reports_halt_pc_and_fault() {
+        let mut emu = Emulator::new(&countdown(0));
+        emu.run(30).unwrap();
+        let snap = emu.snapshot();
+        assert!(run_lockstep_window(&countdown(0), SimConfig::four_wide(), &snap).is_ok());
+
+        let mut a = Asm::new();
+        a.nop();
+        a.halt();
+        let reason = replay_divergence(&a.assemble().unwrap(), &snap);
+        assert!(reason.starts_with("shadow halted after 2 steps"), "{reason}");
+
+        let reason = replay_divergence(&countdown(2), &snap);
+        assert!(reason.contains("disagrees with functional replay"), "{reason}");
+
+        let mut a = Asm::new();
+        a.li(Reg::R6, -1);
+        a.ldq(Reg::R3, Reg::R6, 0);
+        let reason = replay_divergence(&a.assemble().unwrap(), &snap);
+        assert!(reason.starts_with("shadow emulation faulted"), "{reason}");
+    }
 }

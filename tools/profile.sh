@@ -9,8 +9,9 @@
 # is often locked down. Skips cleanly (exit 0, a message on stderr) when
 # no profiler is available. hpabench runs its cells on worker threads,
 # and gprofng 2.40 has been seen to record clock samples from the main
-# thread only: check the <Total> line against the run's wall time before
-# reading the shares.
+# thread only, so the script times the collected run and prints the
+# sampled CPU seconds beside its wall time, warning when they cover less
+# than half of it: the shares then describe only part of the run.
 #
 # Usage: tools/profile.sh [--top N] [--keep] WORKLOAD
 #   WORKLOAD  a BENCHMARK.json workload: paper-matrix, sampled-long or
@@ -50,6 +51,7 @@ cleanup() { [ "$keep" -eq 1 ] || rm -rf "$expdir"; }
 trap cleanup EXIT
 
 echo "== collecting profile (workload=$workload) =="
+started="$(date +%s.%N)"
 if ! gprofng collect app -o "$exp" hpabench/target/release/hpabench \
   --workload "$workload" --seed 1 --seconds 1 --trace 0 >"$expdir/run.txt" 2>&1; then
   # Some hardened hosts refuse the collector's ptrace/LD_PRELOAD hooks;
@@ -59,10 +61,19 @@ if ! gprofng collect app -o "$exp" hpabench/target/release/hpabench \
   tail -n 5 "$expdir/run.txt" >&2
   exit 0
 fi
+wall_s="$(awk -v a="$started" -v b="$(date +%s.%N)" 'BEGIN { printf "%.2f", b - a }')"
+
+functions="$(gprofng display text -metrics e.totalcpu -sort e.totalcpu -functions "$exp")"
+cpu_s="$(awk '$NF == "<Total>" { print $1 + 0; exit }' <<<"$functions")"
+coverage="$(awk -v c="${cpu_s:-0}" -v w="$wall_s" 'BEGIN { printf "%.0f", 100 * c / w }')"
+echo "== coverage: ${cpu_s:-0} s sampled CPU in $wall_s s wall (${coverage}%) =="
+if [ "$coverage" -lt 50 ]; then
+  echo "profile.sh: warning: the samples cover ${coverage}% of the run's wall time;" \
+    "the shares below describe only the sampled part" >&2
+fi
 
 echo "== hottest functions (exclusive CPU, top $top) =="
-gprofng display text -metrics e.totalcpu -sort e.totalcpu -functions "$exp" |
-  awk 'NR > 5 && $1 + 0 > 0 { print } NR > 5 + '"$top"' { exit }'
+awk 'NR > 5 && $1 + 0 > 0 { print } NR > 5 + '"$top"' { exit }' <<<"$functions"
 
 if [ "$keep" -eq 1 ]; then
   echo "experiment kept at: $exp"
