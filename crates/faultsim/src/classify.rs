@@ -1,13 +1,8 @@
 //! AVF-style classification of one injected run.
 
 use hpa_core::asm::Program;
-use hpa_core::emu::{Emulator, RunOutcome};
-use hpa_core::sim::{FaultInjection, SimConfig, Simulator};
-use hpa_verify::{ArchState, LockstepOracle};
-
-/// Step budget for the independent reference emulation (matches the
-/// lockstep oracle's budget; campaign programs are tiny).
-const REFERENCE_BUDGET: u64 = 10_000_000;
+use hpa_core::sim::{FaultInjection, SimConfig};
+use hpa_verify::{run_lockstep_injected, Divergence};
 
 /// What one injected run did to the architecture, in the AVF taxonomy.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -15,12 +10,16 @@ pub enum Classification {
     /// The verification net fired: the lockstep oracle, the strict
     /// invariant sweep, an emulator fault, or the deadlock watchdog.
     Detected {
-        /// The structured fault, rendered.
+        /// The divergence, rendered.
         reason: String,
     },
-    /// The run completed and the final architectural state is identical
-    /// to the reference emulation — the fault was absorbed.
+    /// The fault fired, the run completed, and the final architectural
+    /// state is identical to the reference emulation — the fault was
+    /// absorbed.
     Masked,
+    /// The run completed cleanly and the planted fault never fired (its
+    /// trigger never came up), so the run says nothing about resilience.
+    Dormant,
     /// Silent data corruption: the run completed cleanly but the final
     /// architectural state differs from the reference. Must never happen
     /// for the speculation-free fault classes.
@@ -37,14 +36,16 @@ impl Classification {
         match self {
             Classification::Detected { .. } => "detected",
             Classification::Masked => "masked",
+            Classification::Dormant => "dormant",
             Classification::Sdc { .. } => "sdc",
         }
     }
 }
 
-/// Runs `program` under `config` with `injection` planted, the lockstep
-/// oracle attached, strict invariants on, and a `cycle_budget` watchdog,
-/// then classifies the outcome.
+/// Runs `program` under `config` with `injection` planted through
+/// [`run_lockstep_injected`] — lockstep oracle, strict invariants, a
+/// `cycle_budget` watchdog and the final-state cross-check — and
+/// classifies the outcome.
 ///
 /// The watchdog is what makes hang-class faults (e.g. a dropped wakeup)
 /// terminate: a run that exceeds the budget comes back as a structured
@@ -56,39 +57,11 @@ pub fn classify_injected(
     injection: FaultInjection,
     cycle_budget: u64,
 ) -> Classification {
-    let mut sim = Simulator::new(program, config);
-    sim.set_commit_hook(Box::new(LockstepOracle::new(program)));
-    sim.set_strict_invariants(true);
-    sim.set_cycle_budget(cycle_budget);
-    sim.inject_fault(injection);
-    if let Err(fault) = sim.try_run() {
-        return Classification::Detected { reason: fault.to_string() };
-    }
-
-    // The run finished cleanly; only the final-state cross-check against
-    // an independent emulation can still unmask silent corruption.
-    let mut reference = Emulator::new(program);
-    match reference.run(REFERENCE_BUDGET) {
-        Ok(RunOutcome::Halted { .. }) => {}
-        Ok(RunOutcome::BudgetExhausted { .. }) => {
-            // Campaign programs are generated to halt; a non-halting
-            // reference is a harness defect, surfaced loudly rather than
-            // misfiled as masked or SDC.
-            return Classification::Detected {
-                reason: format!("harness: reference emulation exceeded {REFERENCE_BUDGET} steps"),
-            };
-        }
-        Err(e) => {
-            return Classification::Detected {
-                reason: format!("harness: reference emulation faulted: {e}"),
-            };
-        }
-    }
-    let sim_state = ArchState::capture(sim.emulator());
-    let ref_state = ArchState::capture(&reference);
-    match sim_state.first_difference(&ref_state, "simulator", "reference") {
-        Some(reason) => Classification::Sdc { reason },
-        None => Classification::Masked,
+    match run_lockstep_injected(program, config, injection, cycle_budget) {
+        Ok(outcome) if outcome.fired => Classification::Masked,
+        Ok(_) => Classification::Dormant,
+        Err(Divergence { final_state: Some(reason), .. }) => Classification::Sdc { reason },
+        Err(d) => Classification::Detected { reason: d.reason },
     }
 }
 
@@ -105,14 +78,35 @@ mod tests {
 
     #[test]
     fn clean_run_is_masked() {
-        // A storm scheduled far past the program's lifetime never fires.
+        // A storm that fires and is absorbed as a stall.
+        let c = classify_injected(
+            &gen_program(3),
+            Scheme::Combined.configure(MachineWidth::Four),
+            FaultInjection::ReadPortStorm { from_cycle: 5, cycles: 16 },
+            200_000,
+        );
+        assert_eq!(c, Classification::Masked);
+    }
+
+    #[test]
+    fn fault_that_never_fires_is_dormant() {
+        // The base machine reads two register ports: there are no `now`
+        // bits to go stale.
+        let c = classify_injected(
+            &gen_program(3),
+            Scheme::Base.configure(MachineWidth::Four),
+            FaultInjection::StaleNowBits { nth: 1 },
+            200_000,
+        );
+        assert_eq!(c, Classification::Dormant);
+        // Nor does a storm scheduled far past the program's lifetime.
         let c = classify_injected(
             &gen_program(3),
             Scheme::Combined.configure(MachineWidth::Four),
             FaultInjection::ReadPortStorm { from_cycle: u64::MAX / 2, cycles: 1 },
             200_000,
         );
-        assert_eq!(c, Classification::Masked);
+        assert_eq!(c, Classification::Dormant);
     }
 
     #[test]

@@ -8,6 +8,9 @@ use hpa_core::Scheme;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
+/// The classification keys, in table and JSON column order.
+const KEYS: [&str; 4] = ["detected", "masked", "dormant", "sdc"];
+
 /// The outcome of one completed `(program, scheme, fault-class)` cell.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct CellOutcome {
@@ -70,6 +73,12 @@ impl CampaignReport {
         self.count(|c| matches!(c, Classification::Masked))
     }
 
+    /// Completed cells classified Dormant.
+    #[must_use]
+    pub fn dormant(&self) -> usize {
+        self.count(|c| matches!(c, Classification::Dormant))
+    }
+
     /// Completed cells classified SDC.
     #[must_use]
     pub fn sdc(&self) -> usize {
@@ -100,14 +109,11 @@ impl CampaignReport {
         out
     }
 
-    fn tally(&self, scheme: Scheme, class: FaultClass) -> (usize, usize, usize) {
-        let mut t = (0, 0, 0);
+    /// One `(scheme, class)` row: the cell count per [`KEYS`] column.
+    fn tally(&self, scheme: Scheme, class: FaultClass) -> [usize; 4] {
+        let mut t = [0; 4];
         for c in self.cells.iter().filter(|c| c.scheme == scheme && c.class == class) {
-            match c.classification {
-                Classification::Detected { .. } => t.0 += 1,
-                Classification::Masked => t.1 += 1,
-                Classification::Sdc { .. } => t.2 += 1,
-            }
+            t[KEYS.iter().position(|&k| k == c.classification.key()).expect("known key")] += 1;
         }
         t
     }
@@ -119,12 +125,13 @@ impl CampaignReport {
         let _ = writeln!(
             out,
             "fault-injection campaign: seed {}, {} programs, {} runs \
-             ({} detected, {} masked, {} sdc, {} aborted)",
+             ({} detected, {} masked, {} dormant, {} sdc, {} aborted)",
             self.seed,
             self.programs,
             self.cells.len(),
             self.detected(),
             self.masked(),
+            self.dormant(),
             self.sdc(),
             self.aborted.len(),
         );
@@ -132,14 +139,13 @@ impl CampaignReport {
         for scheme in self.schemes() {
             let runs = self.cells.iter().filter(|c| c.scheme == scheme).count();
             let _ = writeln!(out, "\nscheme `{}` ({} runs)", scheme.key(), runs);
-            let _ =
-                writeln!(out, "  {:<20} {:>8} {:>8} {:>5}", "class", "detected", "masked", "sdc");
+            let [d, m, z, s] = KEYS;
+            let _ = writeln!(out, "  {:<20} {d:>8} {m:>8} {z:>8} {s:>5}", "class");
             for class in &classes {
-                let (d, m, s) = self.tally(scheme, *class);
-                if d + m + s == 0 {
-                    continue;
+                let [d, m, z, s] = self.tally(scheme, *class);
+                if d + m + z + s > 0 {
+                    let _ = writeln!(out, "  {:<20} {d:>8} {m:>8} {z:>8} {s:>5}", class.key());
                 }
-                let _ = writeln!(out, "  {:<20} {d:>8} {m:>8} {s:>5}", class.key());
             }
         }
         for c in
@@ -186,14 +192,12 @@ impl CampaignReport {
         let classes = self.classes();
         let schemes = self.schemes().into_iter().map(|scheme| {
             let rows = classes.iter().filter_map(|&class| {
-                let (d, m, s) = self.tally(scheme, class);
-                (d + m + s > 0).then(|| {
-                    Json::obj(vec![
-                        ("class", Json::from(class.key())),
-                        ("detected", Json::from(d)),
-                        ("masked", Json::from(m)),
-                        ("sdc", Json::from(s)),
-                    ])
+                let tally = self.tally(scheme, class);
+                (tally.iter().sum::<usize>() > 0).then(|| {
+                    let counts = KEYS.into_iter().zip(tally).map(|(k, n)| (k, Json::from(n)));
+                    Json::obj(
+                        std::iter::once(("class", Json::from(class.key()))).chain(counts).collect(),
+                    )
                 })
             });
             Json::obj(vec![
@@ -231,6 +235,7 @@ impl CampaignReport {
             ("runs", Json::from(self.cells.len())),
             ("detected", Json::from(self.detected())),
             ("masked", Json::from(self.masked())),
+            ("dormant", Json::from(self.dormant())),
             ("sdc", Json::from(self.sdc())),
             ("aborted", Json::from(self.aborted.len())),
             ("schemes", Json::Arr(schemes.collect())),

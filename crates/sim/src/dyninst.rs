@@ -5,7 +5,7 @@ use hpa_isa::{ArchReg, FuClass, Inst};
 
 /// Lifecycle of an in-flight instruction inside the window.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum IState {
+pub(crate) enum IState {
     /// In the window, not (or no longer) issued.
     Waiting,
     /// Selected; executing or waiting for its result.
@@ -16,31 +16,49 @@ pub enum IState {
 
 /// One renamed source operand.
 #[derive(Clone, Copy, Debug)]
-pub struct SrcState {
+pub(crate) struct SrcState {
     /// The architectural name.
-    pub reg: ArchReg,
+    pub(crate) reg: ArchReg,
     /// Sequence number of the in-flight producer; `None` if the value was
     /// already architecturally available at insert.
-    pub producer: Option<u64>,
+    pub(crate) producer: Option<u64>,
     /// Whether the producing tag has been seen (conventional wakeup
     /// timing). Cleared when the producer is squashed.
-    pub ready: bool,
+    pub(crate) ready: bool,
     /// Cycle at which this operand *effectively* woke up, including the
     /// +1 slow-bus delay under sequential wakeup. Operands ready at insert
     /// use the insert cycle. Only meaningful while `ready`.
-    pub effective_cycle: u64,
+    pub(crate) effective_cycle: u64,
     /// Cycle of the raw tag broadcast (no slow-bus adjustment), used by
     /// the wakeup-slack and last-arriving statistics.
-    pub broadcast_cycle: u64,
+    pub(crate) broadcast_cycle: u64,
     /// Whether the operand was ready when the instruction entered the
     /// window (no wakeup needed).
-    pub ready_at_insert: bool,
+    pub(crate) ready_at_insert: bool,
+}
+
+impl SrcState {
+    /// The scheduler sources of `inst` (slot 0 = left, slot 1 = right),
+    /// before rename: no producer, ready at insert.
+    pub(crate) fn unrenamed(inst: Inst) -> [Option<SrcState>; 2] {
+        let sources = inst.scheduler_sources();
+        [0, 1].map(|slot| {
+            sources.get(slot).map(|reg| SrcState {
+                reg,
+                producer: None,
+                ready: true,
+                effective_cycle: 0,
+                broadcast_cycle: 0,
+                ready_at_insert: true,
+            })
+        })
+    }
 }
 
 /// Register-read categorization of one committed 2-source instruction
 /// (paper Figure 10).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum RfCategory {
+pub(crate) enum RfCategory {
     /// Both operands were ready at insert: two register reads.
     TwoReady,
     /// Issued back-to-back with the last wakeup: at least one operand off
@@ -52,111 +70,93 @@ pub enum RfCategory {
 
 /// One instruction in flight.
 #[derive(Clone, Debug)]
-pub struct DynInst {
+pub(crate) struct DynInst {
     /// Global sequence number (program order).
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// Fetch address.
-    pub pc: u64,
+    pub(crate) pc: u64,
     /// The decoded instruction.
-    pub inst: Inst,
+    pub(crate) inst: Inst,
     /// Effective address for loads/stores.
-    pub mem_addr: Option<u64>,
+    pub(crate) mem_addr: Option<u64>,
     /// Functional-unit class.
-    pub fu: FuClass,
+    pub(crate) fu: FuClass,
     /// Base execution latency (loads: address generation only).
-    pub base_latency: u32,
+    pub(crate) base_latency: u32,
     /// Whether the FU is pipelined for this op.
-    pub fu_pipelined: bool,
+    pub(crate) fu_pipelined: bool,
 
     /// Renamed scheduler sources (slot 0 = left, slot 1 = right).
-    pub srcs: [Option<SrcState>; 2],
+    pub(crate) srcs: [Option<SrcState>; 2],
     /// Which slot sits on the fast wakeup bus (sequential wakeup) or is
     /// watched (tag elimination).
-    pub fast_slot: usize,
+    pub(crate) fast_slot: usize,
     /// Destination register, if any.
-    pub dest: Option<ArchReg>,
+    pub(crate) dest: Option<ArchReg>,
     /// Producer of a store's data operand.
-    pub store_data_producer: Option<u64>,
+    pub(crate) store_data_producer: Option<u64>,
 
     /// Lifecycle state.
-    pub state: IState,
+    pub(crate) state: IState,
     /// Bumped whenever the instruction is squashed; stale scheduled events
     /// compare epochs and drop themselves.
-    pub epoch: u32,
+    pub(crate) epoch: u32,
     /// Cycle the instruction entered the window.
-    pub insert_cycle: u64,
+    pub(crate) insert_cycle: u64,
     /// Most recent issue cycle (meaningful once issued at least once).
-    pub issue_cycle: u64,
+    pub(crate) issue_cycle: u64,
     /// Effective cycle of the last operand wakeup at the most recent
     /// (successful) issue, clamped into `[insert_cycle, issue_cycle]`;
     /// feeds the trace export and the issue-to-wakeup delay histogram.
-    pub wakeup_cycle: u64,
+    pub(crate) wakeup_cycle: u64,
     /// Cycle the result is produced (execution completes).
-    pub complete_cycle: u64,
+    pub(crate) complete_cycle: u64,
     /// Whether the destination tag has been broadcast (and not
     /// invalidated since).
-    pub broadcast_done: bool,
+    pub(crate) broadcast_done: bool,
     /// Number of times this instruction was squashed and replayed.
-    pub replays: u32,
+    pub(crate) replays: u32,
 
     /// Branch state: direction/target misprediction detected at fetch.
-    pub mispredicted: bool,
+    pub(crate) mispredicted: bool,
     /// Fetch has already been redirected by this branch's resolution
     /// (replays do not redirect again).
-    pub resume_done: bool,
+    pub(crate) resume_done: bool,
     /// The architectural next PC (for branch bookkeeping).
-    pub next_pc: u64,
+    pub(crate) next_pc: u64,
     /// Whether the control transfer was taken.
-    pub taken: bool,
+    pub(crate) taken: bool,
 
     /// Load state: the load was found to stall on an older store and is
     /// waiting to retry its memory access.
-    pub load_stalled: bool,
+    pub(crate) load_stalled: bool,
     /// Store state: address generated (LSQ entry resolved).
-    pub addr_resolved: bool,
+    pub(crate) addr_resolved: bool,
 
     /// Tag elimination: after a misfire, require both operands verified
     /// ready before re-requesting issue.
-    pub te_verified_wait: bool,
+    pub(crate) te_verified_wait: bool,
     /// Whether the last issue required a sequential register access.
-    pub seq_rf: bool,
+    pub(crate) seq_rf: bool,
     /// Figure 10 category of the most recent issue (2-source insts only).
-    pub rf_category: Option<RfCategory>,
+    pub(crate) rf_category: Option<RfCategory>,
     /// Statistics flag: the second pending operand's wakeup has been
     /// recorded (slack/predictor stats fire once per instruction).
-    pub wakeup_pair_recorded: bool,
-    /// Whether the instruction is enqueued on the scheduler's
-    /// ready-candidate list (guards against duplicate enqueues).
-    pub in_ready_list: bool,
+    pub(crate) wakeup_pair_recorded: bool,
 
     /// Value written to the destination register, captured from the
     /// emulator at fetch (f64 results as raw bits); for commit hooks.
-    pub dest_value: Option<u64>,
+    pub(crate) dest_value: Option<u64>,
     /// For stores: the stored bytes as memory holds them after the step;
     /// for commit hooks.
-    pub mem_data: Option<u64>,
+    pub(crate) mem_data: Option<u64>,
 }
 
 impl DynInst {
     /// Builds the in-flight record from a functional step.
-    #[must_use]
-    pub fn from_step(seq: u64, step: &StepRecord) -> DynInst {
+    pub(crate) fn from_step(seq: u64, step: &StepRecord) -> DynInst {
         let inst = step.inst;
         let latency = inst.latency();
-        let sources = inst.scheduler_sources();
-        let mut srcs: [Option<SrcState>; 2] = [None, None];
-        for (slot, src) in srcs.iter_mut().enumerate() {
-            if let Some(reg) = sources.get(slot) {
-                *src = Some(SrcState {
-                    reg,
-                    producer: None,
-                    ready: true,
-                    effective_cycle: 0,
-                    broadcast_cycle: 0,
-                    ready_at_insert: true,
-                });
-            }
-        }
         DynInst {
             seq,
             pc: step.pc,
@@ -165,7 +165,7 @@ impl DynInst {
             fu: inst.fu_class(),
             base_latency: latency.cycles,
             fu_pipelined: latency.pipelined,
-            srcs,
+            srcs: SrcState::unrenamed(inst),
             fast_slot: 1,
             dest: inst.dest(),
             store_data_producer: None,
@@ -187,60 +187,52 @@ impl DynInst {
             seq_rf: false,
             rf_category: None,
             wakeup_pair_recorded: false,
-            in_ready_list: false,
             dest_value: None,
             mem_data: None,
         }
     }
 
     /// Whether this is a load.
-    #[must_use]
-    pub fn is_load(&self) -> bool {
+    pub(crate) fn is_load(&self) -> bool {
         self.inst.is_load()
     }
 
     /// Whether this is a store.
-    #[must_use]
-    pub fn is_store(&self) -> bool {
+    pub(crate) fn is_store(&self) -> bool {
         self.inst.is_store()
     }
 
     /// Whether this occupies an LSQ entry.
-    #[must_use]
-    pub fn is_mem(&self) -> bool {
+    pub(crate) fn is_mem(&self) -> bool {
         self.is_load() || self.is_store()
     }
 
     /// Whether select gives it the high (load/branch) priority group
     /// (paper §2.1).
-    #[must_use]
-    pub fn high_priority(&self) -> bool {
+    pub(crate) fn high_priority(&self) -> bool {
         self.is_load() || self.inst.is_control()
     }
 
     /// Number of scheduler source operands.
-    #[must_use]
-    pub fn num_srcs(&self) -> usize {
+    pub(crate) fn num_srcs(&self) -> usize {
         self.srcs.iter().filter(|s| s.is_some()).count()
     }
 
     /// Whether this instruction has two scheduler sources (a "2-source
     /// instruction" in the paper's terms; stores are excluded because the
     /// scheduler only tracks their address operand).
-    #[must_use]
-    pub fn is_two_source(&self) -> bool {
+    pub(crate) fn is_two_source(&self) -> bool {
         self.num_srcs() == 2
     }
 
     /// Both operands pending at insert (the population of Figures 6/7 and
     /// Table 3).
-    #[must_use]
-    pub fn two_pending_at_insert(&self) -> bool {
+    pub(crate) fn two_pending_at_insert(&self) -> bool {
         self.is_two_source() && self.srcs.iter().flatten().all(|s| !s.ready_at_insert)
     }
 
     /// Iterates over present sources.
-    pub fn srcs_iter(&self) -> impl Iterator<Item = &SrcState> {
+    pub(crate) fn srcs_iter(&self) -> impl Iterator<Item = &SrcState> {
         self.srcs.iter().flatten()
     }
 }

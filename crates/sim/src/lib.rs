@@ -31,29 +31,40 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+/// Early-returns a formatted invariant violation when `cond` is false.
+macro_rules! ensure {
+    ($cond:expr, $($fmt:tt)+) => {
+        if !$cond {
+            return Err(format!($($fmt)+));
+        }
+    };
+}
+
 mod commit;
 mod config;
 mod dyninst;
 mod frontend;
 mod fu;
+mod inject;
+mod lsq;
 mod phases;
 mod pipeline;
 mod sampled;
+mod sched;
 mod stats;
 mod trace;
-pub mod wheel;
+mod wheel;
 mod window;
 
 pub use commit::{CommitHook, CommitRecord};
 pub use config::{
     BypassScheme, FuCounts, RecoveryKind, RegFileScheme, RenameScheme, SimConfig, WakeupScheme,
 };
-pub use dyninst::{DynInst, IState, RfCategory, SrcState};
 pub use frontend::BranchWarmth;
 pub use hpa_obs::{Counters, CpiCategory, CpiStack, Histogram, InstSpan};
+pub use inject::FaultInjection;
 pub use phases::PhaseTimes;
-pub use pipeline::{FaultInjection, SimFault, Simulator};
+pub use pipeline::{SimFault, Simulator};
 pub use sampled::{SampleIpc, SampleUnits, SampledEstimate, SampledOutcome, SampledRunner};
 pub use stats::{FormatStats, SimStats, WakeupOrderStats};
 pub use trace::{PipeTrace, TraceRecord};
-pub use wheel::EventWheel;

@@ -57,24 +57,6 @@ impl PhaseTimes {
         ]
     }
 
-    /// Total nanoseconds across all phases.
-    #[must_use]
-    pub fn total_ns(&self) -> u64 {
-        self.entries().iter().map(|(_, ns)| ns).sum()
-    }
-
-    /// One phase's share of the total, in `[0, 1]` (0 when nothing was
-    /// timed).
-    #[must_use]
-    pub fn share(&self, ns: u64) -> f64 {
-        let total = self.total_ns();
-        if total == 0 {
-            0.0
-        } else {
-            ns as f64 / total as f64
-        }
-    }
-
     /// Merges another accumulator into this one (for summing timed runs
     /// across workloads or schemes).
     pub fn accumulate(&mut self, other: &PhaseTimes) {
@@ -107,10 +89,9 @@ mod tests {
             other_ns: 8,
             cycles: 9,
         };
-        assert_eq!(t.total_ns(), 36);
-        assert_eq!(t.entries().len(), 8);
-        assert!((t.share(18) - 0.5).abs() < 1e-12);
-        assert_eq!(PhaseTimes::default().share(0), 0.0);
+        let entries = t.entries();
+        assert_eq!(entries.len(), 8);
+        assert_eq!(entries.iter().map(|(_, ns)| ns).sum::<u64>(), 36);
     }
 
     #[test]

@@ -24,6 +24,25 @@
 //! check fires in the same cycle a dependent would issue, and failure
 //! squashes the issue shadow `(t, t_detect]` (non-selective) or its
 //! dependent subset (selective, Figure 5).
+//!
+//! # Where each stage's state lives
+//!
+//! This module holds the [`Simulator`] and runs the phases in order; the
+//! stages own their state in their own modules:
+//!
+//! | Stage | Module | State |
+//! |---|---|---|
+//! | window | `window.rs` | instruction records, flat scan columns |
+//! | wakeup, select, replay | `sched.rs` | broadcast wheel, wakeup matrix, ready bits, issue gating |
+//! | memory disambiguation | `lsq.rs` | store queue, parked loads, store-wait bits |
+//! | fetch | `frontend.rs` | emulator, branch predictors, fetch queue |
+//! | functional units | `fu.rs` | per-class busy tables |
+//! | fault injection | `inject.rs` | the armed fault, one call per trigger point |
+//!
+//! Rename, execution events, commit, the last-arrival statistics and CPI
+//! attribution stay here. Each stage checks its own invariants
+//! (`check_invariants` beside its code); [`Simulator::check_invariants`]
+//! runs them all plus the cross-stage ones.
 
 use crate::commit::{CommitHook, CommitRecord};
 use crate::config::{
@@ -32,18 +51,20 @@ use crate::config::{
 use crate::dyninst::{DynInst, IState, RfCategory, SrcState};
 use crate::frontend::{BranchWarmth, FrontEnd};
 use crate::fu::FuPool;
+use crate::inject::{FaultInjection, Injector};
+use crate::lsq::{Lsq, LsqOutcome};
 use crate::phases::PhaseTimes;
+use crate::sched::Scheduler;
 use crate::stats::SimStats;
 use crate::trace::{PipeTrace, TraceRecord};
 use crate::wheel::EventWheel;
-use crate::window::{slot_flags, slot_state, state_code, SlotBitset, WakeupMatrix, Window};
+use crate::window::{slot_state, Window};
 use hpa_asm::Program;
 use hpa_bpred::{LastArrivalBank, LastArrivalPredictor, PcTable, Side};
 use hpa_cache::Hierarchy;
 use hpa_emu::{EmuError, Emulator};
 use hpa_isa::{Inst, NUM_ARCH_REGS};
 use hpa_obs::{Counters, CpiCategory};
-use std::collections::VecDeque;
 use std::fmt;
 
 /// Cycles without a commit after which `run` declares a deadlock
@@ -111,87 +132,6 @@ impl fmt::Display for SimFault {
 
 impl std::error::Error for SimFault {}
 
-/// A deliberately planted hardware fault, for mutation-testing the
-/// verification subsystem and for the fault-injection campaign engine
-/// (`hpa-faultsim`): each variant corrupts one internal scheduler
-/// structure at a deterministic trigger point, so a run is reproducible
-/// from its parameters alone. Not part of the simulator's public contract.
-///
-/// The variants cover the structures the paper's speculation-free claim
-/// rests on: the fast/slow wakeup buses, the last-arriving predictor, the
-/// `now` bypass-match bits, the register-file read ports and the
-/// destination-tag broadcast network.
-#[doc(hidden)]
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum FaultInjection {
-    /// Starting with the `nth` wakeup delivery, the first delivery whose
-    /// consumer still has another pending operand wrongly marks that
-    /// operand ready too — a spurious wakeup with no producer broadcast.
-    SpuriousWakeup {
-        /// Delivery count (1-based) at which the injection arms.
-        nth: u64,
-    },
-    /// The `nth` fast-bus wakeup delivery is lost: the consumer never
-    /// hears the tag. Unless a later squash recompute re-derives the
-    /// readiness, the consumer waits forever — the watchdog's job.
-    DroppedWakeup {
-        /// Delivery count (1-based) at which the pulse is dropped.
-        nth: u64,
-    },
-    /// Starting with the `nth` delivery, the first slow-bus rebroadcast
-    /// arrives one cycle later than architected (+2 instead of +1). A
-    /// timing-only fault: sequential wakeup must absorb it as a stall.
-    DelayedSlowBus {
-        /// Delivery count (1-based) at which the injection arms.
-        nth: u64,
-    },
-    /// The `nth` last-arriving predictor lookup returns the opposite side
-    /// (a bit-flip in the PC-indexed table). Sequential wakeup pays at
-    /// most one slow-bus cycle; never a wrong result.
-    LastArrivalFlip {
-        /// Lookup count (1-based) at which the prediction flips.
-        nth: u64,
-    },
-    /// Starting with the `nth` two-source issue under sequential register
-    /// access, the first issue whose `now` bits claim a bypass match has
-    /// them read as stale (no match): the port is read twice and the slot
-    /// blocks — the bypass-miss penalty, never a wrong value.
-    StaleNowBits {
-        /// Two-source SeqRegAccess issue count (1-based) at which the
-        /// injection arms.
-        nth: u64,
-    },
-    /// A register-file read-port conflict storm: for `cycles` cycles
-    /// starting at `from_cycle`, all but one issue slot (and all but one
-    /// crossbar read port) are unavailable.
-    ReadPortStorm {
-        /// First stormy cycle.
-        from_cycle: u64,
-        /// Storm length in cycles.
-        cycles: u64,
-    },
-    /// The `nth` destination-tag broadcast has bit `bit` of its tag
-    /// flipped in flight: the true consumers never hear it, and an
-    /// aliased in-flight instruction may be wrongly marked as having
-    /// broadcast.
-    TagBitFlip {
-        /// Broadcast count (1-based) at which the tag is corrupted.
-        nth: u64,
-        /// Which tag bit flips (kept low so the corrupted tag lands near
-        /// the window).
-        bit: u32,
-    },
-    /// The machine silently stops fetching and committing after
-    /// `at_commit` commits, leaving the program's tail unexecuted — the
-    /// one planted fault that produces genuine silent data corruption
-    /// (no oracle fires; only the final-state cross-check can see it).
-    /// Exists to mutation-test the campaign engine's SDC classifier.
-    PrematureHalt {
-        /// Total commit count after which the machine halts.
-        at_commit: u64,
-    },
-}
-
 #[derive(Clone, Copy, Debug)]
 enum Event {
     /// Scoreboard check one cycle after a tag-elimination issue.
@@ -200,23 +140,6 @@ enum Event {
     MemAccess { seq: u64, epoch: u32 },
     /// Execution finishes; the result is architecturally available.
     Complete { seq: u64, epoch: u32 },
-}
-
-#[derive(Clone, Copy, Debug)]
-struct BroadcastEv {
-    seq: u64,
-    epoch: u32,
-}
-
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum LsqOutcome {
-    /// An older store blocks the access (unknown address, partial overlap
-    /// or data not ready).
-    Blocked,
-    /// A covering older store forwards its data (DL1-hit timing).
-    Forward,
-    /// No conflict; access the cache.
-    Normal,
 }
 
 /// The cycle-level simulator.
@@ -245,60 +168,28 @@ pub struct Simulator {
     window: Window,
     next_seq: u64,
     rename: [Option<u64>; NUM_ARCH_REGS],
-    broadcasts: EventWheel<BroadcastEv>,
+    /// Wakeup, select and replay (see [`Scheduler`]).
+    sched: Scheduler,
+    /// Load/store queue (see [`Lsq`]).
+    lsq: Lsq,
     events: EventWheel<Event>,
+    /// This cycle's execution events, drained from `events`.
+    due: Vec<Event>,
     fu: FuPool,
     predictor: Option<LastArrivalPredictor>,
     la_bank: LastArrivalBank,
     /// Last observed last-arriving side per (direct-mapped) PC, for the
     /// Table 3 wakeup-order stability counters.
     la_history: PcTable<Option<Side>>,
-    lsq_used: usize,
-    blocked_slots: u32,
-    blocked_slots_next: u32,
-    stalled_loads: Vec<u64>,
     stats: SimStats,
     cycle: u64,
     finished: bool,
-    /// 21264-style store-wait bits, PC-indexed: loads that previously
-    /// replayed on an older-store conflict are held at select until the
-    /// conflict clears, preventing load-hit-store replay storms.
-    stwait: PcTable<bool>,
-    /// Issue is suppressed until this cycle after a squash: the
-    /// 21264-style pullback restart, during which re-inserted
-    /// instructions re-arbitrate.
-    issue_stall_until: u64,
-    /// One bit per window slot for `Waiting` instructions whose
-    /// scheme-level wakeup condition holds (or held recently): the select
-    /// candidates. Fed incrementally at insert and wakeup delivery,
-    /// rebuilt by `recompute_ready` after squashes, compacted lazily by
-    /// select. May briefly hold instructions that issued since; commit
-    /// clears a slot's bit when it releases the slot.
-    ready: SlotBitset,
-    /// Per-slot cache of the cycle from which the enqueued instruction's
-    /// operand-timing condition holds (`u64::MAX` while a relevant
-    /// operand has not woken), so the select scan compares one word per
-    /// candidate instead of walking the instruction's operand records.
-    /// Written wherever the ready bit is set or an enqueued candidate's
-    /// operands change; meaningful only while the slot's bit is set.
-    ready_at: Box<[u64]>,
-    /// The bitset wakeup matrix: per producer slot and operand index, one
-    /// bit per consumer slot whose that operand names the producer (the
-    /// paper's CAM rows, transposed). Registered at rename, walked at tag
-    /// broadcast, cleared when the producer's slot is released.
-    matrix: WakeupMatrix,
-    /// In-flight store sequence numbers in program order, so LSQ
-    /// disambiguation walks only stores instead of the whole window.
-    store_queue: VecDeque<u64>,
     /// Optional pipeline-diagram recording (see [`Simulator::enable_trace`]).
     pipetrace: Option<PipeTrace>,
     /// Total commits including warmup (drives `max_insts`/halt).
     committed_total: u64,
     /// Cycle at which statistics last reset (warmup boundary).
     stats_start_cycle: u64,
-    /// Reusable per-cycle buffers; once warm, the cycle loop allocates
-    /// nothing.
-    scratch: Scratch,
     /// Retire-stream observer (lockstep oracle); `None` in normal runs.
     commit_hook: Option<Box<dyn CommitHook>>,
     /// First fault observed; stops `try_run` at the end of the cycle.
@@ -307,11 +198,8 @@ pub struct Simulator {
     /// crate's unit tests; the verifier and fault campaigns enable it at
     /// runtime.
     strict_invariants: bool,
-    /// Armed fault injection (mutation testing), if any.
-    injection: Option<FaultInjection>,
-    /// Kind-specific event count driving the armed injection's trigger
-    /// (wakeup deliveries, broadcasts, predictor lookups, ...).
-    injection_events: u64,
+    /// The planted fault, if any (mutation testing; see [`Injector`]).
+    injector: Injector,
     /// Watchdog: `try_run` reports [`SimFault::Deadlock`] once the cycle
     /// count reaches this budget (`u64::MAX` = no budget). Campaign
     /// runners use it to convert injected hangs into structured outcomes
@@ -349,81 +237,6 @@ struct CpiSelectInfo {
     /// Select-time classification of the leftover (unfilled) slots; only
     /// computed when some slots were left over.
     stall: Option<CpiCategory>,
-}
-
-/// Scratch buffers for the hot cycle loop. Each phase takes the buffer it
-/// needs with `std::mem::take`, works on it as a local (so `&mut self`
-/// calls stay legal), and puts it back — capacity survives across cycles.
-#[derive(Clone, Debug, Default)]
-struct Scratch {
-    /// This cycle's tag broadcasts (drained from the wheel).
-    broadcasts: Vec<BroadcastEv>,
-    /// Consumer list of the broadcasting instruction.
-    consumers: Vec<u64>,
-    /// This cycle's execution events (drained from the wheel).
-    events: Vec<Event>,
-    /// Memory-access events, run after squashes.
-    mem: Vec<Event>,
-    /// Completion events, run last.
-    completes: Vec<Event>,
-    /// Select candidates as `(!high_priority, seq)` keys, already in
-    /// select order (high-priority class first, oldest-first within).
-    cands: Vec<(bool, u64)>,
-    /// Low-priority candidates of the ring pass, appended to `cands`.
-    cands_lo: Vec<(bool, u64)>,
-    /// Select compaction: ready-bitset slots to clear after the walk.
-    drop_slots: Vec<usize>,
-    /// Ping-pong partner of `Simulator::stalled_loads`.
-    stalled: Vec<u64>,
-    /// Squash: instructions chosen for replay.
-    replay: Vec<u64>,
-    /// Squash: transitive dependents of the replay root (kept sorted).
-    dep_set: Vec<u64>,
-    /// `recompute_ready`: per-window-slot producer availability.
-    avail: Vec<bool>,
-}
-
-/// The scheme-level wakeup condition: whether the wakeup logic considers
-/// this instruction ready to *request* issue. This deliberately ignores
-/// per-cycle gating (`effective_cycle`, FU availability, LSQ state) —
-/// those are re-checked by `selectable` every select cycle — so it is the
-/// right predicate for deciding when to enqueue an instruction on the
-/// ready-candidate list: once true, it stays true until the instruction
-/// issues or is squashed.
-fn wakeup_ready(i: &DynInst, wakeup: WakeupScheme) -> bool {
-    match wakeup {
-        WakeupScheme::TagElimination { .. } if i.is_two_source() && !i.te_verified_wait => {
-            i.srcs[i.fast_slot].as_ref().is_some_and(|s| s.ready)
-        }
-        _ => i.srcs_iter().all(|s| s.ready),
-    }
-}
-
-/// The cycle from which select's operand-timing condition holds for this
-/// instruction — the max effective wakeup cycle over the operands the
-/// scheme checks (tag elimination before a misfire watches only the fast
-/// side) — or `u64::MAX` while a relevant operand has not woken. Cached
-/// per slot in `Simulator::ready_at` so the select scan reads one word
-/// per candidate.
-fn ready_cycle_of(i: &DynInst, wakeup: WakeupScheme) -> u64 {
-    match wakeup {
-        WakeupScheme::TagElimination { .. } if i.is_two_source() && !i.te_verified_wait => {
-            match i.srcs[i.fast_slot].as_ref() {
-                Some(s) if s.ready => s.effective_cycle,
-                _ => u64::MAX,
-            }
-        }
-        _ => {
-            let mut at = 0;
-            for s in i.srcs_iter() {
-                if !s.ready {
-                    return u64::MAX;
-                }
-                at = at.max(s.effective_cycle);
-            }
-            at
-        }
-    }
 }
 
 impl Simulator {
@@ -467,37 +280,27 @@ impl Simulator {
             hierarchy: Hierarchy::new(config.hierarchy),
             fu: FuPool::new(&config.fu),
             window: Window::new(config.ruu_size),
-            ready: SlotBitset::new(config.ruu_size.next_power_of_two()),
-            ready_at: vec![u64::MAX; config.ruu_size.next_power_of_two()].into_boxed_slice(),
-            matrix: WakeupMatrix::new(config.ruu_size.next_power_of_two()),
-            store_queue: VecDeque::with_capacity(config.lsq_size),
+            sched: Scheduler::new(&config),
+            lsq: Lsq::new(&config),
             la_history: PcTable::new(config.pc_table_entries, None),
-            stwait: PcTable::new(config.pc_table_entries, false),
             config,
             frontend,
             next_seq: 0,
             rename: [None; NUM_ARCH_REGS],
-            broadcasts: EventWheel::new(),
             events: EventWheel::new(),
+            due: Vec::new(),
             predictor,
             la_bank: LastArrivalBank::figure7(),
-            lsq_used: 0,
-            blocked_slots: 0,
-            blocked_slots_next: 0,
-            stalled_loads: Vec::new(),
             stats: SimStats { issue_histogram: vec![0; width_plus_one], ..SimStats::default() },
             cycle: 0,
             finished: false,
-            issue_stall_until: 0,
             pipetrace: None,
             committed_total: 0,
             stats_start_cycle: 0,
-            scratch: Scratch::default(),
             commit_hook: None,
             fault: None,
             strict_invariants: cfg!(test),
-            injection: None,
-            injection_events: 0,
+            injector: Injector::default(),
             cycle_budget: u64::MAX,
             counters: Counters::disabled(),
             cpi_select: CpiSelectInfo::default(),
@@ -524,7 +327,15 @@ impl Simulator {
     /// subsystem).
     #[doc(hidden)]
     pub fn inject_fault(&mut self, injection: FaultInjection) {
-        self.injection = Some(injection);
+        self.injector.arm(injection);
+    }
+
+    /// Whether the fault planted by [`Simulator::inject_fault`] has fired
+    /// (corrupted anything) so far.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn injection_fired(&self) -> bool {
+        self.injector.fired()
     }
 
     /// Arms the per-run watchdog: [`Simulator::try_run`] reports
@@ -555,12 +366,6 @@ impl Simulator {
         self.cycle
     }
 
-    /// The configuration this simulator was built with.
-    #[must_use]
-    pub fn config(&self) -> &SimConfig {
-        &self.config
-    }
-
     /// Starts recording a pipeline diagram of the first `capacity`
     /// committed instructions (see [`PipeTrace`]).
     pub fn enable_trace(&mut self, capacity: usize) {
@@ -588,22 +393,6 @@ impl Simulator {
     #[must_use]
     pub fn counters(&self) -> &Counters {
         &self.counters
-    }
-
-    fn inst(&self, seq: u64) -> Option<&DynInst> {
-        self.window.get(seq)
-    }
-
-    fn inst_mut(&mut self, seq: u64) -> Option<&mut DynInst> {
-        self.window.get_mut(seq)
-    }
-
-    fn schedule_broadcast(&mut self, cycle: u64, seq: u64, epoch: u32) {
-        self.broadcasts.schedule(cycle, BroadcastEv { seq, epoch });
-    }
-
-    fn schedule_event(&mut self, cycle: u64, ev: Event) {
-        self.events.schedule(cycle, ev);
     }
 
     fn exec_offset(&self) -> u64 {
@@ -661,31 +450,21 @@ impl Simulator {
         let mut result = Ok(());
         while self.active() {
             self.step_cycle();
-            if let Some(fault) = self.fault.take() {
-                self.fault = Some(fault.clone());
-                result = Err(fault);
-                break;
-            }
             if self.stats.committed != last_progress.0 {
                 last_progress = (self.stats.committed, self.cycle);
             }
-            if self.cycle - last_progress.1 >= DEADLOCK_LIMIT {
-                let head = format!("{:?}", self.window.front().map(|i| (i.seq, i.state, &i.inst)));
-                let fault = SimFault::Deadlock { cycle: self.cycle, head };
-                self.fault = Some(fault.clone());
-                result = Err(fault);
-                break;
+            let stuck = self.cycle - last_progress.1 >= DEADLOCK_LIMIT;
+            if self.fault.is_none() && (stuck || self.cycle >= self.cycle_budget) {
+                let head = self.window.front().map(|i| (i.seq, i.state, &i.inst));
+                let head = if stuck {
+                    format!("{head:?}")
+                } else {
+                    format!("cycle budget {} exhausted; {head:?}", self.cycle_budget)
+                };
+                self.fault = Some(SimFault::Deadlock { cycle: self.cycle, head });
             }
-            if self.cycle >= self.cycle_budget {
-                let head = format!(
-                    "cycle budget {} exhausted; {:?}",
-                    self.cycle_budget,
-                    self.window.front().map(|i| (i.seq, i.state, &i.inst))
-                );
-                let fault = SimFault::Deadlock { cycle: self.cycle, head };
-                self.fault = Some(fault.clone());
-                result = Err(fault);
-                break;
+            if let Some(fault) = &self.fault {
+                result = Err(fault.clone()); // `active` ends the loop
             }
         }
         self.stats.cycles = self.cycle - self.stats_start_cycle;
@@ -763,12 +542,9 @@ impl Simulator {
         }
         lap!(obs_ns);
         self.cycle += 1;
-        self.blocked_slots = std::mem::take(&mut self.blocked_slots_next);
-        if self.injection.is_some() {
-            self.maybe_inject_spurious_wakeup();
-        }
+        self.injector.spurious_wakeup(&mut self.window, &self.sched, self.cycle);
         if self.strict_invariants && self.fault.is_none() {
-            if let Err(reason) = self.check_invariants_result() {
+            if let Err(reason) = self.check_invariants() {
                 self.fault = Some(SimFault::Invariant {
                     cycle: self.cycle,
                     reason,
@@ -787,127 +563,65 @@ impl Simulator {
     // ---------------------------------------------------------- wakeup --
 
     fn phase_wakeup(&mut self) {
-        let mut list = std::mem::take(&mut self.scratch.broadcasts);
-        self.broadcasts.pop_into(self.cycle, &mut list);
-        let mut consumers = std::mem::take(&mut self.scratch.consumers);
-        for &(mut ev) in &list {
+        for k in 0..self.sched.pop_broadcasts(self.cycle) {
+            let (tag, epoch) = self.sched.broadcast(k);
             // Injection: a single-bit upset of the in-flight dest tag. The
             // true consumers never hear this broadcast; the corrupted tag
             // either names nothing (a lost pulse) or aliases another
             // in-flight instruction.
-            if let Some(FaultInjection::TagBitFlip { nth, bit }) = self.injection {
-                self.injection_events += 1;
-                if self.injection_events >= nth {
-                    ev.seq ^= 1u64 << bit;
-                    self.injection = None;
-                }
-            }
-            let Some(p) = self.inst_mut(ev.seq) else { continue };
-            if p.epoch != ev.epoch || p.state != IState::Issued {
+            let seq = self.injector.broadcast_tag(tag);
+            let Some(p) = self.window.get_mut(seq) else { continue };
+            if p.epoch != epoch || p.state != IState::Issued {
                 continue;
             }
             p.broadcast_done = true;
-            // Walk the producer's matrix rows in ring (= sequence) order.
-            // A consumer with both operands on this producer appears in
-            // both rows and gets two deliveries, src0 then src1 — the
-            // injection layer counts deliveries, so the call count and
-            // order reproduce the per-operand CAM pulses exactly.
-            consumers.clear();
-            let p_slot = self.window.slot_of(ev.seq);
-            let head_slot = self.window.head_slot();
-            let window = &self.window;
-            self.matrix.for_each_consumer(p_slot, head_slot, |c_slot, _src| {
-                // Ring arithmetic alone recovers the consumer's seq; a live
-                // producer's rows never hold stale bits (consumers are
-                // younger, so they retire after the producer clears them).
-                if let Some(c_seq) = window.seq_at(c_slot) {
-                    consumers.push(c_seq);
-                }
-            });
-            for &c_seq in &consumers {
-                self.deliver_wakeup(c_seq, ev.seq);
+            // A consumer with both operands on this producer gets two
+            // deliveries, src0 then src1 — the per-operand CAM pulses the
+            // injector counts.
+            for c in 0..self.sched.collect_consumers(&self.window, self.window.slot_of(seq)) {
+                self.deliver_wakeup(self.sched.consumer(c), seq);
             }
         }
-        self.scratch.consumers = consumers;
-        self.scratch.broadcasts = list;
     }
 
     fn deliver_wakeup(&mut self, c_seq: u64, producer: u64) {
         let cycle = self.cycle;
         let slow_bus = self.uses_slow_bus();
-        let wakeup = self.config.wakeup;
-        // Injection: the nth delivery's fast-bus pulse is lost entirely —
-        // the consumer's comparator never fires. Only a later squash
-        // recompute can re-derive the readiness; otherwise the consumer
-        // waits forever and the watchdog reports the hang.
-        if let Some(FaultInjection::DroppedWakeup { nth }) = self.injection {
-            self.injection_events += 1;
-            if self.injection_events >= nth {
-                self.injection = None;
-                return;
-            }
-        }
-        // Injection: starting with the nth delivery, one slow-bus
-        // rebroadcast lands a cycle late (+2 instead of the architected
-        // +1). Armed here, applied below once a slow slot actually wakes.
-        let mut delay_slow = false;
-        if let Some(FaultInjection::DelayedSlowBus { nth }) = self.injection {
-            self.injection_events += 1;
-            delay_slow = self.injection_events >= nth;
-        }
-        let Some(c) = self.inst_mut(c_seq) else { return };
-        if c.state != IState::Waiting {
+        let waiting = self.window.get(c_seq).is_some_and(|c| c.state == IState::Waiting);
+        // Injection: a dropped pulse never reaches the consumer's
+        // comparator. Only a later squash recompute can re-derive the
+        // readiness; otherwise the consumer waits forever and the watchdog
+        // reports the hang.
+        if !self.injector.wakeup_delivery(waiting) || !waiting {
             return;
         }
-        let fast_slot = c.fast_slot;
-        let two_src = c.is_two_source();
-        let mut slow_delayed = false;
+        let slot = self.window.slot_of(c_seq);
+        let c = self.window.get_mut(c_seq).expect("waiting consumer is resident");
+        let (fast_slot, two_src) = (c.fast_slot, c.is_two_source());
         let mut slow_delivered = 0u32;
-        let mut changed = false;
-        for slot in 0..2 {
-            let Some(src) = c.srcs[slot].as_mut() else { continue };
+        for (k, src) in c.srcs.iter_mut().enumerate() {
+            let Some(src) = src.as_mut() else { continue };
             if src.producer != Some(producer) || src.ready {
                 continue;
             }
-            changed = true;
             src.ready = true;
             src.broadcast_cycle = cycle;
-            let slow = slow_bus && two_src && slot != fast_slot;
-            src.effective_cycle = cycle + u64::from(slow);
-            if slow {
+            src.effective_cycle = cycle;
+            if slow_bus && two_src && k != fast_slot {
                 slow_delivered += 1;
-            }
-            if slow && delay_slow && !slow_delayed {
-                src.effective_cycle = cycle + 2;
-                slow_delayed = true;
+                // Injection: a slow-bus rebroadcast lands late (+2
+                // instead of the architected +1).
+                src.effective_cycle += 1 + self.injector.slow_bus_delay();
             }
         }
         // The consumer becomes a select candidate once the scheme's wakeup
-        // condition holds; timing (slow-bus effective cycles) and LSQ state
-        // are still checked by select every cycle.
-        let enqueue = !c.in_ready_list && wakeup_ready(c, wakeup);
-        if enqueue {
-            c.in_ready_list = true;
-        }
-        // Refresh the cached timing cycle on enqueue, and whenever an
-        // operand of an already-enqueued candidate transitions (tag
-        // elimination enqueues on the watched side alone; a post-misfire
-        // candidate then waits for the other side's wakeup too).
-        if enqueue || (changed && c.in_ready_list) {
-            let at = ready_cycle_of(c, wakeup);
-            let slot = self.window.slot_of(c_seq);
-            if enqueue {
-                self.ready.set(slot);
-            }
-            self.ready_at[slot] = at;
-        }
+        // condition holds; an enqueued candidate's cached cycle follows its
+        // operands (tag elimination enqueues on the watched side alone; a
+        // post-misfire candidate then waits for the other side too).
+        self.sched.update(slot, c);
         if slow_delivered > 0 && self.counters.is_enabled() {
             self.slow_wakeups_this_cycle += slow_delivered;
         }
-        if slow_delayed {
-            self.injection = None; // the delayed-rebroadcast fault fires once
-        }
-        let Some(c) = self.inst_mut(c_seq) else { return };
         // Wakeup-pair statistics (Figures 6/7, Table 3) fire once, when the
         // second pending operand of a 2-pending-source instruction wakes.
         if c.two_pending_at_insert() && !c.wakeup_pair_recorded && c.srcs_iter().all(|s| s.ready) {
@@ -920,48 +634,6 @@ impl Simulator {
             let fast = c.fast_slot;
             self.record_wakeup_pair(pc, cycles[0], cycles[1], fast);
         }
-        if matches!(self.injection, Some(FaultInjection::SpuriousWakeup { .. })) {
-            self.injection_events += 1;
-        }
-    }
-
-    /// Mutation testing: once armed and past its wakeup-delivery count,
-    /// the end of the cycle wrongly marks one genuinely-pending operand
-    /// ready — its producer has not broadcast and the consumer is not on
-    /// the ready list — with no enqueue, exactly the kind of missed-wakeup
-    /// scheduler bug the strict invariant sweep exists to catch. Runs at
-    /// end of cycle so a same-cycle broadcast of the chosen producer
-    /// cannot retroactively legitimize the marking.
-    fn maybe_inject_spurious_wakeup(&mut self) {
-        let Some(FaultInjection::SpuriousWakeup { nth }) = self.injection else { return };
-        if self.injection_events < nth {
-            return;
-        }
-        let cycle = self.cycle;
-        let mut target = None;
-        'scan: for i in &self.window {
-            if i.state != IState::Waiting || i.in_ready_list {
-                continue;
-            }
-            for (k, s) in i.srcs.iter().enumerate() {
-                let Some(s) = s else { continue };
-                if s.ready {
-                    continue;
-                }
-                let Some(p) = s.producer else { continue };
-                if self.inst(p).is_some_and(|pi| !pi.broadcast_done) {
-                    target = Some((i.seq, k));
-                    break 'scan;
-                }
-            }
-        }
-        let Some((seq, slot)) = target else { return };
-        let Some(c) = self.inst_mut(seq) else { return };
-        let Some(src) = c.srcs[slot].as_mut() else { return };
-        src.ready = true;
-        src.effective_cycle = cycle;
-        src.broadcast_cycle = cycle;
-        self.injection = None; // fire once
     }
 
     fn record_wakeup_pair(&mut self, pc: u64, left: u64, right: u64, fast_slot: usize) {
@@ -1003,90 +675,35 @@ impl Simulator {
 
     fn phase_select(&mut self) {
         let cycle = self.cycle;
-        if cycle < self.issue_stall_until {
+        let Some(rf_blocked) = self.sched.open_select(cycle) else {
             // Scheduler restart after a pullback: every slot of the cycle
             // is squash overhead.
             self.cpi_select = CpiSelectInfo { restart: true, ..CpiSelectInfo::default() };
             return;
-        }
-        let mut port_defer = 0u32;
-        let mut fu_defer = 0u32;
-        let rf_blocked = self.blocked_slots;
-        let mut budget = self.config.width.saturating_sub(self.blocked_slots);
+        };
+        let (mut port_defer, mut fu_defer, mut rf_reads) = (0u32, 0u32, 0u32);
+        let mut budget = self.config.width.saturating_sub(rf_blocked);
         let mut port_budget = self.config.width;
         // Injection: a read-port conflict storm — for the armed window all
         // but one issue slot (and all but one shared read port) are busy.
         // Purely a structural-hazard fault: issue throttles, nothing else.
-        if let Some(FaultInjection::ReadPortStorm { from_cycle, cycles }) = self.injection {
-            if cycle >= from_cycle + cycles {
-                self.injection = None;
-            } else if cycle >= from_cycle {
-                budget = budget.min(1);
-                port_budget = 1;
-            }
+        if self.injector.read_port_storm(cycle) {
+            budget = budget.min(1);
+            port_budget = 1;
         }
-        // One ring-order (= oldest-first) pass over the ready bitset:
-        // compact away instructions that issued since they were enqueued
-        // (bit and flag cleared after the walk), and split the survivors
-        // that pass this cycle's timing/FU/LSQ checks into the two
-        // priority classes. Entries that merely fail the per-cycle checks
-        // keep their bit for later cycles, so the per-cycle work is
-        // proportional to the instructions that are (nearly) selectable —
-        // not the window. Concatenating the classes yields select order —
-        // loads/branches first, then oldest (paper §2.1) — with no sort:
-        // ring order from the head slot *is* sequence order in each class.
-        let mut cands = std::mem::take(&mut self.scratch.cands);
-        let mut cands_lo = std::mem::take(&mut self.scratch.cands_lo);
-        let mut drop = std::mem::take(&mut self.scratch.drop_slots);
-        cands.clear();
-        cands_lo.clear();
-        drop.clear();
-        // The scan reads only the flat columns — lifecycle byte, cached
-        // timing cycle, flag byte — never the instruction records; only a
-        // store-wait load pays an LSQ walk. A whole 128-slot arena's
-        // columns fit in a handful of cache lines.
-        let window = &self.window;
-        let ready_at = &self.ready_at;
-        self.ready.for_each_from(window.head_slot(), |slot| {
-            if window.state[slot] == slot_state::WAITING {
-                if cycle < ready_at[slot] {
-                    return;
-                }
-                let flags = window.flags[slot];
-                let seq = window.seq_at(slot).expect("waiting slot is resident");
-                if flags & slot_flags::LOAD != 0
-                    && *self.stwait.get(window.pcs[slot])
-                    && matches!(self.check_lsq(seq), LsqOutcome::Blocked)
-                {
-                    // A load whose PC previously replayed on an older-store
-                    // conflict waits until the conflict is gone (21264
-                    // stWait bits); the walk is bounded by the LSQ.
-                    return;
-                }
-                if flags & slot_flags::HIGH_PRIORITY != 0 {
-                    cands.push((false, seq));
-                } else {
-                    cands_lo.push((true, seq));
-                }
-            } else {
-                drop.push(slot);
-            }
-        });
-        cands.append(&mut cands_lo);
-        for &slot in &drop {
-            self.ready.clear(slot);
-            if let Some(i) = self.window.by_slot_mut(slot) {
-                i.in_ready_list = false;
-            }
-        }
-        self.scratch.cands_lo = cands_lo;
-        self.scratch.drop_slots = drop;
+        // Select order — loads/branches first, then oldest (paper §2.1);
+        // a load whose PC replayed on an older-store conflict waits until
+        // the conflict is gone (21264 stWait bits).
+        let (window, lsq) = (&self.window, &self.lsq);
+        let candidates =
+            self.sched.collect_candidates(window, cycle, |slot, seq| lsq.holds(window, slot, seq));
 
         let mut issued = 0u32;
-        for &(_, seq) in &cands {
+        for k in 0..candidates {
             if issued >= budget {
                 break;
             }
+            let seq = self.sched.candidate(k);
             let (
                 class,
                 base_latency,
@@ -1099,7 +716,7 @@ impl Simulator {
                 wakeup_eff,
                 unwatched_unready,
             ) = {
-                let i = self.inst(seq).expect("candidate in window");
+                let i = self.window.get(seq).expect("candidate in window");
                 (
                     i.fu,
                     i.base_latency,
@@ -1137,41 +754,31 @@ impl Simulator {
 
             // Crossbar: non-bypassed operands consume shared read ports;
             // arbitration defers instructions that would overflow.
-            if self.config.regfile == RegFileScheme::SharedCrossbar {
-                if ports > port_budget {
-                    self.stats.crossbar_deferrals += 1;
-                    port_defer += 1;
-                    continue;
-                }
-                if !self.fu.acquire(class, cycle, base_latency, pipelined) {
-                    fu_defer += 1;
-                    continue;
-                }
-                port_budget -= ports;
-            } else if !self.fu.acquire(class, cycle, base_latency, pipelined) {
+            let crossbar = self.config.regfile == RegFileScheme::SharedCrossbar;
+            if crossbar && ports > port_budget {
+                self.stats.crossbar_deferrals += 1;
+                port_defer += 1;
+                continue;
+            }
+            if !self.fu.acquire(class, cycle, base_latency, pipelined) {
                 fu_defer += 1;
                 continue;
+            }
+            if crossbar {
+                port_budget -= ports;
             }
 
             // Sequential register access (paper §4.3): a 2-source
             // instruction with no `now` bit needs two reads of its single
             // port. Combined with sequential wakeup only the fast-side
             // `now` bit exists (paper §5.3).
-            let mut seq_rf = self.config.regfile == RegFileScheme::SequentialAccess
-                && two_source
-                && !(if self.uses_slow_bus() { now_fast } else { now_any });
-            // Injection: a stale `nowL/nowR` bit claimed a bypass match that
+            // Injection: a stale `nowL/nowR` bit claims a bypass match that
             // is not really there. The speculation-free fallback is the full
             // two-read sequence: +1 cycle, never a wrong value.
-            if let Some(FaultInjection::StaleNowBits { nth }) = self.injection {
-                if self.config.regfile == RegFileScheme::SequentialAccess && two_source && !seq_rf {
-                    self.injection_events += 1;
-                    if self.injection_events >= nth {
-                        seq_rf = true;
-                        self.injection = None;
-                    }
-                }
-            }
+            let now = if self.uses_slow_bus() { now_fast } else { now_any };
+            let seq_rf = self.config.regfile == RegFileScheme::SequentialAccess
+                && two_source
+                && (!now || self.injector.stale_now_bits());
 
             // Tag elimination: scoreboard-verify the unwatched operand.
             let te_misfire = matches!(self.config.wakeup, WakeupScheme::TagElimination { .. })
@@ -1191,17 +798,15 @@ impl Simulator {
 
             let extra = u64::from(seq_rf);
             let exec_offset = self.exec_offset();
-            let (is_load, is_store, dest, epoch) = {
-                let i = self.inst_mut(seq).expect("candidate");
-                let (is_load, is_store, dest) = (i.is_load(), i.is_store(), i.dest);
+            let (is_load, dest, epoch) = {
+                let i = self.window.get_mut(seq).expect("candidate");
+                let (is_load, dest) = (i.is_load(), i.dest);
                 i.state = IState::Issued;
                 i.issue_cycle = cycle;
                 i.wakeup_cycle = wakeup_eff;
                 i.seq_rf = seq_rf;
-                if let Some(cat) = rf_category {
-                    i.rf_category = Some(cat);
-                }
-                (is_load, is_store, dest, i.epoch)
+                i.rf_category = rf_category.or(i.rf_category);
+                (is_load, dest, i.epoch)
             };
             let slot = self.window.slot_of(seq);
             self.window.state[slot] = slot_state::ISSUED;
@@ -1209,27 +814,26 @@ impl Simulator {
             if is_load {
                 let l_spec = self.load_spec_latency();
                 if dest.is_some() {
-                    self.schedule_broadcast(cycle + l_spec, seq, epoch);
+                    self.sched.schedule_broadcast(cycle + l_spec, seq, epoch);
                 }
                 // Detection happens when dependents would issue; an extra
                 // RF stage pushes it (and the shadow) out by one cycle.
                 let detect = cycle + l_spec + u64::from(self.config.extra_rf_stages());
-                self.schedule_event(detect, Event::MemAccess { seq, epoch });
+                self.events.schedule(detect, Event::MemAccess { seq, epoch });
             } else {
                 let l = u64::from(base_latency) + extra;
                 if dest.is_some() {
-                    self.schedule_broadcast(cycle + l, seq, epoch);
+                    self.sched.schedule_broadcast(cycle + l, seq, epoch);
                 }
                 let complete = cycle + exec_offset + l - 1;
-                let _ = is_store;
-                self.schedule_event(complete, Event::Complete { seq, epoch });
+                self.events.schedule(complete, Event::Complete { seq, epoch });
             }
 
             if seq_rf {
                 self.stats.seq_rf_accesses += 1;
                 // The paper's Figure 11b: the slot's select logic disables
                 // itself for one cycle while the port is read twice.
-                self.blocked_slots_next += 1;
+                rf_reads += 1;
                 if self.counters.is_enabled() {
                     self.counters.rf_rereads += 1;
                 }
@@ -1242,14 +846,14 @@ impl Simulator {
                 // and the squash pays the non-selective pullback restart —
                 // together these make tag elimination's penalty grow with
                 // machine width and pipeline depth (paper §5.1).
-                self.schedule_event(cycle + exec_offset, Event::TeVerify { seq, epoch });
+                self.events.schedule(cycle + exec_offset, Event::TeVerify { seq, epoch });
             }
             if self.counters.is_enabled() {
                 self.counters.wakeup_to_select.record(cycle - wakeup_eff);
             }
             issued += 1;
         }
-        self.scratch.cands = cands;
+        self.sched.block_slots(rf_reads);
         self.stats.issue_histogram[(issued as usize).min(self.config.width as usize)] += 1;
         if self.counters.is_enabled() {
             // Classify leftover slots now, while the window still shows
@@ -1278,7 +882,7 @@ impl Simulator {
         let spec = self.load_spec_latency();
         let mut slow_hold: Option<CpiCategory> = None;
         let mut mem_wait = false;
-        for i in &self.window {
+        for i in self.window.iter() {
             match i.state {
                 IState::Waiting => {
                     // All operands woke but one is still riding the slow
@@ -1359,55 +963,35 @@ impl Simulator {
     // ---------------------------------------------------------- events --
 
     fn phase_events(&mut self) {
-        // Retry loads stalled on older stores. The retry list and its
-        // scratch partner ping-pong, so re-stalling never reallocates.
-        let mut stalled = std::mem::take(&mut self.stalled_loads);
-        std::mem::swap(&mut self.stalled_loads, &mut self.scratch.stalled);
-        for &seq in &stalled {
-            let Some(i) = self.inst(seq) else { continue };
+        // Retry loads parked on older stores.
+        for k in 0..self.lsq.begin_retry() {
+            let seq = self.lsq.retrying(k);
+            let Some(i) = self.window.get(seq) else { continue };
             if i.state != IState::Issued || !i.load_stalled {
                 continue;
             }
-            match self.check_lsq(seq) {
-                LsqOutcome::Blocked => self.stalled_loads.push(seq),
+            match self.lsq.check(&self.window, seq) {
+                LsqOutcome::Blocked => self.lsq.park(seq),
                 outcome => self.finish_load_access(seq, outcome, true),
             }
         }
-        stalled.clear();
-        self.scratch.stalled = stalled;
-
-        let mut list = std::mem::take(&mut self.scratch.events);
-        self.events.pop_into(self.cycle, &mut list);
-        // Squashes first, then memory, then completions; stale events drop
-        // themselves via the epoch check.
-        let mut mem = std::mem::take(&mut self.scratch.mem);
-        let mut completes = std::mem::take(&mut self.scratch.completes);
-        mem.clear();
-        completes.clear();
-        for &ev in &list {
-            match ev {
-                Event::TeVerify { seq, epoch } => self.te_verify(seq, epoch),
-                Event::MemAccess { .. } => mem.push(ev),
-                Event::Complete { .. } => completes.push(ev),
+        // Squashes first, then memory, then completions, each in schedule
+        // order; stale events drop themselves via the epoch check.
+        self.events.pop_into(self.cycle, &mut self.due);
+        for pass in 0..3 {
+            for k in 0..self.due.len() {
+                match (pass, self.due[k]) {
+                    (0, Event::TeVerify { seq, epoch }) => self.te_verify(seq, epoch),
+                    (1, Event::MemAccess { seq, epoch }) => self.mem_access(seq, epoch),
+                    (2, Event::Complete { seq, epoch }) => self.complete(seq, epoch),
+                    _ => {}
+                }
             }
         }
-        for &ev in &mem {
-            if let Event::MemAccess { seq, epoch } = ev {
-                self.mem_access(seq, epoch);
-            }
-        }
-        for &ev in &completes {
-            if let Event::Complete { seq, epoch } = ev {
-                self.complete(seq, epoch);
-            }
-        }
-        self.scratch.events = list;
-        self.scratch.mem = mem;
-        self.scratch.completes = completes;
     }
 
     fn te_verify(&mut self, seq: u64, epoch: u32) {
-        let Some(i) = self.inst(seq) else { return };
+        let Some(i) = self.window.get(seq) else { return };
         if i.epoch != epoch || i.state != IState::Issued {
             return;
         }
@@ -1416,38 +1000,30 @@ impl Simulator {
         // Non-selective squash of everything issued after the misfired
         // instruction, plus the instruction itself (Ernst & Austin; the
         // paper argues selective recovery cannot apply here).
-        self.squash(t0, self.cycle, Some(seq), None);
-        let wakeup = self.config.wakeup;
-        if let Some(i) = self.inst_mut(seq) {
-            i.te_verified_wait = true;
-            // The wait flag changes which operands select times against
-            // (both instead of the watched one); the squash above enqueued
-            // the instruction under the old rule, so refresh its cache.
-            let at = (i.in_ready_list).then(|| ready_cycle_of(i, wakeup));
-            if let Some(at) = at {
-                let slot = self.window.slot_of(seq);
-                self.ready_at[slot] = at;
-            }
-        }
+        self.squash(t0, Some(seq), None);
+        // The wait flag changes which operands select times against (both
+        // instead of the watched one); the squash enqueued the instruction
+        // under the old rule, so re-derive its candidacy.
+        let slot = self.window.slot_of(seq);
+        let i = self.window.get_mut(seq).expect("replayed misfire is resident");
+        i.te_verified_wait = true;
+        self.sched.update(slot, i);
     }
 
     fn mem_access(&mut self, seq: u64, epoch: u32) {
-        let Some(i) = self.inst(seq) else { return };
+        let Some(i) = self.window.get(seq) else { return };
         if i.epoch != epoch || i.state != IState::Issued {
             return;
         }
-        match self.check_lsq(seq) {
+        let pc = i.pc;
+        match self.lsq.check(&self.window, seq) {
             LsqOutcome::Blocked => {
                 // Latency mis-speculation: dependents were woken for a DL1
-                // hit that cannot happen yet. Train the store-wait bit so
-                // the next instance of this load holds at select instead.
-                let pc = self.inst(seq).expect("load in window").pc;
-                *self.stwait.get_mut(pc) = true;
+                // hit that cannot happen yet. The LSQ parks the load and
+                // trains its store-wait bit.
+                self.lsq.stall(seq, pc);
                 self.load_misspeculate(seq);
-                if let Some(i) = self.inst_mut(seq) {
-                    i.load_stalled = true;
-                }
-                self.stalled_loads.push(seq);
+                self.window.get_mut(seq).expect("load in window").load_stalled = true;
             }
             outcome => self.finish_load_access(seq, outcome, false),
         }
@@ -1456,14 +1032,14 @@ impl Simulator {
     /// Completes a load's memory access. `retried` marks loads that had
     /// stalled earlier (their dependents were already squashed).
     fn finish_load_access(&mut self, seq: u64, outcome: LsqOutcome, retried: bool) {
-        let addr = self.inst(seq).and_then(|i| i.mem_addr).expect("load has an address");
+        let addr = self.window.get(seq).and_then(|i| i.mem_addr).expect("load has an address");
         let dl1_hit = u64::from(self.hierarchy.dl1_hit_latency());
         let lat = match outcome {
             LsqOutcome::Forward => dl1_hit,
             _ => u64::from(self.hierarchy.data_read(addr)),
         };
         let (issue, dest, epoch) = {
-            let i = self.inst_mut(seq).expect("load in window");
+            let i = self.window.get_mut(seq).expect("load in window");
             i.load_stalled = false;
             (i.issue_cycle, i.dest, i.epoch)
         };
@@ -1471,7 +1047,7 @@ impl Simulator {
         if !retried && lat == dl1_hit {
             // Hit, exactly as speculated: the spec broadcast stands.
             let l_act = 1 + lat;
-            self.schedule_event(issue + exec_offset + l_act - 1, Event::Complete { seq, epoch });
+            self.events.schedule(issue + exec_offset + l_act - 1, Event::Complete { seq, epoch });
             return;
         }
         if !retried {
@@ -1489,26 +1065,26 @@ impl Simulator {
             (self.cycle + lat - dl1_hit).max(self.cycle + 1)
         };
         if dest.is_some() {
-            self.schedule_broadcast(data_cycle, seq, epoch);
+            self.sched.schedule_broadcast(data_cycle, seq, epoch);
         }
-        self.schedule_event(data_cycle + exec_offset - 1, Event::Complete { seq, epoch });
+        self.events.schedule(data_cycle + exec_offset - 1, Event::Complete { seq, epoch });
     }
 
     /// Invalidates a load's speculative wakeup and squashes its shadow.
     fn load_misspeculate(&mut self, seq: u64) {
-        let i = self.inst_mut(seq).expect("load in window");
+        let i = self.window.get_mut(seq).expect("load in window");
         i.broadcast_done = false;
         let t0 = i.issue_cycle;
         let dep_root = match self.config.recovery {
             RecoveryKind::NonSelective => None,
             RecoveryKind::Selective => Some(seq),
         };
-        self.squash(t0, self.cycle, None, dep_root);
+        self.squash(t0, None, dep_root);
     }
 
     fn complete(&mut self, seq: u64, epoch: u32) {
         let cycle = self.cycle;
-        let Some(i) = self.inst_mut(seq) else { return };
+        let Some(i) = self.window.get_mut(seq) else { return };
         if i.epoch != epoch || i.state != IState::Issued {
             return;
         }
@@ -1528,153 +1104,10 @@ impl Simulator {
         }
     }
 
-    // ---------------------------------------------------------- squash --
-
-    /// Squashes instructions issued in `(t0, t1]`. With `dep_root`, only
-    /// instructions transitively dependent on it replay (selective
-    /// recovery, Figure 5); otherwise everything in the shadow replays
-    /// (non-selective). `also` forces one extra instruction (the TE
-    /// misfire itself) into the replay set.
-    fn squash(&mut self, t0: u64, t1: u64, also: Option<u64>, dep_root: Option<u64>) {
-        let mut dep_set = std::mem::take(&mut self.scratch.dep_set);
-        let mut replay = std::mem::take(&mut self.scratch.replay);
-        dep_set.clear();
-        replay.clear();
-        dep_set.extend(dep_root);
-        for i in &self.window {
-            if Some(i.seq) == dep_root {
-                continue;
-            }
-            let in_shadow = matches!(i.state, IState::Issued | IState::Completed)
-                && i.issue_cycle > t0
-                && i.issue_cycle <= t1;
-            let selected = if dep_root.is_some() {
-                in_shadow
-                    && i.srcs_iter()
-                        .any(|s| s.producer.is_some_and(|p| dep_set.binary_search(&p).is_ok()))
-            } else {
-                in_shadow
-            };
-            if selected || Some(i.seq) == also {
-                replay.push(i.seq);
-                if dep_root.is_some() {
-                    dep_set.push(i.seq); // seqs ascend; stays sorted
-                }
-            }
-        }
-        if !replay.is_empty() {
-            // Pulled-back instructions re-arbitrate after a 1-cycle
-            // scheduler restart (21264 mini-restart).
-            self.issue_stall_until = self.issue_stall_until.max(self.cycle + 2);
-        }
-        for &seq in &replay {
-            let i = self.inst_mut(seq).expect("replay target in window");
-            i.state = IState::Waiting;
-            i.broadcast_done = false;
-            i.epoch += 1;
-            i.replays += 1;
-            i.load_stalled = false;
-            if i.is_store() {
-                i.addr_resolved = false;
-            }
-            let slot = self.window.slot_of(seq);
-            self.window.state[slot] = slot_state::WAITING;
-            self.stats.replayed_insts += 1;
-        }
-        self.scratch.dep_set = dep_set;
-        self.scratch.replay = replay;
-        self.recompute_ready();
-    }
-
-    /// Re-derives every waiting instruction's operand readiness from
-    /// producer availability and rebuilds the ready-candidate list (used
-    /// after squashes — the one remaining O(window) scheduler path, paid
-    /// only on replay events, never in the steady state).
-    fn recompute_ready(&mut self) {
-        let head = self.window.head_seq();
-        let slot_mask = self.window.arena_capacity() as u64 - 1;
-        let mut avail = std::mem::take(&mut self.scratch.avail);
-        avail.clear();
-        avail.extend(self.window.iter().map(|i| i.broadcast_done));
-        let cycle = self.cycle;
-        let wakeup = self.config.wakeup;
-        self.ready.clear_all();
-        for i in self.window.iter_mut() {
-            if i.state != IState::Waiting {
-                i.in_ready_list = false;
-                continue;
-            }
-            for src in i.srcs.iter_mut().flatten() {
-                let Some(p) = src.producer else { continue };
-                let a = p < head || avail.get((p - head) as usize).copied().unwrap_or(true);
-                if src.ready && !a {
-                    src.ready = false;
-                } else if !src.ready && a {
-                    // The tag fired while this instruction was issued (e.g.
-                    // a tag-elimination misfire); the value now comes from
-                    // the register file.
-                    src.ready = true;
-                    src.effective_cycle = cycle;
-                    src.broadcast_cycle = cycle;
-                }
-            }
-            let enq = wakeup_ready(i, wakeup);
-            i.in_ready_list = enq;
-            if enq {
-                let slot = (i.seq & slot_mask) as usize;
-                self.ready.set(slot);
-                self.ready_at[slot] = ready_cycle_of(i, wakeup);
-            }
-        }
-        self.scratch.avail = avail;
-    }
-
-    // ------------------------------------------------------------- lsq --
-
-    fn check_lsq(&self, load_seq: u64) -> LsqOutcome {
-        let load = self.inst(load_seq).expect("load in window");
-        let la = load.mem_addr.expect("load address");
-        let lw = match load.inst {
-            Inst::Load { width, .. } => width.bytes(),
-            _ => 8, // FLoad
-        };
-        let mut decision = LsqOutcome::Normal;
-        // The store queue holds exactly the in-flight stores in program
-        // order, so this walk is bounded by the LSQ occupancy.
-        for &store_seq in &self.store_queue {
-            if store_seq >= load_seq {
-                break;
-            }
-            let i = self.inst(store_seq).expect("queued store in window");
-            if !i.addr_resolved {
-                // Unknown older store address: conservative stall
-                // (sim-outorder's policy).
-                return LsqOutcome::Blocked;
-            }
-            let sa = i.mem_addr.expect("resolved store address");
-            let sw = match i.inst {
-                Inst::Store { width, .. } => width.bytes(),
-                _ => 8, // FStore
-            };
-            let overlap = sa < la + lw && la < sa + sw;
-            if !overlap {
-                continue;
-            }
-            let covers = sa <= la && la + lw <= sa + sw;
-            if !covers {
-                decision = LsqOutcome::Blocked; // partial overlap
-                continue;
-            }
-            let data_ready = match i.store_data_producer {
-                None => true,
-                Some(p) => {
-                    p < self.window.head_seq()
-                        || self.inst(p).is_some_and(|pi| pi.state == IState::Completed)
-                }
-            };
-            decision = if data_ready { LsqOutcome::Forward } else { LsqOutcome::Blocked };
-        }
-        decision
+    /// Squashes the issue shadow `(t0, cycle]` (see [`Scheduler::squash`]).
+    fn squash(&mut self, t0: u64, also: Option<u64>, dep_root: Option<u64>) {
+        self.stats.replayed_insts +=
+            self.sched.squash(&mut self.window, self.cycle, t0, also, dep_root);
     }
 
     // ---------------------------------------------------------- commit --
@@ -1686,11 +1119,8 @@ impl Simulator {
                 break;
             }
             // Copy out the narrow field set commit needs, then release the
-            // head's arena slot in place (`drop_front`): clear its ready
-            // bit and its wakeup-matrix rows so a later instruction reusing
-            // the slot starts clean. Its consumer bits in *other* rows are
-            // already gone — every producer it depends on is older and
-            // released its rows first.
+            // head's arena slot in place (`drop_front`) and its scheduler
+            // state.
             let slot = self.window.head_slot();
             let (seq, pc, inst, next_pc, taken, mem_addr, dest, dest_value, mem_data) = (
                 head.seq,
@@ -1714,17 +1144,14 @@ impl Simulator {
                 head.seq_rf,
             );
             self.window.drop_front();
-            self.ready.clear(slot);
-            self.matrix.clear_rows(slot);
+            self.sched.release(slot);
+            if is_mem {
+                self.lsq.retire(seq, is_store);
+            }
             if is_store {
-                let queued = self.store_queue.pop_front();
-                debug_assert_eq!(queued, Some(seq), "store-queue head mismatch");
                 if let Some(addr) = mem_addr {
                     self.hierarchy.data_write(addr);
                 }
-            }
-            if is_mem {
-                self.lsq_used -= 1;
             }
             if let Some(d) = dest {
                 if self.rename[d.index()] == Some(seq) {
@@ -1798,12 +1225,9 @@ impl Simulator {
             // Injection (classifier self-test only): stop the machine as if
             // the program had halted. The truncated run silently disagrees
             // with the reference — a genuine SDC the campaign must flag.
-            if let Some(FaultInjection::PrematureHalt { at_commit }) = self.injection {
-                if self.committed_total >= at_commit {
-                    self.finished = true;
-                    self.injection = None;
-                    break;
-                }
+            if self.injector.premature_halt(self.committed_total) {
+                self.finished = true;
+                break;
             }
         }
     }
@@ -1841,7 +1265,7 @@ impl Simulator {
             }
             rename_ports -= lookups;
             let is_mem = f.step.inst.is_load() || f.step.inst.is_store();
-            if is_mem && self.lsq_used >= self.config.lsq_size {
+            if is_mem && self.lsq.is_full() {
                 break;
             }
             let f = self.frontend.pop().expect("peeked");
@@ -1854,20 +1278,7 @@ impl Simulator {
             // row for this operand index. The renamed operands build up in
             // a small local array; the full ~300-byte record is
             // constructed once, directly in its arena slot, below.
-            let sources = f.step.inst.scheduler_sources();
-            let mut srcs: [Option<SrcState>; 2] = [None, None];
-            for (slot, src) in srcs.iter_mut().enumerate() {
-                if let Some(reg) = sources.get(slot) {
-                    *src = Some(SrcState {
-                        reg,
-                        producer: None,
-                        ready: true,
-                        effective_cycle: 0,
-                        broadcast_cycle: 0,
-                        ready_at_insert: true,
-                    });
-                }
-            }
+            let mut srcs = SrcState::unrenamed(f.step.inst);
             let c_slot = self.window.slot_of(seq);
             for (k, slot_src) in srcs.iter_mut().enumerate() {
                 let Some(src) = slot_src.as_mut() else { continue };
@@ -1875,7 +1286,7 @@ impl Simulator {
                 let Some(p) = self.window.get(pseq) else { continue };
                 src.producer = Some(pseq);
                 let broadcast_done = p.broadcast_done;
-                self.matrix.register(self.window.slot_of(pseq), k, c_slot);
+                self.sched.register(self.window.slot_of(pseq), k, c_slot);
                 if broadcast_done {
                     // Value already flying/written; readable at dispatch.
                     src.ready = true;
@@ -1913,35 +1324,20 @@ impl Simulator {
                 self.stats.ready_at_insert[ready] += 1;
             }
             if is_mem {
-                self.lsq_used += 1;
+                self.lsq.insert(seq, is_store);
             }
-            if is_store {
-                self.store_queue.push_back(seq);
-            }
-            let wakeup = self.config.wakeup;
-            let (enqueue, at) = {
-                let di = self.window.push_back_with(seq, || {
-                    let mut di = DynInst::from_step(seq, &f.step);
-                    di.insert_cycle = cycle;
-                    di.mispredicted = f.mispredicted;
-                    di.dest_value = f.dest_value;
-                    di.mem_data = f.mem_data;
-                    di.srcs = srcs;
-                    di.fast_slot = fast_slot;
-                    di.store_data_producer = store_data_producer;
-                    di
-                });
-                if wakeup_ready(di, wakeup) {
-                    di.in_ready_list = true;
-                    (true, ready_cycle_of(di, wakeup))
-                } else {
-                    (false, 0)
-                }
-            };
-            if enqueue {
-                self.ready.set(c_slot);
-                self.ready_at[c_slot] = at;
-            }
+            let di = self.window.push_back_with(seq, || {
+                let mut di = DynInst::from_step(seq, &f.step);
+                di.insert_cycle = cycle;
+                di.mispredicted = f.mispredicted;
+                di.dest_value = f.dest_value;
+                di.mem_data = f.mem_data;
+                di.srcs = srcs;
+                di.fast_slot = fast_slot;
+                di.store_data_producer = store_data_producer;
+                di
+            });
+            self.sched.update(c_slot, di);
         }
     }
 
@@ -1964,18 +1360,11 @@ impl Simulator {
                 WakeupScheme::SequentialWakeup { predictor_entries: Some(_) }
                 | WakeupScheme::TagElimination { .. },
             ) => {
-                let mut side = self.predictor.as_ref().expect("predictor configured").predict(pc);
                 // Injection: a bit-flip in the last-arrival predictor table.
                 // A wrong prediction is a legal prediction — the machine pays
                 // the slow-bus penalty, never produces a wrong value.
-                if let Some(FaultInjection::LastArrivalFlip { nth }) = self.injection {
-                    self.injection_events += 1;
-                    if self.injection_events >= nth {
-                        side = side.other();
-                        self.injection = None;
-                    }
-                }
-                match side {
+                let side = self.predictor.as_ref().expect("predictor configured").predict(pc);
+                match self.injector.last_arrival(side) {
                     Side::Left => 0,
                     Side::Right => 1,
                 }
@@ -2351,7 +1740,7 @@ mod tests {
         while sim.active() {
             sim.step_cycle();
             assert!(sim.window.len() <= sim.config.ruu_size);
-            assert!(sim.lsq_used <= sim.config.lsq_size);
+            assert!(sim.lsq.used() <= sim.config.lsq_size);
         }
         assert_eq!(sim.stats.committed, p.insts().len() as u64);
     }
@@ -2599,82 +1988,47 @@ mod extension_tests {
     }
 }
 
-/// Early-returns a formatted violation description when `cond` is false.
-macro_rules! ensure {
-    ($cond:expr, $($fmt:tt)+) => {
-        if !$cond {
-            return Err(format!($($fmt)+));
-        }
-    };
-}
-
 impl Simulator {
-    /// Checks the scheduler's internal invariants; intended for tests and
-    /// debugging (it walks the whole window).
-    ///
-    /// # Panics
-    ///
-    /// Panics with a description of the violated invariant. Use
-    /// [`Simulator::check_invariants_result`] to receive the violation as
-    /// a value.
-    pub fn check_invariants(&self) {
-        if let Err(reason) = self.check_invariants_result() {
-            panic!("{reason}");
-        }
-    }
-
-    /// Checks the scheduler's internal invariants, returning the first
-    /// violation as a description instead of panicking. Runs every cycle
-    /// under strict invariants mode ([`Simulator::set_strict_invariants`],
-    /// on by default in this crate's unit tests), where a violation
-    /// surfaces as [`SimFault::Invariant`].
+    /// Checks every stage's invariants plus the cross-stage ones, returning
+    /// the first violation as a description; intended for tests and
+    /// debugging (it walks the whole window). Runs every cycle under
+    /// strict invariants mode ([`Simulator::set_strict_invariants`], on by
+    /// default in this crate's unit tests), where a violation surfaces as
+    /// [`SimFault::Invariant`].
     ///
     /// # Errors
     ///
     /// A description of the first violated invariant.
-    pub fn check_invariants_result(&self) -> Result<(), String> {
-        // Window sequencing and capacity.
+    pub fn check_invariants(&self) -> Result<(), String> {
         ensure!(self.window.len() <= self.config.ruu_size, "RUU overfull");
-        ensure!(self.lsq_used <= self.config.lsq_size, "LSQ overfull");
-        let mem_in_window = self.window.iter().filter(|i| i.is_mem()).count();
-        ensure!(
-            mem_in_window == self.lsq_used,
-            "LSQ accounting drift: {mem_in_window} mem ops in window, lsq_used {}",
-            self.lsq_used
-        );
-        for (k, i) in self.window.iter().enumerate() {
-            ensure!(i.seq == self.window.head_seq() + k as u64, "window seq gap at {k}");
+        self.window.check_invariants()?;
+        self.lsq.check_invariants(&self.window)?;
+        for i in self.window.iter() {
             // An operand marked ready must have an available producer:
             // committed, already-broadcast, or (transiently, between a
             // wakeup and its squash recompute) an in-window producer.
-            for src in i.srcs_iter() {
-                if let Some(p) = src.producer {
-                    ensure!(p < i.seq, "source of seq {} produced by younger inst {p}", i.seq);
-                    if src.ready && i.state == IState::Waiting {
-                        let avail = p < self.window.head_seq()
-                            || self.inst(p).is_some_and(|pi| pi.broadcast_done);
-                        ensure!(
-                            avail,
-                            "seq {} waiting with ready operand from unavailable producer {p}",
-                            i.seq
-                        );
-                    }
-                }
-            }
-            // Completed instructions have a coherent timeline.
-            if i.state == IState::Completed {
+            for s in i.srcs_iter() {
+                let Some(p) = s.producer else { continue };
+                ensure!(p < i.seq, "source of seq {} produced by younger inst {p}", i.seq);
+                let avail = self.window.get(p).is_none_or(|pi| pi.broadcast_done);
                 ensure!(
-                    i.complete_cycle >= i.issue_cycle,
-                    "seq {} completion precedes issue",
+                    avail || !s.ready || i.state != IState::Waiting,
+                    "seq {} waiting with ready operand from unavailable producer {p}",
                     i.seq
                 );
             }
+            // Completed instructions have a coherent timeline.
+            ensure!(
+                i.state != IState::Completed || i.complete_cycle >= i.issue_cycle,
+                "seq {} completion precedes issue",
+                i.seq
+            );
         }
         // Rename entries point at live window entries that really write
         // that register.
         for (idx, entry) in self.rename.iter().enumerate() {
             if let Some(seq) = entry {
-                let Some(i) = self.inst(*seq) else {
+                let Some(i) = self.window.get(*seq) else {
                     return Err(format!("rename[{idx}] points outside the window"));
                 };
                 ensure!(
@@ -2683,141 +2037,7 @@ impl Simulator {
                 );
             }
         }
-        // The store queue mirrors the window's stores, in program order.
-        let window_stores: Vec<u64> =
-            self.window.iter().filter(|i| i.is_store()).map(|i| i.seq).collect();
-        let queued: Vec<u64> = self.store_queue.iter().copied().collect();
-        ensure!(
-            queued == window_stores,
-            "store queue out of sync with window stores: {queued:?} vs {window_stores:?}"
-        );
-        // Every set ready bit names an occupied slot whose occupant is
-        // flagged (commit clears a slot's bit when releasing it, so unlike
-        // the old ready *list* no departed stragglers may linger — a stale
-        // bit would alias the slot's next occupant). Issued-but-not-yet-
-        // compacted stragglers still occupy their slot and stay flagged.
-        let mut bit_err = None;
-        self.ready.for_each_from(0, |slot| {
-            if bit_err.is_some() {
-                return;
-            }
-            match self.window.by_slot(slot) {
-                None => bit_err = Some(format!("ready bit set on empty slot {slot}")),
-                Some(i) if !i.in_ready_list => {
-                    bit_err = Some(format!("ready bit set but seq {} not flagged", i.seq));
-                }
-                Some(_) => {}
-            }
-        });
-        if let Some(e) = bit_err {
-            return Err(e);
-        }
-        for i in &self.window {
-            if i.in_ready_list {
-                ensure!(
-                    self.ready.test(self.window.slot_of(i.seq)),
-                    "seq {} flagged in_ready_list but its ready bit is clear",
-                    i.seq
-                );
-            }
-            if i.state == IState::Waiting && wakeup_ready(i, self.config.wakeup) {
-                ensure!(
-                    i.in_ready_list,
-                    "waiting seq {} is wakeup-ready but not on the ready list",
-                    i.seq
-                );
-            }
-        }
-        // The flat columns mirror the resident records exactly: the select
-        // scan decides from the columns alone, so any drift here is a
-        // scheduling divergence waiting to happen.
-        for i in &self.window {
-            let slot = self.window.slot_of(i.seq);
-            ensure!(
-                self.window.seq_at(slot) == Some(i.seq),
-                "slot {slot} ring arithmetic disagrees with resident seq {}",
-                i.seq
-            );
-            ensure!(
-                self.window.state[slot] == state_code(i.state),
-                "state column of slot {slot} ({}) diverges from seq {} ({:?})",
-                self.window.state[slot],
-                i.seq,
-                i.state
-            );
-            let flags = u8::from(i.is_load()) * slot_flags::LOAD
-                + u8::from(i.high_priority()) * slot_flags::HIGH_PRIORITY;
-            ensure!(
-                self.window.flags[slot] == flags,
-                "flags column of slot {slot} diverges for seq {}",
-                i.seq
-            );
-            ensure!(
-                self.window.pcs[slot] == i.pc,
-                "pc column of slot {slot} diverges for seq {}",
-                i.seq
-            );
-            if i.state == IState::Waiting && self.ready.test(slot) {
-                let at = ready_cycle_of(i, self.config.wakeup);
-                ensure!(
-                    self.ready_at[slot] == at,
-                    "cached ready cycle of slot {slot} ({}) diverges from seq {} ({at})",
-                    self.ready_at[slot],
-                    i.seq
-                );
-            }
-        }
-        let resident = self.window.len();
-        let occupied = self.window.state.iter().filter(|&&s| s != slot_state::EMPTY).count();
-        ensure!(
-            occupied == resident,
-            "state column counts {occupied} occupied slots, window holds {resident}"
-        );
-        // The wakeup matrix and the renamed operands agree exactly: an
-        // operand's registered bit exists iff its producer is resident,
-        // and every registered bit names a live consumer whose that
-        // operand points back at the producer.
-        for i in &self.window {
-            for (k, s) in i.srcs.iter().enumerate() {
-                let Some(s) = s else { continue };
-                let Some(p) = s.producer else { continue };
-                if self.inst(p).is_some() {
-                    ensure!(
-                        self.matrix.is_registered(
-                            self.window.slot_of(p),
-                            k,
-                            self.window.slot_of(i.seq)
-                        ),
-                        "seq {} src{k} depends on resident {p} but is not in its matrix row",
-                        i.seq
-                    );
-                }
-            }
-        }
-        let mut matrix_err = None;
-        for p in &self.window {
-            let p_slot = self.window.slot_of(p.seq);
-            self.matrix.for_each_consumer(p_slot, 0, |c_slot, k| {
-                if matrix_err.is_some() {
-                    return;
-                }
-                let ok = self
-                    .window
-                    .by_slot(c_slot)
-                    .is_some_and(|c| c.srcs[k].as_ref().is_some_and(|s| s.producer == Some(p.seq)));
-                if !ok {
-                    matrix_err = Some(format!(
-                        "matrix row of seq {} src{k} names slot {c_slot} which does not \
-                         depend on it",
-                        p.seq
-                    ));
-                }
-            });
-        }
-        if let Some(e) = matrix_err {
-            return Err(e);
-        }
-        Ok(())
+        self.sched.check_invariants(&self.window)
     }
 
     /// Renders the pipeline state — cycle, occupancy and a per-entry line
@@ -2835,9 +2055,9 @@ impl Simulator {
             self.window.len(),
             self.config.ruu_size,
             self.window.head_seq(),
-            self.lsq_used,
+            self.lsq.used(),
             self.config.lsq_size,
-            self.ready.count(),
+            self.sched.listed_count(),
             if self.finished { "finished" } else { "running" },
         );
         for i in self.window.iter().take(MAX_LINES) {
@@ -2860,7 +2080,7 @@ impl Simulator {
                 i.pc,
                 i.inst.to_string(),
                 srcs.join(" "),
-                if i.in_ready_list { " ready-listed" } else { "" },
+                if self.sched.listed(self.window.slot_of(i.seq)) { " ready-listed" } else { "" },
                 if i.replays > 0 { " replayed" } else { "" },
             );
         }
@@ -2914,7 +2134,7 @@ mod invariant_tests {
             let mut cycles = 0u64;
             while sim.active() {
                 sim.step_cycle();
-                sim.check_invariants();
+                sim.check_invariants().unwrap();
                 cycles += 1;
                 assert!(cycles < 1_000_000, "runaway");
             }
@@ -2972,11 +2192,11 @@ mod squash_epoch_tests {
         let mut cycles = 0u64;
         while sim.active() {
             sim.step_cycle();
-            sim.check_invariants();
+            sim.check_invariants().unwrap();
             let head = sim.window.head_seq();
             let resident: Vec<u64> = sim.window.iter().map(|i| i.seq).collect();
             for &seq in &resident {
-                let i = sim.inst(seq).expect("resident");
+                let i = sim.window.get(seq).expect("resident");
                 max_epoch = max_epoch.max(i.epoch);
                 if i.state == IState::Waiting {
                     assert!(
@@ -2991,7 +2211,7 @@ mod squash_epoch_tests {
                     if pseq < head {
                         continue; // producer committed; value architectural
                     }
-                    let p = sim.inst(pseq).expect("resident producer");
+                    let p = sim.window.get(pseq).expect("resident producer");
                     if i.state == IState::Waiting {
                         assert!(
                             !s.ready || p.broadcast_done,
@@ -3002,7 +2222,7 @@ mod squash_epoch_tests {
                             pseq
                         );
                         assert!(
-                            sim.matrix.is_registered(
+                            sim.sched.matrix().is_registered(
                                 sim.window.slot_of(pseq),
                                 k,
                                 sim.window.slot_of(seq)
@@ -3215,7 +2435,7 @@ mod worked_example_tests {
         let mut guard = 0;
         while sim.active() {
             sim.step_cycle();
-            for i in &sim.window {
+            for i in sim.window.iter() {
                 if matches!(i.state, IState::Issued | IState::Completed) {
                     out.insert(i.seq, (i.issue_cycle, i.seq_rf));
                 }
@@ -3496,27 +2716,25 @@ mod scheme_interplay_tests {
 
 #[cfg(test)]
 mod lsq_tests {
-    //! White-box tests of the store-queue disambiguation walk: the window
-    //! and store queue are staged by hand so each `LsqOutcome` branch is
+    //! White-box tests of the store-queue disambiguation walk: an [`Lsq`]
+    //! and its [`Window`] are staged by hand so each `LsqOutcome` branch is
     //! pinned down exactly (forwarding, partial overlap, unknown address,
     //! store data not ready), independent of pipeline timing.
 
     use super::*;
-    use hpa_asm::Asm;
     use hpa_emu::StepRecord;
     use hpa_isa::{AluOp, MemWidth, Reg};
 
-    fn staged_sim() -> Simulator {
-        let mut a = Asm::new();
-        a.halt();
-        Simulator::new(&a.assemble().expect("assembles"), SimConfig::four_wide())
+    /// An empty window and LSQ of the four-wide machine.
+    fn staged() -> (Window, Lsq) {
+        let config = SimConfig::four_wide();
+        (Window::new(config.ruu_size), Lsq::new(&config))
     }
 
-    /// Inserts a hand-built instruction through the same bookkeeping as
-    /// `phase_insert` (window, store queue, LSQ count, ready list).
-    fn stage(sim: &mut Simulator, inst: Inst, mem_addr: Option<u64>) -> u64 {
-        let seq = sim.next_seq;
-        sim.next_seq += 1;
+    /// Inserts a hand-built instruction through the same window and LSQ
+    /// bookkeeping as `phase_insert`.
+    fn stage(w: &mut Window, lsq: &mut Lsq, inst: Inst, mem_addr: Option<u64>) -> u64 {
+        let seq = w.head_seq() + w.len() as u64;
         let step = StepRecord {
             pc: 0x40 + seq * 4,
             inst,
@@ -3524,91 +2742,84 @@ mod lsq_tests {
             taken: false,
             mem_addr,
         };
-        let mut di = DynInst::from_step(seq, &step);
+        let di = DynInst::from_step(seq, &step);
         if di.is_mem() {
-            sim.lsq_used += 1;
+            lsq.insert(seq, di.is_store());
         }
-        if di.is_store() {
-            sim.store_queue.push_back(seq);
-        }
-        if wakeup_ready(&di, sim.config.wakeup) {
-            di.in_ready_list = true;
-            let slot = sim.window.slot_of(seq);
-            sim.ready.set(slot);
-            sim.ready_at[slot] = ready_cycle_of(&di, sim.config.wakeup);
-        }
-        sim.window.push_back(di);
+        w.push_back(di);
         seq
     }
 
-    fn store(sim: &mut Simulator, addr: u64, width: MemWidth) -> u64 {
+    fn store(w: &mut Window, lsq: &mut Lsq, addr: u64, width: MemWidth) -> u64 {
         let inst = Inst::Store { width, rt: Reg::R1, base: Reg::R2, disp: 0 };
-        let seq = stage(sim, inst, Some(addr));
-        sim.window.back_mut().unwrap().addr_resolved = true;
+        let seq = stage(w, lsq, inst, Some(addr));
+        w.back_mut().unwrap().addr_resolved = true;
         seq
     }
 
-    fn load(sim: &mut Simulator, addr: u64, width: MemWidth) -> u64 {
+    fn load(w: &mut Window, lsq: &mut Lsq, addr: u64, width: MemWidth) -> u64 {
         let inst = Inst::Load { width, rt: Reg::R3, base: Reg::R2, disp: 0 };
-        stage(sim, inst, Some(addr))
+        stage(w, lsq, inst, Some(addr))
     }
 
     /// A covering older store with ready data forwards (DL1-hit timing).
     #[test]
     fn covering_store_forwards() {
-        let mut sim = staged_sim();
-        store(&mut sim, 0x1000, MemWidth::Quad);
-        let ld = load(&mut sim, 0x1000, MemWidth::Quad);
-        assert_eq!(sim.check_lsq(ld), LsqOutcome::Forward);
-        sim.check_invariants();
+        let (mut w, mut lsq) = staged();
+        store(&mut w, &mut lsq, 0x1000, MemWidth::Quad);
+        let ld = load(&mut w, &mut lsq, 0x1000, MemWidth::Quad);
+        assert_eq!(lsq.check(&w, ld), LsqOutcome::Forward);
+        lsq.check_invariants(&w).unwrap();
 
         // A narrower load inside the stored quadword also forwards.
-        let narrow = load(&mut sim, 0x1004, MemWidth::Long);
-        assert_eq!(sim.check_lsq(narrow), LsqOutcome::Forward);
+        let narrow = load(&mut w, &mut lsq, 0x1004, MemWidth::Long);
+        assert_eq!(lsq.check(&w, narrow), LsqOutcome::Forward);
     }
 
     /// A store that only partially overlaps the load blocks it.
     #[test]
     fn partial_overlap_blocks() {
-        let mut sim = staged_sim();
-        store(&mut sim, 0x1004, MemWidth::Long);
-        let ld = load(&mut sim, 0x1000, MemWidth::Quad);
-        assert_eq!(sim.check_lsq(ld), LsqOutcome::Blocked);
-        sim.check_invariants();
+        let (mut w, mut lsq) = staged();
+        store(&mut w, &mut lsq, 0x1004, MemWidth::Long);
+        let ld = load(&mut w, &mut lsq, 0x1000, MemWidth::Quad);
+        assert_eq!(lsq.check(&w, ld), LsqOutcome::Blocked);
+        lsq.check_invariants(&w).unwrap();
     }
 
     /// An older store whose address is still unresolved blocks every
     /// younger load conservatively (sim-outorder's policy).
     #[test]
     fn unknown_store_address_blocks() {
-        let mut sim = staged_sim();
-        let st = store(&mut sim, 0x2000, MemWidth::Quad);
-        sim.window.back_mut().unwrap().addr_resolved = false;
-        let ld = load(&mut sim, 0x1000, MemWidth::Quad); // disjoint address
-        assert_eq!(sim.check_lsq(ld), LsqOutcome::Blocked);
+        let (mut w, mut lsq) = staged();
+        let st = store(&mut w, &mut lsq, 0x2000, MemWidth::Quad);
+        w.back_mut().unwrap().addr_resolved = false;
+        let ld = load(&mut w, &mut lsq, 0x1000, MemWidth::Quad); // disjoint address
+        assert_eq!(lsq.check(&w, ld), LsqOutcome::Blocked);
 
         // Once the address resolves (and doesn't overlap), the load is free.
-        sim.inst_mut(st).unwrap().addr_resolved = true;
-        assert_eq!(sim.check_lsq(ld), LsqOutcome::Normal);
-        sim.check_invariants();
+        w.get_mut(st).unwrap().addr_resolved = true;
+        assert_eq!(lsq.check(&w, ld), LsqOutcome::Normal);
+        lsq.check_invariants(&w).unwrap();
     }
 
     /// A covering store whose data operand is still in flight blocks the
     /// load until the producer completes.
     #[test]
     fn store_data_not_ready_blocks() {
-        let mut sim = staged_sim();
-        let producer = stage(&mut sim, Inst::op(AluOp::Add, Reg::R1, Reg::R2, Reg::R1), None);
-        let st = store(&mut sim, 0x1000, MemWidth::Quad);
-        sim.inst_mut(st).unwrap().store_data_producer = Some(producer);
-        let ld = load(&mut sim, 0x1000, MemWidth::Quad);
-        assert_eq!(sim.check_lsq(ld), LsqOutcome::Blocked);
+        let (mut w, mut lsq) = staged();
+        let add = Inst::op(AluOp::Add, Reg::R1, Reg::R2, Reg::R1);
+        let producer = stage(&mut w, &mut lsq, add, None);
+        let st = store(&mut w, &mut lsq, 0x1000, MemWidth::Quad);
+        w.get_mut(st).unwrap().store_data_producer = Some(producer);
+        let ld = load(&mut w, &mut lsq, 0x1000, MemWidth::Quad);
+        assert_eq!(lsq.check(&w, ld), LsqOutcome::Blocked);
 
-        sim.inst_mut(producer).unwrap().state = IState::Completed;
-        let p_slot = sim.window.slot_of(producer);
-        sim.window.state[p_slot] = slot_state::COMPLETED;
-        assert_eq!(sim.check_lsq(ld), LsqOutcome::Forward);
-        sim.check_invariants();
+        w.get_mut(producer).unwrap().state = IState::Completed;
+        let p_slot = w.slot_of(producer);
+        w.state[p_slot] = slot_state::COMPLETED;
+        assert_eq!(lsq.check(&w, ld), LsqOutcome::Forward);
+        lsq.check_invariants(&w).unwrap();
+        w.check_invariants().unwrap();
     }
 
     /// The walk consults only queued stores: intervening non-store
@@ -3616,17 +2827,17 @@ mod lsq_tests {
     /// the ascending-seq bound.
     #[test]
     fn walk_is_bounded_by_older_stores() {
-        let mut sim = staged_sim();
-        store(&mut sim, 0x3000, MemWidth::Quad); // disjoint older store
+        let (mut w, mut lsq) = staged();
+        store(&mut w, &mut lsq, 0x3000, MemWidth::Quad); // disjoint older store
         for _ in 0..4 {
-            stage(&mut sim, Inst::op(AluOp::Add, Reg::R1, Reg::R2, Reg::R1), None);
+            stage(&mut w, &mut lsq, Inst::op(AluOp::Add, Reg::R1, Reg::R2, Reg::R1), None);
         }
-        let ld = load(&mut sim, 0x1000, MemWidth::Quad);
+        let ld = load(&mut w, &mut lsq, 0x1000, MemWidth::Quad);
         // A younger store to the same address must not affect the load.
-        let younger = store(&mut sim, 0x1000, MemWidth::Quad);
-        sim.window.back_mut().unwrap().addr_resolved = false;
-        assert_eq!(sim.check_lsq(ld), LsqOutcome::Normal);
-        assert!(sim.store_queue.contains(&younger));
-        sim.check_invariants();
+        store(&mut w, &mut lsq, 0x1000, MemWidth::Quad);
+        w.back_mut().unwrap().addr_resolved = false;
+        assert_eq!(lsq.check(&w, ld), LsqOutcome::Normal);
+        // The younger store is queued all the same.
+        lsq.check_invariants(&w).unwrap();
     }
 }

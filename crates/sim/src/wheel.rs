@@ -25,7 +25,7 @@ const WHEEL_SLOTS: usize = 256;
 /// scheduled for the same cycle come back in schedule order, and each
 /// cycle is drained exactly once, in increasing cycle order.
 #[derive(Clone, Debug)]
-pub struct EventWheel<T> {
+pub(crate) struct EventWheel<T> {
     /// `slots[c % WHEEL_SLOTS]` holds the items for cycle `c` when `c` is
     /// within the horizon of the last drained cycle.
     slots: Box<[Vec<T>]>,
@@ -54,7 +54,7 @@ impl<T> Default for EventWheel<T> {
 impl<T> EventWheel<T> {
     /// An empty wheel positioned at cycle 0.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -62,7 +62,7 @@ impl<T> EventWheel<T> {
     ///
     /// `cycle` must not precede the wheel's position (the pipeline only
     /// ever schedules strictly into the future); debug builds assert this.
-    pub fn schedule(&mut self, cycle: u64, item: T) {
+    pub(crate) fn schedule(&mut self, cycle: u64, item: T) {
         debug_assert!(cycle >= self.cursor, "scheduling into the past: {cycle} < {}", self.cursor);
         if cycle - self.cursor < WHEEL_SLOTS as u64 {
             self.slots[(cycle as usize) % WHEEL_SLOTS].push(item);
@@ -83,7 +83,7 @@ impl<T> EventWheel<T> {
     /// assert it. Skipped cycles (the pipeline never skips any) would
     /// leave their items in place to be mis-delivered a lap later, so the
     /// assert is load-bearing for correctness of unusual callers.
-    pub fn pop_into(&mut self, cycle: u64, out: &mut Vec<T>) {
+    pub(crate) fn pop_into(&mut self, cycle: u64, out: &mut Vec<T>) {
         debug_assert!(cycle >= self.cursor, "draining the past: {cycle} < {}", self.cursor);
         // Migrate overflow items that fall inside the new horizon before
         // touching the slot, so same-cycle order stays schedule order
@@ -105,17 +105,18 @@ impl<T> EventWheel<T> {
         out.clear();
         std::mem::swap(&mut self.slots[(cycle as usize) % WHEEL_SLOTS], out);
     }
-
-    /// Whether no items remain anywhere in the wheel.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.overflow.is_empty() && self.slots.iter().all(Vec::is_empty)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<T> EventWheel<T> {
+        /// Whether no items remain anywhere in the wheel.
+        pub(crate) fn is_empty(&self) -> bool {
+            self.overflow.is_empty() && self.slots.iter().all(Vec::is_empty)
+        }
+    }
 
     /// Drains one cycle into a fresh buffer.
     fn drain(w: &mut EventWheel<u32>, cycle: u64) -> Vec<u32> {

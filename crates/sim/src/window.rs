@@ -57,6 +57,12 @@ pub(crate) mod slot_flags {
     pub(crate) const HIGH_PRIORITY: u8 = 2;
 }
 
+/// The classification-column bits of an instruction.
+fn flags_of(i: &DynInst) -> u8 {
+    u8::from(i.is_load()) * slot_flags::LOAD
+        + u8::from(i.high_priority()) * slot_flags::HIGH_PRIORITY
+}
+
 /// The column encoding of a lifecycle state.
 pub(crate) fn state_code(s: IState) -> u8 {
     match s {
@@ -64,6 +70,25 @@ pub(crate) fn state_code(s: IState) -> u8 {
         IState::Issued => slot_state::ISSUED,
         IState::Completed => slot_state::COMPLETED,
     }
+}
+
+/// The words of a `capacity`-slot bitset in ring order from slot `from`
+/// — the spans `[from, capacity)` then `[0, from)` — each with the mask
+/// of its bits inside the span.
+fn ring_masks(from: usize, capacity: usize) -> impl Iterator<Item = (usize, u64)> {
+    [(from, capacity), (0, from)].into_iter().filter(|(lo, hi)| lo < hi).flat_map(|(lo, hi)| {
+        let (w0, w1) = (lo / 64, (hi - 1) / 64);
+        (w0..=w1).map(move |wi| {
+            let mut mask = !0u64;
+            if wi == w0 {
+                mask &= !0u64 << (lo % 64);
+            }
+            if wi == w1 && !hi.is_multiple_of(64) {
+                mask &= !0u64 >> (64 - hi % 64);
+            }
+            (wi, mask)
+        })
+    })
 }
 
 /// One bit per window slot, packed into `u64` words.
@@ -102,11 +127,6 @@ impl SlotBitset {
         self.words.fill(0);
     }
 
-    #[cfg(test)]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
     pub(crate) fn count(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
@@ -117,36 +137,29 @@ impl SlotBitset {
     /// resident window — a masked word walk with trailing-zero scans.
     pub(crate) fn for_each_from(&self, from: usize, mut f: impl FnMut(usize)) {
         debug_assert!(from < self.capacity.max(1));
-        let span = |words: &[u64], lo: usize, hi: usize, f: &mut dyn FnMut(usize)| {
-            if lo >= hi {
-                return;
+        for (wi, mask) in ring_masks(from, self.capacity) {
+            let mut w = self.words[wi] & mask;
+            while w != 0 {
+                f(wi * 64 + w.trailing_zeros() as usize);
+                w &= w - 1;
             }
-            let (w0, w1) = (lo / 64, (hi - 1) / 64);
-            for (wi, &word) in words.iter().enumerate().take(w1 + 1).skip(w0) {
-                let mut w = word;
-                if wi == w0 {
-                    w &= !0u64 << (lo % 64);
-                }
-                if wi == w1 && !hi.is_multiple_of(64) {
-                    w &= !0u64 >> (64 - hi % 64);
-                }
-                while w != 0 {
-                    let b = w.trailing_zeros() as usize;
-                    w &= w - 1;
-                    f(wi * 64 + b);
-                }
-            }
-        };
-        span(&self.words, from, self.capacity, &mut f);
-        span(&self.words, 0, from, &mut f);
+        }
     }
 
-    /// The set slots in ring order from `from`, collected (test helper).
-    #[cfg(test)]
-    pub(crate) fn collect_from(&self, from: usize) -> Vec<usize> {
-        let mut v = Vec::new();
-        self.for_each_from(from, |s| v.push(s));
-        v
+    /// [`SlotBitset::for_each_from`] that clears every slot for which
+    /// `keep` returns false.
+    pub(crate) fn retain_from(&mut self, from: usize, mut keep: impl FnMut(usize) -> bool) {
+        debug_assert!(from < self.capacity.max(1));
+        for (wi, mask) in ring_masks(from, self.capacity) {
+            let mut w = self.words[wi] & mask;
+            while w != 0 {
+                let b = w.trailing_zeros();
+                w &= w - 1;
+                if !keep(wi * 64 + b as usize) {
+                    self.words[wi] &= !(1u64 << b);
+                }
+            }
+        }
     }
 }
 
@@ -217,41 +230,22 @@ impl WakeupMatrix {
         from: usize,
         mut f: impl FnMut(usize, usize),
     ) {
-        let r0 = self.row_range(producer_slot, 0);
-        let r1 = self.row_range(producer_slot, 1);
-        let capacity = self.words_per_row * 64;
-        let rows = &self.rows;
-        let mut visit = |lo: usize, hi: usize| {
-            if lo >= hi {
-                return;
-            }
-            let (w0, w1) = (lo / 64, (hi - 1) / 64);
-            for wi in w0..=w1 {
-                let mut head_mask = !0u64;
-                if wi == w0 {
-                    head_mask &= !0u64 << (lo % 64);
+        let r0 = self.row_range(producer_slot, 0).start;
+        let r1 = self.row_range(producer_slot, 1).start;
+        for (wi, mask) in ring_masks(from, self.words_per_row * 64) {
+            let (word0, word1) = (self.rows[r0 + wi] & mask, self.rows[r1 + wi] & mask);
+            let mut union = word0 | word1;
+            while union != 0 {
+                let b = union.trailing_zeros() as usize;
+                union &= union - 1;
+                if word0 >> b & 1 != 0 {
+                    f(wi * 64 + b, 0);
                 }
-                if wi == w1 && !hi.is_multiple_of(64) {
-                    head_mask &= !0u64 >> (64 - hi % 64);
-                }
-                let word0 = rows[r0.start + wi] & head_mask;
-                let word1 = rows[r1.start + wi] & head_mask;
-                let mut union = word0 | word1;
-                while union != 0 {
-                    let b = union.trailing_zeros() as usize;
-                    union &= union - 1;
-                    let slot = wi * 64 + b;
-                    if word0 & (1u64 << b) != 0 {
-                        f(slot, 0);
-                    }
-                    if word1 & (1u64 << b) != 0 {
-                        f(slot, 1);
-                    }
+                if word1 >> b & 1 != 0 {
+                    f(wi * 64 + b, 1);
                 }
             }
-        };
-        visit(from, capacity);
-        visit(0, from);
+        }
     }
 }
 
@@ -290,11 +284,6 @@ impl Window {
             head_seq: 0,
             len: 0,
         }
-    }
-
-    /// The arena capacity (a power of two, >= the RUU size).
-    pub(crate) fn arena_capacity(&self) -> usize {
-        self.slots.len()
     }
 
     /// The arena slot of a sequence number.
@@ -368,12 +357,6 @@ impl Window {
         self.slots[slot].as_ref()
     }
 
-    /// Mutable access by arena slot, if occupied.
-    #[inline]
-    pub(crate) fn by_slot_mut(&mut self, slot: usize) -> Option<&mut DynInst> {
-        self.slots[slot].as_mut()
-    }
-
     /// The oldest resident instruction.
     #[inline]
     pub(crate) fn front(&self) -> Option<&DynInst> {
@@ -382,25 +365,6 @@ impl Window {
         } else {
             self.slots[self.head_slot()].as_ref()
         }
-    }
-
-    /// The youngest resident instruction (test staging helper).
-    #[cfg(test)]
-    pub(crate) fn back_mut(&mut self) -> Option<&mut DynInst> {
-        if self.len == 0 {
-            None
-        } else {
-            let slot = self.slot_of(self.head_seq + self.len as u64 - 1);
-            self.slots[slot].as_mut()
-        }
-    }
-
-    /// Appends the next-youngest instruction. Its `seq` must be the next
-    /// in sequence and the arena must have room.
-    #[cfg(test)]
-    pub(crate) fn push_back(&mut self, di: DynInst) {
-        let seq = di.seq;
-        self.push_back_with(seq, || di);
     }
 
     /// Appends the next-youngest instruction, built by `f` directly into
@@ -421,8 +385,7 @@ impl Window {
         let di = self.slots[slot].as_mut().expect("just written");
         debug_assert_eq!(di.seq, seq, "record seq matches the reserved slot");
         self.state[slot] = state_code(di.state);
-        self.flags[slot] = u8::from(di.is_load()) * slot_flags::LOAD
-            + u8::from(di.high_priority()) * slot_flags::HIGH_PRIORITY;
+        self.flags[slot] = flags_of(di);
         self.pcs[slot] = di.pc;
         di
     }
@@ -451,34 +414,85 @@ impl Window {
         })
     }
 
-    /// Mutable oldest-first iteration.
-    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = &mut DynInst> {
-        let (head, mask) = (self.head_seq, self.mask);
-        let len = self.len;
-        // Ring order visits each slot at most once, so the borrow is
-        // disjoint per iteration; express that with a split at the wrap
-        // point instead of unsafe: iterate the two contiguous arena spans.
-        let head_slot = (head & mask) as usize;
-        let cap = self.slots.len();
-        let first_span = len.min(cap - head_slot);
-        let (lo, hi) = self.slots.split_at_mut(head_slot);
-        let first = hi[..first_span].iter_mut();
-        let second = lo[..len - first_span].iter_mut();
-        first.chain(second).map(|s| s.as_mut().expect("resident slot occupied"))
-    }
-}
-
-impl<'a> IntoIterator for &'a Window {
-    type Item = &'a DynInst;
-    type IntoIter = Box<dyn Iterator<Item = &'a DynInst> + 'a>;
-    fn into_iter(self) -> Self::IntoIter {
-        Box::new(self.iter())
+    /// The window's invariants: contiguous residents, and flat columns
+    /// that mirror the resident records exactly (the select scan decides
+    /// from the columns alone, so any drift is a scheduling divergence
+    /// waiting to happen).
+    pub(crate) fn check_invariants(&self) -> Result<(), String> {
+        for (k, i) in self.iter().enumerate() {
+            ensure!(i.seq == self.head_seq + k as u64, "window seq gap at {k}");
+            let slot = self.slot_of(i.seq);
+            ensure!(
+                self.seq_at(slot) == Some(i.seq),
+                "slot {slot} ring arithmetic disagrees with resident seq {}",
+                i.seq
+            );
+            ensure!(
+                self.state[slot] == state_code(i.state),
+                "state column of slot {slot} ({}) diverges from seq {} ({:?})",
+                self.state[slot],
+                i.seq,
+                i.state
+            );
+            ensure!(
+                self.flags[slot] == flags_of(i),
+                "flags column of slot {slot} diverges for seq {}",
+                i.seq
+            );
+            ensure!(self.pcs[slot] == i.pc, "pc column of slot {slot} diverges for seq {}", i.seq);
+        }
+        let occupied = self.state.iter().filter(|&&s| s != slot_state::EMPTY).count();
+        ensure!(
+            occupied == self.len,
+            "state column counts {occupied} occupied slots, window holds {}",
+            self.len
+        );
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // Test-only staging and inspection helpers (crate-visible, so other
+    // modules' tests stage windows through them too).
+    impl SlotBitset {
+        pub(crate) fn is_empty(&self) -> bool {
+            self.words.iter().all(|&w| w == 0)
+        }
+
+        /// The set slots in ring order from `from`, collected (test helper).
+        pub(crate) fn collect_from(&self, from: usize) -> Vec<usize> {
+            let mut v = Vec::new();
+            self.for_each_from(from, |s| v.push(s));
+            v
+        }
+    }
+
+    impl Window {
+        /// The arena capacity (a power of two, >= the RUU size).
+        pub(crate) fn arena_capacity(&self) -> usize {
+            self.slots.len()
+        }
+
+        /// The youngest resident instruction (test staging helper).
+        pub(crate) fn back_mut(&mut self) -> Option<&mut DynInst> {
+            if self.len == 0 {
+                None
+            } else {
+                let slot = self.slot_of(self.head_seq + self.len as u64 - 1);
+                self.slots[slot].as_mut()
+            }
+        }
+
+        /// Appends the next-youngest instruction. Its `seq` must be the next
+        /// in sequence and the arena must have room.
+        pub(crate) fn push_back(&mut self, di: DynInst) {
+            let seq = di.seq;
+            self.push_back_with(seq, || di);
+        }
+    }
 
     #[test]
     fn bitset_word_boundary_slots_63_and_64() {

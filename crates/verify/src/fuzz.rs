@@ -127,12 +127,10 @@ pub fn run_differential(program: &Program, variant: Variant) -> Result<(), (Sche
                 ) {
                     return Err((
                         scheme,
-                        Divergence {
-                            seq: 0,
-                            cycle: outcome.cycles,
-                            reason: format!("cross-scheme architectural mismatch: {reason}"),
-                            dump: String::new(),
-                        },
+                        Divergence::at(
+                            outcome.cycles,
+                            format!("cross-scheme architectural mismatch: {reason}"),
+                        ),
                     ));
                 }
             }
@@ -162,9 +160,7 @@ pub fn run_differential_sampled(
     variant: Variant,
 ) -> Result<(), (Scheme, Divergence)> {
     const BUDGET: u64 = 10_000_000;
-    let fail = |reason: String| {
-        (Scheme::Base, Divergence { seq: 0, cycle: 0, reason, dump: String::new() })
-    };
+    let fail = |reason: String| (Scheme::Base, Divergence::at(0, reason));
 
     let mut reference = Emulator::new(program);
     match reference.run(BUDGET) {
@@ -198,14 +194,12 @@ pub fn run_differential_sampled(
                 ) {
                     return Err((
                         scheme,
-                        Divergence {
-                            seq: 0,
-                            cycle: outcome.cycles,
-                            reason: format!(
+                        Divergence::at(
+                            outcome.cycles,
+                            format!(
                                 "cross-scheme architectural mismatch (snapshot window): {reason}"
                             ),
-                            dump: String::new(),
-                        },
+                        ),
                     ));
                 }
             }
@@ -213,15 +207,7 @@ pub fn run_differential_sampled(
         // End-to-end sampled replay: architecture must be exact.
         let runner = SampledRunner::new(variant.configure(scheme), units).with_seed(total);
         let out = runner.run(program).map_err(|fault| {
-            (
-                scheme,
-                Divergence {
-                    seq: 0,
-                    cycle: 0,
-                    reason: format!("sampled runner fault: {fault}"),
-                    dump: String::new(),
-                },
-            )
+            (scheme, Divergence::at(0, format!("sampled runner fault: {fault}")))
         })?;
         let sampled_state = ArchState::capture(&out.emulator);
         if let Some(reason) =
@@ -229,12 +215,7 @@ pub fn run_differential_sampled(
         {
             return Err((
                 scheme,
-                Divergence {
-                    seq: 0,
-                    cycle: 0,
-                    reason: format!("sampled replay altered architecture: {reason}"),
-                    dump: String::new(),
-                },
+                Divergence::at(0, format!("sampled replay altered architecture: {reason}")),
             ));
         }
     }

@@ -61,6 +61,18 @@ pub struct Divergence {
     pub reason: String,
     /// Pipeline-state dump captured at the point of divergence.
     pub dump: String,
+    /// The first architectural difference when the run completed cleanly
+    /// but ended in the wrong final state (silent data corruption);
+    /// `None` for every other divergence.
+    pub final_state: Option<String>,
+}
+
+impl Divergence {
+    /// A divergence not tied to one commit, with no pipeline dump.
+    #[must_use]
+    pub fn at(cycle: u64, reason: String) -> Divergence {
+        Divergence { seq: 0, cycle, reason, dump: String::new(), final_state: None }
+    }
 }
 
 impl std::fmt::Display for Divergence {

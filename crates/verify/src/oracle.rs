@@ -5,7 +5,9 @@ use crate::Divergence;
 use hpa_core::asm::Program;
 use hpa_core::emu::{Emulator, RunOutcome, Snapshot};
 use hpa_core::isa::{Inst, MemWidth};
-use hpa_core::sim::{BranchWarmth, CommitHook, CommitRecord, SimConfig, SimFault, Simulator};
+use hpa_core::sim::{
+    BranchWarmth, CommitHook, CommitRecord, FaultInjection, SimConfig, SimFault, Simulator,
+};
 
 /// Budget for the reference emulator pass (and an upper bound on shadow
 /// steps); generated programs are tiny, corpus files must stay small.
@@ -135,6 +137,10 @@ pub struct LockstepOutcome {
     pub committed: u64,
     /// Final architectural state (used for cross-scheme comparison).
     pub state: ArchState,
+    /// Whether the fault planted by [`run_lockstep_injected`] fired;
+    /// always false for an uninjected run.
+    #[doc(hidden)]
+    pub fired: bool,
 }
 
 /// Runs `program` under `config` with the lockstep oracle attached and the
@@ -144,30 +150,36 @@ pub struct LockstepOutcome {
 /// # Errors
 ///
 /// The first [`Divergence`]: an oracle mismatch, an emulator or pipeline
-/// fault, a scheduler deadlock, or a final-state mismatch.
+/// fault, a scheduler deadlock, or a final-state mismatch
+/// ([`Divergence::final_state`]).
 pub fn run_lockstep(program: &Program, config: SimConfig) -> Result<LockstepOutcome, Divergence> {
-    run_lockstep_inner(program, config, None)
+    run_lockstep_inner(program, config, None, u64::MAX)
 }
 
-/// [`run_lockstep`] with a planted scheduler bug, for mutation-testing
-/// that the oracle/invariant net actually catches one.
+/// [`run_lockstep`] with a planted scheduler bug and a watchdog: a run
+/// still active at `cycle_budget` cycles is a deadlock divergence. For
+/// mutation-testing that the oracle/invariant net catches the bug, and
+/// for classifying fault-injection campaign runs.
 #[doc(hidden)]
 pub fn run_lockstep_injected(
     program: &Program,
     config: SimConfig,
-    injection: hpa_core::sim::FaultInjection,
+    injection: FaultInjection,
+    cycle_budget: u64,
 ) -> Result<LockstepOutcome, Divergence> {
-    run_lockstep_inner(program, config, Some(injection))
+    run_lockstep_inner(program, config, Some(injection), cycle_budget)
 }
 
 fn run_lockstep_inner(
     program: &Program,
     config: SimConfig,
-    injection: Option<hpa_core::sim::FaultInjection>,
+    injection: Option<FaultInjection>,
+    cycle_budget: u64,
 ) -> Result<LockstepOutcome, Divergence> {
     let mut sim = Simulator::new(program, config);
     sim.set_commit_hook(Box::new(LockstepOracle::new(program)));
     sim.set_strict_invariants(true);
+    sim.set_cycle_budget(cycle_budget);
     if let Some(inj) = injection {
         sim.inject_fault(inj);
     }
@@ -178,66 +190,47 @@ fn run_lockstep_inner(
     // catches defects the per-commit oracle structurally cannot (e.g. the
     // simulator finishing early without committing the tail).
     let mut reference = Emulator::new(program);
-    match reference.run(REFERENCE_BUDGET) {
-        Ok(hpa_core::emu::RunOutcome::Halted { .. }) => {}
-        Ok(hpa_core::emu::RunOutcome::BudgetExhausted { .. }) => {
-            return Err(Divergence {
-                seq: 0,
-                cycle: sim.cycle(),
-                reason: format!("reference emulation did not halt within {REFERENCE_BUDGET} steps"),
-                dump: String::new(),
-            });
+    let reason = match reference.run(REFERENCE_BUDGET) {
+        Ok(RunOutcome::Halted { .. }) => None,
+        Ok(RunOutcome::BudgetExhausted { .. }) => {
+            Some(format!("reference emulation did not halt within {REFERENCE_BUDGET} steps"))
         }
-        Err(e) => {
-            return Err(Divergence {
-                seq: 0,
-                cycle: sim.cycle(),
-                reason: format!("reference emulation faulted: {e}"),
-                dump: String::new(),
-            });
-        }
+        Err(e) => Some(format!("reference emulation faulted: {e}")),
+    };
+    if let Some(reason) = reason {
+        return Err(Divergence::at(sim.cycle(), reason));
     }
     let sim_state = ArchState::capture(sim.emulator());
     let ref_state = ArchState::capture(&reference);
-    if let Some(reason) = sim_state.first_difference(&ref_state, "simulator", "reference") {
+    if let Some(diff) = sim_state.first_difference(&ref_state, "simulator", "reference") {
         return Err(Divergence {
             seq: 0,
             cycle: sim.cycle(),
-            reason: format!("final architectural state mismatch: {reason}"),
+            reason: format!("final architectural state mismatch: {diff}"),
             dump: sim.dump_state(),
+            final_state: Some(diff),
         });
     }
     Ok(LockstepOutcome {
         cycles: sim.stats().cycles,
         committed: sim.stats().committed,
         state: sim_state,
+        fired: sim.injection_fired(),
     })
-}
-
-fn sim_fault_cycle(fault: &SimFault) -> u64 {
-    match fault {
-        SimFault::Emu { cycle, .. }
-        | SimFault::Deadlock { cycle, .. }
-        | SimFault::Invariant { cycle, .. }
-        | SimFault::Hook { cycle, .. } => *cycle,
-    }
 }
 
 fn fault_to_divergence(fault: SimFault) -> Divergence {
     match fault {
-        SimFault::Hook { seq, cycle, reason, dump } => Divergence { seq, cycle, reason, dump },
+        SimFault::Hook { seq, cycle, reason, dump } => {
+            Divergence { seq, cycle, reason, dump, final_state: None }
+        }
         SimFault::Invariant { cycle, reason, dump } => Divergence {
-            seq: 0,
-            cycle,
-            reason: format!("pipeline invariant violated: {reason}"),
             dump,
+            ..Divergence::at(cycle, format!("pipeline invariant violated: {reason}"))
         },
-        other @ (SimFault::Emu { .. } | SimFault::Deadlock { .. }) => Divergence {
-            seq: 0,
-            cycle: sim_fault_cycle(&other),
-            reason: other.to_string(),
-            dump: String::new(),
-        },
+        SimFault::Emu { cycle, .. } | SimFault::Deadlock { cycle, .. } => {
+            Divergence::at(cycle, fault.to_string())
+        }
     }
 }
 
@@ -285,7 +278,7 @@ pub fn run_lockstep_window(
         Err(e) => Some(format!("shadow emulation faulted before the snapshot point: {e}")),
     };
     if let Some(reason) = replay_error {
-        return Err(Divergence { seq: 0, cycle: 0, reason, dump: String::new() });
+        return Err(Divergence::at(0, reason));
     }
 
     let mut sim = Simulator::from_snapshot(program, config, snap, BranchWarmth::cold());
@@ -299,12 +292,7 @@ pub fn run_lockstep_window(
     // functional execution).
     let mut reference = Emulator::new(program);
     if let Err(e) = reference.run(sim.emulator().executed()) {
-        return Err(Divergence {
-            seq: 0,
-            cycle: sim.cycle(),
-            reason: format!("reference emulation faulted: {e}"),
-            dump: String::new(),
-        });
+        return Err(Divergence::at(sim.cycle(), format!("reference emulation faulted: {e}")));
     }
     let sim_state = ArchState::capture(sim.emulator());
     let ref_state = ArchState::capture(&reference);
@@ -314,12 +302,14 @@ pub fn run_lockstep_window(
             cycle: sim.cycle(),
             reason: format!("window final state mismatch: {reason}"),
             dump: sim.dump_state(),
+            final_state: Some(reason),
         });
     }
     Ok(LockstepOutcome {
         cycles: sim.stats().cycles,
         committed: sim.stats().committed,
         state: sim_state,
+        fired: false,
     })
 }
 

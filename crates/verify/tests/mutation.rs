@@ -45,7 +45,7 @@ fn clean_run_passes_lockstep() {
 fn planted_wakeup_bug_is_caught_and_localized() {
     let p = chain_heavy_program();
     let config = Scheme::Base.configure(MachineWidth::Four);
-    let d = run_lockstep_injected(&p, config, FaultInjection::SpuriousWakeup { nth: 3 })
+    let d = run_lockstep_injected(&p, config, FaultInjection::SpuriousWakeup { nth: 3 }, u64::MAX)
         .expect_err("the planted bug must be detected");
     // Localized: the report names the violated invariant and the exact
     // instruction, and carries a pipeline dump for debugging.
@@ -65,8 +65,9 @@ fn planted_bug_is_caught_under_half_price_schemes_too() {
     let p = chain_heavy_program();
     for scheme in [Scheme::SeqWakeupPredictor, Scheme::Combined] {
         let config = scheme.configure(MachineWidth::Four);
-        let d = run_lockstep_injected(&p, config, FaultInjection::SpuriousWakeup { nth: 5 })
-            .expect_err("detected under every scheme");
+        let d =
+            run_lockstep_injected(&p, config, FaultInjection::SpuriousWakeup { nth: 5 }, u64::MAX)
+                .expect_err("detected under every scheme");
         assert!(d.reason.contains("pipeline invariant violated"), "{}", d.reason);
     }
 }

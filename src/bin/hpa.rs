@@ -711,7 +711,7 @@ fn cmd_fuzz(args: &[String]) -> CliResult {
 }
 
 /// Runs a fault-injection campaign: seeded faults in the scheduler's
-/// internal structures, each run classified Detected / Masked / SDC via
+/// internal structures, each run classified Detected / Masked / Dormant / SDC via
 /// the lockstep oracle, with a resilience report written as JSON.
 fn cmd_faults(args: &[String]) -> CliResult {
     let spec_str = flag(args, "--campaign").unwrap_or_else(|| "mini".into());

@@ -199,7 +199,7 @@ fn scheduler_invariants_hold_cycle_by_cycle() {
             let mut guard = 0u32;
             loop {
                 sim.step_cycle();
-                sim.check_invariants();
+                sim.check_invariants().unwrap();
                 guard += 1;
                 assert!(guard < 200_000, "runaway at seed {seed}");
                 // Done when everything except decode-eliminated nops

@@ -71,6 +71,16 @@ echo "== fault-injection mini campaign (fixed seed) =="
 resilience="$(mktemp /tmp/hpa-resilience.XXXXXX.json)"
 cargo run --release -q --bin hpa -- faults --campaign mini --seed 42 --out "$resilience"
 echo "resilience report written to $resilience"
+# Every fault class must fire in at least one run. A class whose runs are
+# all dormant has a trigger site that no longer fires (say, a phase that
+# moved without its injector call), and its runs would otherwise pass as
+# clean.
+never_fired="$(never_fired_classes "$(cat "$resilience")")"
+if [ -n "$never_fired" ]; then
+  echo "ERROR: fault class(es) fired in no mini-campaign run:" $never_fired >&2
+  exit 1
+fi
+echo "every fault class fired in the mini campaign"
 
 echo "== corpus replay =="
 # Replay every checked-in reproducer through the full differential check.

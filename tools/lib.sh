@@ -14,3 +14,15 @@ json_scalar() {
     head -1 |
     sed 's/^"[^"]*": *//; s/ *$//; s/^"//; s/"$//'
 }
+
+# Prints, one per line, every fault class in the `RESILIENCE.json` text
+# `$1` (rendered by `hpa faults`) that fired in no run of the campaign:
+# summed over schemes, its detected + masked + sdc count is 0, so all its
+# runs were dormant.
+never_fired_classes() {
+  printf '%s' "$1" |
+    grep -o '"class":"[^"]*","detected":[0-9]*,"masked":[0-9]*,"dormant":[0-9]*,"sdc":[0-9]*' |
+    awk -F'[":,]+' '{ fired[$3] += $5 + $7 + $11; seen[$3] = 1 }
+      END { for (c in seen) if (fired[c] == 0) print c }' |
+    sort
+}

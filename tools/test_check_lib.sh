@@ -38,6 +38,14 @@ wrong='{"correct":false,"attempted":1500,"failed":2,"metrics":{}}'
 expect "bench wrong result" "$(json_scalar "$wrong" correct)" "false"
 expect "bench failures" "$(json_scalar "$wrong" failed)" "2"
 
+# never_fired_classes reads the per-scheme class rows of RESILIENCE.json:
+# a class counts as fired if any scheme's row has a detected, masked or
+# sdc run; one whose rows are all dormant is reported.
+resilience='{"seed":42,"runs":6,"dormant":3,"schemes":[{"scheme":"base","classes":[{"class":"tag-bit-flip","detected":1,"masked":0,"dormant":0,"sdc":0},{"class":"stale-now-bits","detected":0,"masked":0,"dormant":1,"sdc":0},{"class":"last-arrival-flip","detected":0,"masked":0,"dormant":1,"sdc":0}]},{"scheme":"seq-rf","classes":[{"class":"tag-bit-flip","detected":0,"masked":0,"dormant":1,"sdc":0},{"class":"stale-now-bits","detected":0,"masked":1,"dormant":0,"sdc":0},{"class":"last-arrival-flip","detected":0,"masked":0,"dormant":0,"sdc":0}]}]}'
+expect "never-fired classes" "$(never_fired_classes "$resilience")" "last-arrival-flip"
+fired='{"schemes":[{"scheme":"base","classes":[{"class":"read-port-storm","detected":0,"masked":2,"dormant":3,"sdc":0}]}]}'
+expect "every class fired" "$(never_fired_classes "$fired")" ""
+
 if [ "$fails" -gt 0 ]; then
   echo "test_check_lib: $fails failure(s)" >&2
   exit 1
