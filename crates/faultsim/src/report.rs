@@ -274,6 +274,15 @@ mod tests {
                 },
                 CellOutcome {
                     program: 0,
+                    scheme: Scheme::Base,
+                    class: FaultClass::StaleNowBits,
+                    injection: "StaleNowBits { nth: 2 }".to_string(),
+                    classification: Classification::Dormant,
+                    attempts: 1,
+                    reproducer: None,
+                },
+                CellOutcome {
+                    program: 0,
                     scheme: Scheme::Combined,
                     class: FaultClass::PrematureHalt,
                     injection: "PrematureHalt { at_commit: 4 }".to_string(),
@@ -295,8 +304,9 @@ mod tests {
     #[test]
     fn counts_and_table() {
         let r = sample();
-        assert_eq!((r.detected(), r.masked(), r.sdc()), (1, 1, 1));
+        assert_eq!((r.detected(), r.masked(), r.dormant(), r.sdc()), (1, 1, 1, 1));
         let t = r.table();
+        assert!(t.contains("stale-now-bits              0        0        1     0"), "{t}");
         assert!(t.contains("scheme `base`"));
         assert!(t.contains("spurious-wakeup"));
         assert!(t.contains("SDC: program 0 scheme `combined`"));
@@ -309,6 +319,7 @@ mod tests {
         let j = hpa_core::obs::json::parse(&sample().to_json().render()).expect("valid JSON");
         assert_eq!(j.get("seed").and_then(Json::as_u64), Some(42));
         assert_eq!(j.get("sdc").and_then(Json::as_u64), Some(1));
+        assert_eq!(j.get("dormant").and_then(Json::as_u64), Some(1));
         // The embedded quote in the SDC reason survives the round trip.
         let sdc = j.get("sdc_cells").and_then(Json::as_arr).expect("sdc_cells");
         assert_eq!(sdc.len(), 1);

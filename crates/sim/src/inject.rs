@@ -2,14 +2,16 @@
 //! mutation-testing the verification subsystem and for the campaign
 //! engine (`hpa-faultsim`).
 //!
-//! [`FaultInjection`] says what to corrupt and when; [`Injector`] holds
-//! the armed fault, its trigger counter and whether it fired. The cycle
+//! [`FaultInjection`] says what to corrupt and when, and
+//! `Simulator::inject_fault` plants it; [`Injector`] holds the armed
+//! fault, its trigger counter and whether it fired. The cycle
 //! loop calls one `Injector` method per trigger point and acts on the
 //! answer; the nth-counting and fire-once rules live here alone. A
 //! disarmed injector (every production run) answers each call with one
 //! predictable branch.
 
 use crate::dyninst::IState;
+use crate::pipeline::Simulator;
 use crate::sched::Scheduler;
 use crate::window::Window;
 use hpa_bpred::Side;
@@ -108,15 +110,24 @@ pub(crate) struct Injector {
     fired: bool,
 }
 
+impl Simulator {
+    /// Plants a scheduler bug (mutation testing of the verification
+    /// subsystem).
+    #[doc(hidden)]
+    pub fn inject_fault(&mut self, fault: FaultInjection) {
+        self.injector.armed = Some(fault);
+    }
+
+    /// Whether the fault planted by [`Simulator::inject_fault`] has fired
+    /// (corrupted anything) so far.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn injection_fired(&self) -> bool {
+        self.injector.fired
+    }
+}
+
 impl Injector {
-    pub(crate) fn arm(&mut self, fault: FaultInjection) {
-        self.armed = Some(fault);
-    }
-
-    pub(crate) fn fired(&self) -> bool {
-        self.fired
-    }
-
     fn fire(&mut self) {
         self.armed = None;
         self.fired = true;
@@ -270,15 +281,12 @@ mod tests {
     }
 
     fn armed(fault: FaultInjection) -> Injector {
-        let mut inj = Injector::default();
-        inj.arm(fault);
-        assert!(!inj.fired());
-        inj
+        Injector { armed: Some(fault), ..Injector::default() }
     }
 
     fn assert_fired_once_at_k(inj: &Injector, fired_at: &[u64]) {
         assert_eq!(fired_at, [K], "fires exactly once, at the kth event");
-        assert!(inj.fired());
+        assert!(inj.fired);
         assert_eq!(inj.armed, None, "disarmed afterwards");
     }
 
@@ -311,7 +319,7 @@ mod tests {
         let mut inj = armed(FaultInjection::DelayedSlowBus { nth: 1 });
         inj.wakeup_delivery(true);
         inj.wakeup_delivery(true);
-        assert!(!inj.fired());
+        assert!(!inj.fired);
         assert_eq!(inj.slow_bus_delay(), 1);
         assert_eq!(inj.slow_bus_delay(), 0);
     }
@@ -346,12 +354,12 @@ mod tests {
         let mut inj = armed(FaultInjection::ReadPortStorm { from_cycle: K, cycles: 2 });
         let stormy: Vec<u64> = (0..3 * K).filter(|&c| inj.read_port_storm(c)).collect();
         assert_eq!(stormy, [K, K + 1]);
-        assert!(inj.fired());
+        assert!(inj.fired);
         assert_eq!(inj.armed, None, "disarmed once the window has passed");
         // A window that never opens leaves the injector unfired.
         let mut inj = armed(FaultInjection::ReadPortStorm { from_cycle: 100, cycles: 2 });
         assert!((0..100).all(|c| !inj.read_port_storm(c)));
-        assert!(!inj.fired());
+        assert!(!inj.fired);
     }
 
     #[test]

@@ -51,7 +51,7 @@ use crate::config::{
 use crate::dyninst::{DynInst, IState, RfCategory, SrcState};
 use crate::frontend::{BranchWarmth, FrontEnd};
 use crate::fu::FuPool;
-use crate::inject::{FaultInjection, Injector};
+use crate::inject::Injector;
 use crate::lsq::{Lsq, LsqOutcome};
 use crate::phases::PhaseTimes;
 use crate::sched::Scheduler;
@@ -198,8 +198,9 @@ pub struct Simulator {
     /// crate's unit tests; the verifier and fault campaigns enable it at
     /// runtime.
     strict_invariants: bool,
-    /// The planted fault, if any (mutation testing; see [`Injector`]).
-    injector: Injector,
+    /// The planted fault, if any (mutation testing; see [`Injector`] and
+    /// the injection API beside it).
+    pub(crate) injector: Injector,
     /// Watchdog: `try_run` reports [`SimFault::Deadlock`] once the cycle
     /// count reaches this budget (`u64::MAX` = no budget). Campaign
     /// runners use it to convert injected hangs into structured outcomes
@@ -321,21 +322,6 @@ impl Simulator {
     /// [`SimFault::Invariant`]. On by default in this crate's unit tests.
     pub fn set_strict_invariants(&mut self, on: bool) {
         self.strict_invariants = on;
-    }
-
-    /// Plants a scheduler bug (mutation testing of the verification
-    /// subsystem).
-    #[doc(hidden)]
-    pub fn inject_fault(&mut self, injection: FaultInjection) {
-        self.injector.arm(injection);
-    }
-
-    /// Whether the fault planted by [`Simulator::inject_fault`] has fired
-    /// (corrupted anything) so far.
-    #[doc(hidden)]
-    #[must_use]
-    pub fn injection_fired(&self) -> bool {
-        self.injector.fired()
     }
 
     /// Arms the per-run watchdog: [`Simulator::try_run`] reports
@@ -2268,6 +2254,7 @@ mod squash_epoch_tests {
 mod fault_tests {
     use super::*;
     use crate::commit::{CommitHook, CommitRecord};
+    use crate::inject::FaultInjection;
     use hpa_asm::Asm;
     use hpa_isa::Reg;
 
