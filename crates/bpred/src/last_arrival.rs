@@ -152,6 +152,15 @@ impl LastArrivalBank {
         }
     }
 
+    /// Zeroes every predictor's accuracy counters and keeps its table
+    /// trained (a warmup boundary: measurement restarts, learning does
+    /// not).
+    pub fn reset_accuracy(&mut self) {
+        for (_, stats) in &mut self.predictors {
+            *stats = LastArrivalStats::default();
+        }
+    }
+
     /// `(table size, stats)` for each predictor in the bank.
     #[must_use]
     pub fn results(&self) -> Vec<(usize, LastArrivalStats)> {
@@ -210,6 +219,19 @@ mod tests {
             assert_eq!(stats.total(), 3);
             assert_eq!(stats.accuracy(), 0.5);
         }
+    }
+
+    #[test]
+    fn reset_accuracy_zeroes_the_counters_and_keeps_the_tables() {
+        let mut bank = LastArrivalBank::new(&[128]);
+        bank.observe(0x40, Some(Side::Left));
+        bank.observe(0x40, Some(Side::Left));
+        bank.reset_accuracy();
+        assert_eq!(bank.results(), [(128, LastArrivalStats::default())]);
+        // Trained on Left before the reset, so the next Left is a hit.
+        bank.observe(0x40, Some(Side::Left));
+        assert_eq!(bank.results()[0].1.correct, 1);
+        assert_eq!(bank.results()[0].1.incorrect, 0);
     }
 
     #[test]

@@ -3,7 +3,8 @@
 use hpa_emu::StepRecord;
 use hpa_isa::{ArchReg, FuClass, Inst};
 
-/// Lifecycle of an in-flight instruction inside the window.
+/// Lifecycle of an in-flight instruction inside the window, recorded
+/// only in the window's per-slot column (`Window::state`).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum IState {
     /// In the window, not (or no longer) issued.
@@ -96,8 +97,6 @@ pub(crate) struct DynInst {
     /// Producer of a store's data operand.
     pub(crate) store_data_producer: Option<u64>,
 
-    /// Lifecycle state.
-    pub(crate) state: IState,
     /// Bumped whenever the instruction is squashed; stale scheduled events
     /// compare epochs and drop themselves.
     pub(crate) epoch: u32,
@@ -169,7 +168,6 @@ impl DynInst {
             fast_slot: 1,
             dest: inst.dest(),
             store_data_producer: None,
-            state: IState::Waiting,
             epoch: 0,
             insert_cycle: 0,
             issue_cycle: 0,
@@ -213,16 +211,11 @@ impl DynInst {
         self.is_load() || self.inst.is_control()
     }
 
-    /// Number of scheduler source operands.
-    pub(crate) fn num_srcs(&self) -> usize {
-        self.srcs.iter().filter(|s| s.is_some()).count()
-    }
-
     /// Whether this instruction has two scheduler sources (a "2-source
     /// instruction" in the paper's terms; stores are excluded because the
     /// scheduler only tracks their address operand).
     pub(crate) fn is_two_source(&self) -> bool {
-        self.num_srcs() == 2
+        self.srcs.iter().all(Option::is_some)
     }
 
     /// Both operands pending at insert (the population of Figures 6/7 and
@@ -250,7 +243,7 @@ mod tests {
     fn two_source_classification() {
         let add = DynInst::from_step(1, &step(Inst::op(AluOp::Add, Reg::R1, Reg::R2, Reg::R3)));
         assert!(add.is_two_source());
-        assert_eq!(add.num_srcs(), 2);
+        assert_eq!(add.srcs_iter().count(), 2);
         assert!(!add.is_load());
 
         let addi = DynInst::from_step(2, &step(Inst::op(AluOp::Add, Reg::R1, 5, Reg::R3)));
@@ -266,7 +259,7 @@ mod tests {
         );
         assert!(st.is_store());
         assert!(st.is_mem());
-        assert_eq!(st.num_srcs(), 1);
+        assert_eq!(st.srcs_iter().count(), 1);
         assert!(!st.is_two_source());
         assert_eq!(st.dest, None);
     }

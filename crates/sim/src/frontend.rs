@@ -113,17 +113,10 @@ pub struct FrontEnd {
 }
 
 impl FrontEnd {
-    /// Builds the front end around a loaded emulator with cold predictors.
+    /// Builds the front end around a loaded emulator, its predictor
+    /// tables trained by `warmth` (cold, or warmed by a fast-forward).
     #[must_use]
-    pub fn new(emu: Emulator, width: u32, depth: u32) -> FrontEnd {
-        FrontEnd::with_warmth(emu, width, depth, BranchWarmth::cold())
-    }
-
-    /// Builds the front end with pre-trained predictor tables — the
-    /// sampled-mode path, where fast-forward has already replayed the
-    /// branch history the tables would have seen.
-    #[must_use]
-    pub fn with_warmth(emu: Emulator, width: u32, depth: u32, warmth: BranchWarmth) -> FrontEnd {
+    pub fn new(emu: Emulator, width: u32, depth: u32, warmth: BranchWarmth) -> FrontEnd {
         FrontEnd {
             emu,
             warmth,
@@ -329,7 +322,11 @@ mod tests {
         build(&mut a);
         a.halt();
         let emu = Emulator::new(&a.assemble().unwrap());
-        (FrontEnd::new(emu, 4, 7), Hierarchy::new(HierarchyConfig::table1()), SimStats::default())
+        (
+            FrontEnd::new(emu, 4, 7, BranchWarmth::cold()),
+            Hierarchy::new(HierarchyConfig::table1()),
+            SimStats::default(),
+        )
     }
 
     #[test]
@@ -426,7 +423,7 @@ mod tests {
                 warm.observe(&step);
             }
         }
-        let mut fe = FrontEnd::with_warmth(Emulator::new(&program), 4, 7, warm);
+        let mut fe = FrontEnd::new(Emulator::new(&program), 4, 7, warm);
         let mut h = Hierarchy::new(HierarchyConfig::table1());
         let mut stats = SimStats::default();
         for c in 0..200 {

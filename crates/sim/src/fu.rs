@@ -37,13 +37,6 @@ impl FuPool {
         }
     }
 
-    /// Whether a unit of `class` is free this cycle (without acquiring).
-    #[cfg_attr(not(test), allow(dead_code))]
-    #[must_use]
-    pub fn available(&self, class: FuClass, cycle: u64) -> bool {
-        self.units[class_index(class)].iter().any(|&busy_until| busy_until <= cycle)
-    }
-
     /// Acquires a unit of `class` for an operation issued this cycle.
     /// Returns `false` (no change) if every unit is busy.
     pub fn acquire(&mut self, class: FuClass, cycle: u64, latency: u32, pipelined: bool) -> bool {
@@ -60,6 +53,13 @@ impl FuPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl FuPool {
+        /// Whether a unit of `class` is free this cycle (without acquiring).
+        fn available(&self, class: FuClass, cycle: u64) -> bool {
+            self.units[class_index(class)].iter().any(|&busy_until| busy_until <= cycle)
+        }
+    }
 
     #[test]
     fn pipelined_units_free_next_cycle() {

@@ -241,7 +241,9 @@ impl Injector {
             return;
         }
         let target = window.iter().find_map(|i| {
-            if i.state != IState::Waiting || sched.listed(window.slot_of(i.seq)) {
+            if window.state_of(i.seq) != Some(IState::Waiting)
+                || sched.listed(window.slot_of(i.seq))
+            {
                 return None;
             }
             let k = i.srcs.iter().position(|s| {
@@ -270,6 +272,7 @@ mod tests {
     use super::*;
     use crate::config::SimConfig;
     use crate::dyninst::DynInst;
+    use crate::SimFault;
     use hpa_emu::StepRecord;
     use hpa_isa::{AluOp, Inst, Reg};
 
@@ -360,6 +363,25 @@ mod tests {
         let mut inj = armed(FaultInjection::ReadPortStorm { from_cycle: 100, cycles: 2 });
         assert!((0..100).all(|c| !inj.read_port_storm(c)));
         assert!(!inj.fired);
+    }
+
+    #[test]
+    fn injected_spurious_wakeup_is_caught_by_strict_invariants() {
+        let p = crate::pipeline::replay_program(30);
+        let mut sim = Simulator::new(&p, SimConfig::four_wide());
+        sim.set_strict_invariants(true);
+        sim.inject_fault(FaultInjection::SpuriousWakeup { nth: 3 });
+        let fault = sim.try_run().expect_err("planted wakeup bug must be caught");
+        match fault {
+            SimFault::Invariant { reason, .. } => {
+                assert!(
+                    reason.contains("unavailable producer")
+                        || reason.contains("not on the ready list"),
+                    "localized to the wakeup invariant: {reason}"
+                );
+            }
+            other => panic!("wrong fault: {other}"),
+        }
     }
 
     #[test]

@@ -40,8 +40,10 @@ macro_rules! ensure {
     };
 }
 
+mod arrival;
 mod commit;
 mod config;
+mod cpi;
 mod dyninst;
 mod frontend;
 mod fu;

@@ -32,22 +32,26 @@
 //!
 //! | Stage | Module | State |
 //! |---|---|---|
-//! | window | `window.rs` | instruction records, flat scan columns |
+//! | window | `window.rs` | instruction records, the lifecycle column, flat scan columns |
 //! | wakeup, select, replay | `sched.rs` | broadcast wheel, wakeup matrix, ready bits, issue gating |
+//! | last-arrival prediction | `arrival.rs` | scheme predictor, Figure 7 bank, Table 3 history |
 //! | memory disambiguation | `lsq.rs` | store queue, parked loads, store-wait bits |
+//! | retire | `commit.rs` | commit hook, pipeline trace, commit count, warmup boundary |
+//! | CPI attribution | `cpi.rs` | observability registry, the cycle's select tally |
 //! | fetch | `frontend.rs` | emulator, branch predictors, fetch queue |
 //! | functional units | `fu.rs` | per-class busy tables |
 //! | fault injection | `inject.rs` | the armed fault, one call per trigger point |
 //!
-//! Rename, execution events, commit, the last-arrival statistics and CPI
-//! attribution stay here. Each stage checks its own invariants
+//! Rename and the execution events stay here. Each stage checks its own invariants
 //! (`check_invariants` beside its code); [`Simulator::check_invariants`]
 //! runs them all plus the cross-stage ones.
 
-use crate::commit::{CommitHook, CommitRecord};
+use crate::arrival::LastArrival;
+use crate::commit::Retire;
 use crate::config::{
     BypassScheme, RecoveryKind, RegFileScheme, RenameScheme, SimConfig, WakeupScheme,
 };
+use crate::cpi::{Cpi, SelectTally};
 use crate::dyninst::{DynInst, IState, RfCategory, SrcState};
 use crate::frontend::{BranchWarmth, FrontEnd};
 use crate::fu::FuPool;
@@ -56,15 +60,12 @@ use crate::lsq::{Lsq, LsqOutcome};
 use crate::phases::PhaseTimes;
 use crate::sched::Scheduler;
 use crate::stats::SimStats;
-use crate::trace::{PipeTrace, TraceRecord};
 use crate::wheel::EventWheel;
-use crate::window::{slot_state, Window};
+use crate::window::Window;
 use hpa_asm::Program;
-use hpa_bpred::{LastArrivalBank, LastArrivalPredictor, PcTable, Side};
 use hpa_cache::Hierarchy;
 use hpa_emu::{EmuError, Emulator};
 use hpa_isa::{Inst, NUM_ARCH_REGS};
-use hpa_obs::{Counters, CpiCategory};
 use std::fmt;
 
 /// Cycles without a commit after which `run` declares a deadlock
@@ -176,22 +177,15 @@ pub struct Simulator {
     /// This cycle's execution events, drained from `events`.
     due: Vec<Event>,
     fu: FuPool,
-    predictor: Option<LastArrivalPredictor>,
-    la_bank: LastArrivalBank,
-    /// Last observed last-arriving side per (direct-mapped) PC, for the
-    /// Table 3 wakeup-order stability counters.
-    la_history: PcTable<Option<Side>>,
+    /// Operand placement and the wakeup-pair statistics (see
+    /// [`LastArrival`]).
+    arrival: LastArrival,
+    /// Commit hook, pipeline trace, commit count and the warmup boundary
+    /// (see [`Retire`] and the retire API beside it).
+    pub(crate) retire: Retire,
     stats: SimStats,
     cycle: u64,
     finished: bool,
-    /// Optional pipeline-diagram recording (see [`Simulator::enable_trace`]).
-    pipetrace: Option<PipeTrace>,
-    /// Total commits including warmup (drives `max_insts`/halt).
-    committed_total: u64,
-    /// Cycle at which statistics last reset (warmup boundary).
-    stats_start_cycle: u64,
-    /// Retire-stream observer (lockstep oracle); `None` in normal runs.
-    commit_hook: Option<Box<dyn CommitHook>>,
     /// First fault observed; stops `try_run` at the end of the cycle.
     fault: Option<SimFault>,
     /// Run the full invariant sweep at the end of every cycle. On in this
@@ -206,47 +200,19 @@ pub struct Simulator {
     /// runners use it to convert injected hangs into structured outcomes
     /// long before the no-commit-progress limit.
     cycle_budget: u64,
-    /// Observability registry (CPI stack, penalty histograms). Disabled
-    /// by default; recording never touches `stats` or scheduling state,
-    /// so enabling it cannot perturb timing.
-    counters: Counters,
-    /// What select did this cycle, stashed for end-of-cycle CPI
-    /// attribution (select's working values are gone by then).
-    cpi_select: CpiSelectInfo,
-    /// Slow-bus wakeup deliveries this cycle (occupancy histogram);
-    /// incremented only while `counters` is enabled.
-    slow_wakeups_this_cycle: u32,
+    /// CPI attribution and the observability registry (see [`Cpi`] and
+    /// the counters API beside it).
+    pub(crate) cpi: Cpi,
     /// Per-phase wall-time accumulators; `None` (the default) keeps every
     /// stopwatch read off the cycle loop.
     phase_times: Option<Box<PhaseTimes>>,
-}
-
-/// Select-phase facts needed by the end-of-cycle CPI attribution.
-#[derive(Clone, Copy, Debug, Default)]
-struct CpiSelectInfo {
-    /// Instructions issued.
-    issued: u32,
-    /// Issue slots disabled by a previous sequential RF access.
-    rf_blocked: u32,
-    /// Candidates deferred by crossbar port arbitration or the
-    /// single-bypass-input constraint.
-    port_deferrals: u32,
-    /// Candidates that lost functional-unit arbitration.
-    fu_deferrals: u32,
-    /// The whole select phase was suppressed by a post-squash restart.
-    restart: bool,
-    /// Select-time classification of the leftover (unfilled) slots; only
-    /// computed when some slots were left over.
-    stall: Option<CpiCategory>,
 }
 
 impl Simulator {
     /// Builds a simulator over a program.
     #[must_use]
     pub fn new(program: &Program, config: SimConfig) -> Simulator {
-        let emu = Emulator::new(program);
-        let frontend = FrontEnd::new(emu, config.width, config.frontend_depth);
-        Simulator::with_frontend(frontend, config)
+        Simulator::build(Emulator::new(program), BranchWarmth::cold(), config)
     }
 
     /// Builds a simulator whose architectural state starts from `snap`
@@ -263,58 +229,36 @@ impl Simulator {
         snap: &hpa_emu::Snapshot,
         warmth: BranchWarmth,
     ) -> Simulator {
-        let emu = Emulator::from_snapshot(program, snap);
-        let frontend = FrontEnd::with_warmth(emu, config.width, config.frontend_depth, warmth);
-        Simulator::with_frontend(frontend, config)
+        Simulator::build(Emulator::from_snapshot(program, snap), warmth, config)
     }
 
-    fn with_frontend(frontend: FrontEnd, config: SimConfig) -> Simulator {
+    fn build(emu: Emulator, warmth: BranchWarmth, config: SimConfig) -> Simulator {
+        let frontend = FrontEnd::new(emu, config.width, config.frontend_depth, warmth);
         let width_plus_one = config.width as usize + 1;
-        let predictor = match config.wakeup {
-            WakeupScheme::SequentialWakeup { predictor_entries: Some(n) }
-            | WakeupScheme::TagElimination { predictor_entries: n } => {
-                Some(LastArrivalPredictor::new(n))
-            }
-            _ => None,
-        };
         Simulator {
             hierarchy: Hierarchy::new(config.hierarchy),
             fu: FuPool::new(&config.fu),
             window: Window::new(config.ruu_size),
             sched: Scheduler::new(&config),
             lsq: Lsq::new(&config),
-            la_history: PcTable::new(config.pc_table_entries, None),
+            arrival: LastArrival::new(&config),
+            retire: Retire::new(&config),
+            cpi: Cpi::new(&config),
             config,
             frontend,
             next_seq: 0,
             rename: [None; NUM_ARCH_REGS],
             events: EventWheel::new(),
             due: Vec::new(),
-            predictor,
-            la_bank: LastArrivalBank::figure7(),
             stats: SimStats { issue_histogram: vec![0; width_plus_one], ..SimStats::default() },
             cycle: 0,
             finished: false,
-            pipetrace: None,
-            committed_total: 0,
-            stats_start_cycle: 0,
-            commit_hook: None,
             fault: None,
             strict_invariants: cfg!(test),
             injector: Injector::default(),
             cycle_budget: u64::MAX,
-            counters: Counters::disabled(),
-            cpi_select: CpiSelectInfo::default(),
-            slow_wakeups_this_cycle: 0,
             phase_times: None,
         }
-    }
-
-    /// Attaches a retire-stream observer, called once per committed
-    /// instruction in program order. A hook error stops the run with
-    /// [`SimFault::Hook`].
-    pub fn set_commit_hook(&mut self, hook: Box<dyn CommitHook>) {
-        self.commit_hook = Some(hook);
     }
 
     /// Runs the full [`Simulator::check_invariants`] sweep at the end of
@@ -350,35 +294,6 @@ impl Simulator {
     #[must_use]
     pub fn cycle(&self) -> u64 {
         self.cycle
-    }
-
-    /// Starts recording a pipeline diagram of the first `capacity`
-    /// committed instructions (see [`PipeTrace`]).
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.pipetrace = Some(PipeTrace::new(capacity));
-    }
-
-    /// The recorded pipeline trace, if [`Simulator::enable_trace`] was
-    /// called.
-    #[must_use]
-    pub fn pipetrace(&self) -> Option<&PipeTrace> {
-        self.pipetrace.as_ref()
-    }
-
-    /// Turns on the observability registry: CPI-stack attribution of
-    /// every issue slot plus the penalty counters and histograms (see
-    /// [`Counters`]). Off by default; recording reads pipeline state but
-    /// writes only into the registry, so timing and [`SimStats`] are
-    /// bit-identical either way (the differential suite enforces this).
-    pub fn enable_counters(&mut self) {
-        self.counters = Counters::enabled();
-    }
-
-    /// The observability registry (all zeros unless
-    /// [`Simulator::enable_counters`] was called).
-    #[must_use]
-    pub fn counters(&self) -> &Counters {
-        &self.counters
     }
 
     fn exec_offset(&self) -> u64 {
@@ -441,7 +356,10 @@ impl Simulator {
             }
             let stuck = self.cycle - last_progress.1 >= DEADLOCK_LIMIT;
             if self.fault.is_none() && (stuck || self.cycle >= self.cycle_budget) {
-                let head = self.window.front().map(|i| (i.seq, i.state, &i.inst));
+                let head = self
+                    .window
+                    .front()
+                    .map(|i| (i.seq, self.window.state[self.window.head_slot()], &i.inst));
                 let head = if stuck {
                     format!("{head:?}")
                 } else {
@@ -453,9 +371,9 @@ impl Simulator {
                 result = Err(fault.clone()); // `active` ends the loop
             }
         }
-        self.stats.cycles = self.cycle - self.stats_start_cycle;
+        self.stats.cycles = self.cycle - self.retire.measured_from();
         self.stats.hierarchy = self.hierarchy.stats();
-        self.stats.last_arrival = self.la_bank.results();
+        self.stats.last_arrival = self.arrival.results();
         result
     }
 
@@ -521,11 +439,7 @@ impl Simulator {
             self.phase_insert();
             lap!(insert_ns);
         }
-        if self.counters.is_enabled() {
-            // After every phase so the warmup-boundary reset inside commit
-            // still sees this cycle attributed exactly once.
-            self.record_cpi_cycle();
-        }
+        self.cpi.end_cycle();
         lap!(obs_ns);
         self.cycle += 1;
         self.injector.spurious_wakeup(&mut self.window, &self.sched, self.cycle);
@@ -556,8 +470,9 @@ impl Simulator {
             // either names nothing (a lost pulse) or aliases another
             // in-flight instruction.
             let seq = self.injector.broadcast_tag(tag);
+            let issued = self.window.state_of(seq) == Some(IState::Issued);
             let Some(p) = self.window.get_mut(seq) else { continue };
-            if p.epoch != epoch || p.state != IState::Issued {
+            if p.epoch != epoch || !issued {
                 continue;
             }
             p.broadcast_done = true;
@@ -573,7 +488,7 @@ impl Simulator {
     fn deliver_wakeup(&mut self, c_seq: u64, producer: u64) {
         let cycle = self.cycle;
         let slow_bus = self.uses_slow_bus();
-        let waiting = self.window.get(c_seq).is_some_and(|c| c.state == IState::Waiting);
+        let waiting = self.window.state_of(c_seq) == Some(IState::Waiting);
         // Injection: a dropped pulse never reaches the consumer's
         // comparator. Only a later squash recompute can re-derive the
         // readiness; otherwise the consumer waits forever and the watchdog
@@ -605,55 +520,15 @@ impl Simulator {
         // operands (tag elimination enqueues on the watched side alone; a
         // post-misfire candidate then waits for the other side too).
         self.sched.update(slot, c);
-        if slow_delivered > 0 && self.counters.is_enabled() {
-            self.slow_wakeups_this_cycle += slow_delivered;
-        }
+        self.cpi.slow_wakeups(slow_delivered);
         // Wakeup-pair statistics (Figures 6/7, Table 3) fire once, when the
         // second pending operand of a 2-pending-source instruction wakes.
         if c.two_pending_at_insert() && !c.wakeup_pair_recorded && c.srcs_iter().all(|s| s.ready) {
             c.wakeup_pair_recorded = true;
-            let pc = c.pc;
-            let mut cycles = [0u64; 2];
-            for (k, s) in c.srcs_iter().enumerate() {
-                cycles[k] = s.broadcast_cycle;
+            if let [Some(l), Some(r)] = c.srcs {
+                let cycles = (l.broadcast_cycle, r.broadcast_cycle);
+                self.arrival.record_pair(&mut self.stats, c.pc, cycles, fast_slot);
             }
-            let fast = c.fast_slot;
-            self.record_wakeup_pair(pc, cycles[0], cycles[1], fast);
-        }
-    }
-
-    fn record_wakeup_pair(&mut self, pc: u64, left: u64, right: u64, fast_slot: usize) {
-        let slack = left.abs_diff(right);
-        self.stats.wakeup_slack[(slack as usize).min(3)] += 1;
-        if slack == 0 {
-            self.la_bank.observe(pc, None);
-            if self.uses_slow_bus() {
-                // A simultaneous dual wakeup always pays the slow-bus cycle
-                // (paper §3.3).
-                self.stats.simultaneous_wakeups += 1;
-            }
-            return;
-        }
-        let last = if left > right { Side::Left } else { Side::Right };
-        self.la_bank.observe(pc, Some(last));
-        match last {
-            Side::Left => self.stats.wakeup_order.last_left += 1,
-            Side::Right => self.stats.wakeup_order.last_right += 1,
-        }
-        match self.la_history.get_mut(pc).replace(last) {
-            Some(prev) if prev == last => self.stats.wakeup_order.same_as_last += 1,
-            Some(_) => self.stats.wakeup_order.diff_from_last += 1,
-            None => {}
-        }
-        if let Some(pred) = self.predictor.as_mut() {
-            pred.update(pc, last);
-        }
-        let last_slot = match last {
-            Side::Left => 0,
-            Side::Right => 1,
-        };
-        if self.uses_slow_bus() && last_slot != fast_slot {
-            self.stats.seq_wakeup_slow_last += 1;
         }
     }
 
@@ -664,10 +539,11 @@ impl Simulator {
         let Some(rf_blocked) = self.sched.open_select(cycle) else {
             // Scheduler restart after a pullback: every slot of the cycle
             // is squash overhead.
-            self.cpi_select = CpiSelectInfo { restart: true, ..CpiSelectInfo::default() };
+            self.cpi.select_restart();
             return;
         };
-        let (mut port_defer, mut fu_defer, mut rf_reads) = (0u32, 0u32, 0u32);
+        let mut tally = SelectTally { rf_blocked, ..SelectTally::default() };
+        let mut rf_reads = 0u32;
         let mut budget = self.config.width.saturating_sub(rf_blocked);
         let mut port_budget = self.config.width;
         // Injection: a read-port conflict storm — for the armed window all
@@ -684,49 +560,26 @@ impl Simulator {
         let candidates =
             self.sched.collect_candidates(window, cycle, |slot, seq| lsq.holds(window, slot, seq));
 
-        let mut issued = 0u32;
         for k in 0..candidates {
-            if issued >= budget {
+            if tally.issued >= budget {
                 break;
             }
             let seq = self.sched.candidate(k);
-            let (
-                class,
-                base_latency,
-                pipelined,
-                now_any,
-                now_fast,
-                two_source,
-                both_ready_at_insert,
-                ports,
-                wakeup_eff,
-                unwatched_unready,
-            ) = {
-                let i = self.window.get(seq).expect("candidate in window");
-                (
-                    i.fu,
-                    i.base_latency,
-                    i.fu_pipelined,
-                    i.srcs_iter().any(|s| s.effective_cycle == cycle),
-                    i.srcs[i.fast_slot].as_ref().is_some_and(|s| s.effective_cycle == cycle),
-                    i.is_two_source(),
-                    i.is_two_source() && i.srcs_iter().all(|s| s.ready_at_insert),
-                    i.srcs_iter().filter(|s| s.effective_cycle != cycle).count() as u32,
-                    // Effective last-wakeup cycle, clamped so replayed or
-                    // scoreboard-verified operands (stale stamps) stay
-                    // within the instruction's window residency.
-                    i.srcs_iter()
-                        .filter(|s| s.ready)
-                        .map(|s| s.effective_cycle)
-                        .max()
-                        .unwrap_or(i.insert_cycle)
-                        .clamp(i.insert_cycle, cycle),
-                    // Tag-elimination misfire precondition: the unwatched
-                    // operand has not woken (scoreboard-verified at issue).
-                    !i.te_verified_wait
-                        && i.srcs[1 - i.fast_slot].as_ref().is_some_and(|s| !s.ready),
-                )
-            };
+            let i = self.window.get(seq).expect("candidate in window");
+            let two_source = i.is_two_source();
+            let now_any = i.srcs_iter().any(|s| s.effective_cycle == cycle);
+            let now_fast = i.srcs[i.fast_slot].is_some_and(|s| s.effective_cycle == cycle);
+            let ports = i.srcs_iter().filter(|s| s.effective_cycle != cycle).count() as u32;
+            // Effective last-wakeup cycle, clamped so replayed or
+            // scoreboard-verified operands (stale stamps) stay within the
+            // instruction's window residency.
+            let wakeup_eff = i
+                .srcs_iter()
+                .filter(|s| s.ready)
+                .map(|s| s.effective_cycle)
+                .max()
+                .unwrap_or(i.insert_cycle)
+                .clamp(i.insert_cycle, cycle);
 
             // Half-price bypass (§6 extension): a functional unit has one
             // bypass input, so an instruction whose both operands are only
@@ -734,7 +587,7 @@ impl Simulator {
             // earlier value is then readable from the register file).
             if self.config.bypass == BypassScheme::HalfPaths && two_source && ports == 0 {
                 self.stats.bypass_deferrals += 1;
-                port_defer += 1;
+                tally.port_deferrals += 1;
                 continue;
             }
 
@@ -743,11 +596,11 @@ impl Simulator {
             let crossbar = self.config.regfile == RegFileScheme::SharedCrossbar;
             if crossbar && ports > port_budget {
                 self.stats.crossbar_deferrals += 1;
-                port_defer += 1;
+                tally.port_deferrals += 1;
                 continue;
             }
-            if !self.fu.acquire(class, cycle, base_latency, pipelined) {
-                fu_defer += 1;
+            if !self.fu.acquire(i.fu, cycle, i.base_latency, i.fu_pipelined) {
+                tally.fu_deferrals += 1;
                 continue;
             }
             if crossbar {
@@ -766,36 +619,33 @@ impl Simulator {
                 && two_source
                 && (!now || self.injector.stale_now_bits());
 
-            // Tag elimination: scoreboard-verify the unwatched operand.
+            // Tag elimination: scoreboard-verify the unwatched operand,
+            // which misfires when it has not woken.
             let te_misfire = matches!(self.config.wakeup, WakeupScheme::TagElimination { .. })
                 && two_source
-                && unwatched_unready;
+                && !i.te_verified_wait
+                && i.srcs[1 - i.fast_slot].is_some_and(|s| !s.ready);
 
-            #[allow(clippy::unnecessary_lazy_evaluations)]
-            let rf_category = two_source.then(|| {
-                if both_ready_at_insert {
-                    RfCategory::TwoReady
-                } else if now_any {
-                    RfCategory::BackToBack
-                } else {
-                    RfCategory::NonBackToBack
-                }
-            });
-
-            let extra = u64::from(seq_rf);
-            let exec_offset = self.exec_offset();
-            let (is_load, dest, epoch) = {
-                let i = self.window.get_mut(seq).expect("candidate");
-                let (is_load, dest) = (i.is_load(), i.dest);
-                i.state = IState::Issued;
-                i.issue_cycle = cycle;
-                i.wakeup_cycle = wakeup_eff;
-                i.seq_rf = seq_rf;
-                i.rf_category = rf_category.or(i.rf_category);
-                (is_load, dest, i.epoch)
+            let rf_category = if !two_source {
+                i.rf_category
+            } else if i.srcs_iter().all(|s| s.ready_at_insert) {
+                Some(RfCategory::TwoReady)
+            } else if now_any {
+                Some(RfCategory::BackToBack)
+            } else {
+                Some(RfCategory::NonBackToBack)
             };
+
+            let l = u64::from(i.base_latency) + u64::from(seq_rf);
+            let (is_load, dest, epoch) = (i.is_load(), i.dest, i.epoch);
+            let exec_offset = self.exec_offset();
+            let i = self.window.get_mut(seq).expect("candidate");
+            i.issue_cycle = cycle;
+            i.wakeup_cycle = wakeup_eff;
+            i.seq_rf = seq_rf;
+            i.rf_category = rf_category;
             let slot = self.window.slot_of(seq);
-            self.window.state[slot] = slot_state::ISSUED;
+            self.window.state[slot] = IState::Issued;
 
             if is_load {
                 let l_spec = self.load_spec_latency();
@@ -807,7 +657,6 @@ impl Simulator {
                 let detect = cycle + l_spec + u64::from(self.config.extra_rf_stages());
                 self.events.schedule(detect, Event::MemAccess { seq, epoch });
             } else {
-                let l = u64::from(base_latency) + extra;
                 if dest.is_some() {
                     self.sched.schedule_broadcast(cycle + l, seq, epoch);
                 }
@@ -820,9 +669,6 @@ impl Simulator {
                 // The paper's Figure 11b: the slot's select logic disables
                 // itself for one cycle while the port is read twice.
                 rf_reads += 1;
-                if self.counters.is_enabled() {
-                    self.counters.rf_rereads += 1;
-                }
             }
             if te_misfire {
                 // The missing operand is confirmed where operands are
@@ -834,116 +680,12 @@ impl Simulator {
                 // machine width and pipeline depth (paper §5.1).
                 self.events.schedule(cycle + exec_offset, Event::TeVerify { seq, epoch });
             }
-            if self.counters.is_enabled() {
-                self.counters.wakeup_to_select.record(cycle - wakeup_eff);
-            }
-            issued += 1;
+            self.cpi.issued(cycle - wakeup_eff, seq_rf);
+            tally.issued += 1;
         }
         self.sched.block_slots(rf_reads);
-        self.stats.issue_histogram[(issued as usize).min(self.config.width as usize)] += 1;
-        if self.counters.is_enabled() {
-            // Classify leftover slots now, while the window still shows
-            // the select-time view (events/commit/insert will change it).
-            let stall = (issued + rf_blocked + port_defer + fu_defer < self.config.width)
-                .then(|| self.classify_stall_cycle());
-            self.cpi_select = CpiSelectInfo {
-                issued,
-                rf_blocked,
-                port_deferrals: port_defer,
-                fu_deferrals: fu_defer,
-                restart: false,
-                stall,
-            };
-        }
-    }
-
-    /// Why no instruction could fill the remaining issue slots this
-    /// cycle: the tail of the CPI attribution cascade (see
-    /// [`Simulator::record_cpi_cycle`]). Read-only.
-    fn classify_stall_cycle(&self) -> CpiCategory {
-        let cycle = self.cycle;
-        if self.window.is_empty() {
-            return CpiCategory::FetchStarved;
-        }
-        let spec = self.load_spec_latency();
-        let mut slow_hold: Option<CpiCategory> = None;
-        let mut mem_wait = false;
-        for i in self.window.iter() {
-            match i.state {
-                IState::Waiting => {
-                    // All operands woke but one is still riding the slow
-                    // bus: the sequential-wakeup +1 in one of its two
-                    // flavours (paper §3.3).
-                    if slow_hold.is_none()
-                        && i.srcs_iter().all(|s| s.ready)
-                        && i.srcs_iter().any(|s| s.effective_cycle > cycle)
-                    {
-                        let mut bcs = [0u64; 2];
-                        for (k, s) in i.srcs_iter().enumerate() {
-                            bcs[k] = s.broadcast_cycle;
-                        }
-                        let simultaneous = i.num_srcs() == 2 && bcs[0] == bcs[1];
-                        slow_hold = Some(if simultaneous {
-                            CpiCategory::SeqWakeupDelay
-                        } else {
-                            CpiCategory::LaMispredictDelay
-                        });
-                    }
-                }
-                IState::Issued => {
-                    // An in-flight load past its speculative latency with
-                    // no broadcast (DL1 miss shadow), or parked on an
-                    // older store: the window is waiting on memory.
-                    if i.is_load()
-                        && (i.load_stalled || (!i.broadcast_done && cycle > i.issue_cycle + spec))
-                    {
-                        mem_wait = true;
-                    }
-                }
-                IState::Completed => {}
-            }
-        }
-        if let Some(c) = slow_hold {
-            return c;
-        }
-        if mem_wait {
-            return CpiCategory::DcacheMissWait;
-        }
-        CpiCategory::SchedulerEmpty
-    }
-
-    /// End-of-cycle CPI attribution: every one of the machine's `width`
-    /// issue slots is charged to exactly one [`CpiCategory`] via a strict
-    /// priority cascade — issued, then squash-restart, RF re-read
-    /// blocks, port conflicts, FU contention, and finally the
-    /// select-time stall classification. The property suite holds the
-    /// books to `cpi.total() == cycles × width`.
-    fn record_cpi_cycle(&mut self) {
-        if self.uses_slow_bus() {
-            self.counters.slow_bus_occupancy.record(u64::from(self.slow_wakeups_this_cycle));
-        }
-        self.slow_wakeups_this_cycle = 0;
-        let width = u64::from(self.config.width);
-        let info = self.cpi_select;
-        let cpi = &mut self.counters.cpi;
-        if info.restart {
-            cpi.add(CpiCategory::Squash, width);
-            return;
-        }
-        cpi.add(CpiCategory::Committing, u64::from(info.issued));
-        let mut remaining = width.saturating_sub(u64::from(info.issued));
-        let rf = u64::from(info.rf_blocked).min(remaining);
-        cpi.add(CpiCategory::RfRereadStall, rf);
-        remaining -= rf;
-        let ports = u64::from(info.port_deferrals).min(remaining);
-        cpi.add(CpiCategory::PortConflict, ports);
-        remaining -= ports;
-        let fu = u64::from(info.fu_deferrals).min(remaining);
-        cpi.add(CpiCategory::FuContention, fu);
-        remaining -= fu;
-        if remaining > 0 {
-            cpi.add(info.stall.unwrap_or(CpiCategory::SchedulerEmpty), remaining);
-        }
+        self.stats.issue_histogram[(tally.issued as usize).min(self.config.width as usize)] += 1;
+        self.cpi.select(tally, &self.window, cycle, self.load_spec_latency());
     }
 
     // ---------------------------------------------------------- events --
@@ -953,7 +695,7 @@ impl Simulator {
         for k in 0..self.lsq.begin_retry() {
             let seq = self.lsq.retrying(k);
             let Some(i) = self.window.get(seq) else { continue };
-            if i.state != IState::Issued || !i.load_stalled {
+            if self.window.state_of(seq) != Some(IState::Issued) || !i.load_stalled {
                 continue;
             }
             match self.lsq.check(&self.window, seq) {
@@ -978,7 +720,7 @@ impl Simulator {
 
     fn te_verify(&mut self, seq: u64, epoch: u32) {
         let Some(i) = self.window.get(seq) else { return };
-        if i.epoch != epoch || i.state != IState::Issued {
+        if i.epoch != epoch || self.window.state_of(seq) != Some(IState::Issued) {
             return;
         }
         let t0 = i.issue_cycle;
@@ -998,7 +740,7 @@ impl Simulator {
 
     fn mem_access(&mut self, seq: u64, epoch: u32) {
         let Some(i) = self.window.get(seq) else { return };
-        if i.epoch != epoch || i.state != IState::Issued {
+        if i.epoch != epoch || self.window.state_of(seq) != Some(IState::Issued) {
             return;
         }
         let pc = i.pc;
@@ -1032,8 +774,7 @@ impl Simulator {
         let exec_offset = self.exec_offset();
         if !retried && lat == dl1_hit {
             // Hit, exactly as speculated: the spec broadcast stands.
-            let l_act = 1 + lat;
-            self.events.schedule(issue + exec_offset + l_act - 1, Event::Complete { seq, epoch });
+            self.events.schedule(issue + exec_offset + lat, Event::Complete { seq, epoch });
             return;
         }
         if !retried {
@@ -1070,11 +811,11 @@ impl Simulator {
 
     fn complete(&mut self, seq: u64, epoch: u32) {
         let cycle = self.cycle;
+        let issued = self.window.state_of(seq) == Some(IState::Issued);
         let Some(i) = self.window.get_mut(seq) else { return };
-        if i.epoch != epoch || i.state != IState::Issued {
+        if i.epoch != epoch || !issued {
             return;
         }
-        i.state = IState::Completed;
         i.complete_cycle = cycle;
         if i.is_store() {
             i.addr_resolved = true;
@@ -1084,7 +825,7 @@ impl Simulator {
             i.resume_done = true;
         }
         let slot = self.window.slot_of(seq);
-        self.window.state[slot] = slot_state::COMPLETED;
+        self.window.state[slot] = IState::Completed;
         if resolve {
             self.frontend.resolve_branch(cycle + 1);
         }
@@ -1101,117 +842,52 @@ impl Simulator {
     fn phase_commit(&mut self) {
         for _ in 0..self.config.width {
             let Some(head) = self.window.front() else { break };
-            if head.state != IState::Completed {
+            if self.window.state_of(head.seq) != Some(IState::Completed) {
                 break;
             }
-            // Copy out the narrow field set commit needs, then release the
-            // head's arena slot in place (`drop_front`) and its scheduler
-            // state.
-            let slot = self.window.head_slot();
-            let (seq, pc, inst, next_pc, taken, mem_addr, dest, dest_value, mem_data) = (
-                head.seq,
-                head.pc,
-                head.inst,
-                head.next_pc,
-                head.taken,
-                head.mem_addr,
-                head.dest,
-                head.dest_value,
-                head.mem_data,
-            );
-            let (is_store, is_mem, two_source, rf_category) =
-                (head.is_store(), head.is_mem(), head.is_two_source(), head.rf_category);
-            let (insert_cycle, wakeup_cycle, issue_cycle, complete_cycle, replays, seq_rf) = (
-                head.insert_cycle,
-                head.wakeup_cycle,
-                head.issue_cycle,
-                head.complete_cycle,
-                head.replays,
-                head.seq_rf,
-            );
-            self.window.drop_front();
-            self.sched.release(slot);
-            if is_mem {
-                self.lsq.retire(seq, is_store);
-            }
-            if is_store {
-                if let Some(addr) = mem_addr {
-                    self.hierarchy.data_write(addr);
-                }
-            }
-            if let Some(d) = dest {
-                if self.rename[d.index()] == Some(seq) {
-                    self.rename[d.index()] = None;
-                }
-            }
             let cycle = self.cycle;
-            if let Some(mut hook) = self.commit_hook.take() {
-                let rec = CommitRecord {
-                    seq,
-                    cycle,
-                    pc,
-                    inst,
-                    next_pc,
-                    taken,
-                    mem_addr,
-                    dest,
-                    dest_value,
-                    mem_data,
-                };
-                let verdict = hook.on_commit(&rec);
-                self.commit_hook = Some(hook);
-                if let Err(reason) = verdict {
-                    self.fault =
-                        Some(SimFault::Hook { seq, cycle, reason, dump: self.dump_state() });
+            let retired =
+                self.retire.commit(head, cycle, &mut self.stats, &mut self.cpi, &mut self.arrival);
+            let committed = match retired {
+                Ok(committed) => committed,
+                Err(reason) => {
+                    let (seq, dump) = (head.seq, self.dump_state());
+                    self.fault = Some(SimFault::Hook { seq, cycle, reason, dump });
                     return;
                 }
-            }
-            self.stats.committed += 1;
-            self.committed_total += 1;
-            if let Some(t) = self.pipetrace.as_mut() {
-                if t.recording() {
-                    t.push(TraceRecord {
-                        seq,
-                        pc,
-                        inst,
-                        insert_cycle,
-                        wakeup_cycle,
-                        issue_cycle,
-                        complete_cycle,
-                        commit_cycle: self.cycle,
-                        replays,
-                        seq_rf,
-                    });
-                }
-            }
-            if self.committed_total == self.config.warmup_insts {
-                // Warmup boundary: restart the counters in place (no
-                // reallocation); warm state (caches, predictors, the
-                // window) carries over. The CPI attribution of the current
-                // cycle runs at end-of-cycle, after this reset, so the
-                // registry covers exactly the cycles `stats` counts.
-                self.stats.reset_in_place();
-                if self.counters.is_enabled() {
-                    self.counters.reset_in_place();
-                }
-                self.stats_start_cycle = self.cycle;
-            }
-            if two_source {
-                match rf_category {
+            };
+            if head.is_two_source() {
+                match head.rf_category {
                     Some(RfCategory::TwoReady) => self.stats.rf_two_ready += 1,
                     Some(RfCategory::BackToBack) => self.stats.rf_back_to_back += 1,
                     Some(RfCategory::NonBackToBack) => self.stats.rf_non_back_to_back += 1,
                     None => {}
                 }
             }
-            if inst == Inst::Halt || self.committed_total >= self.config.max_insts {
+            // Release the head's arena slot in place and its scheduler,
+            // LSQ and rename state.
+            let (seq, inst, dest, mem_addr) = (head.seq, head.inst, head.dest, head.mem_addr);
+            self.sched.release(self.window.head_slot());
+            self.window.drop_front();
+            if inst.is_load() || inst.is_store() {
+                self.lsq.retire(seq, inst.is_store());
+            }
+            if let (true, Some(addr)) = (inst.is_store(), mem_addr) {
+                self.hierarchy.data_write(addr);
+            }
+            if let Some(d) = dest {
+                if self.rename[d.index()] == Some(seq) {
+                    self.rename[d.index()] = None;
+                }
+            }
+            if inst == Inst::Halt || committed >= self.config.max_insts {
                 self.finished = true;
                 break;
             }
             // Injection (classifier self-test only): stop the machine as if
             // the program had halted. The truncated run silently disagrees
             // with the reference — a genuine SDC the campaign must flag.
-            if self.injector.premature_halt(self.committed_total) {
+            if self.injector.premature_halt(committed) {
                 self.finished = true;
                 break;
             }
@@ -1285,21 +961,14 @@ impl Simulator {
                 }
             }
             let is_store = f.step.inst.is_store();
-            let mut store_data_producer = None;
-            if is_store {
-                if let Some(dr) = f.step.inst.store_data_source() {
-                    if let Some(pseq) = self.rename[dr.index()] {
-                        if self.window.get(pseq).is_some() {
-                            store_data_producer = Some(pseq);
-                        }
-                    }
-                }
-            }
+            let store_data_producer = f
+                .step
+                .inst
+                .store_data_source()
+                .and_then(|dr| self.rename[dr.index()])
+                .filter(|&pseq| self.window.get(pseq).is_some());
 
-            // Operand placement: a lone pending operand always takes the
-            // fast/watched side; with two pending operands the predictor
-            // (or the static right-side rule) chooses (paper §3.3).
-            let fast_slot = self.choose_fast_slot(&srcs, f.step.pc);
+            let fast_slot = self.arrival.fast_slot(&srcs, f.step.pc, &mut self.injector);
 
             if let Some(d) = f.step.inst.dest() {
                 self.rename[d.index()] = Some(seq);
@@ -1326,39 +995,6 @@ impl Simulator {
             self.sched.update(c_slot, di);
         }
     }
-
-    fn choose_fast_slot(&mut self, srcs: &[Option<SrcState>; 2], pc: u64) -> usize {
-        if srcs.iter().flatten().count() != 2 {
-            return 0;
-        }
-        let mut pending = [0usize; 2];
-        let mut n = 0;
-        for (s, src) in srcs.iter().enumerate() {
-            if src.as_ref().is_some_and(|x| !x.ready_at_insert) {
-                pending[n] = s;
-                n += 1;
-            }
-        }
-        match (n, &self.config.wakeup) {
-            (1, _) => pending[0],
-            (
-                _,
-                WakeupScheme::SequentialWakeup { predictor_entries: Some(_) }
-                | WakeupScheme::TagElimination { .. },
-            ) => {
-                // Injection: a bit-flip in the last-arrival predictor table.
-                // A wrong prediction is a legal prediction — the machine pays
-                // the slow-bus penalty, never produces a wrong value.
-                let side = self.predictor.as_ref().expect("predictor configured").predict(pc);
-                match self.injector.last_arrival(side) {
-                    Side::Left => 0,
-                    Side::Right => 1,
-                }
-            }
-            // Static policy: the right operand is assumed last-arriving.
-            _ => 1,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1366,6 +1002,7 @@ mod tests {
     use super::*;
     use hpa_asm::Asm;
     use hpa_isa::Reg;
+    use hpa_obs::CpiCategory;
 
     fn asm(build: impl FnOnce(&mut Asm)) -> Program {
         let mut a = Asm::new();
@@ -1990,6 +1627,7 @@ impl Simulator {
         self.window.check_invariants()?;
         self.lsq.check_invariants(&self.window)?;
         for i in self.window.iter() {
+            let state = self.window.state_of(i.seq).expect("resident");
             // An operand marked ready must have an available producer:
             // committed, already-broadcast, or (transiently, between a
             // wakeup and its squash recompute) an in-window producer.
@@ -1998,14 +1636,14 @@ impl Simulator {
                 ensure!(p < i.seq, "source of seq {} produced by younger inst {p}", i.seq);
                 let avail = self.window.get(p).is_none_or(|pi| pi.broadcast_done);
                 ensure!(
-                    avail || !s.ready || i.state != IState::Waiting,
+                    avail || !s.ready || state != IState::Waiting,
                     "seq {} waiting with ready operand from unavailable producer {p}",
                     i.seq
                 );
             }
             // Completed instructions have a coherent timeline.
             ensure!(
-                i.state != IState::Completed || i.complete_cycle >= i.issue_cycle,
+                state != IState::Completed || i.complete_cycle >= i.issue_cycle,
                 "seq {} completion precedes issue",
                 i.seq
             );
@@ -2062,7 +1700,7 @@ impl Simulator {
                 out,
                 "  seq {:>4} {:9} pc={:#06x} {:24} [{}]{}{}",
                 i.seq,
-                format!("{:?}", i.state),
+                format!("{:?}", self.window.state[self.window.slot_of(i.seq)]),
                 i.pc,
                 i.inst.to_string(),
                 srcs.join(" "),
@@ -2077,31 +1715,38 @@ impl Simulator {
     }
 }
 
+/// A loop of `iters` iterations with periodic DL1 misses and
+/// store-to-load traffic: every iteration can provoke a load-shadow
+/// squash. Shared by the unit tests of every stage.
+#[cfg(test)]
+pub(crate) fn replay_program(iters: i64) -> Program {
+    use hpa_isa::Reg;
+    let mut a = hpa_asm::Asm::new();
+    a.li(Reg::R1, 0x1_0000);
+    a.li(Reg::R9, iters);
+    a.label("loop");
+    a.ldq(Reg::R2, Reg::R1, 0); // misses periodically
+    a.add(Reg::R3, Reg::R2, Reg::R3); // load shadow victim
+    a.stq(Reg::R3, Reg::R1, 8);
+    a.ldq(Reg::R4, Reg::R1, 8); // store-to-load traffic
+    a.add(Reg::R5, Reg::R4, Reg::R2);
+    a.add(Reg::R1, Reg::R1, 64);
+    a.sub(Reg::R9, Reg::R9, 1);
+    a.bgt(Reg::R9, "loop");
+    a.halt();
+    a.assemble().expect("test program assembles")
+}
+
 #[cfg(test)]
 mod invariant_tests {
     use super::*;
     use crate::config::{BypassScheme, RenameScheme};
-    use hpa_asm::Asm;
-    use hpa_isa::Reg;
 
     /// Steps a replay-heavy program under several schemes, validating the
     /// full invariant set every cycle.
     #[test]
     fn invariants_hold_every_cycle_under_replays() {
-        let mut a = Asm::new();
-        a.li(Reg::R1, 0x1_0000);
-        a.li(Reg::R9, 40);
-        a.label("loop");
-        a.ldq(Reg::R2, Reg::R1, 0); // misses periodically
-        a.add(Reg::R3, Reg::R2, Reg::R3);
-        a.stq(Reg::R3, Reg::R1, 8);
-        a.ldq(Reg::R4, Reg::R1, 8); // store-to-load traffic
-        a.add(Reg::R5, Reg::R4, Reg::R2);
-        a.add(Reg::R1, Reg::R1, 64);
-        a.sub(Reg::R9, Reg::R9, 1);
-        a.bgt(Reg::R9, "loop");
-        a.halt();
-        let p = a.assemble().unwrap();
+        let p = replay_program(40);
 
         for config in [
             SimConfig::four_wide(),
@@ -2138,27 +1783,6 @@ mod squash_epoch_tests {
     //! new incarnation through the wakeup matrix.
 
     use super::*;
-    use hpa_asm::Asm;
-    use hpa_isa::Reg;
-
-    /// Store-to-load traffic plus periodic DL1 misses: every iteration can
-    /// provoke a latency mis-speculation squash.
-    fn replay_program() -> Program {
-        let mut a = Asm::new();
-        a.li(Reg::R1, 0x1_0000);
-        a.li(Reg::R9, 20);
-        a.label("loop");
-        a.ldq(Reg::R2, Reg::R1, 0);
-        a.add(Reg::R3, Reg::R2, Reg::R3); // load shadow victim
-        a.stq(Reg::R3, Reg::R1, 8);
-        a.ldq(Reg::R4, Reg::R1, 8);
-        a.add(Reg::R5, Reg::R4, Reg::R2);
-        a.add(Reg::R1, Reg::R1, 64);
-        a.sub(Reg::R9, Reg::R9, 1);
-        a.bgt(Reg::R9, "loop");
-        a.halt();
-        a.assemble().unwrap()
-    }
 
     /// Steps the machine cycle by cycle and holds, at every cycle, the
     /// squash-coherence laws of the SoA scheduler state:
@@ -2172,7 +1796,7 @@ mod squash_epoch_tests {
     ///    dependence registration at insert outlives any number of
     ///    squashes, so the re-issued producer can re-wake them.
     fn run_checking(config: SimConfig) -> (u64, u32) {
-        let p = replay_program();
+        let p = replay_program(20);
         let mut sim = Simulator::new(&p, config);
         let mut max_epoch = 0u32;
         let mut cycles = 0u64;
@@ -2184,7 +1808,8 @@ mod squash_epoch_tests {
             for &seq in &resident {
                 let i = sim.window.get(seq).expect("resident");
                 max_epoch = max_epoch.max(i.epoch);
-                if i.state == IState::Waiting {
+                let waiting = sim.window.state_of(seq) == Some(IState::Waiting);
+                if waiting {
                     assert!(
                         !i.broadcast_done,
                         "cycle {}: replayed {} kept broadcast_done through a squash",
@@ -2198,7 +1823,7 @@ mod squash_epoch_tests {
                         continue; // producer committed; value architectural
                     }
                     let p = sim.window.get(pseq).expect("resident producer");
-                    if i.state == IState::Waiting {
+                    if waiting {
                         assert!(
                             !s.ready || p.broadcast_done,
                             "cycle {}: {} src{} ready but producer {} never broadcast",
@@ -2253,124 +1878,12 @@ mod squash_epoch_tests {
 #[cfg(test)]
 mod fault_tests {
     use super::*;
-    use crate::commit::{CommitHook, CommitRecord};
-    use crate::inject::FaultInjection;
     use hpa_asm::Asm;
     use hpa_isa::Reg;
 
-    fn replay_heavy_program() -> Program {
-        let mut a = Asm::new();
-        a.li(Reg::R1, 0x1_0000);
-        a.li(Reg::R9, 30);
-        a.label("loop");
-        a.ldq(Reg::R2, Reg::R1, 0);
-        a.add(Reg::R3, Reg::R2, Reg::R3);
-        a.stq(Reg::R3, Reg::R1, 8);
-        a.ldq(Reg::R4, Reg::R1, 8);
-        a.add(Reg::R5, Reg::R4, Reg::R2);
-        a.add(Reg::R1, Reg::R1, 64);
-        a.sub(Reg::R9, Reg::R9, 1);
-        a.bgt(Reg::R9, "loop");
-        a.halt();
-        a.assemble().unwrap()
-    }
-
-    /// Records the retire stream, asserting program order.
-    #[derive(Clone, Debug, Default)]
-    struct Recorder {
-        seqs: Vec<u64>,
-        cycles: Vec<u64>,
-    }
-
-    impl CommitHook for Recorder {
-        fn on_commit(&mut self, rec: &CommitRecord) -> Result<(), String> {
-            if let Some(&last) = self.seqs.last() {
-                if rec.seq != last + 1 {
-                    return Err(format!("out-of-order commit: {} after {last}", rec.seq));
-                }
-            }
-            self.seqs.push(rec.seq);
-            self.cycles.push(rec.cycle);
-            Ok(())
-        }
-        fn box_clone(&self) -> Box<dyn CommitHook> {
-            Box::new(self.clone())
-        }
-    }
-
-    /// Rejects the nth commit, to exercise the Hook fault path.
-    #[derive(Clone, Debug)]
-    struct RejectNth {
-        n: u64,
-        seen: u64,
-    }
-
-    impl CommitHook for RejectNth {
-        fn on_commit(&mut self, _rec: &CommitRecord) -> Result<(), String> {
-            self.seen += 1;
-            if self.seen == self.n {
-                return Err("synthetic divergence".into());
-            }
-            Ok(())
-        }
-        fn box_clone(&self) -> Box<dyn CommitHook> {
-            Box::new(self.clone())
-        }
-    }
-
-    #[test]
-    fn commit_hook_observes_the_full_retire_stream_unchanged() {
-        let p = replay_heavy_program();
-        // Reference run without a hook.
-        let mut plain = Simulator::new(&p, SimConfig::four_wide());
-        plain.run();
-        // Hooked run: same timing, every commit observed, in order.
-        let mut sim = Simulator::new(&p, SimConfig::four_wide());
-        sim.set_commit_hook(Box::new(Recorder::default()));
-        sim.try_run().expect("no fault");
-        assert_eq!(sim.stats().committed, plain.stats().committed);
-        assert_eq!(sim.stats().cycles, plain.stats().cycles, "hook must not change timing");
-    }
-
-    #[test]
-    fn hook_rejection_is_a_localized_fault() {
-        let p = replay_heavy_program();
-        let mut sim = Simulator::new(&p, SimConfig::four_wide());
-        sim.set_commit_hook(Box::new(RejectNth { n: 5, seen: 0 }));
-        let fault = sim.try_run().expect_err("hook rejects commit 5");
-        match fault {
-            SimFault::Hook { seq, reason, ref dump, .. } => {
-                assert_eq!(seq, 4, "5th commit is seq 4");
-                assert!(reason.contains("synthetic divergence"));
-                assert!(dump.contains("cycle"), "dump present: {dump}");
-            }
-            other => panic!("wrong fault: {other}"),
-        }
-        assert!(sim.fault().is_some());
-    }
-
-    #[test]
-    fn injected_spurious_wakeup_is_caught_by_strict_invariants() {
-        let p = replay_heavy_program();
-        let mut sim = Simulator::new(&p, SimConfig::four_wide());
-        sim.set_strict_invariants(true);
-        sim.inject_fault(FaultInjection::SpuriousWakeup { nth: 3 });
-        let fault = sim.try_run().expect_err("planted wakeup bug must be caught");
-        match fault {
-            SimFault::Invariant { reason, .. } => {
-                assert!(
-                    reason.contains("unavailable producer")
-                        || reason.contains("not on the ready list"),
-                    "localized to the wakeup invariant: {reason}"
-                );
-            }
-            other => panic!("wrong fault: {other}"),
-        }
-    }
-
     #[test]
     fn without_injection_strict_invariants_pass() {
-        let p = replay_heavy_program();
+        let p = replay_program(30);
         let mut sim = Simulator::new(&p, SimConfig::four_wide());
         sim.set_strict_invariants(true);
         sim.try_run().expect("clean run");
@@ -2393,7 +1906,7 @@ mod fault_tests {
 
     #[test]
     fn try_run_matches_run_on_clean_programs() {
-        let p = replay_heavy_program();
+        let p = replay_program(30);
         let mut a = Simulator::new(&p, SimConfig::four_wide());
         a.run();
         let mut b = Simulator::new(&p, SimConfig::four_wide());
@@ -2423,7 +1936,7 @@ mod worked_example_tests {
         while sim.active() {
             sim.step_cycle();
             for i in sim.window.iter() {
-                if matches!(i.state, IState::Issued | IState::Completed) {
+                if sim.window.state_of(i.seq) != Some(IState::Waiting) {
                     out.insert(i.seq, (i.issue_cycle, i.seq_rf));
                 }
             }
@@ -2542,24 +2055,6 @@ mod trace_and_warmup_tests {
         a.bgt(Reg::R9, "loop");
         a.halt();
         a.assemble().unwrap()
-    }
-
-    #[test]
-    fn pipetrace_records_commit_order() {
-        let p = loop_program(10);
-        let mut sim = Simulator::new(&p, SimConfig::four_wide());
-        sim.enable_trace(8);
-        sim.run();
-        let t = sim.pipetrace().expect("enabled");
-        assert_eq!(t.records().len(), 8);
-        for (k, r) in t.records().iter().enumerate() {
-            assert_eq!(r.seq, k as u64, "commit order");
-            assert!(r.insert_cycle <= r.issue_cycle);
-            assert!(r.issue_cycle <= r.complete_cycle);
-            assert!(r.complete_cycle <= r.commit_cycle);
-        }
-        let diagram = t.render();
-        assert!(diagram.lines().count() >= 9, "{diagram}");
     }
 
     #[test]
@@ -2698,133 +2193,5 @@ mod scheme_interplay_tests {
         assert_eq!(s.issue_histogram.len(), 5);
         assert_eq!(s.issue_histogram.iter().sum::<u64>(), s.cycles);
         assert!(s.window_occupancy_sum > 0);
-    }
-}
-
-#[cfg(test)]
-mod lsq_tests {
-    //! White-box tests of the store-queue disambiguation walk: an [`Lsq`]
-    //! and its [`Window`] are staged by hand so each `LsqOutcome` branch is
-    //! pinned down exactly (forwarding, partial overlap, unknown address,
-    //! store data not ready), independent of pipeline timing.
-
-    use super::*;
-    use hpa_emu::StepRecord;
-    use hpa_isa::{AluOp, MemWidth, Reg};
-
-    /// An empty window and LSQ of the four-wide machine.
-    fn staged() -> (Window, Lsq) {
-        let config = SimConfig::four_wide();
-        (Window::new(config.ruu_size), Lsq::new(&config))
-    }
-
-    /// Inserts a hand-built instruction through the same window and LSQ
-    /// bookkeeping as `phase_insert`.
-    fn stage(w: &mut Window, lsq: &mut Lsq, inst: Inst, mem_addr: Option<u64>) -> u64 {
-        let seq = w.head_seq() + w.len() as u64;
-        let step = StepRecord {
-            pc: 0x40 + seq * 4,
-            inst,
-            next_pc: 0x44 + seq * 4,
-            taken: false,
-            mem_addr,
-        };
-        let di = DynInst::from_step(seq, &step);
-        if di.is_mem() {
-            lsq.insert(seq, di.is_store());
-        }
-        w.push_back(di);
-        seq
-    }
-
-    fn store(w: &mut Window, lsq: &mut Lsq, addr: u64, width: MemWidth) -> u64 {
-        let inst = Inst::Store { width, rt: Reg::R1, base: Reg::R2, disp: 0 };
-        let seq = stage(w, lsq, inst, Some(addr));
-        w.back_mut().unwrap().addr_resolved = true;
-        seq
-    }
-
-    fn load(w: &mut Window, lsq: &mut Lsq, addr: u64, width: MemWidth) -> u64 {
-        let inst = Inst::Load { width, rt: Reg::R3, base: Reg::R2, disp: 0 };
-        stage(w, lsq, inst, Some(addr))
-    }
-
-    /// A covering older store with ready data forwards (DL1-hit timing).
-    #[test]
-    fn covering_store_forwards() {
-        let (mut w, mut lsq) = staged();
-        store(&mut w, &mut lsq, 0x1000, MemWidth::Quad);
-        let ld = load(&mut w, &mut lsq, 0x1000, MemWidth::Quad);
-        assert_eq!(lsq.check(&w, ld), LsqOutcome::Forward);
-        lsq.check_invariants(&w).unwrap();
-
-        // A narrower load inside the stored quadword also forwards.
-        let narrow = load(&mut w, &mut lsq, 0x1004, MemWidth::Long);
-        assert_eq!(lsq.check(&w, narrow), LsqOutcome::Forward);
-    }
-
-    /// A store that only partially overlaps the load blocks it.
-    #[test]
-    fn partial_overlap_blocks() {
-        let (mut w, mut lsq) = staged();
-        store(&mut w, &mut lsq, 0x1004, MemWidth::Long);
-        let ld = load(&mut w, &mut lsq, 0x1000, MemWidth::Quad);
-        assert_eq!(lsq.check(&w, ld), LsqOutcome::Blocked);
-        lsq.check_invariants(&w).unwrap();
-    }
-
-    /// An older store whose address is still unresolved blocks every
-    /// younger load conservatively (sim-outorder's policy).
-    #[test]
-    fn unknown_store_address_blocks() {
-        let (mut w, mut lsq) = staged();
-        let st = store(&mut w, &mut lsq, 0x2000, MemWidth::Quad);
-        w.back_mut().unwrap().addr_resolved = false;
-        let ld = load(&mut w, &mut lsq, 0x1000, MemWidth::Quad); // disjoint address
-        assert_eq!(lsq.check(&w, ld), LsqOutcome::Blocked);
-
-        // Once the address resolves (and doesn't overlap), the load is free.
-        w.get_mut(st).unwrap().addr_resolved = true;
-        assert_eq!(lsq.check(&w, ld), LsqOutcome::Normal);
-        lsq.check_invariants(&w).unwrap();
-    }
-
-    /// A covering store whose data operand is still in flight blocks the
-    /// load until the producer completes.
-    #[test]
-    fn store_data_not_ready_blocks() {
-        let (mut w, mut lsq) = staged();
-        let add = Inst::op(AluOp::Add, Reg::R1, Reg::R2, Reg::R1);
-        let producer = stage(&mut w, &mut lsq, add, None);
-        let st = store(&mut w, &mut lsq, 0x1000, MemWidth::Quad);
-        w.get_mut(st).unwrap().store_data_producer = Some(producer);
-        let ld = load(&mut w, &mut lsq, 0x1000, MemWidth::Quad);
-        assert_eq!(lsq.check(&w, ld), LsqOutcome::Blocked);
-
-        w.get_mut(producer).unwrap().state = IState::Completed;
-        let p_slot = w.slot_of(producer);
-        w.state[p_slot] = slot_state::COMPLETED;
-        assert_eq!(lsq.check(&w, ld), LsqOutcome::Forward);
-        lsq.check_invariants(&w).unwrap();
-        w.check_invariants().unwrap();
-    }
-
-    /// The walk consults only queued stores: intervening non-store
-    /// instructions are never touched, and younger stores are cut off by
-    /// the ascending-seq bound.
-    #[test]
-    fn walk_is_bounded_by_older_stores() {
-        let (mut w, mut lsq) = staged();
-        store(&mut w, &mut lsq, 0x3000, MemWidth::Quad); // disjoint older store
-        for _ in 0..4 {
-            stage(&mut w, &mut lsq, Inst::op(AluOp::Add, Reg::R1, Reg::R2, Reg::R1), None);
-        }
-        let ld = load(&mut w, &mut lsq, 0x1000, MemWidth::Quad);
-        // A younger store to the same address must not affect the load.
-        store(&mut w, &mut lsq, 0x1000, MemWidth::Quad);
-        w.back_mut().unwrap().addr_resolved = false;
-        assert_eq!(lsq.check(&w, ld), LsqOutcome::Normal);
-        // The younger store is queued all the same.
-        lsq.check_invariants(&w).unwrap();
     }
 }

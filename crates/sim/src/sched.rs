@@ -14,7 +14,7 @@
 use crate::config::{SimConfig, WakeupScheme};
 use crate::dyninst::{DynInst, IState};
 use crate::wheel::EventWheel;
-use crate::window::{slot_flags, slot_state, SlotBitset, WakeupMatrix, Window};
+use crate::window::{slot_flags, SlotBitset, WakeupMatrix, Window};
 
 /// The scheme-level wakeup condition, as the cycle from which it holds:
 /// the latest effective wakeup cycle over the operands the scheme watches
@@ -174,7 +174,7 @@ impl Scheduler {
         cands.clear();
         low.clear();
         self.ready.retain_from(window.head_slot(), |slot| {
-            if window.state[slot] != slot_state::WAITING {
+            if window.state[slot] != IState::Waiting {
                 return false;
             }
             if cycle < ready_at[slot] {
@@ -233,10 +233,9 @@ impl Scheduler {
                 continue;
             }
             let slot = window.slot_of(seq);
+            let issued = window.state[slot] != IState::Waiting;
             let i = window.get_mut(seq).expect("resident");
-            let in_shadow = matches!(i.state, IState::Issued | IState::Completed)
-                && i.issue_cycle > t0
-                && i.issue_cycle <= cycle;
+            let in_shadow = issued && i.issue_cycle > t0 && i.issue_cycle <= cycle;
             let deps = &self.deps;
             let selected = in_shadow
                 && (dep_root.is_none()
@@ -248,7 +247,6 @@ impl Scheduler {
             if dep_root.is_some() {
                 self.deps.push(seq); // seqs ascend; stays sorted
             }
-            i.state = IState::Waiting;
             i.broadcast_done = false;
             i.epoch += 1;
             i.replays += 1;
@@ -256,7 +254,7 @@ impl Scheduler {
             if i.is_store() {
                 i.addr_resolved = false;
             }
-            window.state[slot] = slot_state::WAITING;
+            window.state[slot] = IState::Waiting;
             replayed += 1;
         }
         if replayed > 0 {
@@ -275,15 +273,15 @@ impl Scheduler {
     fn recompute(&mut self, window: &mut Window, cycle: u64) {
         self.ready.clear_all();
         for seq in window.head_seq()..window.head_seq() + window.len() as u64 {
-            let i = window.get(seq).expect("resident");
-            if i.state != IState::Waiting {
+            let slot = window.slot_of(seq);
+            if window.state[slot] != IState::Waiting {
                 continue;
             }
+            let i = window.get(seq).expect("resident");
             // A producer is available once committed or broadcast.
             let avail = i.srcs.map(|s| {
                 s.and_then(|s| s.producer).map(|p| window.get(p).is_none_or(|p| p.broadcast_done))
             });
-            let slot = window.slot_of(seq);
             let i = window.get_mut(seq).expect("resident");
             for (src, avail) in i.srcs.iter_mut().zip(avail) {
                 let (Some(src), Some(a)) = (src.as_mut(), avail) else { continue };
@@ -310,7 +308,7 @@ impl Scheduler {
         // their slot.
         let mut err = None;
         self.ready.for_each_from(0, |slot| {
-            if err.is_none() && window.by_slot(slot).is_none() {
+            if err.is_none() && window.seq_at(slot).is_none() {
                 err = Some(format!("ready bit set on empty slot {slot}"));
             }
         });
@@ -319,7 +317,7 @@ impl Scheduler {
         }
         for i in window.iter() {
             let slot = window.slot_of(i.seq);
-            if i.state != IState::Waiting {
+            if window.state[slot] != IState::Waiting {
                 continue;
             }
             let at = ready_cycle(i, self.wakeup);
@@ -357,7 +355,8 @@ impl Scheduler {
         for p in window.iter() {
             self.matrix.for_each_consumer(window.slot_of(p.seq), 0, |c_slot, k| {
                 let ok = window
-                    .by_slot(c_slot)
+                    .seq_at(c_slot)
+                    .and_then(|c| window.get(c))
                     .is_some_and(|c| c.srcs[k].is_some_and(|s| s.producer == Some(p.seq)));
                 if err.is_none() && !ok {
                     err = Some(format!(

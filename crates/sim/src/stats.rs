@@ -142,64 +142,39 @@ impl SimStats {
     /// Committed instructions per cycle.
     #[must_use]
     pub fn ipc(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.committed as f64 / self.cycles as f64
-        }
+        ratio(self.committed, self.cycles)
     }
 
     /// Branch misprediction rate in `[0, 1]`.
     #[must_use]
     pub fn mispredict_rate(&self) -> f64 {
-        if self.branches == 0 {
-            0.0
-        } else {
-            self.branch_mispredicts as f64 / self.branches as f64
-        }
+        ratio(self.branch_mispredicts, self.branches)
     }
 
     /// Fraction of committed instructions that are 2-source instructions
     /// needing two register-file reads (paper: "less than 4%").
     #[must_use]
     pub fn two_port_fraction(&self) -> f64 {
-        if self.committed == 0 {
-            0.0
-        } else {
-            (self.rf_two_ready + self.rf_non_back_to_back) as f64 / self.committed as f64
-        }
+        ratio(self.rf_two_ready + self.rf_non_back_to_back, self.committed)
     }
 
     /// Mean RUU occupancy per cycle.
     #[must_use]
     pub fn avg_window_occupancy(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.window_occupancy_sum as f64 / self.cycles as f64
-        }
+        ratio(self.window_occupancy_sum, self.cycles)
     }
 
     /// Fraction of cycles that issued nothing.
     #[must_use]
     pub fn idle_issue_fraction(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.issue_histogram.first().copied().unwrap_or(0) as f64 / self.cycles as f64
-        }
+        ratio(self.issue_histogram.first().copied().unwrap_or(0), self.cycles)
     }
 
     /// Fraction of 2-pending-source instructions whose operands woke in
     /// the same cycle (paper: "less than 3%").
     #[must_use]
     pub fn simultaneous_fraction(&self) -> f64 {
-        let total: u64 = self.wakeup_slack.iter().sum();
-        if total == 0 {
-            0.0
-        } else {
-            self.wakeup_slack[0] as f64 / total as f64
-        }
+        ratio(self.wakeup_slack[0], self.wakeup_slack.iter().sum())
     }
 
     /// The headline counters as a JSON object (used by the serve-layer
@@ -228,6 +203,15 @@ impl SimStats {
                 Json::Arr(self.issue_histogram.iter().map(|&n| Json::from(n)).collect()),
             ),
         ])
+    }
+}
+
+/// `num / den`, or 0 for an empty denominator.
+fn ratio(num: u64, den: u64) -> f64 {
+    if den == 0 {
+        0.0
+    } else {
+        num as f64 / den as f64
     }
 }
 

@@ -3,12 +3,9 @@
 //! The pipeline schedules every future action (tag broadcasts, cache
 //! accesses, completions) a bounded number of cycles ahead — at most the
 //! memory round-trip plus the deepest register-file pipe, well under the
-//! wheel's 256-slot horizon. A `HashMap<u64, Vec<_>>` keyed by cycle (the
-//! previous implementation) pays hashing on every schedule and allocates a
-//! fresh `Vec` per active cycle; the wheel replaces both with a direct
-//! index into a fixed slot array, and [`EventWheel::pop_into`] recycles
-//! the caller's scratch buffer through the slots so the steady state
-//! performs no allocation at all.
+//! wheel's 256-slot horizon. Scheduling is a direct index into a fixed
+//! slot array, and [`EventWheel::pop_into`] recycles the caller's scratch
+//! buffer through the slots, so the steady state performs no allocation.
 //!
 //! Events scheduled beyond the horizon (possible in principle, never in
 //! the shipped pipeline) spill to an overflow list and migrate into slots

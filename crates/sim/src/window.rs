@@ -14,16 +14,12 @@
 //! and select phases scan every cycle:
 //!
 //! * [`SlotBitset`] — one bit per slot, stored as `u64` words. The ready
-//!   set, the high-priority (loads/branches) set, and each wakeup-matrix
-//!   row are all this type, so "find the candidates" is word-wide
-//!   AND/OR plus count-trailing-zeros iteration instead of a
-//!   sort of a `Vec` of sequence numbers.
+//!   set and each wakeup-matrix row are this type, so "find the
+//!   candidates" is word-wide AND/OR plus count-trailing-zeros iteration.
 //! * [`WakeupMatrix`] — the paper's CAM rows, transposed into bitset
 //!   form: row `(producer slot, operand index)` holds one bit per
-//!   consumer slot whose that operand names the producer. Tag broadcast
-//!   walks two rows instead of a heap-allocated consumer list, and the
-//!   per-instruction `Vec<u64>` of consumers (one allocation per rename)
-//!   disappears entirely.
+//!   consumer slot whose that operand names the producer, so a tag
+//!   broadcast walks two rows.
 //!
 //! # Ordering
 //!
@@ -37,18 +33,6 @@
 
 use crate::dyninst::{DynInst, IState};
 
-/// Values of the per-slot lifecycle column ([`Window::state`]).
-pub(crate) mod slot_state {
-    /// No resident instruction in the slot.
-    pub(crate) const EMPTY: u8 = 0;
-    /// Mirrors [`crate::dyninst::IState::Waiting`].
-    pub(crate) const WAITING: u8 = 1;
-    /// Mirrors [`crate::dyninst::IState::Issued`].
-    pub(crate) const ISSUED: u8 = 2;
-    /// Mirrors [`crate::dyninst::IState::Completed`].
-    pub(crate) const COMPLETED: u8 = 3;
-}
-
 /// Bits of the per-slot classification column ([`Window::flags`]).
 pub(crate) mod slot_flags {
     /// The instruction is a load (select must consult the stWait table).
@@ -61,15 +45,6 @@ pub(crate) mod slot_flags {
 fn flags_of(i: &DynInst) -> u8 {
     u8::from(i.is_load()) * slot_flags::LOAD
         + u8::from(i.high_priority()) * slot_flags::HIGH_PRIORITY
-}
-
-/// The column encoding of a lifecycle state.
-pub(crate) fn state_code(s: IState) -> u8 {
-    match s {
-        IState::Waiting => slot_state::WAITING,
-        IState::Issued => slot_state::ISSUED,
-        IState::Completed => slot_state::COMPLETED,
-    }
 }
 
 /// The words of a `capacity`-slot bitset in ring order from slot `from`
@@ -254,11 +229,13 @@ impl WakeupMatrix {
 #[derive(Clone, Debug)]
 pub(crate) struct Window {
     slots: Box<[Option<DynInst>]>,
-    /// Lifecycle column: one [`slot_state`] byte per slot, written by
-    /// `push_back_with`/`drop_front` and kept in lockstep with the resident
-    /// instructions' `state` by the pipeline (a whole arena's worth fits
-    /// in two cache lines, so the select scan never touches the records).
-    pub(crate) state: Box<[u8]>,
+    /// Lifecycle column: the [`IState`] of the instruction in each slot,
+    /// the only record of it. `push_back_with` starts a slot `Waiting`;
+    /// select, completion and squash move it on. A released slot keeps a
+    /// stale value, which nothing reads: every reader reaches a slot
+    /// through a resident seq or a bit that release clears. One byte per
+    /// slot, so the select scan never touches the records.
+    pub(crate) state: Box<[IState]>,
     /// Static classification column ([`slot_flags`] bits), written at
     /// insert; read by the select scan for priority and stWait routing.
     pub(crate) flags: Box<[u8]>,
@@ -277,7 +254,7 @@ impl Window {
         let cap = ruu_size.next_power_of_two().max(1);
         Window {
             slots: std::iter::repeat_with(|| None).take(cap).collect(),
-            state: vec![slot_state::EMPTY; cap].into_boxed_slice(),
+            state: vec![IState::Waiting; cap].into_boxed_slice(),
             flags: vec![0u8; cap].into_boxed_slice(),
             pcs: vec![0u64; cap].into_boxed_slice(),
             mask: cap as u64 - 1,
@@ -328,6 +305,12 @@ impl Window {
         seq >= self.head_seq && seq - self.head_seq < self.len as u64
     }
 
+    /// The lifecycle state of instruction `seq`, if resident.
+    #[inline]
+    pub(crate) fn state_of(&self, seq: u64) -> Option<IState> {
+        self.resident(seq).then(|| self.state[self.slot_of(seq)])
+    }
+
     /// The instruction with sequence number `seq`, if resident.
     #[inline]
     pub(crate) fn get(&self, seq: u64) -> Option<&DynInst> {
@@ -349,22 +332,10 @@ impl Window {
         }
     }
 
-    /// The instruction in `slot`, if occupied (no residency check — the
-    /// caller got the slot from a column bitset, which only holds
-    /// resident slots).
-    #[inline]
-    pub(crate) fn by_slot(&self, slot: usize) -> Option<&DynInst> {
-        self.slots[slot].as_ref()
-    }
-
     /// The oldest resident instruction.
     #[inline]
     pub(crate) fn front(&self) -> Option<&DynInst> {
-        if self.len == 0 {
-            None
-        } else {
-            self.slots[self.head_slot()].as_ref()
-        }
+        self.get(self.head_seq)
     }
 
     /// Appends the next-youngest instruction, built by `f` directly into
@@ -384,7 +355,7 @@ impl Window {
         self.len += 1;
         let di = self.slots[slot].as_mut().expect("just written");
         debug_assert_eq!(di.seq, seq, "record seq matches the reserved slot");
-        self.state[slot] = state_code(di.state);
+        self.state[slot] = IState::Waiting;
         self.flags[slot] = flags_of(di);
         self.pcs[slot] = di.pc;
         di
@@ -402,7 +373,6 @@ impl Window {
         let slot = self.head_slot();
         debug_assert!(self.slots[slot].is_some(), "head slot occupied");
         self.slots[slot] = None;
-        self.state[slot] = slot_state::EMPTY;
         self.head_seq += 1;
         self.len -= 1;
     }
@@ -414,10 +384,10 @@ impl Window {
         })
     }
 
-    /// The window's invariants: contiguous residents, and flat columns
-    /// that mirror the resident records exactly (the select scan decides
-    /// from the columns alone, so any drift is a scheduling divergence
-    /// waiting to happen).
+    /// The window's invariants: contiguous residents, and flags and pc
+    /// columns that mirror the resident records exactly (the select scan
+    /// decides from the columns alone, so any drift is a scheduling
+    /// divergence waiting to happen).
     pub(crate) fn check_invariants(&self) -> Result<(), String> {
         for (k, i) in self.iter().enumerate() {
             ensure!(i.seq == self.head_seq + k as u64, "window seq gap at {k}");
@@ -428,25 +398,12 @@ impl Window {
                 i.seq
             );
             ensure!(
-                self.state[slot] == state_code(i.state),
-                "state column of slot {slot} ({}) diverges from seq {} ({:?})",
-                self.state[slot],
-                i.seq,
-                i.state
-            );
-            ensure!(
                 self.flags[slot] == flags_of(i),
                 "flags column of slot {slot} diverges for seq {}",
                 i.seq
             );
             ensure!(self.pcs[slot] == i.pc, "pc column of slot {slot} diverges for seq {}", i.seq);
         }
-        let occupied = self.state.iter().filter(|&&s| s != slot_state::EMPTY).count();
-        ensure!(
-            occupied == self.len,
-            "state column counts {occupied} occupied slots, window holds {}",
-            self.len
-        );
         Ok(())
     }
 }
