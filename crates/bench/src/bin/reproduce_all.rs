@@ -4,7 +4,7 @@
 //!
 //! Run with `cargo run --release -p hpa-bench --bin reproduce_all`.
 
-use hpa_bench::{as_refs, base_runs, HarnessArgs};
+use hpa_bench::{as_refs, base_runs, HarnessArgs, FIG14_SCHEMES, FIG15_SCHEMES, FIG16_SCHEMES};
 use hpa_core::report::{self, Table};
 use hpa_core::sim::SampleUnits;
 use hpa_core::workloads::{workload, Scale};
@@ -12,19 +12,9 @@ use hpa_core::{run, run_matrix, run_workload, MachineWidth, MatrixResult, Mode, 
 use std::fmt::Write as _;
 use std::time::Instant;
 
-fn out_path() -> String {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--out" {
-            return args.next().unwrap_or_else(|| "EXPERIMENTS.md".into());
-        }
-    }
-    "EXPERIMENTS.md".into()
-}
-
 fn main() {
-    let args = HarnessArgs::parse_ignoring_out();
-    let out = out_path();
+    let args = HarnessArgs::parse();
+    let out = &args.out;
     let t0 = std::time::Instant::now();
     let mut md = String::new();
 
@@ -112,53 +102,48 @@ fn main() {
     );
 
     eprintln!("== figure 14 (wakeup schemes) ==");
-    let f14: [Scheme; 4] =
-        [Scheme::Base, Scheme::SeqWakeupPredictor, Scheme::TagElimination, Scheme::SeqWakeupStatic];
     for &width in &args.widths {
-        let m = matrix(&args, width, &f14, false);
+        let m = matrix(&args, width, &FIG14_SCHEMES, false);
         let title = format!("Figure 14: sequential wakeup vs tag elimination [{}]", width.label());
         push(
             &mut md,
-            &report::normalized_ipc_figure(&title, &m, &f14[1..]),
+            &report::normalized_ipc_figure(&title, &m, &FIG14_SCHEMES[1..]),
             "sequential wakeup with a 1k-entry predictor loses 0.4% (4-wide) / \
              0.6% (8-wide) on average; without a predictor 1.6% / 2.6%; tag \
              elimination is worse than sequential wakeup in most benchmarks \
              and scales worse with width (worst case 10.6% in crafty).",
         );
-        summarize(&mut md, &m, &f14[1..]);
+        summarize(&mut md, &m, &FIG14_SCHEMES[1..]);
     }
 
     eprintln!("== figure 15 (register file schemes) ==");
-    let f15: [Scheme; 4] =
-        [Scheme::Base, Scheme::SeqRegAccess, Scheme::ExtraRfStage, Scheme::HalfPortsCrossbar];
     for &width in &args.widths {
-        let m = matrix(&args, width, &f15, false);
+        let m = matrix(&args, width, &FIG15_SCHEMES, false);
         let title = format!("Figure 15: register file schemes [{}]", width.label());
         push(
             &mut md,
-            &report::normalized_ipc_figure(&title, &m, &f15[1..]),
+            &report::normalized_ipc_figure(&title, &m, &FIG15_SCHEMES[1..]),
             "sequential register access loses 1.1% (4-wide) / 0.7% (8-wide) on \
              average, worst 2.2% (eon); the half-ported crossbar file nearly \
              matches base but needs global port arbitration; the extra RF \
              stage costs a little throughout.",
         );
-        summarize(&mut md, &m, &f15[1..]);
+        summarize(&mut md, &m, &FIG15_SCHEMES[1..]);
     }
 
     eprintln!("== figure 16 (combined) ==");
-    let f16: [Scheme; 2] = [Scheme::Base, Scheme::Combined];
     for &width in &args.widths {
-        let m = matrix(&args, width, &f16, false);
+        let m = matrix(&args, width, &FIG16_SCHEMES, false);
         let title = format!("Figure 16: combined half-price architecture [{}]", width.label());
         push(
             &mut md,
-            &report::normalized_ipc_figure(&title, &m, &f16[1..]),
+            &report::normalized_ipc_figure(&title, &m, &FIG16_SCHEMES[1..]),
             "2.2% average IPC degradation; worst case 4.8% (bzip, 8-wide). \
              The combination is slightly worse than the sum of the parts \
              because slow-side/simultaneous wakeups force sequential register \
              accesses (only nowL can clear seq_reg_access).",
         );
-        summarize(&mut md, &m, &f16[1..]);
+        summarize(&mut md, &m, &FIG16_SCHEMES[1..]);
     }
 
     eprintln!("== CPI stacks (cycle accounting) ==");
@@ -213,7 +198,7 @@ fn main() {
         args.jobs
     );
 
-    std::fs::write(&out, md).unwrap_or_else(|e| panic!("writing {out}: {e}"));
+    std::fs::write(out, md).unwrap_or_else(|e| panic!("writing {out}: {e}"));
     eprintln!("wrote {out} in {:.1}s", t0.elapsed().as_secs_f64());
 }
 
@@ -332,24 +317,3 @@ const DIVERGENCES: &str = "
   benchmark versus the paper's 0.8–5 billion, so cache warm-up effects are
   proportionally larger.
 ";
-
-trait ParseIgnoringOut {
-    fn parse_ignoring_out() -> HarnessArgs;
-}
-
-impl ParseIgnoringOut for HarnessArgs {
-    fn parse_ignoring_out() -> HarnessArgs {
-        // Strip `--out PATH` before delegating to the shared parser by
-        // temporarily rebuilding the argument list.
-        let mut filtered: Vec<String> = Vec::new();
-        let mut it = std::env::args().skip(1);
-        while let Some(a) = it.next() {
-            if a == "--out" {
-                let _ = it.next();
-            } else {
-                filtered.push(a);
-            }
-        }
-        HarnessArgs::parse_from(&filtered)
-    }
-}

@@ -9,6 +9,8 @@
 //! --bench <name>...            subset of benchmarks (default: all 12)
 //! --jobs N                     worker threads for matrix sweeps
 //!                              (default: host parallelism)
+//! --out PATH                   where `reproduce_all` writes its report
+//!                              (default: EXPERIMENTS.md)
 //! ```
 
 #![forbid(unsafe_code)]
@@ -29,7 +31,22 @@ pub struct HarnessArgs {
     pub benches: Vec<&'static str>,
     /// Worker threads for `benchmarks × schemes` sweeps.
     pub jobs: usize,
+    /// Report path (`reproduce_all` writes its markdown there).
+    pub out: String,
 }
+
+/// Figure 14: base, then sequential wakeup with the last-arrival
+/// predictor, tag elimination and sequential wakeup's static policy.
+pub const FIG14_SCHEMES: [Scheme; 4] =
+    [Scheme::Base, Scheme::SeqWakeupPredictor, Scheme::TagElimination, Scheme::SeqWakeupStatic];
+
+/// Figure 15: base, then sequential register access, an extra RF stage
+/// and a half-ported crossbar file.
+pub const FIG15_SCHEMES: [Scheme; 4] =
+    [Scheme::Base, Scheme::SeqRegAccess, Scheme::ExtraRfStage, Scheme::HalfPortsCrossbar];
+
+/// Figure 16: base, then the combined half-price architecture.
+pub const FIG16_SCHEMES: [Scheme; 2] = [Scheme::Base, Scheme::Combined];
 
 impl HarnessArgs {
     /// Parses `std::env::args`, exiting with a usage message on errors.
@@ -47,6 +64,7 @@ impl HarnessArgs {
             widths: vec![MachineWidth::Four, MachineWidth::Eight],
             benches: WORKLOAD_NAMES.to_vec(),
             jobs: hpa_core::default_jobs(),
+            out: "EXPERIMENTS.md".into(),
         };
         let mut it = argv.iter().map(String::as_str);
         let mut benches: Vec<&'static str> = Vec::new();
@@ -82,6 +100,10 @@ impl HarnessArgs {
                         _ => usage("bad --jobs (want an integer >= 1)"),
                     }
                 }
+                "--out" => match it.next() {
+                    Some(path) => args.out = path.into(),
+                    None => usage("--out needs a path"),
+                },
                 "--help" | "-h" => usage(""),
                 other => usage(&format!("unknown option `{other}`")),
             }
@@ -98,7 +120,8 @@ fn usage(err: &str) -> ! {
         eprintln!("error: {err}");
     }
     eprintln!(
-        "usage: <bin> [--scale tiny|default|large|long] [--width 4|8|both] [--bench NAME]... [--jobs N]"
+        "usage: <bin> [--scale tiny|default|large|long] [--width 4|8|both] [--bench NAME]... \
+         [--jobs N] [--out PATH]"
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }
@@ -152,6 +175,14 @@ mod tests {
         let b = HarnessArgs::parse_from(&sv(&["--width", "both", "--scale", "large"]));
         assert_eq!(b.widths.len(), 2);
         assert_eq!(b.scale, Scale::Large);
+    }
+
+    #[test]
+    fn out_flag_sets_the_report_path() {
+        assert_eq!(HarnessArgs::parse_from(&[]).out, "EXPERIMENTS.md");
+        let a = HarnessArgs::parse_from(&sv(&["--out", "/tmp/report.md", "--scale", "tiny"]));
+        assert_eq!(a.out, "/tmp/report.md");
+        assert_eq!(a.scale, Scale::Tiny, "flags after --out still parse");
     }
 
     #[test]

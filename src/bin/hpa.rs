@@ -22,8 +22,39 @@ use half_price::sim::{SampleUnits, SampledEstimate, SimFault, SimStats, Simulato
 use half_price::verify;
 use half_price::workloads::{workload, Scale, CHECKSUM_REG, WORKLOAD_NAMES};
 use half_price::{run, MachineWidth, Mode, RunError, RunResult, RunSpec, Scheme};
+use std::io::{ErrorKind, Write as _};
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
+
+// The command handlers' `print!`/`println!` (these shadow the std macros
+// for the rest of this file): once the reader of stdout goes away, as in
+// `hpa asm mcf | head -1`, further output is dropped quietly and the
+// command finishes with its own exit code, instead of panicking on the
+// broken pipe.
+macro_rules! print {
+    ($($arg:tt)*) => { emit(format_args!($($arg)*)) };
+}
+macro_rules! println {
+    () => { print!("\n") };
+    ($($arg:tt)*) => { print!("{}\n", format_args!($($arg)*)) };
+}
+
+/// Set once a write to stdout found the pipe closed.
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// Writes to stdout unless its reader has gone; any other write error
+/// panics, as `std::print!` does.
+fn emit(args: std::fmt::Arguments<'_>) {
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    match std::io::stdout().write_fmt(args) {
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => STDOUT_CLOSED.store(true, Ordering::Relaxed),
+        Err(e) => panic!("failed printing to stdout: {e}"),
+        Ok(()) => {}
+    }
+}
 
 /// One CLI subcommand: the single place a command's name, one-line help
 /// and usage synopsis are registered. `main` dispatches from this table

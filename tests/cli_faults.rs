@@ -47,3 +47,28 @@ fn faulting_program_exits_1_with_one_error_line_and_no_panic() {
     assert!(!std::path::Path::new(trace_out).exists(), "no trace written for a faulting run");
     std::fs::remove_dir_all(&dir).expect("remove scratch dir");
 }
+
+/// A reader that stops early (`hpa asm mcf --scale long | head -1`) ends
+/// the output quietly: no panic on the broken pipe, exit 0. The listing
+/// is ~110 MB, far past any pipe buffer, so writes hit the closed pipe.
+#[test]
+fn closed_stdout_ends_output_quietly_with_exit_0() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_hpa"))
+        .args(["asm", "mcf", "--scale", "long"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn hpa");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("read the first line");
+    // The reader, and with it the pipe's read end, is dropped here.
+    assert!(!first.is_empty(), "hpa asm printed a first line");
+    let out = child.wait_with_output().expect("wait for hpa");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked at"), "hpa asm panicked:\n{stderr}");
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+}
