@@ -2,7 +2,7 @@
 //! reproduction.
 //!
 //! This crate turns compiled RV64I(+M) guest programs — static ELF64
-//! executables or raw flat images — into [`hpa_isa::Program`]s that run
+//! executables or raw flat images — into [`hpa_asm::Program`]s that run
 //! unmodified through both the reference emulator and the timing
 //! simulator. It is the second decode frontend next to `hpa_asm`:
 //! instead of hand-written internal assembly, the input is a real binary.
@@ -15,7 +15,7 @@
 //! 2. [`decode::decode`]: instruction words → [`decode::RvInst`], with
 //!    [`decode::encode`] as its exact inverse for testing;
 //! 3. [`translate::translate`]: a decoded image → an internal
-//!    [`hpa_isa::Program`], wrapped in a tiny ABI shim (stack pointer,
+//!    [`hpa_asm::Program`], wrapped in a tiny ABI shim (stack pointer,
 //!    `ecall` exit/write handling) so `main`-style guest code runs
 //!    end-to-end.
 //!

@@ -30,8 +30,8 @@ pub struct FetchedInst {
     pub mem_data: Option<u64>,
 }
 
-/// The branch-prediction tables of a [`FrontEnd`], and the one place
-/// they are trained.
+/// The front end's branch-prediction tables, and the one place they are
+/// trained.
 ///
 /// Sampled simulation fast-forwards in the functional emulator between
 /// detailed windows; branch predictor tables hold history spanning far
@@ -53,8 +53,8 @@ impl Default for BranchWarmth {
 }
 
 impl BranchWarmth {
-    /// Untrained tables — the state a freshly built [`FrontEnd`] starts
-    /// from.
+    /// Untrained tables — the state a [`Simulator::new`](crate::Simulator::new)
+    /// front end starts from.
     #[must_use]
     pub fn cold() -> BranchWarmth {
         BranchWarmth {

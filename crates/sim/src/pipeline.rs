@@ -85,7 +85,7 @@ pub enum SimFault {
         /// The underlying emulator error.
         error: EmuError,
     },
-    /// No instruction committed for [`DEADLOCK_LIMIT`] cycles.
+    /// No instruction committed for 200,000 cycles (`DEADLOCK_LIMIT`).
     Deadlock {
         /// Cycle at which the deadlock was declared.
         cycle: u64,
@@ -101,7 +101,7 @@ pub enum SimFault {
         /// Pipeline-state dump at the violation.
         dump: String,
     },
-    /// A [`CommitHook`] rejected a committed instruction.
+    /// A [`CommitHook`](crate::CommitHook) rejected a committed instruction.
     Hook {
         /// Sequence number of the rejected commit.
         seq: u64,

@@ -50,7 +50,7 @@ pub enum GenInst {
     AluRR {
         /// Operation.
         op: AluOp,
-        /// Destination (index into [`INT_POOL`]).
+        /// Destination (index into the integer scratch pool, `r3`–`r15`).
         rc: u8,
         /// Left source.
         ra: u8,
@@ -93,7 +93,8 @@ pub enum GenInst {
     },
     /// Floating-point load (8 bytes).
     FLoad {
-        /// Destination (index into [`FP_POOL`]).
+        /// Destination (index into the floating-point scratch pool,
+        /// `f1`–`f6`).
         ft: u8,
         /// Which arena pointer.
         arena: u8,

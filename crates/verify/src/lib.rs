@@ -20,7 +20,7 @@
 //! * **shrinker** ([`shrink`]): failing `(program, config)` pairs are
 //!   minimized by instruction deletion and config simplification, and
 //!   written to `tests/corpus/` as replayable `.s` reproducers
-//!   ([`corpus`]).
+//!   ([`write_reproducer`], replayed by [`replay_dir`]).
 //!
 //! The oracle is deliberately redundant with the emulator the simulator
 //! already carries: the shadow advances *per commit*, so any retire-stream

@@ -14,6 +14,11 @@ cargo fmt --all --check
 echo "== cargo clippy (-D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc (-D warnings) =="
+# Moving items between modules breaks intra-doc links silently: an
+# unresolved link, or a public doc linking a private item, fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 echo "== cargo build --release =="
 cargo build --release --workspace
 
