@@ -157,8 +157,9 @@ pub struct SimConfig {
     pub max_insts: u64,
     /// Commit this many instructions before resetting the statistics
     /// (standard warmup methodology). Predictors, caches and the
-    /// last-arrival shadow bank stay warm across the reset; the
-    /// memory-hierarchy and Figure-7 counters span the whole run.
+    /// last-arrival shadow bank stay warm across the reset, and the
+    /// Figure 7 accuracy counters restart with the statistics; the
+    /// memory-hierarchy counters span the whole run.
     pub warmup_insts: u64,
     /// Entries in the direct-mapped PC-indexed side tables (the 21264
     /// stWait bits and the wakeup-order history). Power of two; PCs one
