@@ -15,8 +15,9 @@ impl Simulator {
     /// Turns on the observability registry: CPI-stack attribution of
     /// every issue slot plus the penalty counters and histograms (see
     /// [`Counters`]). Off by default; recording reads pipeline state but
-    /// writes only into the registry, so timing and [`SimStats`](crate::SimStats) are
-    /// bit-identical either way (the differential suite enforces this).
+    /// writes only into the registry, so timing and
+    /// [`SimStats`](crate::SimStats) are bit-identical either way (the
+    /// differential suite enforces this).
     pub fn enable_counters(&mut self) {
         self.cpi.counters = Counters::enabled();
     }
@@ -54,8 +55,9 @@ pub(crate) struct Cpi {
     /// This cycle's select tally, stashed for end-of-cycle attribution
     /// (select's working values are gone by then).
     select: SelectTally,
-    /// Select-time classification of the leftover (unfilled) slots; only
-    /// computed when some slots were left over.
+    /// Where the leftover (unfilled) slots go: `Squash` on a restart
+    /// cycle, else select's classification, computed only when slots were
+    /// left over.
     stall: Option<CpiCategory>,
     /// Slow-bus wakeup deliveries this cycle.
     slow_wakeups: u32,
@@ -110,10 +112,10 @@ impl Cpi {
     /// slots is charged to exactly one [`CpiCategory`] via a strict
     /// priority cascade — issued, RF re-read blocks, port conflicts, FU
     /// contention, and finally the select-time stall classification (a
-    /// squash restart charges every slot there). The property suite holds the books to
-    /// `cpi.total() == cycles × width`. Runs after every phase, so the
-    /// warmup-boundary reset inside commit still sees this cycle
-    /// attributed exactly once.
+    /// squash restart charges every slot there). The property suite holds
+    /// the books to `cpi.total() == cycles × width`. Runs after every
+    /// phase, so the warmup-boundary reset inside commit still sees this
+    /// cycle attributed exactly once.
     #[inline]
     pub(crate) fn end_cycle(&mut self) {
         if !self.counters.is_enabled() {

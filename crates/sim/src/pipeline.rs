@@ -42,9 +42,9 @@
 //! | functional units | `fu.rs` | per-class busy tables |
 //! | fault injection | `inject.rs` | the armed fault, one call per trigger point |
 //!
-//! Rename and the execution events stay here. Each stage checks its own invariants
-//! (`check_invariants` beside its code); [`Simulator::check_invariants`]
-//! runs them all plus the cross-stage ones.
+//! Rename and the execution events stay here. Each stage checks its own
+//! invariants (`check_invariants` beside its code);
+//! [`Simulator::check_invariants`] runs them all plus the cross-stage ones.
 
 use crate::arrival::LastArrival;
 use crate::commit::Retire;
