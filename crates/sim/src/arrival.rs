@@ -39,7 +39,7 @@ impl LastArrival {
             predictor,
             bank: LastArrivalBank::figure7(),
             history: PcTable::new(config.pc_table_entries, None),
-            slow_bus: matches!(config.wakeup, WakeupScheme::SequentialWakeup { .. }),
+            slow_bus: config.slow_bus(),
         }
     }
 

@@ -261,6 +261,12 @@ impl SimConfig {
         self
     }
 
+    /// Whether the wakeup scheme has a slow bus (sequential wakeup): the
+    /// wakeup phase, the last-arrival unit and CPI attribution all ask.
+    pub(crate) fn slow_bus(&self) -> bool {
+        matches!(self.wakeup, WakeupScheme::SequentialWakeup { .. })
+    }
+
     /// Extra pipeline stages the register-file scheme inserts between
     /// schedule and execute.
     #[must_use]

@@ -5,7 +5,7 @@
 //! every phase has run. While the registry is disabled (the default) each
 //! call is one predictable branch.
 
-use crate::config::{SimConfig, WakeupScheme};
+use crate::config::SimConfig;
 use crate::dyninst::IState;
 use crate::pipeline::Simulator;
 use crate::window::Window;
@@ -65,8 +65,7 @@ pub(crate) struct Cpi {
 
 impl Cpi {
     pub(crate) fn new(config: &SimConfig) -> Cpi {
-        let slow_bus = matches!(config.wakeup, WakeupScheme::SequentialWakeup { .. });
-        Cpi { width: config.width, slow_bus, ..Cpi::default() }
+        Cpi { width: config.width, slow_bus: config.slow_bus(), ..Cpi::default() }
     }
 
     /// Wakeup delivered `n` operands over the slow bus.

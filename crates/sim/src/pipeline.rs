@@ -304,10 +304,6 @@ impl Simulator {
         1 + u64::from(self.hierarchy.dl1_hit_latency())
     }
 
-    fn uses_slow_bus(&self) -> bool {
-        matches!(self.config.wakeup, WakeupScheme::SequentialWakeup { .. })
-    }
-
     /// Whether the machine still has work: not finished or faulted, and
     /// either the front end or the window holds instructions. Callers
     /// driving the machine cycle by cycle ([`Simulator::step_cycle`])
@@ -487,7 +483,7 @@ impl Simulator {
 
     fn deliver_wakeup(&mut self, c_seq: u64, producer: u64) {
         let cycle = self.cycle;
-        let slow_bus = self.uses_slow_bus();
+        let slow_bus = self.config.slow_bus();
         let waiting = self.window.state_of(c_seq) == Some(IState::Waiting);
         // Injection: a dropped pulse never reaches the consumer's
         // comparator. Only a later squash recompute can re-derive the
@@ -614,7 +610,7 @@ impl Simulator {
             // Injection: a stale `nowL/nowR` bit claims a bypass match that
             // is not really there. The speculation-free fallback is the full
             // two-read sequence: +1 cycle, never a wrong value.
-            let now = if self.uses_slow_bus() { now_fast } else { now_any };
+            let now = if self.config.slow_bus() { now_fast } else { now_any };
             let seq_rf = self.config.regfile == RegFileScheme::SequentialAccess
                 && two_source
                 && (!now || self.injector.stale_now_bits());
