@@ -16,7 +16,7 @@
 use crate::arrival::LastArrival;
 use crate::config::SimConfig;
 use crate::cpi::Cpi;
-use crate::dyninst::DynInst;
+use crate::dyninst::{DynInst, RfCategory};
 use crate::pipeline::Simulator;
 use crate::stats::SimStats;
 use crate::trace::{PipeTrace, TraceRecord};
@@ -125,9 +125,9 @@ impl Retire {
         self.measured_from
     }
 
-    /// Retires the window head `i` at `cycle` and returns the total commit
-    /// count. The hook sees `i` first and may reject it (the reason is
-    /// returned and nothing is counted). The commit that ends warmup
+    /// Retires the window head `i` at `cycle`, counting it in `stats`, and
+    /// returns the total commit count. The hook sees `i` first and may
+    /// reject it (the reason is returned and nothing is counted). The commit that ends warmup
     /// restarts `stats`, `cpi` and the `arrival` accuracy counters in
     /// place; warm state (caches, predictors, the window) carries over.
     /// The current cycle's CPI attribution runs after this reset, so the
@@ -175,6 +175,15 @@ impl Retire {
             cpi.reset();
             arrival.reset_accuracy();
             self.measured_from = cycle;
+        }
+        // Figure 10 counts committed 2-source instructions by category.
+        if i.is_two_source() {
+            match i.rf_category {
+                Some(RfCategory::TwoReady) => stats.rf_two_ready += 1,
+                Some(RfCategory::BackToBack) => stats.rf_back_to_back += 1,
+                Some(RfCategory::NonBackToBack) => stats.rf_non_back_to_back += 1,
+                None => {}
+            }
         }
         Ok(self.committed)
     }

@@ -852,14 +852,6 @@ impl Simulator {
                     return;
                 }
             };
-            if head.is_two_source() {
-                match head.rf_category {
-                    Some(RfCategory::TwoReady) => self.stats.rf_two_ready += 1,
-                    Some(RfCategory::BackToBack) => self.stats.rf_back_to_back += 1,
-                    Some(RfCategory::NonBackToBack) => self.stats.rf_non_back_to_back += 1,
-                    None => {}
-                }
-            }
             // Release the head's arena slot in place and its scheduler,
             // LSQ and rename state.
             let (seq, inst, dest, mem_addr) = (head.seq, head.inst, head.dest, head.mem_addr);
@@ -868,7 +860,7 @@ impl Simulator {
             if inst.is_load() || inst.is_store() {
                 self.lsq.retire(seq, inst.is_store());
             }
-            if let (true, Some(addr)) = (inst.is_store(), mem_addr) {
+            if let Some(addr) = mem_addr.filter(|_| inst.is_store()) {
                 self.hierarchy.data_write(addr);
             }
             if let Some(d) = dest {
