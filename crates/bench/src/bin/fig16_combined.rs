@@ -1,7 +1,7 @@
 //! Regenerates Figure 16: the combined half-price architecture
 //! (sequential wakeup + sequential register access), normalized to base.
-use hpa_bench::{HarnessArgs, FIG16_SCHEMES};
-use hpa_core::{report, run_matrix, Scheme};
+use hpa_bench::{summary, HarnessArgs, FIG16_SCHEMES};
+use hpa_core::{report, run_matrix};
 
 fn main() {
     let args = HarnessArgs::parse();
@@ -13,11 +13,6 @@ fn main() {
             .unwrap_or_else(|e| panic!("{e}"));
         let title = format!("Figure 16: combined half-price architecture [{}]", width.label());
         println!("{}", report::normalized_ipc_figure(&title, &m, &FIG16_SCHEMES[1..]));
-        println!(
-            "average degradation {:.1}%, worst {} {:.1}%\n",
-            m.average_degradation(Scheme::Combined) * 100.0,
-            m.worst_degradation(Scheme::Combined).map(|(n, _)| n).unwrap_or("-"),
-            m.worst_degradation(Scheme::Combined).map(|(_, d)| d * 100.0).unwrap_or(0.0),
-        );
+        println!("{}", summary(&m, &FIG16_SCHEMES[1..]));
     }
 }

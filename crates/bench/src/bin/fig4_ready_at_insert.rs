@@ -1,12 +1,12 @@
 //! Regenerates Figure 4: operand readiness at scheduler insert.
-use hpa_bench::{as_refs, base_runs, HarnessArgs};
-use hpa_core::report;
+use hpa_bench::{base_column, HarnessArgs};
+use hpa_core::{report, Scheme};
 
 fn main() {
     let args = HarnessArgs::parse();
     for &width in &args.widths {
-        let base = base_runs(&args, width);
-        let mut t = report::figure4(&as_refs(&base));
+        let base = base_column(&args, width);
+        let mut t = report::figure4(&base.column(Scheme::Base));
         t.title = format!("{} [{}]", t.title, width.label());
         println!("{t}");
     }

@@ -2,45 +2,51 @@
 //! pass and writes the results — alongside the paper's reported values —
 //! to `EXPERIMENTS.md` (path via `--out`, default `./EXPERIMENTS.md`).
 //!
+//! Each selected width is simulated once, as one observed sweep over
+//! [`hpa_bench::PAPER_SCHEMES`]; every table and figure is a view of
+//! those sweeps.
+//!
 //! Run with `cargo run --release -p hpa-bench --bin reproduce_all`.
 
-use hpa_bench::{as_refs, base_runs, HarnessArgs, FIG14_SCHEMES, FIG15_SCHEMES, FIG16_SCHEMES};
+use hpa_bench::{
+    paper_sweep, summary, HarnessArgs, CPI_SCHEMES, FIG14_SCHEMES, FIG15_SCHEMES, FIG16_SCHEMES,
+};
 use hpa_core::report::{self, Table};
 use hpa_core::sim::SampleUnits;
 use hpa_core::workloads::{workload, Scale};
-use hpa_core::{run, run_matrix, run_workload, MachineWidth, MatrixResult, Mode, RunSpec, Scheme};
+use hpa_core::{run, run_workload, MachineWidth, Mode, RunSpec, Scheme};
 use std::fmt::Write as _;
 use std::time::Instant;
 
 fn main() {
     let args = HarnessArgs::parse();
     let out = &args.out;
-    let t0 = std::time::Instant::now();
+    let t0 = Instant::now();
     let mut md = String::new();
 
-    let scale_name = match args.scale {
-        Scale::Tiny => "tiny",
-        Scale::Default => "default",
-        Scale::Large => "large",
-        Scale::Long => "long",
-    };
     let _ = writeln!(
         md,
         "# EXPERIMENTS — paper vs. measured\n\n\
          Regenerated by `cargo run --release -p hpa-bench --bin reproduce_all` \
-         (scale: {scale_name}).\n\n\
+         (scale: {}).\n\n\
          Every row is measured on this repository's from-scratch simulator and \
          workloads; the *paper* column quotes Kim & Lipasti (ISCA 2003). \
          Workloads are stand-ins for SPEC CINT2000 (see `DESIGN.md` §2), so \
          *shapes and orderings* are the reproduction target, not absolute \
-         values.\n"
+         values.\n",
+        args.scale.key()
     );
 
-    eprintln!("== base runs (characterization) ==");
-    let four = base_runs(&args, MachineWidth::Four);
-    let eight = base_runs(&args, MachineWidth::Eight);
-    let four_r = as_refs(&four);
-    let eight_r = as_refs(&eight);
+    let sweeps: Vec<_> = MachineWidth::ALL
+        .into_iter()
+        .map(|width| {
+            eprintln!("== sweep [{}] ==", width.label());
+            paper_sweep(&args, width)
+        })
+        .collect();
+    let sweep = |width| sweeps.iter().find(|m| m.width == width).expect("every width is swept");
+    let four = sweep(MachineWidth::Four).column(Scheme::Base);
+    let eight = sweep(MachineWidth::Eight).column(Scheme::Base);
 
     let push = |md: &mut String, t: &Table, paper: &str| {
         let _ = writeln!(md, "{}", t.to_markdown());
@@ -49,27 +55,27 @@ fn main() {
 
     push(
         &mut md,
-        &report::table2(&four_r, &eight_r),
+        &report::table2(&four, &eight),
         "base IPCs 0.71 (mcf) – 2.02 (vortex) at 4-wide, 0.93–2.95 at 8-wide; \
          measured IPCs land in the same band with mcf/perl lowest and \
          vortex/twolf/eon highest.",
     );
     push(
         &mut md,
-        &report::figure2(&four_r),
+        &report::figure2(&four),
         "18–36% of dynamic instructions have 2-source format, plus stores \
          reported separately.",
     );
     push(
         &mut md,
-        &report::figure3(&four_r),
+        &report::figure3(&four),
         "6–23% of dynamic instructions are 2-source instructions (two unique \
          non-zero source registers); Alpha alignment nops appear as their own \
          slice.",
     );
     push(
         &mut md,
-        &report::figure4(&four_r),
+        &report::figure4(&four),
         "only 4–16% of 2-source instructions have both operands pending (0 \
          ready) at insert. Measured values run higher for the loop-dominated \
          stand-in kernels (hand-written kernels have shorter def-use \
@@ -77,85 +83,72 @@ fn main() {
     );
     push(
         &mut md,
-        &report::figure6(&four_r),
+        &report::figure6(&four),
         "the vast majority of 2-pending-source instructions have >=1 cycle of \
          wakeup slack; <3% wake simultaneously.",
     );
     push(
         &mut md,
-        &report::table3(&four_r, &eight_r),
+        &report::table3(&four, &eight),
         "~90% of dynamic 2-source instances repeat the previous wakeup order \
          at the same PC; last-arriving side is roughly balanced left/right.",
     );
     push(
         &mut md,
-        &report::figure7(&four_r),
+        &report::figure7(&four),
         "a PC-indexed bimodal predictor reaches ~90%+ accuracy from 128 to \
          4096 entries; 1k entries is the evaluated size.",
     );
     push(
         &mut md,
-        &report::figure10(&four_r),
+        &report::figure10(&four),
         "less than ~4% of dynamic instructions need two register-file read \
          ports; most 2-source instructions issue back-to-back with their \
          last wakeup and catch the bypass.",
     );
 
-    eprintln!("== figure 14 (wakeup schemes) ==");
-    for &width in &args.widths {
-        let m = matrix(&args, width, &FIG14_SCHEMES, false);
-        let title = format!("Figure 14: sequential wakeup vs tag elimination [{}]", width.label());
-        push(
-            &mut md,
-            &report::normalized_ipc_figure(&title, &m, &FIG14_SCHEMES[1..]),
+    let figures: [(&str, &[Scheme], &str); 3] = [
+        (
+            "Figure 14: sequential wakeup vs tag elimination",
+            &FIG14_SCHEMES,
             "sequential wakeup with a 1k-entry predictor loses 0.4% (4-wide) / \
              0.6% (8-wide) on average; without a predictor 1.6% / 2.6%; tag \
              elimination is worse than sequential wakeup in most benchmarks \
              and scales worse with width (worst case 10.6% in crafty).",
-        );
-        summarize(&mut md, &m, &FIG14_SCHEMES[1..]);
-    }
-
-    eprintln!("== figure 15 (register file schemes) ==");
-    for &width in &args.widths {
-        let m = matrix(&args, width, &FIG15_SCHEMES, false);
-        let title = format!("Figure 15: register file schemes [{}]", width.label());
-        push(
-            &mut md,
-            &report::normalized_ipc_figure(&title, &m, &FIG15_SCHEMES[1..]),
+        ),
+        (
+            "Figure 15: register file schemes",
+            &FIG15_SCHEMES,
             "sequential register access loses 1.1% (4-wide) / 0.7% (8-wide) on \
              average, worst 2.2% (eon); the half-ported crossbar file nearly \
              matches base but needs global port arbitration; the extra RF \
              stage costs a little throughout.",
-        );
-        summarize(&mut md, &m, &FIG15_SCHEMES[1..]);
-    }
-
-    eprintln!("== figure 16 (combined) ==");
-    for &width in &args.widths {
-        let m = matrix(&args, width, &FIG16_SCHEMES, false);
-        let title = format!("Figure 16: combined half-price architecture [{}]", width.label());
-        push(
-            &mut md,
-            &report::normalized_ipc_figure(&title, &m, &FIG16_SCHEMES[1..]),
+        ),
+        (
+            "Figure 16: combined half-price architecture",
+            &FIG16_SCHEMES,
             "2.2% average IPC degradation; worst case 4.8% (bzip, 8-wide). \
              The combination is slightly worse than the sum of the parts \
              because slow-side/simultaneous wakeups force sequential register \
              accesses (only nowL can clear seq_reg_access).",
-        );
-        summarize(&mut md, &m, &FIG16_SCHEMES[1..]);
+        ),
+    ];
+    for (name, schemes, paper) in figures {
+        for &width in &args.widths {
+            let m = sweep(width);
+            let title = format!("{name} [{}]", width.label());
+            push(&mut md, &report::normalized_ipc_figure(&title, m, &schemes[1..]), paper);
+            let _ = writeln!(md, "{}", summary(m, &schemes[1..]));
+        }
     }
 
-    eprintln!("== CPI stacks (cycle accounting) ==");
-    let cpi_schemes: [Scheme; 4] =
-        [Scheme::Base, Scheme::SeqWakeupPredictor, Scheme::SeqRegAccess, Scheme::Combined];
     for &width in &args.widths {
-        let m = matrix(&args, width, &cpi_schemes, true);
+        let m = sweep(width);
         let title =
             format!("CPI stack: issue-slot attribution, % of cycles x width [{}]", width.label());
         push(
             &mut md,
-            &report::cpi_stack_table(&title, &m, &cpi_schemes),
+            &report::cpi_stack_table(&title, m, &CPI_SCHEMES),
             "not reported as a table, but Figures 10-14 attribute the \
              schemes' IPC losses to the same sources measured here: the \
              seq_wakeup/la_mispredict columns are sequential wakeup's rare \
@@ -187,7 +180,7 @@ fn main() {
          these runs are summarized in the committed copy of this file.\n"
     );
     eprintln!("== sampled vs full detailed (long scale) ==");
-    sampled_throughput(&mut md);
+    sampled_throughput(&mut md, &args.benches);
 
     let _ = writeln!(md, "\n## Divergence notes\n");
     let _ = writeln!(md, "{}", DIVERGENCES.trim());
@@ -202,10 +195,18 @@ fn main() {
     eprintln!("wrote {out} in {:.1}s", t0.elapsed().as_secs_f64());
 }
 
-/// Emits the sampled-simulation throughput table: two long-running
-/// workloads measured full detailed and SMARTS-style sampled, with
-/// wall-clock speedup and the estimate's error against the full run.
-fn sampled_throughput(md: &mut String) {
+/// Emits the sampled-simulation throughput table: the long-running
+/// workloads gap and mcf, those of them among `benches`, measured full
+/// detailed and SMARTS-style sampled, with wall-clock speedup and the
+/// estimate's error against the full run.
+fn sampled_throughput(md: &mut String, benches: &[&str]) {
+    let names: Vec<&str> = ["gap", "mcf"].into_iter().filter(|n| benches.contains(n)).collect();
+    if names.is_empty() {
+        let skipped = "Skipped: neither gap nor mcf is among the selected benchmarks.";
+        eprintln!("  {skipped}");
+        let _ = writeln!(md, "\n## Sampled simulation throughput (tiered backend)\n\n{skipped}\n");
+        return;
+    }
     let units = SampleUnits::new(2_000, 10_000, 488_000).expect("valid units");
     let seed = 42u64;
     let width = MachineWidth::Four;
@@ -229,7 +230,7 @@ fn sampled_throughput(md: &mut String) {
         "| bench | full IPC | wall (s) | sampled IPC ± 95% CI | wall (s) | speedup | rel. error |"
     );
     let _ = writeln!(md, "|---|---|---|---|---|---|---|");
-    for name in ["gap", "mcf"] {
+    for name in names {
         let t0 = Instant::now();
         let full =
             run_workload(name, Scale::Long, width, Scheme::Base).unwrap_or_else(|e| panic!("{e}"));
@@ -254,41 +255,6 @@ fn sampled_throughput(md: &mut String) {
             est.ci_half_width,
             if sampled_s > 0.0 { full_s / sampled_s } else { 0.0 },
             est.rel_error(full_ipc) * 100.0
-        );
-    }
-    let _ = writeln!(md);
-}
-
-/// Runs the benchmarks × `schemes` matrix, with CPI stacks when `observe`.
-fn matrix(
-    args: &HarnessArgs,
-    width: MachineWidth,
-    schemes: &[Scheme],
-    observe: bool,
-) -> MatrixResult {
-    run_matrix(&args.benches, args.scale, width, schemes, args.jobs, observe, |r| {
-        eprintln!(
-            "  {} / {} [{}]: ipc {:.3}{}",
-            r.workload,
-            r.scheme.label(),
-            width.label(),
-            r.stats.ipc(),
-            if observe { " (observed)" } else { "" }
-        );
-    })
-    .unwrap_or_else(|e| panic!("{e}"))
-}
-
-fn summarize(md: &mut String, m: &MatrixResult, schemes: &[Scheme]) {
-    let _ = writeln!(md, "**Measured summary:**\n");
-    for &s in schemes {
-        let avg = m.average_degradation(s) * 100.0;
-        let (wn, wd) = m.worst_degradation(s).unwrap_or(("-", 0.0));
-        let _ = writeln!(
-            md,
-            "- {}: average {avg:.1}% degradation, worst {:.1}% ({wn})",
-            s.label(),
-            wd * 100.0
         );
     }
     let _ = writeln!(md);

@@ -1,11 +1,10 @@
 //! Regenerates Table 2: instruction counts and base IPC per benchmark.
-use hpa_bench::{as_refs, base_runs, HarnessArgs};
-use hpa_core::{report, MachineWidth};
+use hpa_bench::{base_column, HarnessArgs};
+use hpa_core::{report, MachineWidth, Scheme};
 
 fn main() {
-    let mut args = HarnessArgs::parse();
-    args.widths = vec![MachineWidth::Four, MachineWidth::Eight];
-    let four = base_runs(&args, MachineWidth::Four);
-    let eight = base_runs(&args, MachineWidth::Eight);
-    println!("{}", report::table2(&as_refs(&four), &as_refs(&eight)));
+    let args = HarnessArgs::parse();
+    let four = base_column(&args, MachineWidth::Four);
+    let eight = base_column(&args, MachineWidth::Eight);
+    println!("{}", report::table2(&four.column(Scheme::Base), &eight.column(Scheme::Base)));
 }

@@ -16,9 +16,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use hpa_core::sim::SimStats;
 use hpa_core::workloads::{Scale, WORKLOAD_NAMES};
-use hpa_core::{run_workload, MachineWidth, Scheme};
+use hpa_core::{run_matrix, MachineWidth, MatrixResult, RunResult, Scheme};
 
 /// Parsed command-line options shared by every harness binary.
 #[derive(Clone, Debug)]
@@ -48,6 +47,25 @@ pub const FIG15_SCHEMES: [Scheme; 4] =
 /// Figure 16: base, then the combined half-price architecture.
 pub const FIG16_SCHEMES: [Scheme; 2] = [Scheme::Base, Scheme::Combined];
 
+/// Every scheme the paper's evaluation simulates: the union of
+/// [`FIG14_SCHEMES`], [`FIG15_SCHEMES`] and [`FIG16_SCHEMES`], base first.
+/// `reproduce_all` runs each selected width's sweep over these.
+pub const PAPER_SCHEMES: [Scheme; 8] = [
+    Scheme::Base,
+    Scheme::SeqWakeupPredictor,
+    Scheme::TagElimination,
+    Scheme::SeqWakeupStatic,
+    Scheme::SeqRegAccess,
+    Scheme::ExtraRfStage,
+    Scheme::HalfPortsCrossbar,
+    Scheme::Combined,
+];
+
+/// The CPI-stack table's rows per benchmark: base, each half of the
+/// half-price architecture alone, and the two combined.
+pub const CPI_SCHEMES: [Scheme; 4] =
+    [Scheme::Base, Scheme::SeqWakeupPredictor, Scheme::SeqRegAccess, Scheme::Combined];
+
 impl HarnessArgs {
     /// Parses `std::env::args`, exiting with a usage message on errors.
     #[must_use]
@@ -71,13 +89,10 @@ impl HarnessArgs {
         while let Some(a) = it.next() {
             match a {
                 "--scale" => {
-                    args.scale = match it.next() {
-                        Some("tiny") => Scale::Tiny,
-                        Some("default") => Scale::Default,
-                        Some("large") => Scale::Large,
-                        Some("long") => Scale::Long,
-                        other => usage(&format!("bad --scale {other:?}")),
-                    }
+                    let key = it.next();
+                    args.scale = key
+                        .and_then(Scale::from_key)
+                        .unwrap_or_else(|| usage(&format!("bad --scale {key:?}")));
                 }
                 "--width" => {
                     args.widths = match it.next() {
@@ -126,26 +141,55 @@ fn usage(err: &str) -> ! {
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }
 
-/// Runs the base machine over the selected benchmarks at one width,
-/// returning `(name, stats)` pairs for the characterization figures.
+/// The sweep `reproduce_all` builds every section from: the selected
+/// benchmarks × [`PAPER_SCHEMES`] at `width`, with each cell's counters
+/// recorded for the CPI stacks. A width outside `--width` gets only its
+/// base column ([`base_column`]), which Tables 2 and 3 read at both
+/// widths.
 #[must_use]
-pub fn base_runs(args: &HarnessArgs, width: MachineWidth) -> Vec<(&'static str, SimStats)> {
-    args.benches
-        .iter()
-        .map(|name| {
-            eprint!("  {name} ({})...", width.label());
-            let r = run_workload(name, args.scale, width, Scheme::Base)
-                .unwrap_or_else(|e| panic!("{e}"));
-            eprintln!(" ipc {:.3}", r.stats.ipc());
-            (*name, r.stats)
-        })
-        .collect()
+pub fn paper_sweep(args: &HarnessArgs, width: MachineWidth) -> MatrixResult {
+    if !args.widths.contains(&width) {
+        return base_column(args, width);
+    }
+    run_matrix(&args.benches, args.scale, width, &PAPER_SCHEMES, args.jobs, true, progress)
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Borrows `(name, stats)` pairs in the form the report functions take.
+/// The base machine over the selected benchmarks at one width, the input
+/// of the characterization figures (read it with
+/// [`MatrixResult::column`]).
 #[must_use]
-pub fn as_refs<'a>(runs: &'a [(&'a str, SimStats)]) -> Vec<(&'a str, &'a SimStats)> {
-    runs.iter().map(|(n, s)| (*n, s)).collect()
+pub fn base_column(args: &HarnessArgs, width: MachineWidth) -> MatrixResult {
+    run_matrix(&args.benches, args.scale, width, &[Scheme::Base], args.jobs, false, progress)
+        .unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// One stderr line per finished cell.
+fn progress(r: &RunResult) {
+    eprintln!(
+        "  {} / {} [{}]: ipc {:.3}",
+        r.workload,
+        r.scheme.label(),
+        r.width.label(),
+        r.stats.ipc()
+    );
+}
+
+/// The report's measured summary under a normalized-IPC figure: each
+/// scheme's average and worst degradation against base.
+#[must_use]
+pub fn summary(m: &MatrixResult, schemes: &[Scheme]) -> String {
+    let mut out = String::from("**Measured summary:**\n\n");
+    for &s in schemes {
+        let avg = m.average_degradation(s) * 100.0;
+        let (wn, wd) = m.worst_degradation(s).unwrap_or(("-", 0.0));
+        out.push_str(&format!(
+            "- {}: average {avg:.1}% degradation, worst {:.1}% ({wn})\n",
+            s.label(),
+            wd * 100.0
+        ));
+    }
+    out
 }
 
 #[cfg(test)]
@@ -193,12 +237,24 @@ mod tests {
     }
 
     #[test]
-    fn as_refs_preserves_order() {
-        use hpa_core::sim::SimStats;
-        let runs = vec![("a", SimStats::default()), ("b", SimStats::default())];
-        let refs = as_refs(&runs);
-        assert_eq!(refs.len(), 2);
-        assert_eq!(refs[0].0, "a");
-        assert_eq!(refs[1].0, "b");
+    fn scale_keys_parse() {
+        for scale in Scale::ALL {
+            assert_eq!(HarnessArgs::parse_from(&sv(&["--scale", scale.key()])).scale, scale);
+        }
+    }
+
+    #[test]
+    fn paper_schemes_are_the_union_of_the_figures_base_first() {
+        assert_eq!(PAPER_SCHEMES[0], Scheme::Base);
+        let figures = FIG14_SCHEMES.iter().chain(&FIG15_SCHEMES).chain(&FIG16_SCHEMES);
+        for s in figures.chain(&CPI_SCHEMES) {
+            assert!(PAPER_SCHEMES.contains(s), "{s:?} missing");
+        }
+        for (i, s) in PAPER_SCHEMES.iter().enumerate() {
+            assert!(!PAPER_SCHEMES[..i].contains(s), "{s:?} twice");
+            let in_a_figure =
+                [&FIG14_SCHEMES[..], &FIG15_SCHEMES, &FIG16_SCHEMES].iter().any(|f| f.contains(s));
+            assert!(in_a_figure, "{s:?} is in no figure");
+        }
     }
 }

@@ -378,9 +378,9 @@ pub fn run_prepared_phase_timed(
 pub struct MatrixResult {
     /// The machine width the matrix was collected at.
     pub width: MachineWidth,
-    /// One row per workload, in [`hpa_workloads::WORKLOAD_NAMES`] order,
-    /// each holding one result per requested scheme (same order as the
-    /// `schemes` argument of [`run_matrix`]).
+    /// One row per workload, in the order of [`run_matrix`]'s
+    /// `workload_names`, each holding one result per requested scheme
+    /// (same order as its `schemes`).
     pub rows: Vec<Vec<RunResult>>,
 }
 
@@ -389,6 +389,18 @@ impl MatrixResult {
     #[must_use]
     pub fn get(&self, workload: &str, scheme: Scheme) -> Option<&RunResult> {
         self.rows.iter().flatten().find(|r| r.workload == workload && r.scheme == scheme)
+    }
+
+    /// One scheme's column as `(workload, stats)` pairs in row order, the
+    /// form of [`crate::report::BaseRuns`]; rows without the scheme are
+    /// skipped.
+    #[must_use]
+    pub fn column(&self, scheme: Scheme) -> Vec<(&'static str, &SimStats)> {
+        self.rows
+            .iter()
+            .filter_map(|row| row.iter().find(|r| r.scheme == scheme))
+            .map(|r| (r.workload, &r.stats))
+            .collect()
     }
 
     /// Normalized IPC (scheme / base) for one workload; requires both runs
@@ -400,20 +412,23 @@ impl MatrixResult {
         (base > 0.0).then(|| s / base)
     }
 
-    /// Average IPC degradation of a scheme across all workloads, as a
-    /// fraction (e.g. `0.022` for the paper's headline 2.2%).
+    /// Each row's `(workload, 1 - scheme IPC / base IPC)`, for the rows
+    /// holding both cells.
+    fn degradations(&self, scheme: Scheme) -> impl Iterator<Item = (&'static str, f64)> + '_ {
+        self.rows.iter().filter_map(move |row| {
+            let cell = |s| row.iter().find(|r| r.scheme == s);
+            let (s, base) = (cell(scheme)?, cell(Scheme::Base)?);
+            Some((s.workload, 1.0 - s.stats.ipc() / base.stats.ipc()))
+        })
+    }
+
+    /// Average IPC degradation of a scheme across the workloads that ran
+    /// both it and base, as a fraction (e.g. `0.022` for the paper's
+    /// headline 2.2%); `0.0` when there are none.
     #[must_use]
     pub fn average_degradation(&self, scheme: Scheme) -> f64 {
-        let mut sum = 0.0;
-        let mut n = 0u32;
-        for row in &self.rows {
-            if let Some(base) = row.iter().find(|r| r.scheme == Scheme::Base) {
-                if let Some(s) = row.iter().find(|r| r.scheme == scheme) {
-                    sum += 1.0 - s.stats.ipc() / base.stats.ipc();
-                    n += 1;
-                }
-            }
-        }
+        let (n, sum) =
+            self.degradations(scheme).fold((0u32, 0.0), |(n, sum), (_, d)| (n + 1, sum + d));
         if n == 0 {
             0.0
         } else {
@@ -421,20 +436,17 @@ impl MatrixResult {
         }
     }
 
-    /// The worst (largest) per-workload degradation of a scheme, with the
-    /// workload name.
+    /// The worst (largest) degradation of a scheme among the workloads
+    /// that ran both it and base, with the workload name.
     #[must_use]
     pub fn worst_degradation(&self, scheme: Scheme) -> Option<(&'static str, f64)> {
-        let mut worst: Option<(&'static str, f64)> = None;
-        for row in &self.rows {
-            let base = row.iter().find(|r| r.scheme == Scheme::Base)?;
-            let s = row.iter().find(|r| r.scheme == scheme)?;
-            let d = 1.0 - s.stats.ipc() / base.stats.ipc();
-            if worst.is_none_or(|(_, w)| d > w) {
-                worst = Some((s.workload, d));
+        self.degradations(scheme).fold(None, |worst, (w, d)| {
+            if worst.is_none_or(|(_, max)| d > max) {
+                Some((w, d))
+            } else {
+                worst
             }
-        }
-        worst
+        })
     }
 }
 
@@ -659,6 +671,34 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A column follows the rows' workload order and skips rows that lack
+    /// the scheme.
+    #[test]
+    fn column_follows_row_order_and_skips_missing_cells() {
+        let cell = |workload, scheme, cycles| RunResult {
+            workload,
+            scheme,
+            width: MachineWidth::Four,
+            stats: SimStats { cycles, ..SimStats::default() },
+            counters: None,
+            sampled: None,
+            phase_times: None,
+        };
+        let m = MatrixResult {
+            width: MachineWidth::Four,
+            rows: vec![
+                vec![cell("mcf", Scheme::Base, 1), cell("mcf", Scheme::Combined, 2)],
+                vec![cell("gcc", Scheme::Combined, 3)],
+                vec![cell("gap", Scheme::Base, 4)],
+            ],
+        };
+        let cycles =
+            |scheme| m.column(scheme).into_iter().map(|(n, s)| (n, s.cycles)).collect::<Vec<_>>();
+        assert_eq!(cycles(Scheme::Base), [("mcf", 1), ("gap", 4)]);
+        assert_eq!(cycles(Scheme::Combined), [("mcf", 2), ("gcc", 3)]);
+        assert!(m.column(Scheme::SeqRegAccess).is_empty());
     }
 
     /// Error propagation is deterministic: the first failing cell in

@@ -25,6 +25,24 @@ cargo build --release --workspace
 echo "== cargo test (workspace) =="
 cargo test -q --workspace
 
+echo "== reproduce_all smoke =="
+# The paper report end to end on one small benchmark: one observed sweep
+# per width feeds every section, so a view that stops rendering drops its
+# heading. gcc is neither gap nor mcf, so the Long-scale sampled section
+# is skipped and this takes seconds.
+report="$(mktemp /tmp/hpa-reproduce.XXXXXX.md)"
+target/release/reproduce_all --scale tiny --bench gcc --width 4 --jobs 2 --out "$report"
+for heading in "### Table 2:" "### Figure 2:" "### Figure 3:" "### Figure 4:" "### Figure 6:" \
+  "### Table 3:" "### Figure 7:" "### Figure 10:" "### Figure 14:" "### Figure 15:" \
+  "### Figure 16:" "### CPI stack:" "### Circuit claims" "## Divergence notes"; do
+  grep -qF "$heading" "$report" || {
+    echo "ERROR: reproduce_all report lacks the section \"$heading\" ($report)" >&2
+    exit 1
+  }
+done
+rm -f "$report"
+echo "reproduce_all: every section rendered"
+
 echo "== benchmark smoke =="
 # hpabench has a [workspace] of its own, so the --workspace build and
 # clippy above never compile it. Build it offline and run the traced
