@@ -1,13 +1,20 @@
-//! # hpa-bench — shared plumbing for the experiment harness binaries
+//! # hpa-bench — the experiment harness
 //!
-//! Each `src/bin/*` binary regenerates one table or figure of the paper
-//! (see `DESIGN.md` §4 for the index). All binaries accept:
+//! Two binaries (see `DESIGN.md` §4 for the index):
+//!
+//! * `reproduce_all` regenerates every table and figure of the paper's
+//!   evaluation, plus its circuit claims, from one observed sweep per
+//!   width ([`paper_sweep`]) and writes them to one report;
+//! * `extensions` prints the experiments beyond the paper
+//!   ([`extension_tables`]).
+//!
+//! Both accept:
 //!
 //! ```text
 //! --scale tiny|default|large|long   simulation length per benchmark
 //! --width 4|8|both             machine width(s) to simulate
 //! --bench <name>...            subset of benchmarks (default: all 12)
-//! --jobs N                     worker threads for matrix sweeps
+//! --jobs N                     worker threads for the simulated cells
 //!                              (default: host parallelism)
 //! --out PATH                   where `reproduce_all` writes its report
 //!                              (default: EXPERIMENTS.md)
@@ -16,10 +23,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod extensions;
+
+pub use extensions::extension_tables;
 use hpa_core::workloads::{Scale, WORKLOAD_NAMES};
 use hpa_core::{run_matrix, MachineWidth, MatrixResult, RunResult, Scheme};
 
-/// Parsed command-line options shared by every harness binary.
+/// Parsed command-line options shared by both harness binaries.
 #[derive(Clone, Debug)]
 pub struct HarnessArgs {
     /// Simulation scale.
@@ -28,7 +38,7 @@ pub struct HarnessArgs {
     pub widths: Vec<MachineWidth>,
     /// Benchmarks to run.
     pub benches: Vec<&'static str>,
-    /// Worker threads for `benchmarks × schemes` sweeps.
+    /// Worker threads for the simulated cells.
     pub jobs: usize,
     /// Report path (`reproduce_all` writes its markdown there).
     pub out: String,

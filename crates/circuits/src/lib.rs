@@ -24,9 +24,9 @@
 //!   lines/bit lines, whose lengths grow linearly with the per-port cell
 //!   pitch, giving the classic quadratic port-count term.
 //!
-//! Both models are used by the `circuits_delay` bench target to regenerate
-//! the claims and to produce the ablation sweeps (delay vs. window size,
-//! issue width, port count, entry count).
+//! `reproduce_all`'s "Circuit claims" section uses both models to
+//! regenerate the claims and to produce the ablation sweeps (delay vs.
+//! window size, issue width, port count, entry count).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

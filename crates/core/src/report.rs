@@ -3,8 +3,8 @@
 //!
 //! Each `figure*`/`table*` function consumes [`MatrixResult`]s (or base-run
 //! statistics) and produces a [`Table`] whose rows mirror what the paper
-//! plots; the `hpa-bench` binaries print them, and `reproduce-all`
-//! assembles them into `EXPERIMENTS.md`.
+//! plots; `hpa-bench`'s `reproduce_all` assembles them into
+//! `EXPERIMENTS.md`.
 
 use crate::runner::MatrixResult;
 use crate::scheme::Scheme;

@@ -26,15 +26,17 @@ echo "== cargo test (workspace) =="
 cargo test -q --workspace
 
 echo "== reproduce_all smoke =="
-# The paper report end to end on one small benchmark: one observed sweep
-# per width feeds every section, so a view that stops rendering drops its
-# heading. gcc is neither gap nor mcf, so the Long-scale sampled section
-# is skipped and this takes seconds.
+# The paper report end to end on all 12 programs at both widths: one
+# observed sweep per width feeds every section, so a view that stops
+# rendering drops its heading. At --scale tiny the Long-scale sampled
+# section prints its heading and a skip line, so this takes seconds.
 report="$(mktemp /tmp/hpa-reproduce.XXXXXX.md)"
-target/release/reproduce_all --scale tiny --bench gcc --width 4 --jobs 2 --out "$report"
+target/release/reproduce_all --scale tiny --jobs 2 --out "$report"
 for heading in "### Table 2:" "### Figure 2:" "### Figure 3:" "### Figure 4:" "### Figure 6:" \
   "### Table 3:" "### Figure 7:" "### Figure 10:" "### Figure 14:" "### Figure 15:" \
-  "### Figure 16:" "### CPI stack:" "### Circuit claims" "## Divergence notes"; do
+  "### Figure 16:" "### CPI stack:" "### Circuit claims" "### Wakeup delay sweep" \
+  "### Register file access time sweep" "## Sampled simulation throughput" \
+  "## Divergence notes"; do
   grep -qF "$heading" "$report" || {
     echo "ERROR: reproduce_all report lacks the section \"$heading\" ($report)" >&2
     exit 1
@@ -42,6 +44,20 @@ for heading in "### Table 2:" "### Figure 2:" "### Figure 3:" "### Figure 4:" "#
 done
 rm -f "$report"
 echo "reproduce_all: every section rendered"
+
+echo "== extensions smoke =="
+# The experiments beyond the paper on one program and width: each of the
+# three tables must print.
+extensions_out="$(target/release/extensions --scale tiny --bench gcc --width 4 --jobs 2)"
+for title in "Recovery ablation [4-wide]" \
+  "Sequential wakeup IPC vs last-arrival predictor size [4-wide]" \
+  "Future-work extensions: half-price rename & bypass [4-wide]"; do
+  grep -qF "$title" <<< "$extensions_out" || {
+    echo "ERROR: extensions printed no table \"$title\"" >&2
+    exit 1
+  }
+done
+echo "extensions: all three tables printed"
 
 echo "== benchmark smoke =="
 # hpabench has a [workspace] of its own, so the --workspace build and
