@@ -2,10 +2,10 @@
 
 use crate::classify::{classify_injected, Classification};
 use crate::model::FaultClass;
-use crate::report::{CampaignReport, CellOutcome, PanicEvent};
+use crate::report::{AbortedCell, CampaignReport, CellOutcome};
 use hpa_core::workloads::SplitMix64;
 use hpa_core::{default_jobs, parallel_map_isolated, Scheme};
-use hpa_verify::{shrink, write_reproducer, GenProgram, Variant, FUZZ_SCHEMES};
+use hpa_verify::{program_rng, shrink, write_reproducer, GenProgram, Variant, FUZZ_SCHEMES};
 use std::path::PathBuf;
 
 /// At most this many SDC cells are shrunk and persisted per campaign —
@@ -14,8 +14,8 @@ use std::path::PathBuf;
 const MAX_SHRUNK: usize = 4;
 
 /// A fully-resolved campaign descriptor. Every run of the campaign is
-/// reproducible from this value alone: programs, injection parameters and
-/// retry seeds all derive from `seed` and the cell's matrix position.
+/// reproducible from this value alone: programs and injection parameters
+/// all derive from `seed` and the cell's matrix position.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct CampaignSpec {
     /// Number of seeded random programs.
@@ -31,11 +31,9 @@ pub struct CampaignSpec {
     /// Watchdog cycle budget per run: a hang becomes a structured,
     /// Detected deadlock at this cycle count.
     pub cycle_budget: u64,
-    /// Retries per cell after a caught panic (fresh derived seed each).
-    pub retries: u32,
-    /// Deliberately panic this row-major cell index on its first attempt
-    /// (robustness self-test: the panic must surface as a recovered
-    /// `JobError`, not kill the campaign).
+    /// Deliberately panic this row-major cell index (robustness
+    /// self-test: the panic must surface as an aborted cell, not kill the
+    /// campaign).
     pub plant_panic: Option<usize>,
     /// Where shrunk SDC reproducers are written (`None` to skip).
     pub corpus_dir: Option<PathBuf>,
@@ -53,7 +51,6 @@ impl CampaignSpec {
             seed,
             jobs: default_jobs(),
             cycle_budget: 50_000,
-            retries: 1,
             plant_panic: None,
             corpus_dir: None,
         }
@@ -62,7 +59,7 @@ impl CampaignSpec {
     /// Parses a campaign spec string: a preset (`mini`, `full`) and/or
     /// comma-separated `key=value` overrides.
     ///
-    /// Keys: `programs=N`, `budget=N`, `retries=N`, `classes=a+b+...`,
+    /// Keys: `programs=N`, `budget=N`, `classes=a+b+...`,
     /// `schemes=a+b+...`, `plant-panic=N`, `plant-sdc`.
     ///
     /// # Errors
@@ -94,7 +91,6 @@ impl CampaignSpec {
                             return Err("budget must be positive".to_string());
                         }
                     }
-                    "retries" => out.retries = parse_num::<u32>(key, value)?,
                     "plant-panic" => out.plant_panic = Some(parse_num(key, value)?),
                     "classes" => {
                         out.classes = value
@@ -143,40 +139,19 @@ struct Cell {
     class: FaultClass,
 }
 
-/// The per-program generator stream, shared with the fuzzer's convention
-/// so a campaign program index always draws the same program.
-fn program_rng(seed: u64, index: u64) -> SplitMix64 {
-    SplitMix64::new(seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-}
-
-/// The per-cell injection stream. `attempt` participates so a bounded
-/// retry after a transient harness failure draws fresh parameters.
-fn cell_rng(seed: u64, cell_index: usize, attempt: u32) -> SplitMix64 {
-    SplitMix64::new(
-        seed ^ (cell_index as u64).wrapping_mul(0xA076_1D64_78BD_642F)
-            ^ u64::from(attempt).wrapping_mul(0xE703_7ED1_A0B4_28DB),
-    )
-}
-
-/// All campaign cells run at the fuzzer's default variant; scheme timing
-/// differences come from the scheme axis itself.
-fn campaign_variant() -> Variant {
-    Variant {
-        width: hpa_core::MachineWidth::Four,
-        selective_recovery: false,
-        small_pc_table: false,
-    }
+/// The per-cell injection stream, keyed by the cell's row-major index.
+fn cell_rng(seed: u64, cell_index: usize) -> SplitMix64 {
+    SplitMix64::new(seed ^ (cell_index as u64).wrapping_mul(0xA076_1D64_78BD_642F))
 }
 
 /// Runs the campaign described by `spec`.
 ///
-/// The runner is hardened end-to-end: every cell executes behind
-/// [`parallel_map_isolated`] (a panic becomes a structured [`PanicEvent`]
-/// instead of killing the matrix), hangs are cut by the per-run cycle
-/// budget, and failed cells are retried up to `spec.retries` times with a
-/// fresh derived seed before being reported as aborted. Any SDC cell is
-/// auto-shrunk through the differential shrinker and written to the
-/// corpus directory.
+/// Every cell runs once, behind [`parallel_map_isolated`]: a panicking
+/// cell becomes an [`AbortedCell`] carrying its panic message instead of
+/// killing the matrix, and hangs are cut by the per-run cycle budget. All
+/// cells run at the default fuzz [`Variant`]; scheme timing differences
+/// come from the scheme axis itself. Any SDC cell is auto-shrunk through
+/// the differential shrinker and written to the corpus directory.
 #[must_use]
 pub fn run_campaign(spec: &CampaignSpec) -> CampaignReport {
     let gens: Vec<GenProgram> =
@@ -192,105 +167,69 @@ pub fn run_campaign(spec: &CampaignSpec) -> CampaignReport {
         }
     }
 
-    let mut results: Vec<Option<CellOutcome>> = vec![None; cells.len()];
-    let mut panics: Vec<PanicEvent> = Vec::new();
-    let mut pending: Vec<usize> = (0..cells.len()).collect();
-    for attempt in 0..=spec.retries {
-        if pending.is_empty() {
-            break;
+    let outs = parallel_map_isolated(&cells, spec.jobs, |idx, cell| {
+        if spec.plant_panic == Some(idx) {
+            panic!("planted campaign panic in cell {idx}");
         }
-        let outs = parallel_map_isolated(&pending, spec.jobs, |_, &idx| {
-            if attempt == 0 && spec.plant_panic == Some(idx) {
-                panic!("planted campaign panic in cell {idx}");
-            }
-            let cell = cells[idx];
-            let injection = cell.class.instantiate(&mut cell_rng(spec.seed, idx, attempt));
-            let config = campaign_variant().configure(cell.scheme);
-            let classification = classify_injected(
-                &programs[cell.program as usize],
-                config,
-                injection,
-                spec.cycle_budget,
-            );
-            CellOutcome {
+        let injection = cell.class.instantiate(&mut cell_rng(spec.seed, idx));
+        let classification = classify_injected(
+            &programs[cell.program as usize],
+            Variant::default().configure(cell.scheme),
+            injection,
+            spec.cycle_budget,
+        );
+        CellOutcome {
+            program: cell.program,
+            scheme: cell.scheme,
+            class: cell.class,
+            injection,
+            classification,
+            reproducer: None,
+        }
+    });
+    let mut report =
+        CampaignReport { seed: spec.seed, programs: spec.programs, cells: vec![], aborted: vec![] };
+    for (cell, out) in cells.iter().zip(outs) {
+        match out {
+            Ok(outcome) => report.cells.push(outcome),
+            Err(e) => report.aborted.push(AbortedCell {
                 program: cell.program,
                 scheme: cell.scheme,
                 class: cell.class,
-                injection: format!("{injection:?}"),
-                classification,
-                attempts: attempt + 1,
-                reproducer: None,
-            }
-        });
-        let mut still = Vec::new();
-        for (&idx, out) in pending.iter().zip(outs) {
-            match out {
-                Ok(outcome) => results[idx] = Some(outcome),
-                Err(e) => {
-                    panics.push(PanicEvent {
-                        cell: idx,
-                        attempt,
-                        message: e.message,
-                        recovered: false,
-                    });
-                    still.push(idx);
-                }
-            }
+                message: e.message,
+            }),
         }
-        pending = still;
     }
-    for p in &mut panics {
-        p.recovered = results[p.cell].is_some();
-    }
-    let aborted: Vec<(u64, Scheme, FaultClass)> =
-        pending.iter().map(|&i| (cells[i].program, cells[i].scheme, cells[i].class)).collect();
 
     // SDC post-processing: shrink the offending program while the same
     // injection still classifies as SDC, then persist a reproducer.
-    let mut cells_out: Vec<CellOutcome> = results.into_iter().flatten().collect();
-    let mut shrunk = 0usize;
-    for out in &mut cells_out {
-        if !matches!(out.classification, Classification::Sdc { .. }) || shrunk >= MAX_SHRUNK {
-            continue;
-        }
-        shrunk += 1;
-        if let Some(dir) = &spec.corpus_dir {
-            let injection = cell_rng_injection(spec, out);
-            let config = || campaign_variant().configure(out.scheme);
-            let is_sdc = |g: &GenProgram| {
-                matches!(
-                    classify_injected(&g.lower(), config(), injection, spec.cycle_budget),
-                    Classification::Sdc { .. }
-                )
-            };
-            let gen = &gens[out.program as usize];
-            let small = if is_sdc(gen) { shrink(gen, is_sdc) } else { gen.clone() };
-            let stem = format!(
-                "fault-{:016x}-p{}-{}-{}",
-                spec.seed,
-                out.program,
-                out.scheme.key(),
-                out.class.key()
-            );
-            out.reproducer =
-                write_reproducer(dir, &stem, &small.lower(), out.scheme, campaign_variant()).ok();
-        }
+    let Some(dir) = &spec.corpus_dir else { return report };
+    let sdc_cells = report
+        .cells
+        .iter_mut()
+        .filter(|c| matches!(c.classification, Classification::Sdc { .. }))
+        .take(MAX_SHRUNK);
+    for out in sdc_cells {
+        let is_sdc = |g: &GenProgram| {
+            let config = Variant::default().configure(out.scheme);
+            matches!(
+                classify_injected(&g.lower(), config, out.injection, spec.cycle_budget),
+                Classification::Sdc { .. }
+            )
+        };
+        let gen = &gens[out.program as usize];
+        let small = if is_sdc(gen) { shrink(gen, is_sdc) } else { gen.clone() };
+        let stem = format!(
+            "fault-{:016x}-p{}-{}-{}",
+            spec.seed,
+            out.program,
+            out.scheme.key(),
+            out.class.key()
+        );
+        out.reproducer =
+            write_reproducer(dir, &stem, &small.lower(), out.scheme, Variant::default()).ok();
     }
-
-    CampaignReport { seed: spec.seed, programs: spec.programs, cells: cells_out, aborted, panics }
-}
-
-/// Re-derives the concrete injection a completed cell ran with (its
-/// matrix index and successful attempt follow from the outcome).
-fn cell_rng_injection(spec: &CampaignSpec, out: &CellOutcome) -> hpa_core::sim::FaultInjection {
-    let idx = cell_index(spec, out);
-    out.class.instantiate(&mut cell_rng(spec.seed, idx, out.attempts - 1))
-}
-
-fn cell_index(spec: &CampaignSpec, out: &CellOutcome) -> usize {
-    let si = spec.schemes.iter().position(|&s| s == out.scheme).expect("scheme in spec");
-    let ci = spec.classes.iter().position(|&c| c == out.class).expect("class in spec");
-    (out.program as usize * spec.schemes.len() + si) * spec.classes.len() + ci
+    report
 }
 
 #[cfg(test)]
@@ -305,7 +244,6 @@ mod tests {
             seed,
             jobs: 2,
             cycle_budget: 50_000,
-            retries: 1,
             plant_panic: None,
             corpus_dir: None,
         }
@@ -319,14 +257,13 @@ mod tests {
         let full = CampaignSpec::parse("full", 1).expect("parses");
         assert_eq!(full.programs, 25);
         let custom = CampaignSpec::parse(
-            "programs=2, budget=1000, retries=3, classes=tag-bit-flip+dropped-wakeup, \
-             schemes=base, plant-panic=0",
+            "programs=2, budget=1000, classes=tag-bit-flip+dropped-wakeup, schemes=base, \
+             plant-panic=0",
             9,
         )
         .expect("parses");
         assert_eq!(custom.programs, 2);
         assert_eq!(custom.cycle_budget, 1000);
-        assert_eq!(custom.retries, 3);
         assert_eq!(custom.classes, vec![FaultClass::TagBitFlip, FaultClass::DroppedWakeup]);
         assert_eq!(custom.schemes, vec![Scheme::Base]);
         assert_eq!(custom.plant_panic, Some(0));
@@ -340,6 +277,7 @@ mod tests {
         assert!(CampaignSpec::parse("programs=0", 1).is_err());
         assert!(CampaignSpec::parse("classes=bogus", 1).is_err());
         assert!(CampaignSpec::parse("schemes=", 1).is_err());
+        assert!(CampaignSpec::parse("retries=1", 1).is_err());
     }
 
     #[test]
@@ -359,29 +297,25 @@ mod tests {
     }
 
     #[test]
-    fn planted_panic_is_reported_and_recovered() {
-        let mut spec = quick_spec(7);
-        spec.plant_panic = Some(1);
-        let report = run_campaign(&spec);
-        // The panic surfaced as a structured event...
-        assert_eq!(report.panics.len(), 1);
-        assert_eq!(report.panics[0].cell, 1);
-        assert!(report.panics[0].message.contains("planted campaign panic"));
-        // ...the retry recovered the cell, and nothing aborted.
-        assert!(report.panics[0].recovered);
-        assert_eq!(report.cells.len(), spec.runs());
-        assert!(report.aborted.is_empty());
-    }
-
-    #[test]
-    fn planted_panic_without_retries_aborts_only_that_cell() {
+    fn planted_panic_aborts_only_that_cell_with_its_message() {
         let mut spec = quick_spec(7);
         spec.plant_panic = Some(2);
-        spec.retries = 0;
         let report = run_campaign(&spec);
-        assert_eq!(report.aborted.len(), 1);
         assert_eq!(report.cells.len(), spec.runs() - 1);
-        assert!(!report.panics[0].recovered);
+        // Row-major cell 2 is (program 0, scheme `combined`, first class).
+        assert_eq!(report.aborted.len(), 1);
+        let aborted = &report.aborted[0];
+        assert_eq!(
+            (aborted.program, aborted.scheme, aborted.class),
+            (0, Scheme::Combined, FaultClass::SpuriousWakeup)
+        );
+        assert_eq!(aborted.message, "planted campaign panic in cell 2");
+        // Every other cell ran its own injection, as in a campaign with
+        // nothing planted.
+        let clean = run_campaign(&quick_spec(7));
+        let mut expected = clean.cells;
+        expected.remove(2);
+        assert_eq!(report.cells, expected);
     }
 
     #[test]

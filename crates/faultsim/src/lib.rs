@@ -12,19 +12,23 @@
 //!
 //! * **Detected** — the lockstep oracle, the strict invariant sweep, or
 //!   the cycle-budget watchdog fired;
-//! * **Masked** — the run completed with architectural state identical to
-//!   an independent reference emulation;
+//! * **Masked** — the fault fired and the run completed with architectural
+//!   state (every register and the executed count) identical to an
+//!   independent reference emulation;
+//! * **Dormant** — the run completed cleanly but the fault never fired
+//!   (its trigger never came up), so the run says nothing about
+//!   resilience;
 //! * **SDC** — silent data corruption: clean run, wrong final state. For
 //!   the speculation-free fault classes this must be **zero**; any SDC is
 //!   auto-shrunk through the differential shrinker into a corpus
 //!   reproducer.
 //!
-//! The runner is hardened: cells execute behind per-job panic isolation
-//! ([`hpa_core::parallel_map_isolated`]), hangs are converted into
-//! structured deadlocks by a per-run cycle budget, and transiently failing
-//! cells retry with a fresh derived seed. Every campaign is reproducible
-//! from its [`CampaignSpec`] alone — programs and injection parameters all
-//! derive from the master seed.
+//! Each cell runs once, behind per-job panic isolation
+//! ([`hpa_core::parallel_map_isolated`]): a panicking cell is reported as
+//! an [`AbortedCell`] with its panic message, and hangs are converted into
+//! structured deadlocks by a per-run cycle budget. Every campaign is
+//! reproducible from its [`CampaignSpec`] alone — programs and injection
+//! parameters all derive from the master seed.
 //!
 //! ```
 //! use hpa_faultsim::{run_campaign, CampaignSpec};
@@ -46,4 +50,4 @@ mod report;
 pub use campaign::{run_campaign, CampaignSpec};
 pub use classify::{classify_injected, Classification};
 pub use model::FaultClass;
-pub use report::{CampaignReport, CellOutcome, PanicEvent};
+pub use report::{AbortedCell, CampaignReport, CellOutcome};

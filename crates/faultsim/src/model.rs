@@ -8,7 +8,8 @@ use hpa_core::workloads::SplitMix64;
 /// targets one of the structures the paper's speculation-free claim rests
 /// on; a concrete [`FaultInjection`] is derived deterministically from the
 /// campaign seed via [`FaultClass::instantiate`], so any cell is
-/// reproducible from `(seed, program, scheme, class, attempt)` alone.
+/// reproducible from the seed and its row-major position in the
+/// campaign matrix alone.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum FaultClass {
     /// A spurious fast-bus wakeup: an operand is marked ready with no

@@ -4,6 +4,7 @@
 use crate::classify::Classification;
 use crate::model::FaultClass;
 use hpa_core::obs::json::Json;
+use hpa_core::sim::FaultInjection;
 use hpa_core::Scheme;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -20,29 +21,28 @@ pub struct CellOutcome {
     pub scheme: Scheme,
     /// The injected fault class.
     pub class: FaultClass,
-    /// Debug rendering of the concrete injection parameters.
-    pub injection: String,
+    /// The concrete injection the cell ran with (SDC shrinking re-runs
+    /// it).
+    pub injection: FaultInjection,
     /// AVF classification of the run.
     pub classification: Classification,
-    /// Attempts consumed (1 = first try; >1 means a transient harness
-    /// failure was retried with a fresh derived seed).
-    pub attempts: u32,
     /// Where the shrunk reproducer was written, for SDC cells with a
     /// corpus directory configured.
     pub reproducer: Option<PathBuf>,
 }
 
-/// A panic caught at the job boundary during the campaign.
+/// A `(program, scheme, fault-class)` cell whose run panicked: it has no
+/// classification, only the panic caught at the job boundary.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub struct PanicEvent {
-    /// Row-major cell index within the campaign matrix.
-    pub cell: usize,
-    /// The attempt (0-based) that panicked.
-    pub attempt: u32,
+pub struct AbortedCell {
+    /// Index of the generated program.
+    pub program: u64,
+    /// The scheme the cell ran under.
+    pub scheme: Scheme,
+    /// The injected fault class.
+    pub class: FaultClass,
     /// The panic payload rendered as text.
     pub message: String,
-    /// Whether a retry later completed the cell.
-    pub recovered: bool,
 }
 
 /// Everything a campaign run produced.
@@ -54,10 +54,8 @@ pub struct CampaignReport {
     pub programs: u64,
     /// Every completed cell, in row-major `(program, scheme, class)` order.
     pub cells: Vec<CellOutcome>,
-    /// Cells that failed every attempt (descriptors, not outcomes).
-    pub aborted: Vec<(u64, Scheme, FaultClass)>,
-    /// Panics caught at the job boundary (recovered or not).
-    pub panics: Vec<PanicEvent>,
+    /// Cells whose run panicked, in row-major order.
+    pub aborted: Vec<AbortedCell>,
 }
 
 impl CampaignReport {
@@ -154,7 +152,7 @@ impl CampaignReport {
             let Classification::Sdc { reason } = &c.classification else { continue };
             let _ = writeln!(
                 out,
-                "\nSDC: program {} scheme `{}` class `{}` ({}): {}",
+                "\nSDC: program {} scheme `{}` class `{}` ({:?}): {}",
                 c.program,
                 c.scheme.key(),
                 c.class.key(),
@@ -165,22 +163,14 @@ impl CampaignReport {
                 let _ = writeln!(out, "  reproducer: {}", p.display());
             }
         }
-        for p in &self.panics {
+        for a in &self.aborted {
             let _ = writeln!(
                 out,
-                "\njob error: cell {} attempt {} panicked ({}): {}",
-                p.cell,
-                p.attempt,
-                if p.recovered { "recovered by retry" } else { "NOT recovered" },
-                p.message
-            );
-        }
-        for (pi, scheme, class) in &self.aborted {
-            let _ = writeln!(
-                out,
-                "\naborted cell: program {pi} scheme `{}` class `{}` failed every attempt",
-                scheme.key(),
-                class.key()
+                "\naborted cell: program {} scheme `{}` class `{}` panicked: {}",
+                a.program,
+                a.scheme.key(),
+                a.class.key(),
+                a.message
             );
         }
         out
@@ -211,7 +201,7 @@ impl CampaignReport {
                 ("program", Json::from(c.program)),
                 ("scheme", Json::from(c.scheme.key())),
                 ("class", Json::from(c.class.key())),
-                ("injection", Json::from(c.injection.as_str())),
+                ("injection", Json::from(format!("{:?}", c.injection))),
                 ("reason", Json::from(reason.as_str())),
                 (
                     "reproducer",
@@ -221,12 +211,12 @@ impl CampaignReport {
                 ),
             ]))
         });
-        let panics = self.panics.iter().map(|p| {
+        let aborted_cells = self.aborted.iter().map(|a| {
             Json::obj(vec![
-                ("cell", Json::from(p.cell)),
-                ("attempt", Json::from(u64::from(p.attempt))),
-                ("recovered", Json::from(p.recovered)),
-                ("message", Json::from(p.message.as_str())),
+                ("program", Json::from(a.program)),
+                ("scheme", Json::from(a.scheme.key())),
+                ("class", Json::from(a.class.key())),
+                ("message", Json::from(a.message.as_str())),
             ])
         });
         Json::obj(vec![
@@ -240,7 +230,7 @@ impl CampaignReport {
             ("aborted", Json::from(self.aborted.len())),
             ("schemes", Json::Arr(schemes.collect())),
             ("sdc_cells", Json::Arr(sdc_cells.collect())),
-            ("panics", Json::Arr(panics.collect())),
+            ("aborted_cells", Json::Arr(aborted_cells.collect())),
         ])
     }
 }
@@ -258,45 +248,40 @@ mod tests {
                     program: 0,
                     scheme: Scheme::Base,
                     class: FaultClass::SpuriousWakeup,
-                    injection: "SpuriousWakeup { nth: 3 }".to_string(),
+                    injection: FaultInjection::SpuriousWakeup { nth: 3 },
                     classification: Classification::Detected { reason: "oracle".to_string() },
-                    attempts: 1,
                     reproducer: None,
                 },
                 CellOutcome {
                     program: 0,
                     scheme: Scheme::Base,
                     class: FaultClass::DelayedSlowBus,
-                    injection: "DelayedSlowBus { nth: 1 }".to_string(),
+                    injection: FaultInjection::DelayedSlowBus { nth: 1 },
                     classification: Classification::Masked,
-                    attempts: 2,
                     reproducer: None,
                 },
                 CellOutcome {
                     program: 0,
                     scheme: Scheme::Base,
                     class: FaultClass::StaleNowBits,
-                    injection: "StaleNowBits { nth: 2 }".to_string(),
+                    injection: FaultInjection::StaleNowBits { nth: 2 },
                     classification: Classification::Dormant,
-                    attempts: 1,
                     reproducer: None,
                 },
                 CellOutcome {
                     program: 0,
                     scheme: Scheme::Combined,
                     class: FaultClass::PrematureHalt,
-                    injection: "PrematureHalt { at_commit: 4 }".to_string(),
+                    injection: FaultInjection::PrematureHalt { at_commit: 4 },
                     classification: Classification::Sdc { reason: "r3 \"differs\"".to_string() },
-                    attempts: 1,
                     reproducer: None,
                 },
             ],
-            aborted: vec![(0, Scheme::Combined, FaultClass::TagBitFlip)],
-            panics: vec![PanicEvent {
-                cell: 7,
-                attempt: 0,
-                message: "planted".to_string(),
-                recovered: true,
+            aborted: vec![AbortedCell {
+                program: 0,
+                scheme: Scheme::Combined,
+                class: FaultClass::TagBitFlip,
+                message: "planted \"panic\"".to_string(),
             }],
         }
     }
@@ -310,8 +295,9 @@ mod tests {
         assert!(t.contains("scheme `base`"));
         assert!(t.contains("spurious-wakeup"));
         assert!(t.contains("SDC: program 0 scheme `combined`"));
-        assert!(t.contains("recovered by retry"));
-        assert!(t.contains("aborted cell"));
+        assert!(t.contains(
+            "aborted cell: program 0 scheme `combined` class `tag-bit-flip` panicked: planted"
+        ));
     }
 
     #[test]
@@ -324,6 +310,14 @@ mod tests {
         let sdc = j.get("sdc_cells").and_then(Json::as_arr).expect("sdc_cells");
         assert_eq!(sdc.len(), 1);
         assert_eq!(sdc[0].get("reason").and_then(Json::as_str), Some("r3 \"differs\""));
+        assert_eq!(
+            sdc[0].get("injection").and_then(Json::as_str),
+            Some("PrematureHalt { at_commit: 4 }")
+        );
         assert_eq!(sdc[0].get("reproducer"), Some(&Json::Null));
+        let aborted = j.get("aborted_cells").and_then(Json::as_arr).expect("aborted_cells");
+        assert_eq!(aborted.len(), 1);
+        assert_eq!(aborted[0].get("class").and_then(Json::as_str), Some("tag-bit-flip"));
+        assert_eq!(aborted[0].get("message").and_then(Json::as_str), Some("planted \"panic\""));
     }
 }

@@ -22,11 +22,8 @@ fn main() {
     for (i, (seed, width)) in cases.into_iter().enumerate() {
         let mut rng = SplitMix64::new(seed);
         let gen = GenProgram::random(&mut rng);
-        let variant = Variant {
-            width: if width == 8 { MachineWidth::Eight } else { MachineWidth::Four },
-            selective_recovery: false,
-            small_pc_table: false,
-        };
+        let width = if width == 8 { MachineWidth::Eight } else { MachineWidth::Four };
+        let variant = Variant { width, ..Variant::default() };
         let path = write_reproducer(
             dir,
             &format!("seed-{i}-{seed:06x}"),

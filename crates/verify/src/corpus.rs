@@ -7,14 +7,19 @@
 //! ; hpa-verify reproducer
 //! ; scheme: combined
 //! ; width: 4
+//! ; selective-recovery: false
+//! ; small-pc-table: true
 //! li      r1, 65536
 //! ...
 //! ```
 //!
-//! Replay runs the file through the full differential check (all
-//! [`FUZZ_SCHEMES`](crate::FUZZ_SCHEMES) in lockstep) at the declared
-//! width, so a reproducer keeps guarding against regressions in *every*
-//! scheme, not just the one that originally failed.
+//! The `width`, `selective-recovery` and `small-pc-table` lines record
+//! the fuzz [`Variant`]; a line that is absent takes the
+//! [`Variant::default`] value. Replay runs the file through the full
+//! differential check ([`run_differential`], all
+//! [`FUZZ_SCHEMES`](crate::FUZZ_SCHEMES)) at the recorded variant, so a
+//! reproducer keeps guarding against regressions in *every* scheme, not
+//! just the one that originally failed.
 
 use crate::fuzz::{run_differential, Variant};
 use crate::Divergence;
@@ -33,8 +38,8 @@ pub struct CorpusCase {
     /// The scheme recorded as the original offender (informational; replay
     /// always runs the full differential set).
     pub scheme: Option<Scheme>,
-    /// The machine width to replay at.
-    pub width: MachineWidth,
+    /// The configuration variant to replay at.
+    pub variant: Variant,
 }
 
 /// Writes a reproducer file, returning its path. The name is
@@ -58,8 +63,11 @@ pub fn write_reproducer(
         MachineWidth::Eight => 8,
     };
     let text = format!(
-        "; hpa-verify reproducer\n; scheme: {}\n; width: {width}\n{}",
+        "; hpa-verify reproducer\n; scheme: {}\n; width: {width}\n; selective-recovery: {}\n\
+         ; small-pc-table: {}\n{}",
         scheme.key(),
+        variant.selective_recovery,
+        variant.small_pc_table,
         disassemble(program)
     );
     std::fs::write(&path, text)?;
@@ -74,7 +82,12 @@ pub fn write_reproducer(
 pub fn load_case(path: &Path) -> Result<CorpusCase, String> {
     let source = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
     let mut scheme = None;
-    let mut width = MachineWidth::Four;
+    let mut variant = Variant::default();
+    let flag = |v: &str, key: &str| {
+        v.trim()
+            .parse::<bool>()
+            .map_err(|_| format!("{}: bad {key} `{}`", path.display(), v.trim()))
+    };
     for line in source.lines() {
         let Some(rest) = line.trim().strip_prefix(';') else { continue };
         let rest = rest.trim();
@@ -85,15 +98,19 @@ pub fn load_case(path: &Path) -> Result<CorpusCase, String> {
                     .ok_or_else(|| format!("{}: unknown scheme `{key}`", path.display()))?,
             );
         } else if let Some(v) = rest.strip_prefix("width:") {
-            width = match v.trim() {
+            variant.width = match v.trim() {
                 "4" => MachineWidth::Four,
                 "8" => MachineWidth::Eight,
                 other => return Err(format!("{}: bad width `{other}`", path.display())),
             };
+        } else if let Some(v) = rest.strip_prefix("selective-recovery:") {
+            variant.selective_recovery = flag(v, "selective-recovery")?;
+        } else if let Some(v) = rest.strip_prefix("small-pc-table:") {
+            variant.small_pc_table = flag(v, "small-pc-table")?;
         }
     }
     let program = parse_program(&source).map_err(|e| format!("{}: {e}", path.display()))?;
-    Ok(CorpusCase { path: path.to_path_buf(), program, scheme, width })
+    Ok(CorpusCase { path: path.to_path_buf(), program, scheme, variant })
 }
 
 /// Result of replaying a corpus directory.
@@ -127,9 +144,7 @@ pub fn replay_dir(dir: &Path) -> Result<ReplayReport, String> {
     for path in paths {
         let case = load_case(&path)?;
         report.cases += 1;
-        let variant =
-            Variant { width: case.width, selective_recovery: false, small_pc_table: false };
-        if let Err((scheme, d)) = run_differential(&case.program, variant) {
+        if let Err((scheme, d)) = run_differential(&case.program, case.variant) {
             report.failures.push((case.path, scheme, d));
         }
     }
@@ -149,16 +164,18 @@ mod tests {
         let mut rng = SplitMix64::new(21);
         let gen = GenProgram::random(&mut rng);
         let program = gen.lower();
-        let variant = Variant {
-            width: MachineWidth::Eight,
-            selective_recovery: false,
-            small_pc_table: false,
-        };
-        let path =
-            write_reproducer(&dir, "case", &program, Scheme::Combined, variant).expect("writes");
+        // Every variant field survives the header, the default one and
+        // one with each field changed.
+        let variant =
+            Variant { width: MachineWidth::Eight, selective_recovery: true, small_pc_table: true };
+        for v in [Variant::default(), variant] {
+            let path =
+                write_reproducer(&dir, "case", &program, Scheme::Combined, v).expect("writes");
+            assert_eq!(load_case(&path).expect("parses").variant, v);
+        }
+        let path = dir.join("case.s");
         let case = load_case(&path).expect("parses");
         assert_eq!(case.scheme, Some(Scheme::Combined));
-        assert_eq!(case.width, MachineWidth::Eight);
         // The text round-trip preserves instructions and the data image
         // (segment granularity may differ; labels are debug metadata).
         assert_eq!(case.program.insts(), program.insts());
@@ -178,6 +195,18 @@ mod tests {
         let report = replay_dir(&dir).expect("replays");
         assert_eq!(report.cases, 1);
         assert!(report.failures.is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn header_without_variant_lines_replays_at_the_default_variant() {
+        let dir = std::env::temp_dir().join("hpa-verify-corpus-header-test");
+        std::fs::create_dir_all(&dir).expect("creates");
+        let path = dir.join("old.s");
+        std::fs::write(&path, "; hpa-verify reproducer\n; scheme: base\nhalt\n").expect("writes");
+        assert_eq!(load_case(&path).expect("parses").variant, Variant::default());
+        std::fs::write(&path, "; small-pc-table: maybe\nhalt\n").expect("writes");
+        assert!(load_case(&path).expect_err("rejects").contains("bad small-pc-table `maybe`"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

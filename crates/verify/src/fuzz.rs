@@ -6,7 +6,7 @@ use crate::oracle::{run_lockstep, run_lockstep_window};
 use crate::shrink::shrink;
 use crate::Divergence;
 use hpa_core::asm::Program;
-use hpa_core::emu::{Emulator, RunOutcome};
+use hpa_core::emu::Emulator;
 use hpa_core::sim::{RecoveryKind, SampleUnits, SampledRunner, SimConfig};
 use hpa_core::workloads::SplitMix64;
 use hpa_core::{default_jobs, parallel_map, MachineWidth, Scheme};
@@ -54,6 +54,14 @@ impl Variant {
     }
 }
 
+impl Default for Variant {
+    /// The plain 4-wide machine with neither tweak: what a reproducer
+    /// whose header names no variant replays at.
+    fn default() -> Variant {
+        Variant { width: MachineWidth::Four, selective_recovery: false, small_pc_table: false }
+    }
+}
+
 /// Fuzzer parameters.
 #[derive(Clone, Debug)]
 pub struct FuzzConfig {
@@ -65,16 +73,11 @@ pub struct FuzzConfig {
     pub jobs: usize,
     /// Where to write shrunk reproducers (`None` to skip writing).
     pub corpus_dir: Option<PathBuf>,
-    /// Fuzz the tiered path instead of whole-program lockstep: snapshot
-    /// mid-program, oracle-validate a from-snapshot detailed window per
-    /// scheme, and replay the whole program through the sampled runner
-    /// (see [`run_differential_sampled`]).
-    pub sampled: bool,
 }
 
 impl Default for FuzzConfig {
     fn default() -> FuzzConfig {
-        FuzzConfig { iters: 1000, seed: 42, jobs: default_jobs(), corpus_dir: None, sampled: false }
+        FuzzConfig { iters: 1000, seed: 42, jobs: default_jobs(), corpus_dir: None }
     }
 }
 
@@ -101,128 +104,80 @@ pub struct FuzzFailure {
 pub struct FuzzReport {
     /// Programs generated.
     pub iters: u64,
-    /// Individual `(program, scheme)` lockstep simulations executed.
+    /// `(program, scheme)` pairs checked by [`run_differential`].
     pub runs: u64,
     /// Divergences found (empty on a clean campaign).
     pub failures: Vec<FuzzFailure>,
 }
 
-/// Runs every fuzz scheme on `program` under `variant` in lockstep and
-/// cross-compares the final architectural states against the base scheme.
+/// The differential check: runs `program` under every fuzz scheme at
+/// `variant` three ways, and requires each result to agree with the base
+/// scheme's.
+///
+/// Per scheme it runs:
+/// 1. the whole program under the lockstep oracle ([`run_lockstep`]);
+/// 2. a detailed window restored from a snapshot at the midpoint of the
+///    dynamic stream, under the oracle ([`run_lockstep_window`]: the
+///    commit stream must match independent functional replay reaching the
+///    same region);
+/// 3. the whole program through [`SampledRunner`] with tiny units, whose
+///    main emulator must land on the whole-program final state (sampling
+///    must never execute an instruction twice or zero times).
 ///
 /// # Errors
 ///
 /// The first failing scheme with its [`Divergence`].
 pub fn run_differential(program: &Program, variant: Variant) -> Result<(), (Scheme, Divergence)> {
-    let mut base_state = None;
-    for scheme in FUZZ_SCHEMES {
-        let outcome = run_lockstep(program, variant.configure(scheme)).map_err(|d| (scheme, d))?;
-        match &base_state {
-            None => base_state = Some(outcome.state),
-            Some(base) => {
-                if let Some(reason) = outcome.state.first_difference(
-                    base,
-                    &format!("`{}`", scheme.key()),
-                    &format!("`{}`", Scheme::Base.key()),
-                ) {
-                    return Err((
-                        scheme,
-                        Divergence::at(
-                            outcome.cycles,
-                            format!("cross-scheme architectural mismatch: {reason}"),
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// The sampled-mode differential check: validates the tiered-simulation
-/// machinery end to end on one generated program.
-///
-/// Per scheme, it (1) fast-forwards a functional emulator to the midpoint
-/// of the dynamic stream, snapshots, and runs a from-snapshot detailed
-/// window under the lockstep oracle ([`run_lockstep_window`] — the commit
-/// stream must match independent functional replay reaching the same
-/// region), cross-comparing the final states across schemes; and (2)
-/// replays the whole program through [`SampledRunner`] with tiny units,
-/// requiring its main emulator to land on exactly the reference
-/// architectural state (sampling must never execute an instruction twice
-/// or zero times).
-///
-/// # Errors
-///
-/// The first failing scheme with its [`Divergence`].
-pub fn run_differential_sampled(
-    program: &Program,
-    variant: Variant,
-) -> Result<(), (Scheme, Divergence)> {
-    const BUDGET: u64 = 10_000_000;
-    let fail = |reason: String| (Scheme::Base, Divergence::at(0, reason));
-
-    let mut reference = Emulator::new(program);
-    match reference.run(BUDGET) {
-        Ok(RunOutcome::Halted { .. }) => {}
-        Ok(RunOutcome::BudgetExhausted { .. }) => {
-            return Err(fail(format!("reference emulation did not halt within {BUDGET} steps")));
-        }
-        Err(e) => return Err(fail(format!("reference emulation faulted: {e}"))),
-    }
-    let total = reference.executed();
-    let ref_state = ArchState::capture(&reference);
-
-    // Snapshot at the midpoint of the dynamic stream.
+    let base = run_lockstep(program, variant.configure(Scheme::Base))
+        .map_err(|d| (Scheme::Base, d))?
+        .state;
+    // The base run reached `halt`, so its executed count is the program's.
     let mut emu = Emulator::new(program);
-    emu.run(total / 2).map_err(|e| fail(format!("fast-forward faulted: {e}")))?;
+    emu.run(base.executed / 2).map_err(|e| {
+        (Scheme::Base, Divergence::at(0, format!("fast-forward to the snapshot faulted: {e}")))
+    })?;
     let snap = emu.snapshot();
-
     let units = SampleUnits::new(4, 12, 16).expect("static units are valid");
-    let mut base_state = None;
+
+    let mut base_window = None;
     for scheme in FUZZ_SCHEMES {
-        // Oracle-validated detailed window from the snapshot to the end.
-        let outcome = run_lockstep_window(program, variant.configure(scheme), &snap)
-            .map_err(|d| (scheme, d))?;
-        match &base_state {
-            None => base_state = Some(outcome.state),
-            Some(base) => {
-                if let Some(reason) = outcome.state.first_difference(
-                    base,
-                    &format!("`{}`", scheme.key()),
-                    &format!("`{}`", Scheme::Base.key()),
-                ) {
-                    return Err((
-                        scheme,
-                        Divergence::at(
-                            outcome.cycles,
-                            format!(
-                                "cross-scheme architectural mismatch (snapshot window): {reason}"
-                            ),
-                        ),
-                    ));
-                }
-            }
+        let config = || variant.configure(scheme);
+        let fail = |d: Divergence| (scheme, d);
+        if scheme != Scheme::Base {
+            let whole = run_lockstep(program, config()).map_err(fail)?;
+            agree(scheme, "whole-program run", &whole.state, &base)?;
         }
-        // End-to-end sampled replay: architecture must be exact.
-        let runner = SampledRunner::new(variant.configure(scheme), units).with_seed(total);
-        let out = runner.run(program).map_err(|fault| {
-            (scheme, Divergence::at(0, format!("sampled runner fault: {fault}")))
-        })?;
-        let sampled_state = ArchState::capture(&out.emulator);
-        if let Some(reason) =
-            sampled_state.first_difference(&ref_state, "sampled-mode emulator", "reference")
-        {
-            return Err((
-                scheme,
-                Divergence::at(0, format!("sampled replay altered architecture: {reason}")),
-            ));
-        }
+        let window = run_lockstep_window(program, config(), &snap).map_err(fail)?;
+        agree(scheme, "snapshot window", &window.state, base_window.get_or_insert(window.state))?;
+        let sampled = SampledRunner::new(config(), units)
+            .with_seed(base.executed)
+            .run(program)
+            .map_err(|fault| fail(Divergence::at(0, format!("sampled runner fault: {fault}"))))?;
+        agree(scheme, "sampled replay", &ArchState::capture(&sampled.emulator), &base)?;
     }
     Ok(())
 }
 
-fn iteration_rng(seed: u64, index: u64) -> SplitMix64 {
+/// Requires one scheme's final state from `check` to equal base's.
+fn agree(
+    scheme: Scheme,
+    check: &str,
+    state: &ArchState,
+    base: &ArchState,
+) -> Result<(), (Scheme, Divergence)> {
+    match state.first_difference(base, &format!("`{}`", scheme.key()), "`base`") {
+        None => Ok(()),
+        Some(reason) => {
+            Err((scheme, Divergence::at(0, format!("{check} disagrees with base: {reason}"))))
+        }
+    }
+}
+
+/// The seeded stream that draws program `index` of a fuzz or fault
+/// campaign: the same `(seed, index)` always draws the same program,
+/// however many programs the campaign runs.
+#[must_use]
+pub fn program_rng(seed: u64, index: u64) -> SplitMix64 {
     SplitMix64::new(seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
@@ -235,14 +190,12 @@ fn iteration_rng(seed: u64, index: u64) -> SplitMix64 {
 /// debugging session needs, and shrinking re-simulates heavily.
 #[must_use]
 pub fn fuzz(cfg: &FuzzConfig) -> FuzzReport {
-    let differential: Differential =
-        if cfg.sampled { run_differential_sampled } else { run_differential };
     let indices: Vec<u64> = (0..cfg.iters).collect();
     let raw = parallel_map(&indices, cfg.jobs, |_, &index| {
-        let mut rng = iteration_rng(cfg.seed, index);
+        let mut rng = program_rng(cfg.seed, index);
         let gen = GenProgram::random(&mut rng);
         let variant = Variant::random(&mut rng);
-        differential(&gen.lower(), variant)
+        run_differential(&gen.lower(), variant)
             .err()
             .map(|(scheme, divergence)| (index, gen, variant, scheme, divergence))
     });
@@ -254,8 +207,7 @@ pub fn fuzz(cfg: &FuzzConfig) -> FuzzReport {
         if failures.len() >= MAX_SHRUNK {
             break;
         }
-        let (program, variant, divergence) =
-            minimize(differential, &gen, variant, (scheme, divergence));
+        let (program, variant, divergence) = minimize(&gen, variant, divergence);
         let reproducer = cfg.corpus_dir.as_ref().and_then(|dir| {
             write_reproducer(
                 dir,
@@ -271,21 +223,16 @@ pub fn fuzz(cfg: &FuzzConfig) -> FuzzReport {
     FuzzReport { iters: cfg.iters, runs, failures }
 }
 
-/// The differential check one fuzz campaign applies per iteration
-/// (whole-program lockstep, or the tiered/sampled variant).
-type Differential = fn(&Program, Variant) -> Result<(), (Scheme, Divergence)>;
-
 /// Shrinks a failing case: body deletion (via [`shrink`]), then config
 /// simplification (drop the variant tweaks, fall back to 4-wide) — each
-/// accepted only while the differential check still fails.
+/// accepted only while [`run_differential`] still fails.
 fn minimize(
-    differential: Differential,
     gen: &GenProgram,
     variant: Variant,
-    seed_failure: (Scheme, Divergence),
+    divergence: Divergence,
 ) -> (GenProgram, Variant, Divergence) {
-    let still_fails = |g: &GenProgram, v: Variant| differential(&g.lower(), v).err();
-    let mut best = shrink(gen, |g| still_fails(g, variant).is_some());
+    let still_fails = |g: &GenProgram, v: Variant| run_differential(&g.lower(), v).err();
+    let best = shrink(gen, |g| still_fails(g, variant).is_some());
 
     let mut v = variant;
     for candidate in [
@@ -301,10 +248,7 @@ fn minimize(
     // simplification somehow made it pass, keep the original report.
     match still_fails(&best, v) {
         Some((_, d)) => (best, v, d),
-        None => {
-            best = gen.clone();
-            (best, variant, seed_failure.1)
-        }
+        None => (gen.clone(), variant, divergence),
     }
 }
 
@@ -313,8 +257,9 @@ mod tests {
     use super::*;
 
     /// The headline guarantee: a seeded campaign over all four schemes
-    /// finds no divergence. (The full 1000-iteration run is the CLI smoke
-    /// gate; this keeps the unit suite quick.)
+    /// finds no divergence in whole-program lockstep, snapshot windows or
+    /// sampled replay. (The 200-iteration run is the CLI smoke gate; this
+    /// keeps the unit suite quick.)
     #[test]
     fn seeded_campaign_is_clean() {
         let report = fuzz(&FuzzConfig { iters: 60, seed: 42, ..FuzzConfig::default() });
@@ -326,26 +271,12 @@ mod tests {
         );
     }
 
-    /// The tiered variant of the same guarantee: snapshot windows and the
-    /// sampled runner agree with the reference on every scheme.
-    #[test]
-    fn seeded_sampled_campaign_is_clean() {
-        let report =
-            fuzz(&FuzzConfig { iters: 20, seed: 42, sampled: true, ..FuzzConfig::default() });
-        assert_eq!(report.runs, 80);
-        assert!(
-            report.failures.is_empty(),
-            "divergences found: {:?}",
-            report.failures.iter().map(|f| f.divergence.reason.clone()).collect::<Vec<_>>()
-        );
-    }
-
     #[test]
     fn iteration_streams_are_independent_of_iter_count() {
         // Iteration k draws the same program whether the campaign runs 10
         // or 1000 iterations — reproducers stay valid across -iters.
-        let mut a = iteration_rng(42, 7);
-        let mut b = iteration_rng(42, 7);
+        let mut a = program_rng(42, 7);
+        let mut b = program_rng(42, 7);
         assert_eq!(GenProgram::random(&mut a), GenProgram::random(&mut b));
     }
 }

@@ -14,9 +14,11 @@
 //!   a pipeline-state dump;
 //! * **differential fuzzer** ([`fuzz`]): a seeded random-program generator
 //!   ([`GenProgram`]) produces short loops with dependency chains, aliasing
-//!   loads/stores and forward branches, then runs each program under the
-//!   base machine and the half-price schemes in lockstep and asserts all
-//!   schemes produce identical architectural outcomes;
+//!   loads/stores and forward branches, then [`run_differential`] runs each
+//!   program under the base machine and the half-price schemes — whole
+//!   program and a mid-program snapshot window in lockstep, plus a sampled
+//!   replay — and asserts all schemes produce identical architectural
+//!   outcomes;
 //! * **shrinker** ([`shrink`]): failing `(program, config)` pairs are
 //!   minimized by instruction deletion and config simplification, and
 //!   written to `tests/corpus/` as replayable `.s` reproducers
@@ -38,8 +40,7 @@ mod shrink;
 
 pub use corpus::{load_case, replay_dir, write_reproducer, CorpusCase, ReplayReport};
 pub use fuzz::{
-    fuzz, run_differential, run_differential_sampled, FuzzConfig, FuzzFailure, FuzzReport, Variant,
-    FUZZ_SCHEMES,
+    fuzz, program_rng, run_differential, FuzzConfig, FuzzFailure, FuzzReport, Variant, FUZZ_SCHEMES,
 };
 pub use generate::{ArchState, GenInst, GenProgram, ARENA0, ARENA1};
 #[doc(hidden)]

@@ -25,16 +25,10 @@ pub struct LockstepOracle {
 }
 
 impl LockstepOracle {
-    /// Builds the oracle with a fresh shadow emulator for `program`.
-    #[must_use]
-    pub fn new(program: &Program) -> LockstepOracle {
-        LockstepOracle { shadow: Emulator::new(program) }
-    }
-
-    /// Builds the oracle around an already-positioned shadow — the
-    /// mid-program variant used to validate detailed windows started from
-    /// a snapshot. The shadow must stand exactly at the first instruction
-    /// the window will commit.
+    /// Builds the oracle around `shadow`, which must stand exactly at the
+    /// first instruction the simulator will commit: a fresh emulator for
+    /// a whole-program run, or one advanced to the snapshot point for a
+    /// detailed window started from a snapshot.
     #[must_use]
     pub fn with_shadow(shadow: Emulator) -> LockstepOracle {
         LockstepOracle { shadow }
@@ -153,7 +147,7 @@ pub struct LockstepOutcome {
 /// fault, a scheduler deadlock, or a final-state mismatch
 /// ([`Divergence::final_state`]).
 pub fn run_lockstep(program: &Program, config: SimConfig) -> Result<LockstepOutcome, Divergence> {
-    run_lockstep_inner(program, config, None, u64::MAX)
+    drive(program, Simulator::new(program, config), Emulator::new(program), Reference::ToHalt)
 }
 
 /// [`run_lockstep`] with a planted scheduler bug and a watchdog: a run
@@ -167,42 +161,57 @@ pub fn run_lockstep_injected(
     injection: FaultInjection,
     cycle_budget: u64,
 ) -> Result<LockstepOutcome, Divergence> {
-    run_lockstep_inner(program, config, Some(injection), cycle_budget)
+    let mut sim = Simulator::new(program, config);
+    sim.set_cycle_budget(cycle_budget);
+    sim.inject_fault(injection);
+    drive(program, sim, Emulator::new(program), Reference::ToHalt)
 }
 
-fn run_lockstep_inner(
+/// How far the final-state cross-check's reference emulation runs.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Reference {
+    /// To `halt`: a whole-program run must end where the program ends,
+    /// which is what catches a simulator finishing early without
+    /// committing the tail (the per-commit oracle structurally cannot).
+    ToHalt,
+    /// To the simulator's own executed count: a window ends wherever its
+    /// config bounds it.
+    ToExecuted,
+}
+
+/// The one lockstep driver: attaches a [`LockstepOracle`] around `shadow`
+/// (which must stand at the first instruction `sim` commits), turns on the
+/// strict invariant sweep, runs `sim`, and cross-checks its final
+/// architectural state against a fresh emulation of `program` run as far
+/// as `reference` says.
+fn drive(
     program: &Program,
-    config: SimConfig,
-    injection: Option<FaultInjection>,
-    cycle_budget: u64,
+    mut sim: Simulator,
+    shadow: Emulator,
+    reference: Reference,
 ) -> Result<LockstepOutcome, Divergence> {
-    let mut sim = Simulator::new(program, config);
-    sim.set_commit_hook(Box::new(LockstepOracle::new(program)));
+    sim.set_commit_hook(Box::new(LockstepOracle::with_shadow(shadow)));
     sim.set_strict_invariants(true);
-    sim.set_cycle_budget(cycle_budget);
-    if let Some(inj) = injection {
-        sim.inject_fault(inj);
-    }
     sim.try_run().map_err(fault_to_divergence)?;
 
-    // Final-state cross-check: an independent emulation of the whole
-    // program must agree with the simulator's architectural state. This
-    // catches defects the per-commit oracle structurally cannot (e.g. the
-    // simulator finishing early without committing the tail).
-    let mut reference = Emulator::new(program);
-    let reason = match reference.run(REFERENCE_BUDGET) {
-        Ok(RunOutcome::Halted { .. }) => None,
-        Ok(RunOutcome::BudgetExhausted { .. }) => {
+    let mut emu = Emulator::new(program);
+    let steps = match reference {
+        Reference::ToHalt => REFERENCE_BUDGET,
+        Reference::ToExecuted => sim.emulator().executed(),
+    };
+    let reason = match emu.run(steps) {
+        Ok(RunOutcome::BudgetExhausted { .. }) if reference == Reference::ToHalt => {
             Some(format!("reference emulation did not halt within {REFERENCE_BUDGET} steps"))
         }
+        Ok(_) => None,
         Err(e) => Some(format!("reference emulation faulted: {e}")),
     };
     if let Some(reason) = reason {
         return Err(Divergence::at(sim.cycle(), reason));
     }
-    let sim_state = ArchState::capture(sim.emulator());
-    let ref_state = ArchState::capture(&reference);
-    if let Some(diff) = sim_state.first_difference(&ref_state, "simulator", "reference") {
+    let state = ArchState::capture(sim.emulator());
+    let reference_state = ArchState::capture(&emu);
+    if let Some(diff) = state.first_difference(&reference_state, "simulator", "reference") {
         return Err(Divergence {
             seq: 0,
             cycle: sim.cycle(),
@@ -214,7 +223,7 @@ fn run_lockstep_inner(
     Ok(LockstepOutcome {
         cycles: sim.stats().cycles,
         committed: sim.stats().committed,
-        state: sim_state,
+        state,
         fired: sim.injection_fired(),
     })
 }
@@ -280,37 +289,8 @@ pub fn run_lockstep_window(
     if let Some(reason) = replay_error {
         return Err(Divergence::at(0, reason));
     }
-
-    let mut sim = Simulator::from_snapshot(program, config, snap, BranchWarmth::cold());
-    sim.set_commit_hook(Box::new(LockstepOracle::with_shadow(shadow)));
-    sim.set_strict_invariants(true);
-    sim.try_run().map_err(fault_to_divergence)?;
-
-    // Final-state cross-check: a fresh emulation advanced by the same
-    // total instruction count must agree with the window's fetch-front
-    // emulator (restored state + window execution ≡ straight-line
-    // functional execution).
-    let mut reference = Emulator::new(program);
-    if let Err(e) = reference.run(sim.emulator().executed()) {
-        return Err(Divergence::at(sim.cycle(), format!("reference emulation faulted: {e}")));
-    }
-    let sim_state = ArchState::capture(sim.emulator());
-    let ref_state = ArchState::capture(&reference);
-    if let Some(reason) = sim_state.first_difference(&ref_state, "window", "reference") {
-        return Err(Divergence {
-            seq: 0,
-            cycle: sim.cycle(),
-            reason: format!("window final state mismatch: {reason}"),
-            dump: sim.dump_state(),
-            final_state: Some(reason),
-        });
-    }
-    Ok(LockstepOutcome {
-        cycles: sim.stats().cycles,
-        committed: sim.stats().committed,
-        state: sim_state,
-        fired: false,
-    })
+    let sim = Simulator::from_snapshot(program, config, snap, BranchWarmth::cold());
+    drive(program, sim, shadow, Reference::ToExecuted)
 }
 
 #[cfg(test)]

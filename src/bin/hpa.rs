@@ -116,7 +116,7 @@ const COMMANDS: &[Subcommand] = &[
     Subcommand {
         name: "fuzz",
         help: "differential fuzzing campaign",
-        usage: "hpa fuzz [--iters N] [--seed S] [--jobs N] [--corpus DIR] [--sampled]",
+        usage: "hpa fuzz [--iters N] [--seed S] [--jobs N] [--corpus DIR]",
         run: cmd_fuzz,
     },
     Subcommand {
@@ -655,20 +655,22 @@ fn cmd_verify(args: &[String]) -> CliResult {
     }
 
     // ELF binaries go through the hpa-rv frontend (no corpus header);
-    // corpus `.s` cases keep their recorded scheme/width.
+    // corpus `.s` cases keep their recorded scheme and variant.
     let is_elf = std::fs::read(path).is_ok_and(|b| b.starts_with(b"\x7fELF"));
     let case = if is_elf {
         verify::CorpusCase {
             path: path.to_path_buf(),
             program: load_file(target)?.0,
             scheme: None,
-            width: MachineWidth::Four,
+            variant: verify::Variant::default(),
         }
     } else {
         verify::load_case(path).map_err(other)?
     };
-    let width = if flag(args, "--width").is_some() { machine_width(args)? } else { case.width };
-    let variant = verify::Variant { width, selective_recovery: false, small_pc_table: false };
+    let mut variant = case.variant;
+    if flag(args, "--width").is_some() {
+        variant.width = machine_width(args)?;
+    }
     match flag(args, "--scheme").as_deref() {
         None | Some("all") => {
             verify::run_differential(&case.program, variant).map_err(|(scheme, d)| {
@@ -677,7 +679,7 @@ fn cmd_verify(args: &[String]) -> CliResult {
             println!(
                 "{target}: {} scheme(s) agree in lockstep on the {} machine",
                 verify::FUZZ_SCHEMES.len(),
-                width.label()
+                variant.width.label()
             );
         }
         Some(key) => {
@@ -702,17 +704,13 @@ fn cmd_fuzz(args: &[String]) -> CliResult {
     cfg.iters = num_flag(args, "--iters", cfg.iters)?;
     cfg.seed = num_flag(args, "--seed", cfg.seed)?;
     cfg.jobs = jobs_flag(args)?;
-    // `--sampled` takes no value here: it switches the differential check
-    // to the tiered variant (snapshot windows + sampled runner replay).
-    cfg.sampled = args.iter().any(|a| a == "--sampled");
     let corpus = flag(args, "--corpus").unwrap_or_else(|| "tests/corpus".into());
     cfg.corpus_dir = Some(corpus.clone().into());
 
     let t0 = std::time::Instant::now();
     let report = verify::fuzz(&cfg);
     println!(
-        "fuzz{}: {} program(s), {} lockstep run(s), seed {}, {} job(s), {:.1}s",
-        if cfg.sampled { " (sampled)" } else { "" },
+        "fuzz: {} program(s), {} (program, scheme) check(s), seed {}, {} job(s), {:.1}s",
         report.iters,
         report.runs,
         cfg.seed,
@@ -774,7 +772,7 @@ fn cmd_faults(args: &[String]) -> CliResult {
     }
     if !report.aborted.is_empty() {
         return Err(CliError::Fault(format!(
-            "{} campaign cell(s) failed every attempt (see job errors above)",
+            "{} campaign cell(s) aborted (see the aborted cells above)",
             report.aborted.len()
         )));
     }

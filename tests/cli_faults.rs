@@ -10,16 +10,16 @@ use std::process::Command;
 /// memory): the second load faults the emulator at fetch.
 const FAULTING: &str = "li r1, #0\nldq r2, 0(r1)\nsub r1, #1, r1\nldq r3, 0(r1)\nhalt\n";
 
-/// A scratch directory unique to this test process.
-fn scratch_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("hpa-cli-faults-{}", std::process::id()));
+/// A scratch directory unique to this test process and `test`.
+fn scratch_dir(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("hpa-cli-{test}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create scratch dir");
     dir
 }
 
 #[test]
 fn faulting_program_exits_1_with_one_error_line_and_no_panic() {
-    let dir = scratch_dir();
+    let dir = scratch_dir("faults");
     let prog = dir.join("fault.s");
     std::fs::write(&prog, FAULTING).expect("write program");
     let prog = prog.to_str().expect("utf-8 path");
@@ -71,4 +71,36 @@ fn closed_stdout_ends_output_quietly_with_exit_0() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(!stderr.contains("panicked at"), "hpa asm panicked:\n{stderr}");
     assert_eq!(out.status.code(), Some(0), "{stderr}");
+}
+
+/// A fault campaign whose one cell panics runs that cell once: the panic
+/// is reported as an aborted cell with its message, not retried under a
+/// fresh injection, and the campaign exits 3.
+#[test]
+fn panicking_campaign_cell_is_reported_aborted_and_exits_3() {
+    let dir = scratch_dir("campaign");
+    let out_json = dir.join("resilience.json");
+    let spec = "programs=1, schemes=base, classes=read-port-storm, plant-panic=0";
+    let out = Command::new(env!("CARGO_BIN_EXE_hpa"))
+        .args(["faults", "--campaign", spec, "--seed", "42", "--out"])
+        .arg(&out_json)
+        .arg("--corpus")
+        .arg(dir.join("corpus"))
+        .output()
+        .expect("spawn hpa");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "{stdout}\n{stderr}");
+    assert!(
+        stdout.contains(
+            "aborted cell: program 0 scheme `base` class `read-port-storm` panicked: \
+             planted campaign panic in cell 0"
+        ),
+        "{stdout}"
+    );
+    assert!(stderr.contains("1 campaign cell(s) aborted"), "{stderr}");
+    let json = std::fs::read_to_string(&out_json).expect("resilience report written");
+    assert!(json.contains("\"aborted\":1"), "{json}");
+    assert!(json.contains("\"message\":\"planted campaign panic in cell 0\""), "{json}");
+    std::fs::remove_dir_all(&dir).expect("remove scratch dir");
 }

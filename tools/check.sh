@@ -90,23 +90,22 @@ fi
 echo "hpabench sampled-long: correct, $(json_scalar "$bench_line" attempted) attempted, 0 failed"
 
 echo "== fuzz smoke (fixed seed) =="
-# Differential fuzzing gate: 200 random programs, each run in lockstep with
-# the shadow emulator under base + three half-price schemes. Any divergence
-# exits non-zero and leaves a shrunk reproducer in tests/corpus/.
+# Differential fuzzing gate: 200 random programs under base + three
+# half-price schemes. Per scheme, each program runs whole in lockstep with
+# the shadow emulator, as a detailed window restored from a midpoint
+# snapshot and lockstep-checked against an independently advanced shadow,
+# and through the sampled runner; every final state must agree with
+# base's. Any divergence exits non-zero and leaves a shrunk reproducer in
+# tests/corpus/.
 cargo run --release -q --bin hpa -- fuzz --iters 200 --seed 42
-
-echo "== sampled fuzz smoke (fixed seed) =="
-# The tiered variant of the same gate: every program is snapshotted at its
-# midpoint, a detailed window restored from the snapshot is lockstep-
-# checked against an independently advanced shadow, and a full sampled run
-# must reproduce the reference architectural state under every scheme.
-cargo run --release -q --bin hpa -- fuzz --iters 200 --seed 42 --sampled
 
 echo "== fault-injection mini campaign (fixed seed) =="
 # Resilience gate: 140 injected runs (5 seeded programs x 4 schemes x 7
-# fault classes) against the lockstep oracle. Exits non-zero on any SDC
-# (code 4, reproducer shrunk into tests/corpus/) or aborted cell (code 3),
-# so zero silent corruption and zero unhandled panics are enforced here.
+# fault classes) against the lockstep oracle. Each cell runs once. Exits
+# non-zero on any SDC (code 4, reproducer shrunk into tests/corpus/) or on
+# any cell whose run panicked (code 3, reported as an aborted cell with
+# its panic message), so zero silent corruption and zero panics are
+# enforced here.
 resilience="$(mktemp /tmp/hpa-resilience.XXXXXX.json)"
 cargo run --release -q --bin hpa -- faults --campaign mini --seed 42 --out "$resilience"
 echo "resilience report written to $resilience"
