@@ -5,14 +5,14 @@
 //!
 //! Each experiment names the machines it compares per benchmark; several
 //! of them share a machine (all three run the base machine), so
-//! [`extension_tables`] simulates each distinct (benchmark, machine) cell
-//! once and fans the cells out over `--jobs`.
+//! [`extension_tables`] simulates each distinct [`cell_key`] once, as one
+//! [`run_all`] list over `--jobs`.
 
 use crate::HarnessArgs;
 use hpa_core::report::Table;
 use hpa_core::sim::{BypassScheme, RecoveryKind, RenameScheme, SimConfig, SimStats, WakeupScheme};
-use hpa_core::workloads::workload;
-use hpa_core::{parallel_map, run, MachineWidth, RunSpec, Scheme};
+use hpa_core::workloads::{workload, Workload};
+use hpa_core::{cell_key, run_all, MachineWidth, RunSpec, Scheme};
 use std::collections::HashMap;
 
 /// Last-arrival predictor sizes of the predictor ablation.
@@ -140,31 +140,30 @@ const EXTENSIONS: [Extension; 3] = [
 pub fn extension_tables(args: &HarnessArgs) -> Vec<Table> {
     let workloads: Vec<_> =
         args.benches.iter().map(|name| workload(name, args.scale).expect("known name")).collect();
-    // A machine's identity is its configuration's debug text, the same
-    // identity the result cache keys on.
-    let key = |config: &SimConfig| format!("{config:?}");
-    let mut cells = Vec::new();
+    let key =
+        |w: &Workload, config: &SimConfig| cell_key(&w.program, config, Scheme::Base, 0, None);
+    let (mut keys, mut specs) = (Vec::new(), Vec::new());
     for &width in &args.widths {
-        let mut seen = Vec::new();
         for config in EXTENSIONS.iter().flat_map(|e| (e.machines)(width)) {
-            let k = key(&config);
-            if !seen.contains(&k) {
-                seen.push(k);
-                cells.extend(workloads.iter().map(|w| (width, w, config.clone())));
+            for w in &workloads {
+                let k = key(w, &config);
+                if !keys.contains(&k) {
+                    keys.push(k);
+                    specs.push(RunSpec {
+                        config: config.clone(),
+                        ..RunSpec::workload(w, Scheme::Base, width)
+                    });
+                }
             }
         }
     }
-    let stats = parallel_map(&cells, args.jobs, |_, (width, w, config)| {
-        let r =
-            run(&RunSpec { config: config.clone(), ..RunSpec::workload(w, Scheme::Base, *width) })
-                .unwrap_or_else(|e| panic!("{e}"));
-        eprintln!("  {} [{}]: ipc {:.3}", r.workload, width.label(), r.stats.ipc());
-        r.stats
+    let results = run_all(&specs, args.jobs, |r| {
+        eprintln!("  {} [{}]: ipc {:.3}", r.workload, r.width.label(), r.stats.ipc());
     });
-    let stats: HashMap<_, _> = cells
-        .iter()
-        .zip(&stats)
-        .map(|((width, w, config), s)| ((*width, w.name, key(config)), s))
+    let stats: HashMap<u64, SimStats> = keys
+        .into_iter()
+        .zip(results)
+        .map(|(k, r)| (k, r.unwrap_or_else(|e| panic!("{e}")).stats))
         .collect();
 
     let mut tables = Vec::new();
@@ -176,10 +175,9 @@ pub fn extension_tables(args: &HarnessArgs) -> Vec<Table> {
                 rows: Vec::new(),
             };
             let machines = (e.machines)(width);
-            for name in &args.benches {
-                let cell: Vec<&SimStats> =
-                    machines.iter().map(|c| stats[&(width, *name, key(c))]).collect();
-                let mut row = vec![(*name).to_string()];
+            for w in &workloads {
+                let cell: Vec<&SimStats> = machines.iter().map(|c| &stats[&key(w, c)]).collect();
+                let mut row = vec![w.name.to_string()];
                 row.extend((e.row)(&cell));
                 t.push_row(row);
             }

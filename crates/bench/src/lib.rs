@@ -3,8 +3,10 @@
 //! Two binaries (see `DESIGN.md` §4 for the index):
 //!
 //! * `reproduce_all` regenerates every table and figure of the paper's
-//!   evaluation, plus its circuit claims, from one observed sweep per
-//!   width ([`paper_sweep`]) and writes them to one report;
+//!   evaluation, plus its circuit claims, and writes them to one report.
+//!   It simulates one job list ([`ReportPrograms::jobs`]) on one pool:
+//!   the sampled section's Long-scale references, then one observed
+//!   sweep per selected width; every section is a view of the results;
 //! * `extensions` prints the experiments beyond the paper
 //!   ([`extension_tables`]).
 //!
@@ -26,8 +28,9 @@
 mod extensions;
 
 pub use extensions::extension_tables;
-use hpa_core::workloads::{Scale, WORKLOAD_NAMES};
-use hpa_core::{run_matrix, MachineWidth, MatrixResult, RunResult, Scheme};
+use hpa_core::sim::SampleUnits;
+use hpa_core::workloads::{workload, Scale, Workload, WORKLOAD_NAMES};
+use hpa_core::{run_all, MachineWidth, MatrixResult, Mode, RunResult, RunSpec, Scheme};
 
 /// Parsed command-line options shared by both harness binaries.
 #[derive(Clone, Debug)]
@@ -151,27 +154,81 @@ fn usage(err: &str) -> ! {
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }
 
-/// The sweep `reproduce_all` builds every section from: the selected
-/// benchmarks × [`PAPER_SCHEMES`] at `width`, with each cell's counters
-/// recorded for the CPI stacks. A width outside `--width` gets only its
-/// base column ([`base_column`]), which Tables 2 and 3 read at both
-/// widths.
-#[must_use]
-pub fn paper_sweep(args: &HarnessArgs, width: MachineWidth) -> MatrixResult {
-    if !args.widths.contains(&width) {
-        return base_column(args, width);
-    }
-    run_matrix(&args.benches, args.scale, width, &PAPER_SCHEMES, args.jobs, true, progress)
-        .unwrap_or_else(|e| panic!("{e}"))
+/// The Long-scale workloads of the report's sampled section, longest
+/// first: mcf's full-detail run takes about seven times gap's.
+pub const SAMPLED_REFERENCES: [&str; 2] = ["mcf", "gap"];
+
+/// What `reproduce_all` simulates: the selected benchmarks at `--scale`
+/// and, except at `--scale tiny` (the full-detail Long-scale runs alone
+/// take minutes), the selected [`SAMPLED_REFERENCES`] at Long scale.
+pub struct ReportPrograms {
+    benches: Vec<Workload>,
+    references: Vec<Workload>,
 }
 
-/// The base machine over the selected benchmarks at one width, the input
-/// of the characterization figures (read it with
-/// [`MatrixResult::column`]).
-#[must_use]
-pub fn base_column(args: &HarnessArgs, width: MachineWidth) -> MatrixResult {
-    run_matrix(&args.benches, args.scale, width, &[Scheme::Base], args.jobs, false, progress)
-        .unwrap_or_else(|e| panic!("{e}"))
+impl ReportPrograms {
+    /// Builds the programs for `args`.
+    #[must_use]
+    pub fn build(args: &HarnessArgs) -> ReportPrograms {
+        let build = |name, scale| workload(name, scale).expect("known name");
+        let references = SAMPLED_REFERENCES
+            .into_iter()
+            .filter(|name| args.scale != Scale::Tiny && args.benches.contains(name));
+        ReportPrograms {
+            benches: args.benches.iter().map(|name| build(name, args.scale)).collect(),
+            references: references.map(|name| build(name, Scale::Long)).collect(),
+        }
+    }
+
+    /// The report's one job list, longest first: the references'
+    /// full-detail runs, their sampled runs, then per width the selected
+    /// benchmarks × [`PAPER_SCHEMES`] with counters if the width is in
+    /// `--width`, else their plain base runs (Tables 2 and 3 show both).
+    #[must_use]
+    pub fn jobs(&self, args: &HarnessArgs) -> Vec<RunSpec<'_>> {
+        let reference = |w| RunSpec::workload(w, Scheme::Base, MachineWidth::Four);
+        let units = SampleUnits::new(2_000, 10_000, 488_000).expect("valid units");
+        let mode = Mode::Sampled { units, seed: 42 };
+        let sampled = self.references.iter().map(|w| RunSpec { mode, ..reference(w) });
+        let sweeps = MachineWidth::ALL.into_iter().flat_map(|width| {
+            let counters = args.widths.contains(&width);
+            self.benches.iter().flat_map(move |w| {
+                let cell = move |&s| RunSpec { counters, ..RunSpec::workload(w, s, width) };
+                sweep_schemes(args, width).iter().map(cell)
+            })
+        });
+        self.references.iter().map(reference).chain(sampled).chain(sweeps).collect()
+    }
+
+    /// Runs [`ReportPrograms::jobs`] on one `--jobs` pool: one sweep per
+    /// width of [`MachineWidth::ALL`], and each reference's `(full detail,
+    /// sampled)` pair.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the first failed cell's error, in list order.
+    #[must_use]
+    pub fn run(&self, args: &HarnessArgs) -> (Vec<MatrixResult>, Vec<(RunResult, RunResult)>) {
+        let results = run_all(&self.jobs(args), args.jobs, progress);
+        let mut results = results.into_iter().map(|r| r.unwrap_or_else(|e| panic!("{e}")));
+        let full: Vec<_> = results.by_ref().take(self.references.len()).collect();
+        let references = full.into_iter().zip(results.by_ref()).collect();
+        let sweeps = MachineWidth::ALL.map(|width| {
+            let n = sweep_schemes(args, width).len();
+            let rows = self.benches.iter().map(|_| results.by_ref().take(n).collect()).collect();
+            MatrixResult { width, rows }
+        });
+        (sweeps.into(), references)
+    }
+}
+
+/// [`PAPER_SCHEMES`] at a width in `--width`, base alone at any other.
+fn sweep_schemes(args: &HarnessArgs, width: MachineWidth) -> &'static [Scheme] {
+    if args.widths.contains(&width) {
+        &PAPER_SCHEMES
+    } else {
+        &[Scheme::Base]
+    }
 }
 
 /// One stderr line per finished cell.
@@ -251,6 +308,32 @@ mod tests {
         for scale in Scale::ALL {
             assert_eq!(HarnessArgs::parse_from(&sv(&["--scale", scale.key()])).scale, scale);
         }
+    }
+
+    /// The report's list starts with its longest cell, the Long-scale mcf
+    /// full-detail reference, and holds each cell once.
+    #[test]
+    fn report_list_starts_with_the_mcf_reference_and_holds_each_cell_once() {
+        let args = HarnessArgs::parse_from(&sv(&[
+            "--scale", "default", "--bench", "gcc", "--bench", "mcf",
+        ]));
+        let programs = ReportPrograms::build(&args);
+        let jobs = programs.jobs(&args);
+        let key = |spec: &RunSpec<'_>| {
+            let (seed, units) = match spec.mode {
+                Mode::Full => (0, None),
+                Mode::Sampled { units, seed } => (seed, Some(units)),
+            };
+            hpa_core::cell_key(spec.program, &spec.config, spec.scheme, seed, units)
+        };
+        let mcf = workload("mcf", Scale::Long).expect("known workload");
+        assert_eq!(key(&jobs[0]), key(&RunSpec::workload(&mcf, Scheme::Base, MachineWidth::Four)));
+        assert!(matches!(jobs[1].mode, Mode::Sampled { .. }), "then mcf's sampled reference");
+        assert_eq!(jobs.len(), 2 + 2 * PAPER_SCHEMES.len() * MachineWidth::ALL.len());
+        let mut keys: Vec<u64> = jobs.iter().map(key).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(keys.len(), jobs.len(), "a cell is listed twice");
     }
 
     #[test]

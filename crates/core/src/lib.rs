@@ -19,9 +19,12 @@
 //!   every result surface renders, stamped with the [`model`]
 //!   fingerprint;
 //! * [`run_workload`] resolves a benchmark name and runs it;
-//! * [`run_matrix`] sweeps benchmarks × schemes, fanning the independent
+//! * [`run_all`] runs a list of [`RunSpec`]s, fanning the independent
 //!   cells out across worker threads ([`pool`]) with results that do not
-//!   depend on the thread count;
+//!   depend on the thread count, and [`run_matrix`] sweeps benchmarks ×
+//!   schemes through it;
+//! * [`cell_key`] is a cell's identity, a digest of everything that
+//!   decides its result;
 //! * [`report`] renders every figure and table of the paper's evaluation
 //!   from the collected statistics.
 //!
@@ -60,6 +63,7 @@ pub use hpa_rv as rv;
 pub use hpa_sim as sim;
 pub use hpa_workloads as workloads;
 
+mod key;
 pub mod model;
 pub mod pool;
 pub mod report;
@@ -67,9 +71,10 @@ mod runner;
 mod scheme;
 
 pub use hpa_obs::{Counters, CpiCategory, CpiStack};
+pub use key::cell_key;
 pub use pool::{default_jobs, parallel_map, parallel_map_isolated, JobError};
 pub use runner::{
-    run, run_matrix, run_prepared, run_prepared_observed, run_prepared_phase_timed, run_workload,
-    MatrixResult, Mode, RunError, RunResult, RunSpec,
+    run, run_all, run_matrix, run_prepared, run_prepared_observed, run_prepared_phase_timed,
+    run_workload, MatrixResult, Mode, RunError, RunResult, RunSpec,
 };
 pub use scheme::{MachineWidth, Scheme};

@@ -7,11 +7,12 @@
 //! per-item slots so output order always matches input order regardless
 //! of completion order.
 
+use std::cell::Cell;
 use std::fmt;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, Once};
 
 /// A job that panicked inside a [`parallel_map_isolated`] worker.
 ///
@@ -95,9 +96,30 @@ where
         .collect()
 }
 
+thread_local! {
+    /// Whether this thread is inside a [`parallel_map_isolated`] job.
+    static ISOLATED: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Wraps the process's panic hook, once, so that it stays silent for a
+/// panic inside an isolated job: the job's [`JobError`] reports that
+/// panic. A panic on any other thread still reaches the previous hook.
+fn silence_isolated_panics() {
+    static WRAP: Once = Once::new();
+    WRAP.call_once(|| {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if !ISOLATED.with(Cell::get) {
+                previous(info);
+            }
+        }));
+    });
+}
+
 /// Like [`parallel_map`], but each job runs under [`catch_unwind`]: a
 /// panicking item yields `Err(JobError)` in its slot while every other
-/// item still completes. Results stay in input order.
+/// item still completes. Results stay in input order. The panic hook
+/// prints nothing for a caught panic; the `JobError` carries its message.
 ///
 /// The closure must be effectively unwind-safe: jobs communicate only
 /// through their return value, so a panicking job can at worst leave
@@ -108,9 +130,12 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
+    silence_isolated_panics();
     parallel_map(items, jobs, |i, t| {
-        catch_unwind(AssertUnwindSafe(|| f(i, t)))
-            .map_err(|payload| JobError { index: i, message: panic_message(payload) })
+        let outer = ISOLATED.with(|flag| flag.replace(true));
+        let result = catch_unwind(AssertUnwindSafe(|| f(i, t)));
+        ISOLATED.with(|flag| flag.set(outer));
+        result.map_err(|payload| JobError { index: i, message: panic_message(payload) })
     })
 }
 

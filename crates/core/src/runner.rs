@@ -1,7 +1,8 @@
 //! Experiment execution: [`run`] simulates one program under one
 //! configuration and verifies its architectural result; everything else
 //! here (single workloads, the prepared-workload shims, the
-//! workloads × schemes matrix) builds a [`RunSpec`] and calls it.
+//! [`run_all`] job list and the workloads × schemes matrix over it)
+//! builds a [`RunSpec`] and calls it.
 
 use crate::pool::parallel_map_isolated;
 use crate::scheme::{MachineWidth, Scheme};
@@ -43,9 +44,8 @@ pub enum RunError {
         /// The structured fault.
         fault: SimFault,
     },
-    /// A matrix cell's job panicked. The panic was caught at the job
-    /// boundary, so the rest of the matrix still ran; the first panicking
-    /// cell (row-major) is reported here.
+    /// A [`run_all`] cell's job panicked. The panic was caught at the job
+    /// boundary, so the rest of the list still ran.
     CellPanic {
         /// The workload of the panicking cell.
         name: String,
@@ -450,19 +450,34 @@ impl MatrixResult {
     }
 }
 
-/// Runs `workload_names` × `schemes` at one width, with the
-/// observability registry on in every cell when `observe` is set, and the
-/// independent `(workload, scheme)` cells fanned out across `jobs` worker
-/// threads.
+/// Runs every spec of `specs` across `jobs` worker threads and returns
+/// one result per spec, in list order; the pool hands the specs out in
+/// list order, so put the longest first.
 ///
-/// The result does not depend on `jobs`: each cell is a self-contained
-/// single-threaded simulation, rows and columns keep the input order, and
-/// on failure the error of the *first* failing cell (in row-major order)
-/// is returned, regardless of completion order. Each cell runs
-/// panic-isolated, so a panicking cell becomes [`RunError::CellPanic`]
-/// while its siblings still run. The `progress` callback fires from
-/// worker threads as cells complete, so its call order is
-/// nondeterministic unless `jobs = 1`.
+/// The results do not depend on `jobs`: each spec is a self-contained
+/// single-threaded simulation. Each runs panic-isolated, so a panicking
+/// spec becomes [`RunError::CellPanic`] while the others still run. The
+/// `progress` callback fires from worker threads as specs succeed, so its
+/// call order is nondeterministic unless `jobs = 1`.
+pub fn run_all(
+    specs: &[RunSpec<'_>],
+    jobs: usize,
+    progress: impl Fn(&RunResult) + Sync,
+) -> Vec<Result<RunResult, RunError>> {
+    let results = parallel_map_isolated(specs, jobs, |_, spec| run(spec).inspect(&progress));
+    let panicked = |spec: &RunSpec<'_>, message| {
+        Err(RunError::CellPanic { name: spec.name.to_string(), scheme: spec.scheme, message })
+    };
+    results
+        .into_iter()
+        .zip(specs)
+        .map(|(r, spec)| r.unwrap_or_else(|e| panicked(spec, e.message)))
+        .collect()
+}
+
+/// Runs `workload_names` × `schemes` at one width through [`run_all`],
+/// with the observability registry on in every cell when `observe` is
+/// set. Rows and columns keep the input order.
 ///
 /// # Errors
 ///
@@ -479,35 +494,17 @@ pub fn run_matrix(
 ) -> Result<MatrixResult, RunError> {
     let workloads =
         workload_names.iter().map(|name| resolve(name, scale)).collect::<Result<Vec<_>, _>>()?;
-    let cells: Vec<(usize, usize)> =
-        (0..workloads.len()).flat_map(|wi| (0..schemes.len()).map(move |si| (wi, si))).collect();
-    let results = parallel_map_isolated(&cells, jobs, |_, &(wi, si)| {
-        let r = run(&RunSpec {
-            counters: observe,
-            ..RunSpec::workload(&workloads[wi], schemes[si], width)
-        });
-        if let Ok(ref ok) = r {
-            progress(ok);
-        }
-        r
-    });
-    let mut rows = Vec::with_capacity(workloads.len());
-    let mut it = results.into_iter().zip(&cells);
-    for _ in 0..workloads.len() {
-        let row = it
-            .by_ref()
-            .take(schemes.len())
-            .map(|(r, &(wi, si))| match r {
-                Ok(cell) => cell,
-                Err(e) => Err(RunError::CellPanic {
-                    name: workloads[wi].name.to_string(),
-                    scheme: schemes[si],
-                    message: e.message,
-                }),
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        rows.push(row);
-    }
+    let specs: Vec<RunSpec<'_>> = workloads
+        .iter()
+        .flat_map(|w| {
+            schemes
+                .iter()
+                .map(move |&s| RunSpec { counters: observe, ..RunSpec::workload(w, s, width) })
+        })
+        .collect();
+    let cells = run_all(&specs, jobs, progress).into_iter().collect::<Result<Vec<_>, _>>()?;
+    let mut cells = cells.into_iter();
+    let rows = workloads.iter().map(|_| cells.by_ref().take(schemes.len()).collect()).collect();
     Ok(MatrixResult { width, rows })
 }
 
@@ -609,6 +606,30 @@ mod tests {
         assert_eq!(timed.phase_times, Some(times));
         let plain = run_workload("gcc", Scale::Tiny, MachineWidth::Four, Scheme::Combined).unwrap();
         assert_eq!(timed.stats, plain.stats);
+    }
+
+    /// A failing spec in the middle of the list fails alone: its
+    /// neighbours still run and come back in list order.
+    #[test]
+    fn run_all_fails_a_cell_alone_and_keeps_list_order() {
+        let (gcc, mcf) = (gcc(), workload("mcf", Scale::Tiny).expect("known workload"));
+        let specs = [
+            RunSpec::workload(&gcc, Scheme::Base, MachineWidth::Four),
+            RunSpec {
+                checksum: Some(mcf.expected_checksum ^ 1),
+                ..RunSpec::workload(&mcf, Scheme::Base, MachineWidth::Four)
+            },
+            RunSpec::workload(&mcf, Scheme::Combined, MachineWidth::Eight),
+        ];
+        let results = run_all(&specs, 2, |_| {});
+        assert_eq!(results.len(), 3);
+        let ok = |i: usize| results[i].as_ref().expect("neighbour runs");
+        assert_eq!((ok(0).workload, ok(0).scheme), ("gcc", Scheme::Base));
+        assert_eq!((ok(2).workload, ok(2).width), ("mcf", MachineWidth::Eight));
+        assert_eq!(ok(2).stats, run(&specs[2]).expect("runs").stats);
+        assert!(
+            matches!(&results[1], Err(RunError::ChecksumMismatch { name, .. }) if name == "mcf")
+        );
     }
 
     #[test]

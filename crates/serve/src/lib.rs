@@ -11,9 +11,9 @@
 //!   with a job queue, a worker pool executing cells under
 //!   `catch_unwind` isolation and a cycle-budget watchdog, deadlines,
 //!   and graceful drain-on-shutdown;
-//! * [`cache`] — the content-addressed result cache: an FNV-1a digest
-//!   of a canonical byte encoding of the simulation inputs keys an
-//!   on-disk store (one atomically renamed file per entry) fronted by
+//! * [`cache`] — the content-addressed result cache: [`cell_key`]
+//!   (re-exported from `hpa-core`), an FNV-1a digest of a canonical
+//!   byte encoding of the simulation inputs, keys an on-disk store (one atomically renamed file per entry) fronted by
 //!   an in-memory index, so resubmitting a job answers from the cache
 //!   without simulating — bit-identical by construction, because the
 //!   cached value *is* the original rendered payload;
@@ -56,8 +56,9 @@ pub mod proto;
 pub mod queue;
 pub mod server;
 
-pub use cache::{cell_key, ResultCache};
+pub use cache::ResultCache;
 pub use chaos::ChaosProxy;
+pub use hpa_core::cell_key;
 pub use journal::{Journal, Record, Replay, ReplayedJob};
 pub use proto::{
     CellResult, JobProgram, JobRequest, JobStatus, ResultResponse, StatusResponse, SubmitResponse,

@@ -14,7 +14,7 @@
 //! its deadlines), workers exit, the cache index is flushed, and
 //! [`Server::run`] returns.
 
-use crate::cache::{cell_key, ResultCache};
+use crate::cache::ResultCache;
 use crate::http::{self, Request, Response};
 use crate::journal::{Journal, Record, ReplayedJob};
 use crate::proto::{
@@ -23,7 +23,7 @@ use crate::proto::{
 use crate::queue::JobQueue;
 use hpa_asm::Program;
 use hpa_core::pool::parallel_map_isolated;
-use hpa_core::{run, Mode, RunSpec, Scheme};
+use hpa_core::{cell_key, run, Mode, RunSpec, Scheme};
 use hpa_obs::digest::format_hex;
 use hpa_obs::json::Json;
 use hpa_obs::ServeCounters;

@@ -11,36 +11,45 @@
 //! ```
 
 use half_price::circuits::WakeupDelayModel;
-use half_price::sim::{SimConfig, Simulator, WakeupScheme};
-use half_price::workloads::{workload, Scale, CHECKSUM_REG};
+use half_price::sim::{SimConfig, WakeupScheme};
+use half_price::workloads::{workload, Scale};
+use half_price::{default_jobs, run_all, MachineWidth, RunSpec, Scheme};
 
-fn ipc_of(cfg: SimConfig, w: &half_price::workloads::Workload) -> f64 {
-    let mut sim = Simulator::new(&w.program, cfg);
-    sim.run();
-    assert_eq!(sim.emulator().reg(CHECKSUM_REG), w.expected_checksum);
-    sim.stats().ipc()
-}
+const WINDOWS: [usize; 3] = [32, 64, 128];
 
 fn main() {
     let bench = std::env::args().nth(1).unwrap_or_else(|| "parser".to_string());
     let w = workload(&bench, Scale::Default).expect("known benchmark");
     let model = WakeupDelayModel::calibrated_018um();
 
+    // Per window: the base machine, then sequential wakeup with a
+    // 1k-entry last-arrival predictor; all six cells as one job list.
+    let specs: Vec<RunSpec<'_>> = WINDOWS
+        .iter()
+        .flat_map(|&window| {
+            let mut base = SimConfig::four_wide();
+            base.ruu_size = window;
+            base.lsq_size = window / 2;
+            let seq = base
+                .clone()
+                .with_wakeup(WakeupScheme::SequentialWakeup { predictor_entries: Some(1024) });
+            [(Scheme::Base, base), (Scheme::SeqWakeupPredictor, seq)].map(|(scheme, config)| {
+                RunSpec { config, ..RunSpec::workload(&w, scheme, MachineWidth::Four) }
+            })
+        })
+        .collect();
+    let ipcs: Vec<f64> = run_all(&specs, default_jobs(), |_| {})
+        .into_iter()
+        .map(|r| r.expect("checksum verified").stats.ipc())
+        .collect();
+
     println!("`{bench}`: net performance if the wakeup loop sets the clock\n");
     println!(
         "{:>7} {:>10} {:>10} {:>11} {:>11} {:>9}",
         "window", "IPC base", "IPC seq", "clk base", "clk seq", "net gain"
     );
-    for window in [32usize, 64, 128] {
-        let mut base_cfg = SimConfig::four_wide();
-        base_cfg.ruu_size = window;
-        base_cfg.lsq_size = window / 2;
-        let seq_cfg = base_cfg
-            .clone()
-            .with_wakeup(WakeupScheme::SequentialWakeup { predictor_entries: Some(1024) });
-
-        let ipc_base = ipc_of(base_cfg, &w);
-        let ipc_seq = ipc_of(seq_cfg, &w);
+    for (window, pair) in WINDOWS.into_iter().zip(ipcs.chunks(2)) {
+        let (ipc_base, ipc_seq) = (pair[0], pair[1]);
         // Frequency in GHz implied by the wakeup delay (1e3/ps).
         let f_base = 1000.0 / model.conventional(window as u32, 4);
         let f_seq = 1000.0 / model.sequential_wakeup(window as u32, 4);

@@ -21,7 +21,7 @@ use half_price::serve::server::{Server, ServerConfig};
 use half_price::sim::{SampleUnits, SampledEstimate, SimFault, SimStats, Simulator};
 use half_price::verify;
 use half_price::workloads::{workload, Scale, CHECKSUM_REG, WORKLOAD_NAMES};
-use half_price::{run, MachineWidth, Mode, RunError, RunResult, RunSpec, Scheme};
+use half_price::{run, MachineWidth, MatrixResult, Mode, RunError, RunResult, RunSpec, Scheme};
 use std::io::{ErrorKind, Write as _};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -229,12 +229,11 @@ fn other(msg: impl std::fmt::Display) -> CliError {
 
 /// Maps a failed simulation onto the exit codes; every subcommand that
 /// simulates reports through here. A program that faults the emulator is
-/// bad input (exit 1, as `hpa run` reports it), an unknown benchmark is a
-/// usage error, and a deadlock, invariant violation, checksum mismatch or
-/// panicked cell is a detected fault (exit 3).
+/// bad input (exit 1, as `hpa run` reports it), and a deadlock, invariant
+/// violation, checksum mismatch or panicked cell is a detected fault
+/// (exit 3). Benchmark names are resolved before anything runs.
 fn run_error(e: RunError) -> CliError {
     match e {
-        RunError::UnknownWorkload { .. } => usage(format!("{e}; see `hpa list`")),
         RunError::Sim { fault: SimFault::Emu { .. }, .. } => other(e),
         _ => CliError::Fault(e.to_string()),
     }
@@ -790,7 +789,9 @@ fn is_flag_value(args: &[String], a: &String) -> bool {
 }
 
 /// Sweeps `names` × `schemes` and prints an IPC table, plus each
-/// scheme's average degradation when base is in the sweep.
+/// scheme's average degradation when base is in the sweep. A failed cell
+/// prints as `failed`; the command then fails with the first failure,
+/// after one stderr line for each other one.
 fn bench_matrix(
     names: &[&str],
     scale: Scale,
@@ -799,10 +800,12 @@ fn bench_matrix(
     jobs: usize,
 ) -> CliResult {
     let t0 = std::time::Instant::now();
-    let m = half_price::run_matrix(names, scale, width, schemes, jobs, false, |r| {
+    let targets = names.iter().map(|n| bench_target(n, scale)).collect::<Result<Vec<_>, _>>()?;
+    let specs: Vec<_> =
+        targets.iter().flat_map(|t| schemes.iter().map(|&s| t.spec(s, width))).collect();
+    let cells = half_price::run_all(&specs, jobs, |r| {
         eprintln!("  {} / {}: ipc {:.3}", r.workload, r.scheme.label(), r.stats.ipc());
-    })
-    .map_err(run_error)?;
+    });
     println!(
         "{} benchmark(s) x {} scheme(s) on the {} machine ({jobs} job(s), {:.1}s):",
         names.len(),
@@ -816,22 +819,24 @@ fn bench_matrix(
         print!(" {:>col$}", s.key());
     }
     println!();
-    for row in &m.rows {
-        print!("{:10}", row.first().map_or("-", |r| r.workload));
+    let mut m = MatrixResult { width, rows: Vec::new() };
+    for (t, row) in targets.iter().zip(cells.chunks(schemes.len())) {
+        print!("{:10}", t.name);
         for r in row {
-            print!(" {:>col$.3}", r.stats.ipc());
+            let ipc = r.as_ref().map_or("failed".into(), |r| format!("{:.3}", r.stats.ipc()));
+            print!(" {ipc:>col$}");
         }
         println!();
+        m.rows.push(row.iter().flatten().cloned().collect());
     }
-    if schemes.contains(&Scheme::Base) {
-        for &s in schemes {
-            if s == Scheme::Base {
-                continue;
-            }
-            println!("{}: average degradation {:.1}%", s.label(), m.average_degradation(s) * 100.0);
-        }
+    let has_base = schemes.contains(&Scheme::Base);
+    for &s in schemes.iter().filter(|&&s| has_base && s != Scheme::Base) {
+        println!("{}: average degradation {:.1}%", s.label(), m.average_degradation(s) * 100.0);
     }
-    Ok(())
+    let mut failures = cells.into_iter().filter_map(Result::err);
+    let Some(first) = failures.next() else { return Ok(()) };
+    failures.for_each(|e| eprintln!("error: {e}"));
+    Err(run_error(first))
 }
 
 /// Runs the simulation-as-a-service daemon (or, with `--stop`, asks a

@@ -99,6 +99,7 @@ fn panicking_campaign_cell_is_reported_aborted_and_exits_3() {
         "{stdout}"
     );
     assert!(stderr.contains("1 campaign cell(s) aborted"), "{stderr}");
+    assert!(!stderr.contains("panicked at"), "a caught panic prints only its report:\n{stderr}");
     let json = std::fs::read_to_string(&out_json).expect("resilience report written");
     assert!(json.contains("\"aborted\":1"), "{json}");
     assert!(json.contains("\"message\":\"planted campaign panic in cell 0\""), "{json}");

@@ -26,16 +26,16 @@ echo "== cargo test (workspace) =="
 cargo test -q --workspace
 
 echo "== reproduce_all smoke =="
-# The paper report end to end on all 12 programs at both widths: one
-# observed sweep per width feeds every section, so a view that stops
-# rendering drops its heading. At --scale tiny the Long-scale sampled
+# The paper report end to end on all 12 programs at both widths: one job
+# list feeds every section, so a view that stops rendering drops its
+# heading. At --scale tiny the Long-scale sampled
 # section prints its heading and a skip line, so this takes seconds.
 report="$(mktemp /tmp/hpa-reproduce.XXXXXX.md)"
 target/release/reproduce_all --scale tiny --jobs 2 --out "$report"
 for heading in "### Table 2:" "### Figure 2:" "### Figure 3:" "### Figure 4:" "### Figure 6:" \
   "### Table 3:" "### Figure 7:" "### Figure 10:" "### Figure 14:" "### Figure 15:" \
   "### Figure 16:" "### CPI stack:" "### Circuit claims" "### Wakeup delay sweep" \
-  "### Register file access time sweep" "## Sampled simulation throughput" \
+  "### Register file access time sweep" "## Sampled simulation accuracy" \
   "## Divergence notes"; do
   grep -qF "$heading" "$report" || {
     echo "ERROR: reproduce_all report lacks the section \"$heading\" ($report)" >&2
