@@ -184,20 +184,42 @@ impl ReportPrograms {
     /// full-detail runs, their sampled runs, then per width the selected
     /// benchmarks × [`PAPER_SCHEMES`] with counters if the width is in
     /// `--width`, else their plain base runs (Tables 2 and 3 show both).
+    /// At `--scale long` a reference's full-detail run is also its
+    /// benchmark's 4-wide base cell: it is listed once, at the head.
     #[must_use]
     pub fn jobs(&self, args: &HarnessArgs) -> Vec<RunSpec<'_>> {
-        let reference = |w| RunSpec::workload(w, Scheme::Base, MachineWidth::Four);
+        let base = |w| RunSpec::workload(w, Scheme::Base, MachineWidth::Four);
+        // A reference that is also a sweep cell records the sweep's counters.
+        let counters = args.scale == Scale::Long && args.widths.contains(&MachineWidth::Four);
+        let reference = |w| RunSpec { counters, ..base(w) };
         let units = SampleUnits::new(2_000, 10_000, 488_000).expect("valid units");
         let mode = Mode::Sampled { units, seed: 42 };
-        let sampled = self.references.iter().map(|w| RunSpec { mode, ..reference(w) });
+        let sampled = self.references.iter().map(|w| RunSpec { mode, ..base(w) });
         let sweeps = MachineWidth::ALL.into_iter().flat_map(|width| {
             let counters = args.widths.contains(&width);
             self.benches.iter().flat_map(move |w| {
                 let cell = move |&s| RunSpec { counters, ..RunSpec::workload(w, s, width) };
-                sweep_schemes(args, width).iter().map(cell)
+                let schemes = sweep_schemes(args, width).iter();
+                schemes.filter(move |&&s| self.reference_of(args, w, s, width).is_none()).map(cell)
             })
         });
         self.references.iter().map(reference).chain(sampled).chain(sweeps).collect()
+    }
+
+    /// The reference whose full-detail run is the sweep cell `(w, scheme,
+    /// width)`: at `--scale long` a reference's program is its
+    /// benchmark's, so the 4-wide base cell is the same cell.
+    fn reference_of(
+        &self,
+        args: &HarnessArgs,
+        w: &Workload,
+        scheme: Scheme,
+        width: MachineWidth,
+    ) -> Option<usize> {
+        if args.scale != Scale::Long || (scheme, width) != (Scheme::Base, MachineWidth::Four) {
+            return None;
+        }
+        self.references.iter().position(|r| r.name == w.name)
     }
 
     /// Runs [`ReportPrograms::jobs`] on one `--jobs` pool: one sweep per
@@ -212,11 +234,19 @@ impl ReportPrograms {
         let results = run_all(&self.jobs(args), args.jobs, progress);
         let mut results = results.into_iter().map(|r| r.unwrap_or_else(|e| panic!("{e}")));
         let full: Vec<_> = results.by_ref().take(self.references.len()).collect();
-        let references = full.into_iter().zip(results.by_ref()).collect();
+        let references: Vec<(RunResult, RunResult)> =
+            full.into_iter().zip(results.by_ref()).collect();
         let sweeps = MachineWidth::ALL.map(|width| {
-            let n = sweep_schemes(args, width).len();
-            let rows = self.benches.iter().map(|_| results.by_ref().take(n).collect()).collect();
-            MatrixResult { width, rows }
+            let rows = self.benches.iter().map(|w| {
+                sweep_schemes(args, width)
+                    .iter()
+                    .map(|&s| match self.reference_of(args, w, s, width) {
+                        Some(i) => references[i].0.clone(),
+                        None => results.next().expect("one result per listed cell"),
+                    })
+                    .collect()
+            });
+            MatrixResult { width, rows: rows.collect() }
         });
         (sweeps.into(), references)
     }
@@ -311,29 +341,34 @@ mod tests {
     }
 
     /// The report's list starts with its longest cell, the Long-scale mcf
-    /// full-detail reference, and holds each cell once.
+    /// full-detail reference, and holds each cell once: at `--scale long`
+    /// the references' 4-wide base cells are not listed again in the sweep.
     #[test]
     fn report_list_starts_with_the_mcf_reference_and_holds_each_cell_once() {
-        let args = HarnessArgs::parse_from(&sv(&[
-            "--scale", "default", "--bench", "gcc", "--bench", "mcf",
-        ]));
-        let programs = ReportPrograms::build(&args);
-        let jobs = programs.jobs(&args);
-        let key = |spec: &RunSpec<'_>| {
-            let (seed, units) = match spec.mode {
-                Mode::Full => (0, None),
-                Mode::Sampled { units, seed } => (seed, Some(units)),
+        for (scale, shared) in [("default", 0), ("long", 2)] {
+            let args = HarnessArgs::parse_from(&sv(&[
+                "--scale", scale, "--bench", "gap", "--bench", "mcf",
+            ]));
+            let programs = ReportPrograms::build(&args);
+            let jobs = programs.jobs(&args);
+            let key = |spec: &RunSpec<'_>| {
+                let (seed, units) = match spec.mode {
+                    Mode::Full => (0, None),
+                    Mode::Sampled { units, seed } => (seed, Some(units)),
+                };
+                hpa_core::cell_key(spec.program, &spec.config, spec.scheme, seed, units)
             };
-            hpa_core::cell_key(spec.program, &spec.config, spec.scheme, seed, units)
-        };
-        let mcf = workload("mcf", Scale::Long).expect("known workload");
-        assert_eq!(key(&jobs[0]), key(&RunSpec::workload(&mcf, Scheme::Base, MachineWidth::Four)));
-        assert!(matches!(jobs[1].mode, Mode::Sampled { .. }), "then mcf's sampled reference");
-        assert_eq!(jobs.len(), 2 + 2 * PAPER_SCHEMES.len() * MachineWidth::ALL.len());
-        let mut keys: Vec<u64> = jobs.iter().map(key).collect();
-        keys.sort_unstable();
-        keys.dedup();
-        assert_eq!(keys.len(), jobs.len(), "a cell is listed twice");
+            let mcf = workload("mcf", Scale::Long).expect("known workload");
+            let reference = RunSpec::workload(&mcf, Scheme::Base, MachineWidth::Four);
+            assert_eq!(key(&jobs[0]), key(&reference), "{scale}");
+            assert!(matches!(jobs[2].mode, Mode::Sampled { .. }), "then the sampled references");
+            let cells = 2 * PAPER_SCHEMES.len() * MachineWidth::ALL.len();
+            assert_eq!(jobs.len(), 4 + cells - shared, "{scale}");
+            let mut keys: Vec<u64> = jobs.iter().map(key).collect();
+            keys.sort_unstable();
+            keys.dedup();
+            assert_eq!(keys.len(), jobs.len(), "a cell is listed twice at {scale}");
+        }
     }
 
     #[test]

@@ -221,6 +221,11 @@ pub struct ServeCounters {
     /// Journaled `done` records dropped at replay for carrying another
     /// model fingerprint (their jobs re-run).
     pub journal_stale_dropped: u64,
+    /// `GET /result` calls that waited for their job to finish.
+    pub results_parked: u64,
+    /// `GET /result` connections waiting right now (mirrored from the
+    /// server when `/health` renders).
+    pub results_parked_now: u64,
     /// Queue depth observed at each submission (pressure distribution).
     pub queue_depth: Histogram,
     /// Submit-to-terminal-state latency per job, as `log2(1 + ms)` — the
@@ -273,6 +278,8 @@ impl ServeCounters {
             ("journal_jobs_rehydrated", Json::from(self.journal_jobs_rehydrated)),
             ("cache_stale_dropped", Json::from(self.cache_stale_dropped)),
             ("journal_stale_dropped", Json::from(self.journal_stale_dropped)),
+            ("results_parked", Json::from(self.results_parked)),
+            ("results_parked_now", Json::from(self.results_parked_now)),
             ("mean_latency_ms", Json::from(self.mean_latency_ms().unwrap_or(0))),
             ("queue_depth", self.queue_depth.buckets_json()),
             ("queue_depth_mean", Json::fixed(self.queue_depth.mean(), 4)),
@@ -305,6 +312,11 @@ impl fmt::Display for ServeCounters {
             f,
             "stale results dropped:  {} cached, {} journaled",
             self.cache_stale_dropped, self.journal_stale_dropped
+        )?;
+        writeln!(
+            f,
+            "waiting results:        {} parked, {} now",
+            self.results_parked, self.results_parked_now
         )?;
         writeln!(
             f,
@@ -404,6 +416,7 @@ mod tests {
         assert!(j.contains("\"queue_depth_mean\":2.0000"), "{j}");
         assert!(j.contains("\"jobs_rejected\":0"), "{j}");
         assert!(j.contains("\"journal_records_skipped\":0"), "{j}");
+        assert!(j.contains("\"results_parked\":0,\"results_parked_now\":0"), "{j}");
     }
 
     #[test]

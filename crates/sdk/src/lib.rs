@@ -4,7 +4,8 @@
 //! the *same* request/response structs the daemon serves
 //! ([`hpa_serve::proto`]) and speaking the same HTTP subset
 //! ([`hpa_serve::http`]) — a protocol change is one edit, not two
-//! drifting ones.
+//! drifting ones. [`Client::wait`] is one `GET /result` call, which the
+//! daemon answers when the job finishes.
 //!
 //! # Example
 //!
@@ -36,11 +37,12 @@
 
 use hpa_obs::digest::fnv1a;
 use hpa_obs::json::Json;
-use hpa_serve::http::{self, Request, Response};
+use hpa_serve::http::{self, Request};
 use hpa_serve::proto::{JobRequest, ResultResponse, StatusResponse, SubmitResponse};
 use hpa_workloads::SplitMix64;
 use std::fmt;
 use std::io::BufReader;
+use std::io::ErrorKind::{TimedOut, WouldBlock};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -104,13 +106,12 @@ impl fmt::Display for ClientError {
 
 /// Whether an error class is worth retrying: transport failures and
 /// damaged responses are transient network trouble, and 429/503 are the
-/// server explicitly saying "try again later". Submits are safe to
-/// retry by construction — the content-addressed cache makes them
-/// idempotent (a duplicate submit of the same request hits the cache or
-/// coalesces on the same results).
+/// server explicitly saying "try again later". A read timeout is not:
+/// the daemon has the request. A retried submit that reached the daemon
+/// is a second job, which simulates again unless the first is done.
 fn retryable(e: &ClientError) -> bool {
-    matches!(e, ClientError::Io(_) | ClientError::Protocol(_))
-        || matches!(e, ClientError::Server { status: 429 | 503, .. })
+    matches!(e, ClientError::Io(e) if !matches!(e.kind(), WouldBlock | TimedOut))
+        || matches!(e, ClientError::Protocol(_) | ClientError::Server { status: 429 | 503, .. })
 }
 
 impl std::error::Error for ClientError {}
@@ -128,7 +129,6 @@ impl From<std::io::Error> for ClientError {
 pub struct Client {
     addr: String,
     io_timeout: Duration,
-    poll_interval: Duration,
     /// Retries after the initial attempt for retryable errors.
     retries: u32,
     /// First-retry backoff; doubles per attempt (with jitter).
@@ -144,7 +144,6 @@ impl Client {
         Client {
             addr: addr.into(),
             io_timeout: Duration::from_secs(30),
-            poll_interval: Duration::from_millis(20),
             retries: 3,
             backoff_base: Duration::from_millis(50),
             retry_seed: 0x5eed,
@@ -173,21 +172,15 @@ impl Client {
         self
     }
 
-    /// One round trip: connect, send, read the reply.
-    fn call(&self, method: &str, path: &str, body: String) -> Result<Response, ClientError> {
+    /// One round trip: connect, send, read the reply, decode its body as
+    /// JSON, and turn non-200 statuses into [`ClientError::Server`].
+    fn call(&self, method: &str, path: &str, body: String) -> Result<Json, ClientError> {
         let mut stream = TcpStream::connect(&self.addr)?;
         stream.set_read_timeout(Some(self.io_timeout))?;
         stream.set_write_timeout(Some(self.io_timeout))?;
         let request = Request { method: method.to_string(), path: path.to_string(), body };
         http::write_request(&mut stream, &request)?;
-        let mut reader = BufReader::new(stream);
-        Ok(http::read_response(&mut reader)?)
-    }
-
-    /// Like [`Client::call`], but decodes the body as JSON and turns
-    /// non-200 statuses into [`ClientError::Server`].
-    fn call_json(&self, method: &str, path: &str, body: String) -> Result<Json, ClientError> {
-        let response = self.call(method, path, body)?;
+        let response = http::read_response(&mut BufReader::new(stream))?;
         let parsed = hpa_obs::json::parse(&response.body)
             .map_err(|e| ClientError::Protocol(format!("{method} {path}: {e}")))?;
         if response.status != 200 {
@@ -201,25 +194,20 @@ impl Client {
         Ok(parsed)
     }
 
-    /// [`Client::call_json`] under the retry policy: retryable errors
+    /// [`Client::call`] under the retry policy: retryable errors
     /// (I/O, damaged responses, 429/503) are retried up to `retries`
     /// times with seeded-jittered exponential backoff, honoring any
     /// server-sent `retry_after_ms` hint. Non-retryable errors return
     /// immediately; an exhausted budget returns
     /// [`ClientError::Exhausted`] carrying the attempt count.
-    fn call_json_retrying(
-        &self,
-        method: &str,
-        path: &str,
-        body: &str,
-    ) -> Result<Json, ClientError> {
-        // Seeded per (client, path): reproducible, but submit and poll
+    fn call_retrying(&self, method: &str, path: &str, body: &str) -> Result<Json, ClientError> {
+        // Seeded per (client, path): reproducible, but submit and result
         // streams do not march in lockstep.
         let mut rng = SplitMix64::new(self.retry_seed ^ fnv1a(path.as_bytes()));
         let mut attempts = 0u32;
         loop {
             attempts += 1;
-            let err = match self.call_json(method, path, body.to_string()) {
+            let err = match self.call(method, path, body.to_string()) {
                 Ok(v) => return Ok(v),
                 Err(e) => e,
             };
@@ -233,19 +221,21 @@ impl Client {
                     err
                 });
             }
-            // Exponential base doubling per attempt, jittered into
-            // [base/2, base] so synchronized clients de-correlate, and
-            // never shorter than the server's own hint.
-            let base = (self.backoff_base.as_millis() as u64)
-                .saturating_mul(1 << (attempts - 1).min(16))
-                .clamp(1, 10_000);
-            let jittered = base / 2 + rng.below(base / 2 + 1);
-            let wait = match &err {
-                ClientError::Server { retry_after_ms: Some(hint), .. } => jittered.max(*hint),
-                _ => jittered,
-            };
-            std::thread::sleep(Duration::from_millis(wait.min(10_000)));
+            let hint =
+                if let ClientError::Server { retry_after_ms: Some(ms), .. } = err { ms } else { 0 };
+            std::thread::sleep(self.backoff(&mut rng, attempts, hint));
         }
+    }
+
+    /// The sleep before retry `attempt`: the base doubled per attempt,
+    /// jittered into [base/2, base] so synchronized clients de-correlate,
+    /// at least the server's `hint` and at most 10 s.
+    fn backoff(&self, rng: &mut SplitMix64, attempt: u32, hint: u64) -> Duration {
+        let base = (self.backoff_base.as_millis() as u64)
+            .saturating_mul(1 << (attempt - 1).min(16))
+            .clamp(1, 10_000);
+        let jittered = base / 2 + rng.below(base / 2 + 1);
+        Duration::from_millis(jittered.max(hint).min(10_000))
     }
 
     /// Submits a job.
@@ -255,7 +245,7 @@ impl Client {
     /// [`ClientError::Server`] for rejected requests (bad workload name,
     /// draining server), plus transport failures.
     pub fn submit(&self, request: &JobRequest) -> Result<SubmitResponse, ClientError> {
-        let v = self.call_json_retrying("POST", "/submit", &request.to_json().render())?;
+        let v = self.call_retrying("POST", "/submit", &request.to_json().render())?;
         SubmitResponse::from_json(&v).map_err(ClientError::Protocol)
     }
 
@@ -265,38 +255,48 @@ impl Client {
     ///
     /// [`ClientError::Server`] with status 404 for an unknown id.
     pub fn status(&self, job_id: u64) -> Result<StatusResponse, ClientError> {
-        let v = self.call_json_retrying("GET", &format!("/status/{job_id}"), "")?;
+        let v = self.call_retrying("GET", &format!("/status/{job_id}"), "")?;
         StatusResponse::from_json(&v).map_err(ClientError::Protocol)
     }
 
-    /// Fetches one job's results (cells are present only once `done`).
+    /// Fetches one job's results: [`Client::wait`] up to the io timeout.
     ///
     /// # Errors
     ///
-    /// [`ClientError::Server`] with status 404 for an unknown id.
+    /// As [`Client::wait`].
     pub fn result(&self, job_id: u64) -> Result<ResultResponse, ClientError> {
-        let v = self.call_json_retrying("GET", &format!("/result/{job_id}"), "")?;
-        ResultResponse::from_json(&v).map_err(ClientError::Protocol)
+        self.wait(job_id, self.io_timeout)
     }
 
-    /// Polls until the job reaches a terminal state and returns its
-    /// results; [`ClientError::Timeout`] if `timeout` elapses first.
+    /// Waits until the job is terminal and returns its results, or
+    /// [`ClientError::Timeout`] after `timeout`. The daemon answers
+    /// `GET /result` when the job finishes; a call is read within the io
+    /// timeout or the time left, whichever is less, and issued again if
+    /// that passes, or after the retry backoff if the daemon answered
+    /// early (too many calls waiting).
     ///
     /// # Errors
     ///
-    /// As [`Client::result`], plus the timeout.
+    /// As [`Client::status`], plus the timeout.
     pub fn wait(&self, job_id: u64, timeout: Duration) -> Result<ResultResponse, ClientError> {
-        let start = Instant::now();
-        loop {
-            let status = self.status(job_id)?;
-            if status.status.is_terminal() {
-                return self.result(job_id);
+        let (start, path) = (Instant::now(), format!("/result/{job_id}"));
+        let mut rng = SplitMix64::new(self.retry_seed ^ fnv1a(path.as_bytes()));
+        let mut early = 0;
+        while let Some(left) = timeout.checked_sub(start.elapsed()).filter(|t| !t.is_zero()) {
+            let client = self.clone().with_io_timeout(left.min(self.io_timeout));
+            let result = match client.call_retrying("GET", &path, "") {
+                Ok(v) => ResultResponse::from_json(&v).map_err(ClientError::Protocol)?,
+                // A read timeout, the one I/O error never retried.
+                Err(e @ ClientError::Io(_)) if !retryable(&e) => continue,
+                Err(e) => return Err(e),
+            };
+            if result.status.is_terminal() {
+                return Ok(result);
             }
-            if start.elapsed() >= timeout {
-                return Err(ClientError::Timeout { job_id, waited: start.elapsed() });
-            }
-            std::thread::sleep(self.poll_interval);
+            early += 1;
+            std::thread::sleep(self.backoff(&mut rng, early, 0).min(left));
         }
+        Err(ClientError::Timeout { job_id, waited: start.elapsed() })
     }
 
     /// Fetches the daemon's health/metrics document (`/health`): the
@@ -306,7 +306,7 @@ impl Client {
     ///
     /// Transport or protocol failures.
     pub fn health(&self) -> Result<Json, ClientError> {
-        self.call_json_retrying("GET", "/health", "")
+        self.call_retrying("GET", "/health", "")
     }
 
     /// Requests a graceful shutdown: the daemon drains its queue,
@@ -318,7 +318,7 @@ impl Client {
     ///
     /// Transport or protocol failures.
     pub fn shutdown(&self) -> Result<(), ClientError> {
-        self.call_json("POST", "/shutdown", String::new()).map(|_| ())
+        self.call("POST", "/shutdown", String::new()).map(|_| ())
     }
 }
 
@@ -367,6 +367,11 @@ mod tests {
             ClientError::Server { status: 404, message: "no job".into(), retry_after_ms: None };
         assert!(retryable(&io) && retryable(&proto) && retryable(&busy) && retryable(&draining));
         assert!(!retryable(&bad) && !retryable(&missing));
+        // A read timeout means the daemon holds the request (for
+        // `/result`, that the job is still running): never retried.
+        for kind in [WouldBlock, TimedOut] {
+            assert!(!retryable(&ClientError::Io(std::io::Error::from(kind))));
+        }
         assert!(!retryable(&ClientError::Timeout { job_id: 1, waited: Duration::ZERO }));
     }
 

@@ -3,16 +3,19 @@
 //!
 //! Architecture (one paragraph): the accept loop runs on the caller's
 //! thread and handles each connection inline — every handler is cheap
-//! (`/submit` only validates, probes the cache and enqueues; polls only
-//! read the job table) so there is no per-connection thread. Simulation
-//! happens on `workers` threads that block on the [`JobQueue`]; each
-//! cell of a job runs under `catch_unwind` isolation (via
-//! [`hpa_core::pool::parallel_map_isolated`]) so a planted panic fails
-//! one job, never the daemon, and a cycle-budget watchdog turns hangs
-//! into structured deadlock faults. `POST /shutdown` drains: submissions
-//! start bouncing with 503, the backlog still runs to completion (or to
-//! its deadlines), workers exit, the cache index is flushed, and
-//! [`Server::run`] returns.
+//! (`/submit` only validates, probes the cache and enqueues; `/status`
+//! reads the job table; `/result` on an unfinished job parks its
+//! connection on the job, and whichever thread moves the job to a
+//! terminal state answers it) so there is no per-connection thread.
+//! Simulation happens on `workers` threads that block on the
+//! [`JobQueue`]; each cell of a job runs under `catch_unwind` isolation
+//! (via [`hpa_core::pool::parallel_map_isolated`]) so a planted panic
+//! fails one job, never the daemon, and a cycle-budget watchdog turns
+//! hangs into structured deadlock faults. `POST /shutdown` drains:
+//! submissions start bouncing with 503, the backlog still runs to
+//! completion (or to its deadlines) and answers every parked `/result`,
+//! workers exit, the cache index is flushed, and [`Server::run`]
+//! returns.
 
 use crate::cache::ResultCache;
 use crate::http::{self, Request, Response};
@@ -33,7 +36,7 @@ use std::collections::HashMap;
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -71,6 +74,11 @@ impl Default for ServerConfig {
     }
 }
 
+/// The most `GET /result` connections that may wait on unfinished jobs
+/// at once. Each holds a file descriptor that outside input opened; past
+/// the cap, `/result` answers at once with the job's current status.
+pub const MAX_PARKED: usize = 256;
+
 /// One job's full lifecycle record.
 struct Job {
     /// `None` only for journal-rehydrated terminal jobs whose `submitted`
@@ -82,6 +90,8 @@ struct Job {
     cells: Vec<CellResult>,
     submitted: Instant,
     deadline: Option<Instant>,
+    /// `GET /result` connections waiting for a terminal state.
+    waiters: Vec<TcpStream>,
 }
 
 /// The lazy-expiry message (also journaled, so replay reproduces it).
@@ -98,15 +108,54 @@ impl Job {
         }
         false
     }
+
+    /// The `/result` answer: cells only once `done`.
+    fn result(&self, id: u64) -> ResultResponse {
+        ResultResponse {
+            job_id: id,
+            status: self.status,
+            cached: self.cached,
+            error: self.error.clone(),
+            cells: if self.status == JobStatus::Done { self.cells.clone() } else { Vec::new() },
+        }
+    }
+
+    /// Takes the connections parked on a job that just turned terminal,
+    /// with the answer they are owed.
+    fn wake(&mut self, id: u64) -> Wake {
+        let waiters = std::mem::take(&mut self.waiters);
+        let result = (!waiters.is_empty()).then(|| self.result(id));
+        Wake { waiters, result }
+    }
+}
+
+/// Parked `/result` connections and their answer, taken under the jobs
+/// lock and sent by [`Wake::send`] once it is released.
+struct Wake {
+    waiters: Vec<TcpStream>,
+    result: Option<ResultResponse>,
+}
+
+impl Wake {
+    fn send(self, state: &ServerState) {
+        let Some(result) = self.result else { return };
+        state.parked.fetch_sub(self.waiters.len(), Ordering::SeqCst);
+        let response = Response::ok(result.to_json());
+        for stream in self.waiters {
+            respond(stream, &response);
+        }
+    }
 }
 
 /// Bookkeeping after a lazy expiry (caller must have released the jobs
-/// lock): counter bump plus a journaled terminal record.
-fn record_expiry(state: &ServerState, id: u64) {
+/// lock): counter bump, a journaled terminal record, then the answer to
+/// every parked `/result` connection.
+fn record_expiry(state: &ServerState, id: u64, wake: Wake) {
     state.counters.lock().expect("serve counters").jobs_expired += 1;
     if let Some(journal) = &state.journal {
         journal.append(&Record::Expired { id, error: EXPIRY_ERROR.to_string() }, true);
     }
+    wake.send(state);
 }
 
 struct ServerState {
@@ -124,6 +173,9 @@ struct ServerState {
     max_queue: Option<usize>,
     /// Worker-pool size, for deriving `retry_after_ms` from queue depth.
     workers: usize,
+    /// Connections parked in `GET /result`, at most [`MAX_PARKED`]. Only
+    /// raised under the jobs lock, so the cap holds exactly.
+    parked: AtomicUsize,
 }
 
 /// The simulation daemon. [`Server::bind`] claims the socket (so the
@@ -172,6 +224,7 @@ impl Server {
                 journal: None,
                 max_queue: config.max_queue,
                 workers,
+                parked: AtomicUsize::new(0),
             },
             workers,
             replay_summary: None,
@@ -191,6 +244,7 @@ impl Server {
                     cells: Vec::new(),
                     submitted: now,
                     deadline: None,
+                    waiters: Vec::new(),
                 };
                 match terminal {
                     None => {
@@ -303,8 +357,9 @@ fn worker_loop(state: &ServerState) {
 }
 
 /// Reads one request off a fresh connection, routes it, writes the
-/// response. All errors are contained: a malformed or timed-out request
-/// can never take the daemon down.
+/// response (or parks the connection, for `/result`). All errors are
+/// contained: a malformed or timed-out request can never take the
+/// daemon down.
 fn handle_connection(state: &ServerState, stream: TcpStream) {
     // A stalled peer must not wedge the accept loop.
     let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
@@ -313,13 +368,18 @@ fn handle_connection(state: &ServerState, stream: TcpStream) {
         Ok(s) => s,
         Err(_) => return,
     });
-    let response = match http::read_request(&mut reader) {
-        Ok(req) => route(state, &req),
+    match http::read_request(&mut reader) {
+        Ok(req) => match (req.method.as_str(), parse_id(&req.path, "/result/")) {
+            ("GET", Some(id)) => handle_result(state, id, stream),
+            _ => respond(stream, &route(state, &req)),
+        },
         // Structured rejection: 413 for oversize framing, 400 otherwise.
-        Err(e) => http::rejection(&e),
-    };
-    let mut stream = stream;
-    let _ = http::write_response(&mut stream, &response);
+        Err(e) => respond(stream, &http::rejection(&e)),
+    }
+}
+
+fn respond(mut stream: TcpStream, response: &Response) {
+    let _ = http::write_response(&mut stream, response);
 }
 
 /// Dispatches one request to its handler.
@@ -338,8 +398,6 @@ fn route(state: &ServerState, req: &Request) -> Response {
         ("GET", path) => {
             if let Some(id) = parse_id(path, "/status/") {
                 handle_status(state, id)
-            } else if let Some(id) = parse_id(path, "/result/") {
-                handle_result(state, id)
             } else {
                 Response::error(404, &format!("no such path `{path}`"))
             }
@@ -378,7 +436,7 @@ fn handle_submit(state: &ServerState, body: &str) -> Response {
         Err(e) => return Response::error(400, &e),
     };
     // Validate the program *now* so a typo'd workload name or unparsable
-    // source is a 400, not a failed job discovered by polling.
+    // source is a 400, not a failed job found only when its result comes back.
     let resolved = match resolve_program(&request) {
         Ok(r) => r,
         Err(e) => return Response::error(400, &e),
@@ -424,6 +482,7 @@ fn handle_submit(state: &ServerState, body: &str) -> Response {
         cells,
         submitted: now,
         deadline,
+        waiters: Vec::new(),
     };
     state.jobs.lock().expect("job table").insert(id, job);
 
@@ -485,7 +544,7 @@ fn handle_status(state: &ServerState, id: u64) -> Response {
     let Some(job) = jobs.get_mut(&id) else {
         return Response::error(404, &format!("no job {id}"));
     };
-    let expired = job.expire_if_due(Instant::now());
+    let expired = job.expire_if_due(Instant::now()).then(|| job.wake(id));
     let resp = StatusResponse {
         job_id: id,
         status: job.status,
@@ -493,30 +552,54 @@ fn handle_status(state: &ServerState, id: u64) -> Response {
         error: job.error.clone(),
     };
     drop(jobs);
-    if expired {
-        record_expiry(state, id);
+    if let Some(wake) = expired {
+        record_expiry(state, id, wake);
     }
     Response::ok(resp.to_json())
 }
 
-fn handle_result(state: &ServerState, id: u64) -> Response {
+/// `GET /result/<id>`: a terminal or unknown job is answered at once. A
+/// queued or running one parks the connection on the job, and whichever
+/// thread moves the job to a terminal state answers it. At
+/// [`MAX_PARKED`] parked connections, those whose client has hung up (a
+/// `wait` whose read timed out, or one that gave up) are dropped first;
+/// if the cap still holds, the current status goes out at once.
+fn handle_result(state: &ServerState, id: u64, stream: TcpStream) {
     let mut jobs = state.jobs.lock().expect("job table");
-    let Some(job) = jobs.get_mut(&id) else {
-        return Response::error(404, &format!("no job {id}"));
-    };
-    let expired = job.expire_if_due(Instant::now());
-    let resp = ResultResponse {
-        job_id: id,
-        status: job.status,
-        cached: job.cached,
-        error: job.error.clone(),
-        cells: if job.status == JobStatus::Done { job.cells.clone() } else { Vec::new() },
-    };
-    drop(jobs);
-    if expired {
-        record_expiry(state, id);
+    if state.parked.load(Ordering::SeqCst) >= MAX_PARKED {
+        for job in jobs.values_mut().filter(|job| !job.waiters.is_empty()) {
+            let before = job.waiters.len();
+            job.waiters.retain(|w| !hung_up(w));
+            state.parked.fetch_sub(before - job.waiters.len(), Ordering::SeqCst);
+        }
     }
-    Response::ok(resp.to_json())
+    let Some(job) = jobs.get_mut(&id) else {
+        drop(jobs);
+        return respond(stream, &Response::error(404, &format!("no job {id}")));
+    };
+    let expired = job.expire_if_due(Instant::now()).then(|| job.wake(id));
+    if !job.status.is_terminal() && state.parked.load(Ordering::SeqCst) < MAX_PARKED {
+        state.parked.fetch_add(1, Ordering::SeqCst);
+        job.waiters.push(stream);
+        drop(jobs);
+        state.counters.lock().expect("serve counters").results_parked += 1;
+        return;
+    }
+    let resp = job.result(id);
+    drop(jobs);
+    if let Some(wake) = expired {
+        record_expiry(state, id, wake);
+    }
+    respond(stream, &Response::ok(resp.to_json()));
+}
+
+/// Whether a parked connection's client has closed it: a non-blocking
+/// peek that finds end of stream or an error rather than no data yet.
+fn hung_up(stream: &TcpStream) -> bool {
+    let _ = stream.set_nonblocking(true);
+    let open = matches!(stream.peek(&mut [0u8]), Err(e) if e.kind() == io::ErrorKind::WouldBlock);
+    let _ = stream.set_nonblocking(false);
+    !open
 }
 
 fn handle_health(state: &ServerState) -> Response {
@@ -526,6 +609,7 @@ fn handle_health(state: &ServerState) -> Response {
         // here so one endpoint reports everything.
         counters.cache_evictions = state.cache.evictions();
         counters.cache_stale_dropped = state.cache.stale_dropped();
+        counters.results_parked_now = state.parked.load(Ordering::SeqCst) as u64;
         counters.to_json()
     };
     Response::ok(Json::obj(vec![
@@ -592,8 +676,9 @@ fn execute_job(state: &ServerState, id: u64) {
         let mut jobs = state.jobs.lock().expect("job table");
         let Some(job) = jobs.get_mut(&id) else { return };
         if job.expire_if_due(Instant::now()) {
+            let wake = job.wake(id);
             drop(jobs);
-            record_expiry(state, id);
+            record_expiry(state, id, wake);
             return;
         }
         if job.status != JobStatus::Queued {
@@ -672,10 +757,10 @@ fn execute_job(state: &ServerState, id: u64) {
 }
 
 /// Records a job's terminal state, its latency, and the journal's
-/// terminal record — then rotates the journal if it has grown past the
-/// threshold.
+/// terminal record, answers the job's parked `/result` connections, then
+/// rotates the journal if it has grown past the threshold.
 fn finish_job(state: &ServerState, id: u64, outcome: Result<Vec<CellResult>, String>) {
-    let (latency_ms, terminal) = {
+    let (latency_ms, terminal, wake) = {
         let mut jobs = state.jobs.lock().expect("job table");
         let Some(job) = jobs.get_mut(&id) else { return };
         let terminal = match outcome {
@@ -691,7 +776,7 @@ fn finish_job(state: &ServerState, id: u64, outcome: Result<Vec<CellResult>, Str
                 Record::Failed { id, error: e }
             }
         };
-        (job.submitted.elapsed().as_millis() as u64, terminal)
+        (job.submitted.elapsed().as_millis() as u64, terminal, job.wake(id))
     };
     let done = matches!(terminal, Record::Done { .. });
     {
@@ -705,6 +790,9 @@ fn finish_job(state: &ServerState, id: u64, outcome: Result<Vec<CellResult>, Str
     }
     if let Some(journal) = &state.journal {
         journal.append(&terminal, true);
+    }
+    wake.send(state);
+    if let Some(journal) = &state.journal {
         if journal.should_rotate() {
             journal.rewrite(&live_records(state));
         }

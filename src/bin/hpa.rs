@@ -931,12 +931,8 @@ fn cmd_submit(args: &[String]) -> CliResult {
         }
         return Ok(());
     }
-    let result = if submit.status.is_terminal() {
-        client.result(submit.job_id).map_err(client_err)?
-    } else {
-        let timeout = Duration::from_secs(num_flag(args, "--wait-secs", 600)?);
-        client.wait(submit.job_id, timeout).map_err(client_err)?
-    };
+    let timeout = Duration::from_secs(num_flag(args, "--wait-secs", 600)?);
+    let result = client.wait(submit.job_id, timeout).map_err(client_err)?;
     report_result(result, bool_flag(args, "--json"))
 }
 

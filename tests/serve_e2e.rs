@@ -7,15 +7,17 @@ use half_price::model::FINGERPRINT;
 use half_price::obs::digest::{debug_digest, format_hex};
 use half_price::obs::json::Json;
 use half_price::sdk::{Client, ClientError};
+use half_price::serve::http::{self, Request};
 use half_price::serve::journal::{Journal, Record};
-use half_price::serve::proto::{CellResult, JobProgram, JobRequest, JobStatus};
-use half_price::serve::server::{Server, ServerConfig};
+use half_price::serve::proto::{CellResult, JobProgram, JobRequest, JobStatus, ResultResponse};
+use half_price::serve::server::{Server, ServerConfig, MAX_PARKED};
 use half_price::sim::SampleUnits;
 use half_price::workloads::Scale;
 use half_price::{MachineWidth, Scheme};
-use std::io;
+use std::io::{self, BufReader};
+use std::net::TcpStream;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Binds a daemon on an ephemeral port and runs it on its own thread;
 /// returns a client for it plus the join handle (`run` returns once a
@@ -29,13 +31,77 @@ fn start_server(workers: usize) -> (Client, JoinHandle<io::Result<()>>) {
 }
 
 fn start_server_with(config: ServerConfig) -> (Client, JoinHandle<io::Result<()>>) {
-    let server = Server::bind(config).expect("bind ephemeral port");
-    let addr = server.local_addr().expect("bound socket has an address").to_string();
-    let handle = std::thread::spawn(move || server.run());
+    let (addr, handle) = bind_server(config);
     (Client::new(addr), handle)
 }
 
+/// Like [`start_server_with`], but returns the bound address.
+fn bind_server(config: ServerConfig) -> (String, JoinHandle<io::Result<()>>) {
+    let server = Server::bind(config).expect("bind ephemeral port");
+    let addr = server.local_addr().expect("bound socket has an address").to_string();
+    (addr, std::thread::spawn(move || server.run()))
+}
+
 const WAIT: Duration = Duration::from_secs(120);
+
+/// A source job that keeps one worker busy for a while (four million
+/// instructions, simulated cycle by cycle: about a second with
+/// optimizations); `seed` keeps it off the cache.
+fn slow_job(seed: u64) -> JobRequest {
+    JobRequest {
+        program: JobProgram::Source(
+            "li r1, #2000000\nloop:\n  sub r1, #1, r1\n  bgt r1, loop\n  halt\n".to_string(),
+        ),
+        width: MachineWidth::Four,
+        schemes: vec![Scheme::Base],
+        seed,
+        sampled: None,
+        deadline_ms: None,
+        cycle_budget: half_price::serve::proto::DEFAULT_CYCLE_BUDGET,
+        pc_table_entries: None,
+    }
+}
+
+/// Submits `request` and returns its id once a worker has started it.
+fn submit_running(client: &Client, request: &JobRequest) -> u64 {
+    let id = client.submit(request).expect("submit").job_id;
+    while client.status(id).expect("status").status == JobStatus::Queued {
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    id
+}
+
+/// One `/health` counter.
+fn counter(client: &Client, key: &str) -> u64 {
+    let health = client.health().expect("health");
+    health.get("counters").and_then(|c| c.get(key)).and_then(Json::as_u64).expect("counter")
+}
+
+/// Waits until `/health` shows `n` parked `/result` connections.
+fn await_parked(client: &Client, n: u64) {
+    let t0 = Instant::now();
+    while counter(client, "results_parked_now") < n {
+        assert!(t0.elapsed() < WAIT, "fewer than {n} connections ever parked");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// Sends `GET /result/<id>` on a raw connection without reading the reply.
+fn raw_result_call(addr: &str, id: u64) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(WAIT)).expect("read timeout");
+    let request =
+        Request { method: "GET".into(), path: format!("/result/{id}"), body: String::new() };
+    http::write_request(&mut stream, &request).expect("send");
+    stream
+}
+
+fn read_result(stream: TcpStream) -> ResultResponse {
+    let response = http::read_response(&mut BufReader::new(stream)).expect("response");
+    assert_eq!(response.status, 200, "{}", response.body);
+    let body = half_price::obs::json::parse(&response.body).expect("json body");
+    ResultResponse::from_json(&body).expect("result body")
+}
 
 #[test]
 fn duplicate_job_is_served_from_cache_bit_identically() {
@@ -133,22 +199,7 @@ fn overflowing_the_queue_is_a_structured_429_with_a_retry_hint() {
     // Pin the single worker on a long-running source job, and only then
     // fill the one queue slot — the admission outcome is deterministic,
     // not a race against the worker's pop.
-    let slow = JobRequest {
-        program: JobProgram::Source(
-            "li r1, #500000\nloop:\n  sub r1, #1, r1\n  bgt r1, loop\n  halt\n".to_string(),
-        ),
-        width: MachineWidth::Four,
-        schemes: vec![Scheme::Base],
-        seed: 0xa1,
-        sampled: None,
-        deadline_ms: None,
-        cycle_budget: half_price::serve::proto::DEFAULT_CYCLE_BUDGET,
-        pc_table_entries: None,
-    };
-    let slow_id = client.submit(&slow).expect("slow submit").job_id;
-    while client.status(slow_id).expect("status").status == JobStatus::Queued {
-        std::thread::sleep(Duration::from_millis(2));
-    }
+    let slow_id = submit_running(&client, &slow_job(0xa1));
 
     let mut filler = JobRequest::workload("gcc", Scale::Tiny, Scheme::Base);
     filler.seed = 0xa2;
@@ -350,4 +401,135 @@ fn restart_drops_cached_and_journaled_results_of_another_model() {
     client.shutdown().expect("shutdown");
     handle.join().expect("server thread").expect("clean exit");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn wait_parks_on_a_running_job_and_gets_what_a_later_result_gets() {
+    let (client, handle) = start_server(1);
+
+    let id = submit_running(&client, &slow_job(0xc1));
+    let parked = client.wait(id, WAIT).expect("parked wait");
+    assert_eq!(parked.status, JobStatus::Done);
+    let later = client.result(id).expect("later result");
+    assert_eq!(parked.to_json().render(), later.to_json().render());
+    assert_eq!(counter(&client, "results_parked"), 1, "the running job's wait parked once");
+    assert_eq!(counter(&client, "results_parked_now"), 0);
+
+    client.shutdown().expect("shutdown");
+    handle.join().expect("server thread").expect("clean exit");
+}
+
+#[test]
+fn a_short_wait_times_out_and_the_job_still_completes() {
+    let (client, handle) = start_server(1);
+
+    let id = submit_running(&client, &slow_job(0xc2));
+    for _ in 0..2 {
+        match client.wait(id, Duration::from_millis(50)) {
+            Err(ClientError::Timeout { job_id, .. }) => assert_eq!(job_id, id),
+            other => panic!("expected a timeout, got {other:?}"),
+        }
+    }
+    // Both abandoned connections stay parked until the job finishes.
+    assert_eq!(counter(&client, "results_parked"), 2);
+    assert_eq!(counter(&client, "results_parked_now"), 2);
+    assert_eq!(client.wait(id, WAIT).expect("result").status, JobStatus::Done);
+    assert_eq!(counter(&client, "results_parked_now"), 0);
+
+    client.shutdown().expect("shutdown");
+    handle.join().expect("server thread").expect("clean exit");
+}
+
+#[test]
+fn a_parked_waiter_of_a_job_that_expires_gets_expired() {
+    let (client, handle) = start_server(1);
+
+    let slow = submit_running(&client, &slow_job(0xc3));
+    let mut request = JobRequest::workload("gcc", Scale::Tiny, Scheme::Base);
+    request.seed = 0xc4;
+    request.deadline_ms = Some(200);
+    let queued = client.submit(&request).expect("submit").job_id;
+    let waiter = {
+        let client = client.clone();
+        std::thread::spawn(move || client.wait(queued, WAIT))
+    };
+    assert_eq!(client.wait(slow, WAIT).expect("slow result").status, JobStatus::Done);
+    let result = waiter.join().expect("waiter thread").expect("result");
+    assert_eq!(result.status, JobStatus::Expired);
+    assert!(result.error.is_some_and(|e| e.contains("deadline")));
+    assert_eq!(counter(&client, "results_parked"), 2, "both waits parked");
+
+    client.shutdown().expect("shutdown");
+    handle.join().expect("server thread").expect("clean exit");
+}
+
+#[test]
+fn shutdown_answers_every_parked_waiter() {
+    let (client, handle) = start_server(1);
+
+    let running = submit_running(&client, &slow_job(0xc5));
+    let queued = client.submit(&slow_job(0xc6)).expect("submit").job_id;
+    let waiters: Vec<_> = [running, queued]
+        .into_iter()
+        .map(|id| {
+            let client = client.clone();
+            std::thread::spawn(move || client.wait(id, WAIT))
+        })
+        .collect();
+    await_parked(&client, 2);
+    client.shutdown().expect("shutdown");
+    for waiter in waiters {
+        let result = waiter.join().expect("waiter thread").expect("result");
+        assert_eq!(result.status, JobStatus::Done, "the drain ran the backlog");
+    }
+    handle.join().expect("server thread").expect("clean exit");
+}
+
+#[test]
+fn past_the_parking_cap_result_answers_at_once_and_hung_up_clients_make_room() {
+    let (addr, handle) = bind_server(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    let client = Client::new(addr.clone());
+
+    // Park on a job queued behind a running one, so that it stays
+    // unfinished for at least one slow job's time.
+    submit_running(&client, &slow_job(0xc7));
+    let id = client.submit(&slow_job(0xc8)).expect("submit").job_id;
+    let mut parked: Vec<TcpStream> = (0..MAX_PARKED).map(|_| raw_result_call(&addr, id)).collect();
+    await_parked(&client, MAX_PARKED as u64);
+    let t0 = Instant::now();
+    let early = read_result(raw_result_call(&addr, id));
+    assert!(!early.status.is_terminal(), "past the cap: the current status at once");
+    assert!(t0.elapsed() < Duration::from_secs(5));
+    // Clients that hang up make room: the next wait parks.
+    parked.truncate(MAX_PARKED / 2);
+    let result = client.wait(id, WAIT).expect("wait past the cap");
+    assert_eq!(result.status, JobStatus::Done);
+    assert_eq!(counter(&client, "results_parked"), MAX_PARKED as u64 + 1);
+    for stream in parked {
+        assert_eq!(read_result(stream).to_json().render(), result.to_json().render());
+    }
+    assert_eq!(counter(&client, "results_parked_now"), 0);
+
+    client.shutdown().expect("shutdown");
+    handle.join().expect("server thread").expect("clean exit");
+}
+
+#[test]
+fn an_unknown_id_is_a_404_at_once() {
+    let (client, handle) = start_server(1);
+
+    let t0 = Instant::now();
+    match client.wait(4242, WAIT) {
+        Err(ClientError::Server { status: 404, .. }) => {}
+        other => panic!("expected a 404, got {other:?}"),
+    }
+    assert!(t0.elapsed() < Duration::from_secs(5));
+    assert_eq!(counter(&client, "results_parked"), 0);
+
+    client.shutdown().expect("shutdown");
+    handle.join().expect("server thread").expect("clean exit");
 }

@@ -236,11 +236,31 @@ if [ -z "$bin_first_digest" ] || [ "$bin_first_digest" != "$rv_elf_digest" ] ||
   echo "ERROR: binary-job digests ($bin_first_digest, $bin_second_digest) != direct ELF run ($rv_elf_digest)" >&2
   exit 1
 fi
+# Re-attach: a fresh cell submitted without waiting, then collected with
+# `hpa job`, whose `/result` call waits on the daemon until the job is
+# done and must carry the direct run's digest.
+detached="$(cargo run --release -q --bin hpa -- submit gzip --scale tiny \
+  --addr "$serve_addr" --no-wait --json)"
+detached_job="$(json_scalar "$detached" job_id)"
+if [ -z "$detached_job" ] || [ "$(json_scalar "$detached" status)" != "queued" ]; then
+  echo "ERROR: --no-wait submit of a fresh cell returned no queued job: $detached" >&2
+  exit 1
+fi
+attached="$(cargo run --release -q --bin hpa -- job "$detached_job" --addr "$serve_addr" --json)"
+attached_digest="$(json_scalar "$attached" stats_digest)"
+gzip_digest="$(cargo run --release -q --bin hpa -- bench gzip --scale tiny |
+  awk '/^stats digest/ {print $3}')"
+if [ "$(json_scalar "$attached" status)" != "done" ] || [ -z "$attached_digest" ] ||
+   [ "$attached_digest" != "$gzip_digest" ]; then
+  echo "ERROR: re-attached job is not done with the direct run's digest ($gzip_digest): $attached" >&2
+  exit 1
+fi
 cargo run --release -q --bin hpa -- serve --stop --addr "$serve_addr"
 wait "$serve_pid"
 rm -rf "$serve_cache"
 echo "hpa serve: cache hit on resubmission, digest $direct_digest matches direct run, clean shutdown"
 echo "hpa serve: binary job cache hit on resubmission, digest $bin_first_digest matches direct ELF run"
+echo "hpa serve: --no-wait job $detached_job re-attached done, digest $attached_digest matches direct run"
 
 echo "== serve crash-recovery gate =="
 # Durability gate, end to end through real processes and a real SIGKILL:
