@@ -1,14 +1,11 @@
-//! Regenerates every table and figure of the paper's evaluation in one
-//! pass and writes the results — alongside the paper's reported values —
-//! to `EXPERIMENTS.md` (path via `--out`, default `./EXPERIMENTS.md`).
+//! The paper's report, written by `hpa report`: every table and figure
+//! of the paper's evaluation in one pass, alongside the paper's reported
+//! values, in one markdown file.
 //!
 //! Everything the report simulates is one job list on one pool
-//! ([`hpa_bench::ReportPrograms`]); every table and figure is a view of
-//! its results.
-//!
-//! Run with `cargo run --release -p hpa-bench --bin reproduce_all`.
+//! ([`ReportPrograms`]); every table and figure is a view of its results.
 
-use hpa_bench::{
+use crate::{
     summary, HarnessArgs, ReportPrograms, CPI_SCHEMES, FIG14_SCHEMES, FIG15_SCHEMES, FIG16_SCHEMES,
 };
 use hpa_core::circuits::{EnergyModel, RegFileDelayModel, WakeupDelayModel};
@@ -18,8 +15,9 @@ use hpa_core::{MachineWidth, RunResult, Scheme};
 use std::fmt::Write as _;
 use std::time::Instant;
 
-fn main() {
-    let args = HarnessArgs::parse();
+/// Simulates the report's job list for `args` and writes the report to
+/// `args.out`; a failed cell panics ([`ReportPrograms::run`]).
+pub fn write_report(args: &HarnessArgs) -> std::io::Result<()> {
     let out = &args.out;
     let t0 = Instant::now();
     let mut md = String::new();
@@ -27,8 +25,7 @@ fn main() {
     let _ = writeln!(
         md,
         "# EXPERIMENTS — paper vs. measured\n\n\
-         Regenerated by `cargo run --release -p hpa-bench --bin reproduce_all` \
-         (scale: {}).\n\n\
+         Regenerated by `hpa report` (scale: {}).\n\n\
          Every row is measured on this repository's from-scratch simulator and \
          workloads; the *paper* column quotes Kim & Lipasti (ISCA 2003). \
          Workloads are stand-ins for SPEC CINT2000 (see `DESIGN.md` §2), so \
@@ -37,7 +34,7 @@ fn main() {
         args.scale.key()
     );
 
-    let (sweeps, references) = ReportPrograms::build(&args).run(&args);
+    let (sweeps, references) = ReportPrograms::build(args).run(args);
     let sweep = |width| sweeps.iter().find(|m| m.width == width).expect("every width is swept");
     let four = sweep(MachineWidth::Four).column(Scheme::Base);
     let eight = sweep(MachineWidth::Eight).column(Scheme::Base);
@@ -178,14 +175,14 @@ fn main() {
     let _ = writeln!(
         md,
         "\n## Extensions beyond the paper's evaluation\n\n\
-         `cargo run --release -p hpa-bench --bin extensions` runs three \
-         experiments the paper does not: selective vs non-selective replay, \
-         sequential wakeup's IPC against the last-arrival predictor's size, \
-         and the paper's §6 half-price rename & bypass. It takes this \
-         report's `--scale`, `--width`, `--bench` and `--jobs` and prints \
-         its tables to stdout; they are not part of this report.\n"
+         `hpa extensions` runs three experiments the paper does not: \
+         selective vs non-selective replay, sequential wakeup's IPC against \
+         the last-arrival predictor's size, and the paper's §6 half-price \
+         rename & bypass. It takes this report's `--scale`, `--width`, \
+         `--bench` and `--jobs` and prints its tables to stdout; they are \
+         not part of this report.\n"
     );
-    sampled_accuracy(&mut md, &args, &references);
+    sampled_accuracy(&mut md, args, &references);
 
     let _ = writeln!(md, "\n## Divergence notes\n");
     let _ = writeln!(md, "{}", DIVERGENCES.trim());
@@ -196,8 +193,9 @@ fn main() {
         args.jobs
     );
 
-    std::fs::write(out, md).unwrap_or_else(|e| panic!("writing {out}: {e}"));
+    std::fs::write(out, md)?;
     eprintln!("wrote {out} in {:.1}s", t0.elapsed().as_secs_f64());
+    Ok(())
 }
 
 /// Emits the sampled-simulation accuracy table: per Long-scale reference,

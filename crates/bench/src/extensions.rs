@@ -1,7 +1,7 @@
-//! The experiments beyond the paper's evaluation, printed by the
-//! `extensions` binary: selective vs non-selective replay, sequential
-//! wakeup's IPC against the last-arrival predictor's size, and the
-//! paper's §6 half-price rename and bypass.
+//! The experiments beyond the paper's evaluation, printed by `hpa
+//! extensions`: selective vs non-selective replay, sequential wakeup's
+//! IPC against the last-arrival predictor's size, and the paper's §6
+//! half-price rename and bypass.
 //!
 //! Each experiment names the machines it compares per benchmark; several
 //! of them share a machine (all three run the base machine), so

@@ -1,38 +1,30 @@
 //! # hpa-bench — the experiment harness
 //!
-//! Two binaries (see `DESIGN.md` §4 for the index):
+//! The library behind two `hpa` subcommands (see `DESIGN.md` §4 for the
+//! index), both over one [`HarnessArgs`]:
 //!
-//! * `reproduce_all` regenerates every table and figure of the paper's
-//!   evaluation, plus its circuit claims, and writes them to one report.
-//!   It simulates one job list ([`ReportPrograms::jobs`]) on one pool:
-//!   the sampled section's Long-scale references, then one observed
-//!   sweep per selected width; every section is a view of the results;
-//! * `extensions` prints the experiments beyond the paper
+//! * `hpa report` regenerates every table and figure of the paper's
+//!   evaluation, plus its circuit claims, and writes them to one report
+//!   ([`write_report`]). It simulates one job list
+//!   ([`ReportPrograms::jobs`]) on one pool: the sampled section's
+//!   Long-scale references, then one observed sweep per selected width;
+//!   every section is a view of the results;
+//! * `hpa extensions` prints the experiments beyond the paper
 //!   ([`extension_tables`]).
-//!
-//! Both accept:
-//!
-//! ```text
-//! --scale tiny|default|large|long   simulation length per benchmark
-//! --width 4|8|both             machine width(s) to simulate
-//! --bench <name>...            subset of benchmarks (default: all 12)
-//! --jobs N                     worker threads for the simulated cells
-//!                              (default: host parallelism)
-//! --out PATH                   where `reproduce_all` writes its report
-//!                              (default: EXPERIMENTS.md)
-//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod experiments;
 mod extensions;
 
+pub use experiments::write_report;
 pub use extensions::extension_tables;
 use hpa_core::sim::SampleUnits;
-use hpa_core::workloads::{workload, Scale, Workload, WORKLOAD_NAMES};
+use hpa_core::workloads::{workload, Scale, Workload};
 use hpa_core::{run_all, MachineWidth, MatrixResult, Mode, RunResult, RunSpec, Scheme};
 
-/// Parsed command-line options shared by both harness binaries.
+/// The harness options `hpa report` and `hpa extensions` share.
 #[derive(Clone, Debug)]
 pub struct HarnessArgs {
     /// Simulation scale.
@@ -43,7 +35,7 @@ pub struct HarnessArgs {
     pub benches: Vec<&'static str>,
     /// Worker threads for the simulated cells.
     pub jobs: usize,
-    /// Report path (`reproduce_all` writes its markdown there).
+    /// Report path ([`write_report`] writes its markdown there).
     pub out: String,
 }
 
@@ -62,7 +54,7 @@ pub const FIG16_SCHEMES: [Scheme; 2] = [Scheme::Base, Scheme::Combined];
 
 /// Every scheme the paper's evaluation simulates: the union of
 /// [`FIG14_SCHEMES`], [`FIG15_SCHEMES`] and [`FIG16_SCHEMES`], base first.
-/// `reproduce_all` runs each selected width's sweep over these.
+/// [`write_report`] runs each selected width's sweep over these.
 pub const PAPER_SCHEMES: [Scheme; 8] = [
     Scheme::Base,
     Scheme::SeqWakeupPredictor,
@@ -79,86 +71,11 @@ pub const PAPER_SCHEMES: [Scheme; 8] = [
 pub const CPI_SCHEMES: [Scheme; 4] =
     [Scheme::Base, Scheme::SeqWakeupPredictor, Scheme::SeqRegAccess, Scheme::Combined];
 
-impl HarnessArgs {
-    /// Parses `std::env::args`, exiting with a usage message on errors.
-    #[must_use]
-    pub fn parse() -> HarnessArgs {
-        let argv: Vec<String> = std::env::args().skip(1).collect();
-        HarnessArgs::parse_from(&argv)
-    }
-
-    /// Parses an explicit argument list (see [`HarnessArgs::parse`]).
-    #[must_use]
-    pub fn parse_from(argv: &[String]) -> HarnessArgs {
-        let mut args = HarnessArgs {
-            scale: Scale::Default,
-            widths: vec![MachineWidth::Four, MachineWidth::Eight],
-            benches: WORKLOAD_NAMES.to_vec(),
-            jobs: hpa_core::default_jobs(),
-            out: "EXPERIMENTS.md".into(),
-        };
-        let mut it = argv.iter().map(String::as_str);
-        let mut benches: Vec<&'static str> = Vec::new();
-        while let Some(a) = it.next() {
-            match a {
-                "--scale" => {
-                    let key = it.next();
-                    args.scale = key
-                        .and_then(Scale::from_key)
-                        .unwrap_or_else(|| usage(&format!("bad --scale {key:?}")));
-                }
-                "--width" => {
-                    args.widths = match it.next() {
-                        Some("4") => vec![MachineWidth::Four],
-                        Some("8") => vec![MachineWidth::Eight],
-                        Some("both") => vec![MachineWidth::Four, MachineWidth::Eight],
-                        other => usage(&format!("bad --width {other:?}")),
-                    }
-                }
-                "--bench" => {
-                    let name = it.next().unwrap_or_default();
-                    match WORKLOAD_NAMES.iter().find(|n| **n == name) {
-                        Some(n) => benches.push(n),
-                        None => usage(&format!("unknown benchmark `{name}`")),
-                    }
-                }
-                "--jobs" => {
-                    args.jobs = match it.next().and_then(|v| v.parse().ok()) {
-                        Some(n) if n >= 1 => n,
-                        _ => usage("bad --jobs (want an integer >= 1)"),
-                    }
-                }
-                "--out" => match it.next() {
-                    Some(path) => args.out = path.into(),
-                    None => usage("--out needs a path"),
-                },
-                "--help" | "-h" => usage(""),
-                other => usage(&format!("unknown option `{other}`")),
-            }
-        }
-        if !benches.is_empty() {
-            args.benches = benches;
-        }
-        args
-    }
-}
-
-fn usage(err: &str) -> ! {
-    if !err.is_empty() {
-        eprintln!("error: {err}");
-    }
-    eprintln!(
-        "usage: <bin> [--scale tiny|default|large|long] [--width 4|8|both] [--bench NAME]... \
-         [--jobs N] [--out PATH]"
-    );
-    std::process::exit(if err.is_empty() { 0 } else { 2 });
-}
-
 /// The Long-scale workloads of the report's sampled section, longest
 /// first: mcf's full-detail run takes about seven times gap's.
 pub const SAMPLED_REFERENCES: [&str; 2] = ["mcf", "gap"];
 
-/// What `reproduce_all` simulates: the selected benchmarks at `--scale`
+/// What [`write_report`] simulates: the selected benchmarks at `--scale`
 /// and, except at `--scale tiny` (the full-detail Long-scale runs alone
 /// take minutes), the selected [`SAMPLED_REFERENCES`] at Long scale.
 pub struct ReportPrograms {
@@ -293,62 +210,19 @@ pub fn summary(m: &MatrixResult, schemes: &[Scheme]) -> String {
 mod tests {
     use super::*;
 
-    fn sv(args: &[&str]) -> Vec<String> {
-        args.iter().map(|s| (*s).to_string()).collect()
-    }
-
-    #[test]
-    fn defaults_cover_everything() {
-        let a = HarnessArgs::parse_from(&[]);
-        assert_eq!(a.scale, Scale::Default);
-        assert_eq!(a.widths, vec![MachineWidth::Four, MachineWidth::Eight]);
-        assert_eq!(a.benches.len(), 12);
-    }
-
-    #[test]
-    fn scale_width_and_bench_filters() {
-        let a = HarnessArgs::parse_from(&sv(&[
-            "--scale", "tiny", "--width", "8", "--bench", "mcf", "--bench", "gcc",
-        ]));
-        assert_eq!(a.scale, Scale::Tiny);
-        assert_eq!(a.widths, vec![MachineWidth::Eight]);
-        assert_eq!(a.benches, vec!["mcf", "gcc"]);
-        let b = HarnessArgs::parse_from(&sv(&["--width", "both", "--scale", "large"]));
-        assert_eq!(b.widths.len(), 2);
-        assert_eq!(b.scale, Scale::Large);
-    }
-
-    #[test]
-    fn out_flag_sets_the_report_path() {
-        assert_eq!(HarnessArgs::parse_from(&[]).out, "EXPERIMENTS.md");
-        let a = HarnessArgs::parse_from(&sv(&["--out", "/tmp/report.md", "--scale", "tiny"]));
-        assert_eq!(a.out, "/tmp/report.md");
-        assert_eq!(a.scale, Scale::Tiny, "flags after --out still parse");
-    }
-
-    #[test]
-    fn jobs_flag_overrides_host_parallelism() {
-        let a = HarnessArgs::parse_from(&sv(&["--jobs", "3"]));
-        assert_eq!(a.jobs, 3);
-        assert!(HarnessArgs::parse_from(&[]).jobs >= 1);
-    }
-
-    #[test]
-    fn scale_keys_parse() {
-        for scale in Scale::ALL {
-            assert_eq!(HarnessArgs::parse_from(&sv(&["--scale", scale.key()])).scale, scale);
-        }
-    }
-
     /// The report's list starts with its longest cell, the Long-scale mcf
     /// full-detail reference, and holds each cell once: at `--scale long`
     /// the references' 4-wide base cells are not listed again in the sweep.
     #[test]
     fn report_list_starts_with_the_mcf_reference_and_holds_each_cell_once() {
-        for (scale, shared) in [("default", 0), ("long", 2)] {
-            let args = HarnessArgs::parse_from(&sv(&[
-                "--scale", scale, "--bench", "gap", "--bench", "mcf",
-            ]));
+        for (scale, shared) in [(Scale::Default, 0), (Scale::Long, 2)] {
+            let args = HarnessArgs {
+                scale,
+                widths: MachineWidth::ALL.to_vec(),
+                benches: vec!["gap", "mcf"],
+                jobs: 1,
+                out: String::new(),
+            };
             let programs = ReportPrograms::build(&args);
             let jobs = programs.jobs(&args);
             let key = |spec: &RunSpec<'_>| {
@@ -360,14 +234,14 @@ mod tests {
             };
             let mcf = workload("mcf", Scale::Long).expect("known workload");
             let reference = RunSpec::workload(&mcf, Scheme::Base, MachineWidth::Four);
-            assert_eq!(key(&jobs[0]), key(&reference), "{scale}");
+            assert_eq!(key(&jobs[0]), key(&reference), "{scale:?}");
             assert!(matches!(jobs[2].mode, Mode::Sampled { .. }), "then the sampled references");
             let cells = 2 * PAPER_SCHEMES.len() * MachineWidth::ALL.len();
-            assert_eq!(jobs.len(), 4 + cells - shared, "{scale}");
+            assert_eq!(jobs.len(), 4 + cells - shared, "{scale:?}");
             let mut keys: Vec<u64> = jobs.iter().map(key).collect();
             keys.sort_unstable();
             keys.dedup();
-            assert_eq!(keys.len(), jobs.len(), "a cell is listed twice at {scale}");
+            assert_eq!(keys.len(), jobs.len(), "a cell is listed twice at {scale:?}");
         }
     }
 

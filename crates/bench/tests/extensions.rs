@@ -6,15 +6,17 @@
 use hpa_bench::{extension_tables, HarnessArgs};
 use hpa_core::report::Table;
 use hpa_core::sim::{BypassScheme, RecoveryKind, RenameScheme, SimConfig, SimStats, WakeupScheme};
-use hpa_core::workloads::workload;
-use hpa_core::{run, RunSpec, Scheme};
+use hpa_core::workloads::{workload, Scale};
+use hpa_core::{run, MachineWidth, RunSpec, Scheme};
 
 fn tiny_gcc_4wide() -> HarnessArgs {
-    let argv: Vec<String> = ["--scale", "tiny", "--bench", "gcc", "--width", "4", "--jobs", "2"]
-        .iter()
-        .map(|s| (*s).to_string())
-        .collect();
-    HarnessArgs::parse_from(&argv)
+    HarnessArgs {
+        scale: Scale::Tiny,
+        widths: vec![MachineWidth::Four],
+        benches: vec!["gcc"],
+        jobs: 2,
+        out: String::new(),
+    }
 }
 
 fn recovery(args: &HarnessArgs) -> Vec<Table> {

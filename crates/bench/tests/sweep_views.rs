@@ -1,4 +1,4 @@
-//! `reproduce_all` builds every table from one job list. These tests hold
+//! `hpa report` builds every table from one job list. These tests hold
 //! that list's views to the tables built from separate runs: the
 //! per-figure matrices, a separate observed matrix for the CPI stacks,
 //! and one plain base run per benchmark for the characterization tables.
@@ -10,11 +10,13 @@ use hpa_core::workloads::Scale;
 use hpa_core::{report, run_matrix, run_workload, MachineWidth, MatrixResult, RunResult, Scheme};
 
 fn tiny_gcc_4wide() -> HarnessArgs {
-    let argv: Vec<String> = ["--scale", "tiny", "--bench", "gcc", "--width", "4", "--jobs", "2"]
-        .iter()
-        .map(|s| (*s).to_string())
-        .collect();
-    HarnessArgs::parse_from(&argv)
+    HarnessArgs {
+        scale: Scale::Tiny,
+        widths: vec![MachineWidth::Four],
+        benches: vec!["gcc"],
+        jobs: 2,
+        out: String::new(),
+    }
 }
 
 /// The report's sweeps and Long-scale references, from its one list.

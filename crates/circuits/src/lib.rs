@@ -24,7 +24,7 @@
 //!   lines/bit lines, whose lengths grow linearly with the per-port cell
 //!   pitch, giving the classic quadratic port-count term.
 //!
-//! `reproduce_all`'s "Circuit claims" section uses both models to
+//! The "Circuit claims" section of `hpa report` uses both models to
 //! regenerate the claims and to produce the ablation sweeps (delay vs.
 //! window size, issue width, port count, entry count).
 

@@ -5,7 +5,7 @@
 //! serial, parallel and observed runs bit-identical. The key is an
 //! FNV-1a digest of a canonical byte encoding of those five inputs (spec
 //! in `DESIGN.md` §12). `hpa serve` files its result cache under it, and
-//! the `extensions` harness runs each distinct key once.
+//! `hpa extensions` runs each distinct key once.
 //!
 //! The canonical encoding digests the program's *encoded instruction
 //! words and data image*, never its `Debug` formatting — `Program` holds

@@ -3,7 +3,7 @@
 //!
 //! Each `figure*`/`table*` function consumes [`MatrixResult`]s (or base-run
 //! statistics) and produces a [`Table`] whose rows mirror what the paper
-//! plots; `hpa-bench`'s `reproduce_all` assembles them into
+//! plots; `hpa report` (`hpa_bench::write_report`) assembles them into
 //! `EXPERIMENTS.md`.
 
 use crate::runner::MatrixResult;

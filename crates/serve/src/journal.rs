@@ -27,15 +27,18 @@
 //! | `type`      | fields                      | meaning                        |
 //! |-------------|-----------------------------|--------------------------------|
 //! | `submitted` | `id`, `request`             | job accepted (fsync'd)         |
-//! | `started`   | `id`                        | a worker claimed the job       |
 //! | `done`      | `id`, `cached`, `cells`     | terminal: results (fsync'd)    |
 //! | `failed`    | `id`, `error`               | terminal: fault/panic (fsync'd)|
 //! | `expired`   | `id`, `error`               | terminal: never ran            |
 //!
+//! A record of any other `type` (such as the `started` line older builds
+//! appended when a worker claimed a job) is skipped and counted like a
+//! damaged one.
+//!
 //! Replay rules: the *last intact* record per id wins; a terminal record
 //! without its `submitted` line (lost to corruption) still rehydrates —
 //! results are never discarded because an earlier record died. A
-//! `submitted`/`started` with no terminal record re-enqueues. A `done`
+//! `submitted` with no terminal record re-enqueues. A `done`
 //! record whose cells carry another `model` fingerprint than this
 //! build's is stale: it is dropped and counted ([`Replay::stale`]), so
 //! its job replays as pending and re-runs under the current model (an
@@ -65,11 +68,6 @@ pub enum Record {
         id: u64,
         /// The full request, so replay can re-run the job.
         request: JobRequest,
-    },
-    /// A worker claimed the job (recovery hint; not a state change).
-    Started {
-        /// The job id.
-        id: u64,
     },
     /// The job finished with results.
     Done {
@@ -103,7 +101,6 @@ impl Record {
     pub fn id(&self) -> u64 {
         match *self {
             Record::Submitted { id, .. }
-            | Record::Started { id }
             | Record::Done { id, .. }
             | Record::Failed { id, .. }
             | Record::Expired { id, .. } => id,
@@ -117,7 +114,6 @@ impl Record {
             Record::Submitted { request, .. } => {
                 ("submitted", vec![("request", request.to_json())])
             }
-            Record::Started { .. } => ("started", vec![]),
             Record::Done { cached, cells, .. } => (
                 "done",
                 vec![
@@ -149,7 +145,6 @@ impl Record {
                 let request = v.get("request").ok_or_else(|| "missing `request`".to_string())?;
                 Ok(Record::Submitted { id, request: JobRequest::from_json(request)? })
             }
-            "started" => Ok(Record::Started { id }),
             "done" => Ok(Record::Done {
                 id,
                 cached: v.get("cached").and_then(Json::as_bool).unwrap_or(false),
@@ -350,15 +345,13 @@ fn replay_bytes(bytes: &[u8]) -> Replay {
 /// first-record order.
 fn apply(replay: &mut Replay, record: Record) {
     let id = record.id();
-    match &record {
-        Record::Started { .. } => return, // recovery hint only
-        // Another model's results: the job stays pending, and an
-        // orphaned record is simply gone.
-        Record::Done { cells, .. } if cells.iter().any(|c| c.model() != Some(FINGERPRINT)) => {
+    // Another model's results: the job stays pending, and an orphaned
+    // record is simply gone.
+    if let Record::Done { cells, .. } = &record {
+        if cells.iter().any(|c| c.model() != Some(FINGERPRINT)) {
             replay.stale += 1;
             return;
         }
-        _ => {}
     }
     let slot = match replay.jobs.iter().position(|(j, _)| *j == id) {
         Some(i) => i,
@@ -428,7 +421,6 @@ mod tests {
     fn records_round_trip_through_json() {
         let cases = [
             Record::Submitted { id: 1, request: request(7) },
-            Record::Started { id: 2 },
             done_record(3),
             Record::Failed { id: 4, error: "cell panicked: \"quoted\"".into() },
             Record::Expired { id: 5, error: "deadline passed".into() },
@@ -446,10 +438,8 @@ mod tests {
             let (journal, replay) = Journal::open(&dir).unwrap();
             assert_eq!(replay, Replay { next_id: 1, ..Replay::default() });
             journal.append(&Record::Submitted { id: 1, request: request(1) }, true);
-            journal.append(&Record::Started { id: 1 }, false);
             journal.append(&done_record(1), true);
             journal.append(&Record::Submitted { id: 2, request: request(2) }, true);
-            journal.append(&Record::Started { id: 2 }, false);
             journal.append(&Record::Submitted { id: 3, request: request(3) }, true);
             journal.append(&Record::Failed { id: 4, error: "boom".into() }, true);
         }
@@ -459,7 +449,7 @@ mod tests {
         let ids: Vec<u64> = replay.jobs.iter().map(|(id, _)| *id).collect();
         assert_eq!(ids, vec![1, 2, 3, 4], "original submit order is preserved");
         assert!(done(&replay.jobs[0].1));
-        assert!(pending(&replay.jobs[1].1), "started-but-unfinished");
+        assert!(pending(&replay.jobs[1].1), "submitted-but-unfinished");
         assert!(pending(&replay.jobs[2].1), "queued-but-unfinished");
         assert!(matches!(replay.jobs[3].1.terminal, Some(Record::Failed { .. })));
         let _ = std::fs::remove_dir_all(&dir);
@@ -471,11 +461,10 @@ mod tests {
         {
             let (journal, _) = Journal::open(&dir).unwrap();
             journal.append(&Record::Submitted { id: 1, request: request(1) }, true);
-            journal.append(&Record::Started { id: 1 }, false);
             journal.append(&done_record(1), true);
         }
-        // Second open compacts 3 records to 2: the `submitted` a re-run
-        // would need, then the terminal `done`.
+        // Second open keeps 2 records: the `submitted` a re-run would
+        // need, then the terminal `done`.
         let _ = Journal::open(&dir).unwrap();
         let text = std::fs::read_to_string(dir.join("journal.jsonl")).unwrap();
         assert_eq!(text.lines().count(), 2, "{text}");

@@ -24,9 +24,7 @@
 //! * [`http`] — the minimal HTTP/1.1 subset both sides speak;
 //! * [`journal`] — the write-ahead job journal: checksum-framed JSONL
 //!   replayed on startup so a `kill -9` loses no accepted job, torture-
-//!   tested against truncation and bit flips;
-//! * [`chaos`] — a seeded fault-injecting TCP proxy (drop / delay /
-//!   truncate / corrupt) for deterministic network-failure testing.
+//!   tested against truncation and bit flips.
 //!
 //! Wire protocol, job state machine, cache-key encoding and the
 //! durability/degradation rules are documented in `DESIGN.md` §12.
@@ -49,7 +47,6 @@
 #![warn(missing_docs)]
 
 pub mod cache;
-pub mod chaos;
 pub mod http;
 pub mod journal;
 pub mod proto;
@@ -57,7 +54,6 @@ pub mod queue;
 pub mod server;
 
 pub use cache::ResultCache;
-pub use chaos::ChaosProxy;
 pub use hpa_core::cell_key;
 pub use journal::{Journal, Record, Replay, ReplayedJob};
 pub use proto::{

@@ -688,12 +688,6 @@ fn execute_job(state: &ServerState, id: u64) {
         job.status = JobStatus::Running;
         request
     };
-    if let Some(journal) = &state.journal {
-        // A recovery hint only, so no fsync: losing it merely means the
-        // job replays as queued instead of "was running".
-        journal.append(&Record::Started { id }, false);
-    }
-
     let resolved = match resolve_program(&request) {
         Ok(r) => r,
         // Unreachable in practice: submit validated the program. Kept as

@@ -10,6 +10,7 @@
 //! detected.
 
 use half_price::asm::{parse_program, Program};
+use half_price::bench::{extension_tables, write_report, HarnessArgs};
 use half_price::emu::Emulator;
 use half_price::faultsim;
 use half_price::isa::Reg;
@@ -57,18 +58,18 @@ fn emit(args: std::fmt::Arguments<'_>) {
 }
 
 /// One CLI subcommand: the single place a command's name, one-line help
-/// and usage synopsis are registered. `main` dispatches from this table
-/// and the global usage text is generated from it, so adding a command
-/// is one entry here plus its handler.
+/// and usage synopsis are registered. `main` dispatches from this table,
+/// parses arguments against the synopsis and generates the usage text
+/// from it, so adding a command is one entry here plus its handler.
 struct Subcommand {
     /// The verb (`hpa <name> ...`).
     name: &'static str,
     /// One-line description for the command listing.
     help: &'static str,
-    /// Usage synopsis (flags included).
+    /// Usage synopsis: the one declaration of the command's arguments.
     usage: &'static str,
-    /// The handler, taking the arguments after the verb.
-    run: fn(&[String]) -> CliResult,
+    /// The handler, taking the parsed arguments after the verb.
+    run: fn(&Args) -> CliResult,
 }
 
 /// The subcommand registry.
@@ -97,8 +98,22 @@ const COMMANDS: &[Subcommand] = &[
         name: "bench",
         help: "built-in benchmarks: one name and scheme runs as `hpa sim`; `all` sweeps",
         usage: "hpa bench <name|all> [--scheme S|all] [--scale tiny|default|large|long] \
-                [--width 4|8] [--jobs N] [--sampled W:D:F [--seed S]]",
+                [--width 4|8] [--jobs N] [--trace N] [--cpi-stack] [--counters] [--json] \
+                [--sampled W:D:F [--seed S]]",
         run: cmd_bench,
+    },
+    Subcommand {
+        name: "report",
+        help: "every table and figure of the paper, written to one report",
+        usage: "hpa report [--scale K] [--width 4|8|both] [--bench NAME]... [--jobs N] \
+                [--out PATH]",
+        run: cmd_report,
+    },
+    Subcommand {
+        name: "extensions",
+        help: "the experiments beyond the paper, as tables on stdout",
+        usage: "hpa extensions [--scale K] [--width 4|8|both] [--bench NAME]... [--jobs N]",
+        run: cmd_extensions,
     },
     Subcommand {
         name: "trace-viz",
@@ -163,14 +178,85 @@ fn usage_error(unknown: Option<&str>) -> CliError {
     CliError::Usage(msg)
 }
 
+/// The arguments after the verb, parsed against its synopsis.
+#[derive(Default)]
+struct Args {
+    positional: Vec<String>,
+    /// Each flag given, in order, with its value if it takes one.
+    flags: Vec<(&'static str, Option<String>)>,
+}
+
+impl Args {
+    /// The value of `--name`, if given.
+    fn value(&self, name: &str) -> Option<&str> {
+        self.flags.iter().find(|(n, _)| *n == name).and_then(|(_, v)| v.as_deref())
+    }
+
+    /// Every value given to a repeatable `--name`, in order.
+    fn values<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a str> {
+        self.flags.iter().filter(move |(n, _)| *n == name).filter_map(|(_, v)| v.as_deref())
+    }
+
+    /// Whether `--name` was given.
+    fn has(&self, name: &str) -> bool {
+        self.flags.iter().any(|(n, _)| *n == name)
+    }
+}
+
+impl Subcommand {
+    /// Parses `argv` against the synopsis: `[--name META]` takes a value,
+    /// `[--name]` takes none, a group closed by `]...` may repeat, and
+    /// each `<...>` is one positional. Anything else is a usage error
+    /// naming the argument. `None` asks for the synopsis (`--help`, `-h`).
+    fn parse(&self, argv: &[String]) -> Result<Option<Args>, CliError> {
+        let bad = |what: String| usage(format!("{what}\nusage: {}", self.usage));
+        let positionals = self.usage.split_whitespace().filter(|t| t.starts_with('<')).count();
+        let mut args = Args::default();
+        let mut argv = argv.iter();
+        while let Some(a) = argv.next() {
+            if a == "--help" || a == "-h" {
+                return Ok(None);
+            }
+            if !a.starts_with("--") {
+                if args.positional.len() == positionals {
+                    return Err(bad(format!("unexpected argument `{a}`")));
+                }
+                args.positional.push(a.clone());
+                continue;
+            }
+            let mut decls = self.usage.match_indices("[--").map(|(i, _)| &self.usage[i + 1..]);
+            let Some(decl) = decls.find(|d| d.split([' ', ']']).next() == Some(a)) else {
+                return Err(bad(format!("unknown flag `{a}`")));
+            };
+            let (name, rest) = decl.split_at(a.len());
+            let repeats = rest.split_once(']').is_some_and(|(_, after)| after.starts_with("..."));
+            if !repeats && args.has(name) {
+                return Err(bad(format!("`{a}` given twice")));
+            }
+            let value = if rest.starts_with(' ') {
+                let v = argv.next().filter(|v| !v.starts_with("--"));
+                Some(v.ok_or_else(|| bad(format!("`{a}` needs a value")))?.clone())
+            } else {
+                None
+            };
+            args.flags.push((name, value));
+        }
+        Ok(Some(args))
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some(name) => match COMMANDS.iter().find(|c| c.name == name) {
-            Some(cmd) => (cmd.run)(&args[1..]),
-            None => Err(usage_error(Some(name))),
-        },
-        None => Err(usage_error(None)),
+    let verb = args.first().map(String::as_str);
+    let result = match COMMANDS.iter().find(|c| Some(c.name) == verb) {
+        Some(cmd) => cmd.parse(&args[1..]).and_then(|parsed| match parsed {
+            Some(parsed) => (cmd.run)(&parsed),
+            None => {
+                println!("usage: {}", cmd.usage);
+                Ok(())
+            }
+        }),
+        None => Err(usage_error(verb)),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -209,11 +295,9 @@ impl CliError {
 
 impl std::fmt::Display for CliError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CliError::Usage(m) | CliError::Fault(m) | CliError::Sdc(m) | CliError::Other(m) => {
-                write!(f, "{m}")
-            }
-        }
+        let (CliError::Usage(m) | CliError::Fault(m) | CliError::Sdc(m) | CliError::Other(m)) =
+            self;
+        write!(f, "{m}")
     }
 }
 
@@ -242,7 +326,7 @@ fn run_error(e: RunError) -> CliError {
 /// [`RunSpec::name`] of a program loaded from a file.
 const PROGRAM: &str = "program";
 
-fn cmd_list(_args: &[String]) -> CliResult {
+fn cmd_list(_args: &Args) -> CliResult {
     println!("workloads (SPEC CINT2000 stand-ins):");
     for name in WORKLOAD_NAMES {
         let w = workload(name, Scale::Tiny).expect("known");
@@ -264,35 +348,22 @@ fn parse_scheme(key: &str) -> Result<Scheme, CliError> {
     Scheme::from_key(key).ok_or_else(|| usage(format!("unknown scheme `{key}`; see `hpa list`")))
 }
 
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).cloned()
-}
-
-/// Flags that take no value, so the positional-argument scan must not
-/// treat their successor as a flag value.
-const BOOL_FLAGS: [&str; 5] = ["--cpi-stack", "--counters", "--json", "--stop", "--no-wait"];
-
-fn bool_flag(args: &[String], name: &str) -> bool {
-    debug_assert!(BOOL_FLAGS.contains(&name));
-    args.iter().any(|a| a == name)
-}
-
 /// Parses the value of `--name` as an integer, with a usage error naming
 /// the flag on failure; `None` when the flag is absent.
-fn opt_num_flag<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, CliError> {
-    flag(args, name)
+fn opt_num_flag<T: std::str::FromStr>(args: &Args, name: &str) -> Result<Option<T>, CliError> {
+    args.value(name)
         .map(|v| v.parse().map_err(|_| usage(format!("bad {name} `{v}` (want an integer)"))))
         .transpose()
 }
 
 /// [`opt_num_flag`] with a `default` for an absent flag.
-fn num_flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T, CliError> {
+fn num_flag<T: std::str::FromStr>(args: &Args, name: &str, default: T) -> Result<T, CliError> {
     Ok(opt_num_flag(args, name)?.unwrap_or(default))
 }
 
 /// A count flag that must be at least 1 (`--jobs`, `--max-queue`);
 /// `None` when absent.
-fn count_flag(args: &[String], name: &str) -> Result<Option<usize>, CliError> {
+fn count_flag(args: &Args, name: &str) -> Result<Option<usize>, CliError> {
     match opt_num_flag(args, name)? {
         Some(0) => Err(usage(format!("bad {name} `0` (want an integer >= 1)"))),
         n => Ok(n),
@@ -300,15 +371,15 @@ fn count_flag(args: &[String], name: &str) -> Result<Option<usize>, CliError> {
 }
 
 /// `--jobs`, defaulting to one worker per core.
-fn jobs_flag(args: &[String]) -> Result<usize, CliError> {
+fn jobs_flag(args: &Args) -> Result<usize, CliError> {
     Ok(count_flag(args, "--jobs")?.unwrap_or_else(half_price::default_jobs))
 }
 
 /// Parses `--scale`, defaulting to [`Scale::Default`].
-fn scale_flag(args: &[String]) -> Result<Scale, CliError> {
-    match flag(args, "--scale") {
+fn scale_flag(args: &Args) -> Result<Scale, CliError> {
+    match args.value("--scale") {
         None => Ok(Scale::Default),
-        Some(v) => Scale::from_key(&v).ok_or_else(|| usage(format!("bad --scale {v}"))),
+        Some(v) => Scale::from_key(v).ok_or_else(|| usage(format!("bad --scale {v}"))),
     }
 }
 
@@ -330,15 +401,12 @@ impl Target {
     }
 }
 
-/// The first positional argument, skipping flags and their values.
-fn positional(args: &[String]) -> Option<&String> {
-    args.iter().find(|a| !a.starts_with("--") && !is_flag_value(args, a))
-}
-
 /// Resolves the positional `<file|bench>` argument: an existing file is
 /// loaded, anything else must name a benchmark.
-fn load_target(args: &[String]) -> Result<Target, CliError> {
-    let target = positional(args)
+fn load_target(args: &Args) -> Result<Target, CliError> {
+    let target = args
+        .positional
+        .first()
         .ok_or_else(|| usage("missing program file or benchmark name; see `hpa list`"))?;
     if !std::path::Path::new(target).is_file() {
         return bench_target(target, scale_flag(args)?);
@@ -371,14 +439,14 @@ fn load_file(path: &str) -> Result<(Program, JobProgram), CliError> {
     Ok((program, JobProgram::Source(source)))
 }
 
-fn cmd_asm(args: &[String]) -> CliResult {
+fn cmd_asm(args: &Args) -> CliResult {
     let program = load_target(args)?.program;
     print!("{program}");
     println!("; {} instructions, {} bytes encoded", program.len(), program.len() * 4);
     Ok(())
 }
 
-fn cmd_run(args: &[String]) -> CliResult {
+fn cmd_run(args: &Args) -> CliResult {
     let program = load_target(args)?.program;
     let budget: u64 = num_flag(args, "--insts", 100_000_000)?;
     let mut emu = Emulator::new(&program);
@@ -393,8 +461,8 @@ fn cmd_run(args: &[String]) -> CliResult {
     Ok(())
 }
 
-fn machine_width(args: &[String]) -> Result<MachineWidth, CliError> {
-    match flag(args, "--width").as_deref() {
+fn machine_width(args: &Args) -> Result<MachineWidth, CliError> {
+    match args.value("--width") {
         None | Some("4") => Ok(MachineWidth::Four),
         Some("8") => Ok(MachineWidth::Eight),
         Some(o) => Err(usage(format!("bad --width {o}"))),
@@ -430,11 +498,11 @@ fn print_stats(s: &SimStats) {
 
 /// Parses `--sampled W:D:F` (plus the optional `--seed`);
 /// [`Mode::Full`] when the flag is absent.
-fn mode_flag(args: &[String]) -> Result<Mode, CliError> {
-    match flag(args, "--sampled") {
+fn mode_flag(args: &Args) -> Result<Mode, CliError> {
+    match args.value("--sampled") {
         None => Ok(Mode::Full),
         Some(v) => {
-            let units = SampleUnits::parse(&v).map_err(usage)?;
+            let units = SampleUnits::parse(v).map_err(usage)?;
             let seed: u64 = num_flag(args, "--seed", 0)?;
             Ok(Mode::Sampled { units, seed })
         }
@@ -460,17 +528,17 @@ fn print_sampled(est: &SampledEstimate) {
     );
 }
 
-fn cmd_sim(args: &[String]) -> CliResult {
+fn cmd_sim(args: &Args) -> CliResult {
     sim_target(args, &load_target(args)?)
 }
 
 /// Simulates one program under the `hpa sim` flags and prints its run
 /// record (`--json`) or a text report.
-fn sim_target(args: &[String], target: &Target) -> CliResult {
-    let scheme = parse_scheme(&flag(args, "--scheme").unwrap_or_else(|| "base".into()))?;
+fn sim_target(args: &Args, target: &Target) -> CliResult {
+    let scheme = parse_scheme(args.value("--scheme").unwrap_or("base"))?;
     let width = machine_width(args)?;
-    let want_cpi = bool_flag(args, "--cpi-stack");
-    let want_counters = bool_flag(args, "--counters");
+    let want_cpi = args.has("--cpi-stack");
+    let want_counters = args.has("--counters");
     let trace: usize = num_flag(args, "--trace", 0)?;
     let spec = RunSpec {
         mode: mode_flag(args)?,
@@ -495,7 +563,7 @@ fn sim_target(args: &[String], target: &Target) -> CliResult {
     } else {
         (run(&spec).map_err(run_error)?, None)
     };
-    if bool_flag(args, "--json") {
+    if args.has("--json") {
         println!("{}", r.to_json().render());
         return Ok(());
     }
@@ -578,20 +646,20 @@ fn render_cpi_stack(c: &half_price::Counters, stats: &SimStats) -> String {
 /// Exports per-instruction lifetime spans (fetch -> dispatch -> wakeup ->
 /// select -> exec -> commit) as Chrome trace-event JSON; open the file at
 /// `chrome://tracing` or <https://ui.perfetto.dev>.
-fn cmd_trace_viz(args: &[String]) -> CliResult {
+fn cmd_trace_viz(args: &Args) -> CliResult {
     let target = load_target(args)?;
-    let scheme = parse_scheme(&flag(args, "--scheme").unwrap_or_else(|| "base".into()))?;
+    let scheme = parse_scheme(args.value("--scheme").unwrap_or("base"))?;
     let width = machine_width(args)?;
     let insts: usize = num_flag(args, "--insts", 4096)?;
     if insts == 0 {
         return Err(usage("bad --insts `0` (want an integer >= 1)"));
     }
-    let out = flag(args, "--out").unwrap_or_else(|| "trace.json".into());
+    let out = args.value("--out").unwrap_or("trace.json");
     let spec = target.spec(scheme, width);
     let sim = traced_sim(&spec, insts)?;
     let trace = sim.pipetrace().expect("trace was enabled");
     let spans = trace.chrome_spans(spec.config.frontend_depth);
-    std::fs::write(&out, half_price::obs::chrome::to_json(&spans).render() + "\n")
+    std::fs::write(out, half_price::obs::chrome::to_json(&spans).render() + "\n")
         .map_err(|e| other(format_args!("writing {out}: {e}")))?;
     println!(
         "wrote {} span(s) to {out} ({} committed, {} cycles under {})",
@@ -606,9 +674,10 @@ fn cmd_trace_viz(args: &[String]) -> CliResult {
 /// Built-in benchmarks. One benchmark under one scheme is `hpa sim
 /// <bench>`; `all` and `--scheme all` sweep (sampled sweeps run one
 /// scheme, benchmark by benchmark).
-fn cmd_bench(args: &[String]) -> CliResult {
-    let name = positional(args).ok_or_else(|| usage("missing benchmark name; see `hpa list`"))?;
-    let scheme_key = flag(args, "--scheme").unwrap_or_else(|| "base".into());
+fn cmd_bench(args: &Args) -> CliResult {
+    let name =
+        args.positional.first().ok_or_else(|| usage("missing benchmark name; see `hpa list`"))?;
+    let scheme_key = args.value("--scheme").unwrap_or("base");
     if name != "all" && scheme_key != "all" {
         return cmd_sim(args);
     }
@@ -624,16 +693,21 @@ fn cmd_bench(args: &[String]) -> CliResult {
         }
         return Ok(());
     }
+    if ["--trace", "--cpi-stack", "--counters", "--json"].into_iter().any(|f| args.has(f)) {
+        return Err(usage("--trace/--cpi-stack/--counters/--json run one benchmark and scheme"));
+    }
     let schemes =
-        if scheme_key == "all" { Scheme::ALL.to_vec() } else { vec![parse_scheme(&scheme_key)?] };
+        if scheme_key == "all" { Scheme::ALL.to_vec() } else { vec![parse_scheme(scheme_key)?] };
     bench_matrix(&names, scale, machine_width(args)?, &schemes, jobs_flag(args)?)
 }
 
 /// Checks a program (or a whole corpus directory) against the lockstep
 /// oracle. A single file runs either one scheme (`--scheme S`) or the full
 /// differential set; a directory replays every `.s` reproducer in it.
-fn cmd_verify(args: &[String]) -> CliResult {
-    let target = positional(args)
+fn cmd_verify(args: &Args) -> CliResult {
+    let target = args
+        .positional
+        .first()
         .ok_or_else(|| usage("missing file or directory; usage: hpa verify <file.s|dir>"))?;
     let path = std::path::Path::new(target);
 
@@ -667,10 +741,10 @@ fn cmd_verify(args: &[String]) -> CliResult {
         verify::load_case(path).map_err(other)?
     };
     let mut variant = case.variant;
-    if flag(args, "--width").is_some() {
+    if args.value("--width").is_some() {
         variant.width = machine_width(args)?;
     }
-    match flag(args, "--scheme").as_deref() {
+    match args.value("--scheme") {
         None | Some("all") => {
             verify::run_differential(&case.program, variant).map_err(|(scheme, d)| {
                 CliError::Fault(format!("{target} diverged under `{}`:\n{d}", scheme.key()))
@@ -698,13 +772,13 @@ fn cmd_verify(args: &[String]) -> CliResult {
 
 /// Runs a differential fuzzing campaign; shrunk reproducers for any
 /// divergence land in the corpus directory (default `tests/corpus`).
-fn cmd_fuzz(args: &[String]) -> CliResult {
+fn cmd_fuzz(args: &Args) -> CliResult {
     let mut cfg = verify::FuzzConfig::default();
     cfg.iters = num_flag(args, "--iters", cfg.iters)?;
     cfg.seed = num_flag(args, "--seed", cfg.seed)?;
     cfg.jobs = jobs_flag(args)?;
-    let corpus = flag(args, "--corpus").unwrap_or_else(|| "tests/corpus".into());
-    cfg.corpus_dir = Some(corpus.clone().into());
+    let corpus = args.value("--corpus").unwrap_or("tests/corpus");
+    cfg.corpus_dir = Some(corpus.into());
 
     let t0 = std::time::Instant::now();
     let report = verify::fuzz(&cfg);
@@ -741,14 +815,14 @@ fn cmd_fuzz(args: &[String]) -> CliResult {
 /// Runs a fault-injection campaign: seeded faults in the scheduler's
 /// internal structures, each run classified Detected / Masked / Dormant / SDC via
 /// the lockstep oracle, with a resilience report written as JSON.
-fn cmd_faults(args: &[String]) -> CliResult {
-    let spec_str = flag(args, "--campaign").unwrap_or_else(|| "mini".into());
+fn cmd_faults(args: &Args) -> CliResult {
+    let spec_str = args.value("--campaign").unwrap_or("mini");
     let seed: u64 = num_flag(args, "--seed", 42)?;
-    let mut spec = faultsim::CampaignSpec::parse(&spec_str, seed).map_err(usage)?;
+    let mut spec = faultsim::CampaignSpec::parse(spec_str, seed).map_err(usage)?;
     spec.jobs = jobs_flag(args)?;
-    let corpus = flag(args, "--corpus").unwrap_or_else(|| "tests/corpus".into());
-    spec.corpus_dir = Some(corpus.clone().into());
-    let out_path = flag(args, "--out").unwrap_or_else(|| "RESILIENCE.json".into());
+    let corpus = args.value("--corpus").unwrap_or("tests/corpus");
+    spec.corpus_dir = Some(corpus.into());
+    let out_path = args.value("--out").unwrap_or("RESILIENCE.json");
 
     let t0 = std::time::Instant::now();
     let report = faultsim::run_campaign(&spec);
@@ -759,7 +833,7 @@ fn cmd_faults(args: &[String]) -> CliResult {
         spec.jobs,
         t0.elapsed().as_secs_f64()
     );
-    std::fs::write(&out_path, report.to_json().render() + "\n")
+    std::fs::write(out_path, report.to_json().render() + "\n")
         .map_err(|e| other(format_args!("writing {out_path}: {e}")))?;
     println!("resilience report written to {out_path}");
 
@@ -776,16 +850,6 @@ fn cmd_faults(args: &[String]) -> CliResult {
         )));
     }
     Ok(())
-}
-
-/// Whether `a` is the value of a preceding `--flag` (so the benchmark-name
-/// scan skips e.g. the `4` of `--jobs 4`).
-fn is_flag_value(args: &[String], a: &String) -> bool {
-    args.iter()
-        .position(|x| std::ptr::eq(x, a))
-        .and_then(|i| i.checked_sub(1))
-        .and_then(|i| args.get(i))
-        .is_some_and(|prev| prev.starts_with("--") && !BOOL_FLAGS.contains(&prev.as_str()))
 }
 
 /// Sweeps `names` × `schemes` and prints an IPC table, plus each
@@ -839,20 +903,54 @@ fn bench_matrix(
     Err(run_error(first))
 }
 
+/// The options `hpa report` and `hpa extensions` share; by default both
+/// widths and all of the paper's programs.
+fn harness_args(args: &Args) -> Result<HarnessArgs, CliError> {
+    let mut benches = Vec::new();
+    for name in args.values("--bench") {
+        let known = WORKLOAD_NAMES.iter().find(|n| **n == name);
+        benches.push(*known.ok_or_else(|| usage(format!("unknown benchmark `{name}`")))?);
+    }
+    Ok(HarnessArgs {
+        scale: scale_flag(args)?,
+        widths: match args.value("--width") {
+            None | Some("both") => MachineWidth::ALL.to_vec(),
+            Some(_) => vec![machine_width(args)?],
+        },
+        benches: if benches.is_empty() { WORKLOAD_NAMES.to_vec() } else { benches },
+        jobs: jobs_flag(args)?,
+        out: args.value("--out").unwrap_or("EXPERIMENTS.md").into(),
+    })
+}
+
+/// Writes every table and figure of the paper to one markdown report.
+fn cmd_report(args: &Args) -> CliResult {
+    let args = harness_args(args)?;
+    write_report(&args).map_err(|e| other(format_args!("writing {}: {e}", args.out)))
+}
+
+/// Prints the experiments beyond the paper's evaluation as tables.
+fn cmd_extensions(args: &Args) -> CliResult {
+    for t in extension_tables(&harness_args(args)?) {
+        println!("{t}");
+    }
+    Ok(())
+}
+
 /// Runs the simulation-as-a-service daemon (or, with `--stop`, asks a
 /// running one to shut down gracefully). Blocks until drained.
-fn cmd_serve(args: &[String]) -> CliResult {
-    let addr = flag(args, "--addr").unwrap_or_else(|| "127.0.0.1:8080".into());
-    if bool_flag(args, "--stop") {
+fn cmd_serve(args: &Args) -> CliResult {
+    let addr = args.value("--addr").unwrap_or("127.0.0.1:8080").to_string();
+    if args.has("--stop") {
         Client::new(addr.clone()).shutdown().map_err(other)?;
         println!("shutdown requested; {addr} is draining");
         return Ok(());
     }
     let workers = count_flag(args, "--jobs")?.unwrap_or(half_price::default_jobs().min(4));
-    let cache_dir = flag(args, "--cache-dir").map(std::path::PathBuf::from);
+    let cache_dir = args.value("--cache-dir").map(std::path::PathBuf::from);
     let cache_desc =
         cache_dir.as_ref().map_or_else(|| "memory only".to_string(), |d| d.display().to_string());
-    let journal_dir = flag(args, "--journal-dir").map(std::path::PathBuf::from);
+    let journal_dir = args.value("--journal-dir").map(std::path::PathBuf::from);
     let server = Server::bind(ServerConfig {
         addr,
         workers,
@@ -883,13 +981,15 @@ fn client_err(e: ClientError) -> CliError {
 }
 
 /// Submits one job to a running daemon and waits for its results.
-fn cmd_submit(args: &[String]) -> CliResult {
-    let target = positional(args)
+fn cmd_submit(args: &Args) -> CliResult {
+    let target = args
+        .positional
+        .first()
         .ok_or_else(|| usage("missing benchmark name or program file; see `hpa list`"))?;
-    let addr = flag(args, "--addr").unwrap_or_else(|| "127.0.0.1:8080".into());
-    let scheme_key = flag(args, "--scheme").unwrap_or_else(|| "base".into());
+    let addr = args.value("--addr").unwrap_or("127.0.0.1:8080").to_string();
+    let scheme_key = args.value("--scheme").unwrap_or("base");
     let schemes =
-        if scheme_key == "all" { Scheme::ALL.to_vec() } else { vec![parse_scheme(&scheme_key)?] };
+        if scheme_key == "all" { Scheme::ALL.to_vec() } else { vec![parse_scheme(scheme_key)?] };
     let scale = scale_flag(args)?;
     let program = if std::path::Path::new(target).is_file() {
         // Load (and assemble or translate) locally first so a bad file
@@ -899,10 +999,7 @@ fn cmd_submit(args: &[String]) -> CliResult {
     } else {
         JobProgram::Workload { name: target.clone(), scale }
     };
-    let sampled = match flag(args, "--sampled") {
-        None => None,
-        Some(v) => Some(SampleUnits::parse(&v).map_err(usage)?),
-    };
+    let sampled = args.value("--sampled").map(SampleUnits::parse).transpose().map_err(usage)?;
     let request = JobRequest {
         program,
         width: machine_width(args)?,
@@ -920,41 +1017,40 @@ fn cmd_submit(args: &[String]) -> CliResult {
 
     let client = Client::new(addr);
     let submit = client.submit(&request).map_err(client_err)?;
-    if bool_flag(args, "--no-wait") && !submit.status.is_terminal() {
+    if args.has("--no-wait") && !submit.status.is_terminal() {
         // Fire-and-forget: print the submit receipt; `hpa job <id>`
         // collects the results later (even across a daemon restart,
         // with a journal).
-        if bool_flag(args, "--json") {
+        if args.has("--json") {
             println!("{}", submit.to_json().render());
         } else {
             println!("job {} {} (cached: {})", submit.job_id, submit.status.key(), submit.cached);
         }
         return Ok(());
     }
-    let timeout = Duration::from_secs(num_flag(args, "--wait-secs", 600)?);
-    let result = client.wait(submit.job_id, timeout).map_err(client_err)?;
-    report_result(result, bool_flag(args, "--json"))
+    report_result(&client, submit.job_id, args)
 }
 
 /// Fetches one job's results from a running daemon, waiting for a
 /// terminal state first.
-fn cmd_job(args: &[String]) -> CliResult {
-    let id: u64 = positional(args)
+fn cmd_job(args: &Args) -> CliResult {
+    let id: u64 = args
+        .positional
+        .first()
         .ok_or_else(|| usage("missing job id; see `hpa submit`"))?
         .parse()
         .map_err(|_| usage("bad job id (want an integer)"))?;
-    let addr = flag(args, "--addr").unwrap_or_else(|| "127.0.0.1:8080".into());
-    let client = Client::new(addr);
-    let timeout = Duration::from_secs(num_flag(args, "--wait-secs", 600)?);
-    let result = client.wait(id, timeout).map_err(client_err)?;
-    report_result(result, bool_flag(args, "--json"))
+    report_result(&Client::new(args.value("--addr").unwrap_or("127.0.0.1:8080")), id, args)
 }
 
-/// Prints a terminal job result and maps its status onto the exit-code
-/// scheme (shared by `hpa submit` and `hpa job`). Cell headings name the
-/// workload from the payload itself, so the caller needs no context.
-fn report_result(result: half_price::serve::proto::ResultResponse, json: bool) -> CliResult {
-    if json {
+/// Waits up to `--wait-secs` for job `id`, prints its terminal result and
+/// maps its status onto the exit-code scheme (shared by `hpa submit` and
+/// `hpa job`). Cell headings name the workload from the payload itself,
+/// so the caller needs no context.
+fn report_result(client: &Client, id: u64, args: &Args) -> CliResult {
+    let timeout = Duration::from_secs(num_flag(args, "--wait-secs", 600)?);
+    let result = client.wait(id, timeout).map_err(client_err)?;
+    if args.has("--json") {
         println!("{}", result.to_json().render());
     } else {
         println!("job {} {} (cached: {})", result.job_id, result.status.key(), result.cached);
@@ -986,5 +1082,65 @@ fn report_result(result: half_price::serve::proto::ResultResponse, json: bool) -
             result.error.as_deref().unwrap_or("deadline passed while queued")
         ))),
         s => Err(other(format_args!("job {} still {}", result.job_id, s.key()))),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The [`HarnessArgs`] `hpa <verb> argv` builds.
+    fn harness(verb: &str, argv: &[&str]) -> HarnessArgs {
+        let cmd = COMMANDS.iter().find(|c| c.name == verb).expect("a registered verb");
+        let argv: Vec<String> = argv.iter().map(|s| (*s).to_string()).collect();
+        let args = cmd.parse(&argv).expect("parses").expect("not --help");
+        harness_args(&args).expect("valid options")
+    }
+
+    #[test]
+    fn defaults_cover_everything() {
+        for verb in ["report", "extensions"] {
+            let a = harness(verb, &[]);
+            assert_eq!(a.scale, Scale::Default);
+            assert_eq!(a.widths, vec![MachineWidth::Four, MachineWidth::Eight]);
+            assert_eq!(a.benches.len(), 12);
+        }
+    }
+
+    #[test]
+    fn scale_width_and_bench_filters() {
+        let argv = ["--scale", "tiny", "--width", "8", "--bench", "mcf", "--bench", "gcc"];
+        for verb in ["report", "extensions"] {
+            let a = harness(verb, &argv);
+            assert_eq!(a.scale, Scale::Tiny);
+            assert_eq!(a.widths, vec![MachineWidth::Eight]);
+            assert_eq!(a.benches, vec!["mcf", "gcc"]);
+            let b = harness(verb, &["--width", "both", "--scale", "large"]);
+            assert_eq!(b.widths.len(), 2);
+            assert_eq!(b.scale, Scale::Large);
+        }
+    }
+
+    #[test]
+    fn out_flag_sets_the_report_path() {
+        assert_eq!(harness("report", &[]).out, "EXPERIMENTS.md");
+        let a = harness("report", &["--out", "/tmp/report.md", "--scale", "tiny"]);
+        assert_eq!(a.out, "/tmp/report.md");
+        assert_eq!(a.scale, Scale::Tiny, "flags after --out still parse");
+    }
+
+    #[test]
+    fn jobs_flag_overrides_host_parallelism() {
+        for verb in ["report", "extensions"] {
+            assert_eq!(harness(verb, &["--jobs", "3"]).jobs, 3);
+            assert!(harness(verb, &[]).jobs >= 1);
+        }
+    }
+
+    #[test]
+    fn scale_keys_parse() {
+        for scale in Scale::ALL {
+            assert_eq!(harness("report", &["--scale", scale.key()]).scale, scale);
+        }
     }
 }

@@ -20,6 +20,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub use hpa_bench as bench;
 pub use hpa_core::*;
 pub use hpa_faultsim as faultsim;
 pub use hpa_sdk as sdk;

@@ -11,13 +11,16 @@ use half_price::obs::digest::debug_digest;
 use half_price::sdk::Client;
 use half_price::serve::proto::{JobRequest, JobStatus};
 use half_price::serve::server::{Server, ServerConfig};
-use half_price::serve::ChaosProxy;
 use half_price::workloads::Scale;
 use half_price::{MachineWidth, Scheme};
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
+
+#[path = "support/chaos.rs"]
+mod chaos;
+use chaos::ChaosProxy;
 
 const WAIT: Duration = Duration::from_secs(120);
 

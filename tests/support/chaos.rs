@@ -1,4 +1,5 @@
-//! A deterministic fault-injecting TCP proxy for chaos testing.
+//! A deterministic fault-injecting TCP proxy for chaos testing, the
+//! test support module of `serve_chaos`.
 //!
 //! [`ChaosProxy`] sits between an SDK client and the daemon and damages
 //! traffic on purpose: connections are dropped outright, delayed,
@@ -15,7 +16,7 @@
 //! is to prove the client's retry/backoff loop and the daemon's
 //! robustness against a hostile *network*, not a hostile client.
 
-use hpa_workloads::SplitMix64;
+use half_price::workloads::SplitMix64;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -5,10 +5,13 @@
 #   tools/ab.sh [--base REV] [--pairs N] [--seed S] [--work DIR] WORKLOAD...
 #
 # REV defaults to HEAD^ (the parent of a committed change; pass
-# `--base HEAD` to measure uncommitted edits). The base commit is exported
-# with `git archive` into DIR/base-<sha> (default DIR: target/ab) and both
-# sides build `hpabench` once, offline. For each workload the script then
-# runs N pairs (default 10) of
+# `--base HEAD` to measure uncommitted edits). Both sides run from an
+# export, so neither starts from another run's `hpabench/out/`: the base
+# commit is exported with `git archive` into DIR/base-<sha> (default DIR:
+# target/ab), and the working tree (tracked files with their uncommitted
+# edits, plus untracked files that are not ignored) into
+# DIR/change-<tree>. Each side builds `hpabench` once, offline. For each
+# workload the script then runs N pairs (default 10) of
 #
 #   hpabench --workload W --seed S --seconds T --trace 0
 #
@@ -54,23 +57,37 @@ if [ ${#workloads[@]} -eq 0 ]; then
 fi
 
 sha="$(git rev-parse --verify "$base_rev^{commit}")"
-base_dir="$work/base-${sha:0:12}"
 logs="$work/logs"
 mkdir -p "$logs"
-if [ ! -d "$base_dir" ]; then
-  mkdir -p "$base_dir.tmp"
-  git archive "$sha" | tar -x -C "$base_dir.tmp"
-  mv "$base_dir.tmp" "$base_dir"
-fi
+# The working tree as a tree object: a scratch index stages every edit
+# and untracked, non-ignored file without touching the real index.
+index="$work/index.tmp"
+cp "$(git rev-parse --git-path index)" "$index"
+GIT_INDEX_FILE="$index" git add -A
+tree="$(GIT_INDEX_FILE="$index" git write-tree)"
+rm -f "$index"
+
+# Exports the tree-ish $1 into $2 unless an earlier run did.
+export_tree() {
+  if [ ! -d "$2" ]; then
+    mkdir -p "$2.tmp"
+    git archive "$1" | tar -x -C "$2.tmp"
+    mv "$2.tmp" "$2"
+  fi
+}
+base_dir="$work/base-${sha:0:12}"
+change_dir="$work/change-${tree:0:12}"
+export_tree "$sha" "$base_dir"
+export_tree "$tree" "$change_dir"
 
 build() {
   echo "== building hpabench in $1 ==" >&2
   cargo build --release --quiet --offline --manifest-path "$1/hpabench/Cargo.toml" >&2
 }
 build "$base_dir"
-build "$root"
+build "$change_dir"
 base_bin="$base_dir/hpabench/target/release/hpabench"
-change_bin="$root/hpabench/target/release/hpabench"
+change_bin="$change_dir/hpabench/target/release/hpabench"
 
 # The run length, then `name better` per end-to-end metric in
 # BENCHMARK.json order.

@@ -25,39 +25,39 @@ cargo build --release --workspace
 echo "== cargo test (workspace) =="
 cargo test -q --workspace
 
-echo "== reproduce_all smoke =="
+echo "== hpa report smoke =="
 # The paper report end to end on all 12 programs at both widths: one job
 # list feeds every section, so a view that stops rendering drops its
 # heading. At --scale tiny the Long-scale sampled
 # section prints its heading and a skip line, so this takes seconds.
 report="$(mktemp /tmp/hpa-reproduce.XXXXXX.md)"
-target/release/reproduce_all --scale tiny --jobs 2 --out "$report"
+target/release/hpa report --scale tiny --jobs 2 --out "$report"
 for heading in "### Table 2:" "### Figure 2:" "### Figure 3:" "### Figure 4:" "### Figure 6:" \
   "### Table 3:" "### Figure 7:" "### Figure 10:" "### Figure 14:" "### Figure 15:" \
   "### Figure 16:" "### CPI stack:" "### Circuit claims" "### Wakeup delay sweep" \
   "### Register file access time sweep" "## Sampled simulation accuracy" \
   "## Divergence notes"; do
   grep -qF "$heading" "$report" || {
-    echo "ERROR: reproduce_all report lacks the section \"$heading\" ($report)" >&2
+    echo "ERROR: hpa report lacks the section \"$heading\" ($report)" >&2
     exit 1
   }
 done
 rm -f "$report"
-echo "reproduce_all: every section rendered"
+echo "hpa report: every section rendered"
 
-echo "== extensions smoke =="
+echo "== hpa extensions smoke =="
 # The experiments beyond the paper on one program and width: each of the
 # three tables must print.
-extensions_out="$(target/release/extensions --scale tiny --bench gcc --width 4 --jobs 2)"
+extensions_out="$(target/release/hpa extensions --scale tiny --bench gcc --width 4 --jobs 2)"
 for title in "Recovery ablation [4-wide]" \
   "Sequential wakeup IPC vs last-arrival predictor size [4-wide]" \
   "Future-work extensions: half-price rename & bypass [4-wide]"; do
   grep -qF "$title" <<< "$extensions_out" || {
-    echo "ERROR: extensions printed no table \"$title\"" >&2
+    echo "ERROR: hpa extensions printed no table \"$title\"" >&2
     exit 1
   }
 done
-echo "extensions: all three tables printed"
+echo "hpa extensions: all three tables printed"
 
 echo "== benchmark smoke =="
 # hpabench has a [workspace] of its own, so the --workspace build and
@@ -171,6 +171,21 @@ if [ -z "$total" ] || [ "$total" -eq 0 ]; then
   exit 1
 fi
 echo "hpa sim --counters --json: $total issue slots attributed"
+
+echo "== serve flag check =="
+# A misspelt flag is a usage error before anything runs: `--journal_dir`
+# must exit 2, not start a daemon without a journal.
+misspelt_dir="$(mktemp -d /tmp/hpa-serve-misspelt.XXXXXX)"
+misspelt_code=0
+misspelt="$(timeout 20 target/release/hpa serve --addr 127.0.0.1:0 \
+  --journal_dir "$misspelt_dir" 2>&1)" || misspelt_code=$?
+if [ "$misspelt_code" -ne 2 ] || grep -q 'listening on' <<< "$misspelt"; then
+  echo "ERROR: hpa serve --journal_dir exited $misspelt_code instead of 2:" >&2
+  printf '%s\n' "$misspelt" >&2
+  exit 1
+fi
+rm -rf "$misspelt_dir"
+echo "hpa serve --journal_dir: usage error (exit 2), no daemon started"
 
 echo "== serve smoke =="
 # Simulation-as-a-service gate, end to end through real processes: start
