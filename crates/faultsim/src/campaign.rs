@@ -290,6 +290,18 @@ mod tests {
         assert!(a.aborted.is_empty());
     }
 
+    /// Pins the `mini` campaign's outcome counts at seed 42. A squash
+    /// re-derives the readiness of every waiting instruction, which is
+    /// what heals a lost wakeup into a masked run; a change to that rule,
+    /// or to any injector, has to move these counts on purpose.
+    #[test]
+    fn mini_campaign_counts_at_seed_42_are_pinned() {
+        let report = run_campaign(&CampaignSpec { jobs: 2, ..CampaignSpec::mini(42) });
+        let counts = (report.detected(), report.masked(), report.dormant(), report.sdc());
+        assert_eq!(counts, (9, 50, 81, 0), "detected, masked, dormant, sdc");
+        assert!(report.aborted.is_empty());
+    }
+
     #[test]
     fn campaign_fault_classes_never_corrupt_silently() {
         let report = run_campaign(&quick_spec(5));

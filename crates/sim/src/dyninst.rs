@@ -1,7 +1,98 @@
-//! In-flight instruction state.
+//! In-flight instruction state, and the static decode it starts from.
 
+use hpa_asm::Program;
 use hpa_emu::StepRecord;
-use hpa_isa::{ArchReg, FuClass, Inst};
+use hpa_isa::{ArchReg, FormatClass, FuClass, Inst, INST_BYTES};
+use std::sync::Arc;
+
+/// The Figures 2–3 bucket of one fetched instruction.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum FormatBucket {
+    /// A decoder-eliminated no-op.
+    Nop,
+    ZeroSrc,
+    OneSrc,
+    Store,
+    /// Two-source format with one unique non-zero source.
+    TwoSrcOneUnique,
+    /// Two-source format with two unique non-zero sources.
+    TwoSrcTwoUnique,
+}
+
+/// What the pipeline reads of one static instruction. A program's text
+/// never changes, so it is decoded once per program ([`DecodeTable`]) and
+/// every dynamic instance looks its entry up by pc.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub(crate) struct Decoded {
+    pub(crate) inst: Inst,
+    /// The scheduler sources (slot 0 = left, slot 1 = right; stores wake
+    /// on their address operand only).
+    pub(crate) srcs: [Option<ArchReg>; 2],
+    /// Map-table lookups at rename: the unique non-zero sources.
+    pub(crate) lookups: u32,
+    pub(crate) dest: Option<ArchReg>,
+    /// A store's data register.
+    pub(crate) store_data: Option<ArchReg>,
+    pub(crate) fu: FuClass,
+    /// Base execution latency (loads: address generation only).
+    pub(crate) latency: u32,
+    pub(crate) pipelined: bool,
+    pub(crate) format: FormatBucket,
+    pub(crate) is_load: bool,
+    pub(crate) is_store: bool,
+    pub(crate) is_control: bool,
+}
+
+impl Decoded {
+    pub(crate) fn new(inst: Inst) -> Decoded {
+        let sched = inst.scheduler_sources();
+        let unique = inst.unique_sources().len();
+        let latency = inst.latency();
+        let format = if inst.is_nop() {
+            FormatBucket::Nop
+        } else {
+            match inst.format_class() {
+                FormatClass::ZeroSrc => FormatBucket::ZeroSrc,
+                FormatClass::OneSrc => FormatBucket::OneSrc,
+                FormatClass::Store => FormatBucket::Store,
+                FormatClass::TwoSrc if unique == 2 => FormatBucket::TwoSrcTwoUnique,
+                FormatClass::TwoSrc => FormatBucket::TwoSrcOneUnique,
+            }
+        };
+        Decoded {
+            inst,
+            srcs: [sched.get(0), sched.get(1)],
+            lookups: unique as u32,
+            dest: inst.dest(),
+            store_data: inst.store_data_source(),
+            fu: inst.fu_class(),
+            latency: latency.cycles,
+            pipelined: latency.pipelined,
+            format,
+            is_load: inst.is_load(),
+            is_store: inst.is_store(),
+            is_control: inst.is_control(),
+        }
+    }
+}
+
+/// A program's text decoded once, indexed by pc. Shared, so cloning a
+/// simulator copies no entries.
+#[derive(Clone, Debug)]
+pub(crate) struct DecodeTable(Arc<[Decoded]>);
+
+impl DecodeTable {
+    pub(crate) fn new(program: &Program) -> DecodeTable {
+        DecodeTable(program.insts().iter().map(|&inst| Decoded::new(inst)).collect())
+    }
+
+    /// The entry of the text instruction at `pc` (an executed pc, so in
+    /// range and aligned).
+    #[inline]
+    pub(crate) fn get(&self, pc: u64) -> &Decoded {
+        &self.0[(pc / INST_BYTES) as usize]
+    }
+}
 
 /// Lifecycle of an in-flight instruction inside the window, recorded
 /// only in the window's per-slot column (`Window::state`).
@@ -39,12 +130,11 @@ pub(crate) struct SrcState {
 }
 
 impl SrcState {
-    /// The scheduler sources of `inst` (slot 0 = left, slot 1 = right),
-    /// before rename: no producer, ready at insert.
-    pub(crate) fn unrenamed(inst: Inst) -> [Option<SrcState>; 2] {
-        let sources = inst.scheduler_sources();
-        [0, 1].map(|slot| {
-            sources.get(slot).map(|reg| SrcState {
+    /// The scheduler sources `regs` before rename: no producer, ready at
+    /// insert.
+    pub(crate) fn unrenamed(regs: [Option<ArchReg>; 2]) -> [Option<SrcState>; 2] {
+        regs.map(|reg| {
+            reg.map(|reg| SrcState {
                 reg,
                 producer: None,
                 ready: true,
@@ -152,21 +242,20 @@ pub(crate) struct DynInst {
 }
 
 impl DynInst {
-    /// Builds the in-flight record from a functional step.
-    pub(crate) fn from_step(seq: u64, step: &StepRecord) -> DynInst {
-        let inst = step.inst;
-        let latency = inst.latency();
+    /// Builds the in-flight record of a functional step from its static
+    /// decode, operands not yet renamed.
+    pub(crate) fn new(seq: u64, d: &Decoded, step: &StepRecord) -> DynInst {
         DynInst {
             seq,
             pc: step.pc,
-            inst,
+            inst: d.inst,
             mem_addr: step.mem_addr,
-            fu: inst.fu_class(),
-            base_latency: latency.cycles,
-            fu_pipelined: latency.pipelined,
-            srcs: SrcState::unrenamed(inst),
+            fu: d.fu,
+            base_latency: d.latency,
+            fu_pipelined: d.pipelined,
+            srcs: SrcState::unrenamed(d.srcs),
             fast_slot: 1,
-            dest: inst.dest(),
+            dest: d.dest,
             store_data_producer: None,
             epoch: 0,
             insert_cycle: 0,
@@ -213,20 +302,23 @@ impl DynInst {
 
     /// Whether this instruction has two scheduler sources (a "2-source
     /// instruction" in the paper's terms; stores are excluded because the
-    /// scheduler only tracks their address operand).
+    /// scheduler only tracks their address operand). Sources are
+    /// left-packed, so a right operand implies a left one.
     pub(crate) fn is_two_source(&self) -> bool {
-        self.srcs.iter().all(Option::is_some)
-    }
-
-    /// Both operands pending at insert (the population of Figures 6/7 and
-    /// Table 3).
-    pub(crate) fn two_pending_at_insert(&self) -> bool {
-        self.is_two_source() && self.srcs.iter().flatten().all(|s| !s.ready_at_insert)
+        self.srcs[1].is_some()
     }
 
     /// Iterates over present sources.
     pub(crate) fn srcs_iter(&self) -> impl Iterator<Item = &SrcState> {
         self.srcs.iter().flatten()
+    }
+}
+
+#[cfg(test)]
+impl DynInst {
+    /// The record of a step decoded on its own (test staging helper).
+    pub(crate) fn from_step(seq: u64, step: &StepRecord) -> DynInst {
+        DynInst::new(seq, &Decoded::new(step.inst), step)
     }
 }
 
@@ -237,6 +329,55 @@ mod tests {
 
     fn step(inst: Inst) -> StepRecord {
         StepRecord { pc: 0x40, inst, next_pc: 0x44, taken: false, mem_addr: None }
+    }
+
+    /// The decode table is the per-instruction decode, entry for entry:
+    /// every text instruction of every workload at every scale and of the
+    /// RISC-V fixtures, looked up by its pc, carries what the `Inst`
+    /// methods compute for it.
+    #[test]
+    fn decode_table_matches_per_instruction_decode() {
+        use hpa_workloads::{workload, Scale, RISCV_WORKLOAD_NAMES, WORKLOAD_NAMES};
+        let mut programs = Vec::new();
+        for scale in Scale::ALL {
+            for name in WORKLOAD_NAMES {
+                programs.push(workload(name, scale).expect("known workload").program);
+            }
+        }
+        for name in RISCV_WORKLOAD_NAMES {
+            programs.push(workload(name, Scale::Tiny).expect("known fixture").program);
+        }
+        for program in &programs {
+            let table = DecodeTable::new(program);
+            for (pc, &inst) in program.iter() {
+                let d = table.get(pc);
+                let sched = inst.scheduler_sources();
+                let latency = inst.latency();
+                assert_eq!(d.inst, inst, "pc {pc:#x}");
+                assert_eq!(d.srcs, [sched.get(0), sched.get(1)], "{inst}");
+                assert_eq!(d.lookups as usize, inst.unique_sources().len(), "{inst}");
+                assert_eq!(d.dest, inst.dest(), "{inst}");
+                assert_eq!(d.store_data, inst.store_data_source(), "{inst}");
+                assert_eq!(d.fu, inst.fu_class(), "{inst}");
+                assert_eq!((d.latency, d.pipelined), (latency.cycles, latency.pipelined), "{inst}");
+                assert_eq!(
+                    (d.is_load, d.is_store, d.is_control),
+                    (inst.is_load(), inst.is_store(), inst.is_control()),
+                    "{inst}"
+                );
+                let format = match (inst.is_nop(), inst.format_class()) {
+                    (true, _) => FormatBucket::Nop,
+                    (false, FormatClass::ZeroSrc) => FormatBucket::ZeroSrc,
+                    (false, FormatClass::OneSrc) => FormatBucket::OneSrc,
+                    (false, FormatClass::Store) => FormatBucket::Store,
+                    (false, FormatClass::TwoSrc) if inst.unique_sources().len() == 2 => {
+                        FormatBucket::TwoSrcTwoUnique
+                    }
+                    (false, FormatClass::TwoSrc) => FormatBucket::TwoSrcOneUnique,
+                };
+                assert_eq!(d.format, format, "{inst}");
+            }
+        }
     }
 
     #[test]

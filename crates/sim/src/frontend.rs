@@ -6,11 +6,12 @@
 //! stall fetch until they resolve (wrong-path instructions are not
 //! fetched — see `DESIGN.md` §5 for the divergence note).
 
+use crate::dyninst::{DecodeTable, Decoded, FormatBucket};
 use crate::stats::SimStats;
 use hpa_bpred::{Btb, CombinedPredictor, Ras};
 use hpa_cache::Hierarchy;
 use hpa_emu::{EmuError, Emulator, StepRecord};
-use hpa_isa::{FormatClass, Inst, JumpKind, MemWidth, INST_BYTES};
+use hpa_isa::{Inst, JumpKind, MemWidth, INST_BYTES};
 use std::collections::VecDeque;
 
 /// One fetched instruction waiting in the front-end pipe.
@@ -99,6 +100,8 @@ impl BranchWarmth {
 #[derive(Clone, Debug)]
 pub struct FrontEnd {
     emu: Emulator,
+    /// The program's text, decoded once.
+    decode: DecodeTable,
     warmth: BranchWarmth,
     queue: VecDeque<FetchedInst>,
     queue_cap: usize,
@@ -118,6 +121,7 @@ impl FrontEnd {
     #[must_use]
     pub fn new(emu: Emulator, width: u32, depth: u32, warmth: BranchWarmth) -> FrontEnd {
         FrontEnd {
+            decode: DecodeTable::new(emu.program()),
             emu,
             warmth,
             queue: VecDeque::new(),
@@ -134,6 +138,12 @@ impl FrontEnd {
     #[must_use]
     pub fn emulator(&self) -> &Emulator {
         &self.emu
+    }
+
+    /// The static decode of the text instruction at `pc`.
+    #[inline]
+    pub(crate) fn decoded(&self, pc: u64) -> &Decoded {
+        self.decode.get(pc)
     }
 
     /// Whether the emulator has halted and the pipe is drained.
@@ -203,9 +213,10 @@ impl FrontEnd {
             };
             fetched += 1;
             stats.fetched += 1;
-            record_format_stats(&step.inst, stats);
+            let d = self.decode.get(step.pc);
+            record_format_stats(d.format, stats);
 
-            if step.inst.is_nop() {
+            if d.format == FormatBucket::Nop {
                 // Eliminated by the decoder without execution (paper §2.3);
                 // consumes a fetch slot only.
                 continue;
@@ -214,15 +225,16 @@ impl FrontEnd {
                 self.done = true;
             }
 
+            let dest = d.dest;
             let mut mispredicted = false;
-            if step.inst.is_control() {
+            if d.is_control {
                 mispredicted = self.predict(&step, stats);
             }
             self.queue.push_back(FetchedInst {
                 step,
                 ready_cycle: cycle + u64::from(self.depth),
                 mispredicted,
-                dest_value: step.inst.dest().map(|d| self.emu.arch_value(d)),
+                dest_value: dest.map(|d| self.emu.arch_value(d)),
                 mem_data: store_image(&self.emu, &step),
             });
             if mispredicted {
@@ -290,22 +302,20 @@ fn store_image(emu: &Emulator, step: &StepRecord) -> Option<u64> {
 }
 
 /// Figures 2 and 3 accounting over the dynamic stream.
-fn record_format_stats(inst: &Inst, stats: &mut SimStats) {
+fn record_format_stats(bucket: FormatBucket, stats: &mut SimStats) {
     let f = &mut stats.format;
-    if inst.is_nop() {
-        f.nops += 1;
-        return;
-    }
-    match inst.format_class() {
-        FormatClass::ZeroSrc => f.zero_src += 1,
-        FormatClass::OneSrc => f.one_src += 1,
-        FormatClass::Store => f.stores += 1,
-        FormatClass::TwoSrc => {
+    match bucket {
+        FormatBucket::Nop => f.nops += 1,
+        FormatBucket::ZeroSrc => f.zero_src += 1,
+        FormatBucket::OneSrc => f.one_src += 1,
+        FormatBucket::Store => f.stores += 1,
+        FormatBucket::TwoSrcOneUnique => {
             f.two_src += 1;
-            match inst.unique_sources().len() {
-                2 => f.two_src_two_unique += 1,
-                _ => f.two_src_one_unique += 1,
-            }
+            f.two_src_one_unique += 1;
+        }
+        FormatBucket::TwoSrcTwoUnique => {
+            f.two_src += 1;
+            f.two_src_two_unique += 1;
         }
     }
 }

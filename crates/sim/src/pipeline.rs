@@ -61,7 +61,7 @@ use crate::phases::PhaseTimes;
 use crate::sched::Scheduler;
 use crate::stats::SimStats;
 use crate::wheel::EventWheel;
-use crate::window::Window;
+use crate::window::{ring_visits, ring_word, Window};
 use hpa_asm::Program;
 use hpa_cache::Hierarchy;
 use hpa_emu::{EmuError, Emulator};
@@ -472,19 +472,42 @@ impl Simulator {
                 continue;
             }
             p.broadcast_done = true;
-            // A consumer with both operands on this producer gets two
-            // deliveries, src0 then src1 — the per-operand CAM pulses the
-            // injector counts.
-            for c in 0..self.sched.collect_consumers(&self.window, self.window.slot_of(seq)) {
-                self.deliver_wakeup(self.sched.consumer(c), seq);
+            // Deliver straight from the producer's matrix rows, walked in
+            // ring (= sequence) order one word at a time. A consumer with
+            // both operands on this producer gets two deliveries, src0
+            // then src1 — the per-operand CAM pulses the injector counts.
+            // Delivery never edits the matrix or moves the window head.
+            let p_slot = self.window.slot_of(seq);
+            let head = self.window.head_slot();
+            let words = self.sched.matrix_words();
+            for k in 0..ring_visits(head, words) {
+                let (wi, mask) = ring_word(head, words, k);
+                let (w0, w1) = self.sched.consumer_words(p_slot, wi);
+                let (w0, w1) = (w0 & mask, w1 & mask);
+                let mut union = w0 | w1;
+                while union != 0 {
+                    let b = union.trailing_zeros() as usize;
+                    union &= union - 1;
+                    // A live producer's rows never hold stale bits
+                    // (consumers are younger, so they retire after the
+                    // producer clears them).
+                    let c_slot = wi * 64 + b;
+                    let Some(c_seq) = self.window.seq_at(c_slot) else { continue };
+                    if w0 >> b & 1 != 0 {
+                        self.deliver_wakeup(c_slot, c_seq, seq);
+                    }
+                    if w1 >> b & 1 != 0 {
+                        self.deliver_wakeup(c_slot, c_seq, seq);
+                    }
+                }
             }
         }
     }
 
-    fn deliver_wakeup(&mut self, c_seq: u64, producer: u64) {
+    fn deliver_wakeup(&mut self, slot: usize, c_seq: u64, producer: u64) {
         let cycle = self.cycle;
         let slow_bus = self.config.slow_bus();
-        let waiting = self.window.state_of(c_seq) == Some(IState::Waiting);
+        let waiting = self.window.state[slot] == IState::Waiting;
         // Injection: a dropped pulse never reaches the consumer's
         // comparator. Only a later squash recompute can re-derive the
         // readiness; otherwise the consumer waits forever and the watchdog
@@ -492,7 +515,6 @@ impl Simulator {
         if !self.injector.wakeup_delivery(waiting) || !waiting {
             return;
         }
-        let slot = self.window.slot_of(c_seq);
         let c = self.window.get_mut(c_seq).expect("waiting consumer is resident");
         let (fast_slot, two_src) = (c.fast_slot, c.is_two_source());
         let mut slow_delivered = 0u32;
@@ -519,9 +541,10 @@ impl Simulator {
         self.cpi.slow_wakeups(slow_delivered);
         // Wakeup-pair statistics (Figures 6/7, Table 3) fire once, when the
         // second pending operand of a 2-pending-source instruction wakes.
-        if c.two_pending_at_insert() && !c.wakeup_pair_recorded && c.srcs_iter().all(|s| s.ready) {
-            c.wakeup_pair_recorded = true;
-            if let [Some(l), Some(r)] = c.srcs {
+        if let [Some(l), Some(r)] = c.srcs {
+            let both_pending_at_insert = !l.ready_at_insert && !r.ready_at_insert;
+            if both_pending_at_insert && !c.wakeup_pair_recorded && l.ready && r.ready {
+                c.wakeup_pair_recorded = true;
                 let cycles = (l.broadcast_cycle, r.broadcast_cycle);
                 self.arrival.record_pair(&mut self.stats, c.pc, cycles, fast_slot);
             }
@@ -563,19 +586,25 @@ impl Simulator {
             let seq = self.sched.candidate(k);
             let i = self.window.get(seq).expect("candidate in window");
             let two_source = i.is_two_source();
-            let now_any = i.srcs_iter().any(|s| s.effective_cycle == cycle);
+            // One pass over the two source slots: the `now` bits, the
+            // read ports the non-bypassed operands need, whether both
+            // were ready at insert, and the last ready operand's wakeup.
+            let (mut now_any, mut ports, mut all_at_insert) = (false, 0u32, true);
+            let mut last_wakeup = None;
+            for s in i.srcs.iter().flatten() {
+                let now = s.effective_cycle == cycle;
+                now_any |= now;
+                ports += u32::from(!now);
+                all_at_insert &= s.ready_at_insert;
+                if s.ready {
+                    last_wakeup = last_wakeup.max(Some(s.effective_cycle));
+                }
+            }
             let now_fast = i.srcs[i.fast_slot].is_some_and(|s| s.effective_cycle == cycle);
-            let ports = i.srcs_iter().filter(|s| s.effective_cycle != cycle).count() as u32;
             // Effective last-wakeup cycle, clamped so replayed or
             // scoreboard-verified operands (stale stamps) stay within the
             // instruction's window residency.
-            let wakeup_eff = i
-                .srcs_iter()
-                .filter(|s| s.ready)
-                .map(|s| s.effective_cycle)
-                .max()
-                .unwrap_or(i.insert_cycle)
-                .clamp(i.insert_cycle, cycle);
+            let wakeup_eff = last_wakeup.unwrap_or(i.insert_cycle).clamp(i.insert_cycle, cycle);
 
             // Half-price bypass (§6 extension): a functional unit has one
             // bypass input, so an instruction whose both operands are only
@@ -624,7 +653,7 @@ impl Simulator {
 
             let rf_category = if !two_source {
                 i.rf_category
-            } else if i.srcs_iter().all(|s| s.ready_at_insert) {
+            } else if all_at_insert {
                 Some(RfCategory::TwoReady)
             } else if now_any {
                 Some(RfCategory::BackToBack)
@@ -642,6 +671,7 @@ impl Simulator {
             i.rf_category = rf_category;
             let slot = self.window.slot_of(seq);
             self.window.state[slot] = IState::Issued;
+            self.sched.issue(slot);
 
             if is_load {
                 let l_spec = self.load_spec_latency();
@@ -906,7 +936,8 @@ impl Simulator {
             if self.window.len() >= self.config.ruu_size {
                 break;
             }
-            let lookups = f.step.inst.unique_sources().len() as u32;
+            let d = *self.frontend.decoded(f.step.pc);
+            let lookups = d.lookups;
             if lookups > rename_ports {
                 // The group ran out of rename ports; the rest of the
                 // group dispatches next cycle.
@@ -914,7 +945,7 @@ impl Simulator {
                 break;
             }
             rename_ports -= lookups;
-            let is_mem = f.step.inst.is_load() || f.step.inst.is_store();
+            let is_mem = d.is_load || d.is_store;
             if is_mem && self.lsq.is_full() {
                 break;
             }
@@ -928,7 +959,7 @@ impl Simulator {
             // row for this operand index. The renamed operands build up in
             // a small local array; the full ~300-byte record is
             // constructed once, directly in its arena slot, below.
-            let mut srcs = SrcState::unrenamed(f.step.inst);
+            let mut srcs = SrcState::unrenamed(d.srcs);
             let c_slot = self.window.slot_of(seq);
             for (k, slot_src) in srcs.iter_mut().enumerate() {
                 let Some(src) = slot_src.as_mut() else { continue };
@@ -948,29 +979,25 @@ impl Simulator {
                     src.ready_at_insert = false;
                 }
             }
-            let is_store = f.step.inst.is_store();
-            let store_data_producer = f
-                .step
-                .inst
-                .store_data_source()
+            let store_data_producer = d
+                .store_data
                 .and_then(|dr| self.rename[dr.index()])
                 .filter(|&pseq| self.window.get(pseq).is_some());
 
             let fast_slot = self.arrival.fast_slot(&srcs, f.step.pc, &mut self.injector);
 
-            if let Some(d) = f.step.inst.dest() {
-                self.rename[d.index()] = Some(seq);
+            if let Some(dest) = d.dest {
+                self.rename[dest.index()] = Some(seq);
             }
-            let two_source = srcs.iter().flatten().count() == 2;
-            if two_source {
-                let ready = srcs.iter().flatten().filter(|s| s.ready_at_insert).count();
+            if let [Some(l), Some(r)] = &srcs {
+                let ready = usize::from(l.ready_at_insert) + usize::from(r.ready_at_insert);
                 self.stats.ready_at_insert[ready] += 1;
             }
             if is_mem {
-                self.lsq.insert(seq, is_store);
+                self.lsq.insert(seq, d.is_store);
             }
             let di = self.window.push_back_with(seq, || {
-                let mut di = DynInst::from_step(seq, &f.step);
+                let mut di = DynInst::new(seq, &d, &f.step);
                 di.insert_cycle = cycle;
                 di.mispredicted = f.mispredicted;
                 di.dest_value = f.dest_value;

@@ -39,7 +39,11 @@
 //! spawn and join, so the overlap wins only when the fast-forward beside
 //! a window outlasts them: units with a period of tens of thousands of
 //! instructions run faster than windows run in turn, units with a period
-//! below about a thousand run slower.
+//! below about a thousand run slower. At the Long-scale production units
+//! the fast-forward, not the windows, bounds a pass: the main emulator
+//! waits for a window for well under a tenth of the pass, so work added
+//! to the fast-forward observer lands on the critical path in full
+//! (`DESIGN.md` §11 has the measurement).
 //!
 //! A window costs what it simulates, not the size of the memory image:
 //! the window's emulator is built from a snapshot that shares the main

@@ -8,8 +8,8 @@
 //! them and tells the scheduler what changed.
 //!
 //! [`ready_cycle`] is the one readiness rule: an instruction is a select
-//! candidate exactly while it returns `Some`, and the ready bit is the
-//! only record of candidacy.
+//! candidate exactly while it waits and [`ready_cycle`] returns `Some`,
+//! and the ready bit is the only record of candidacy.
 
 use crate::config::{SimConfig, WakeupScheme};
 use crate::dyninst::{DynInst, IState};
@@ -23,13 +23,22 @@ use crate::window::{slot_flags, SlotBitset, WakeupMatrix, Window};
 /// (FU availability, LSQ state), which select re-checks every cycle, so
 /// once `Some` it stays `Some` until the instruction issues or is
 /// squashed.
+#[inline]
 pub(crate) fn ready_cycle(i: &DynInst, wakeup: WakeupScheme) -> Option<u64> {
-    match wakeup {
-        WakeupScheme::TagElimination { .. } if i.is_two_source() && !i.te_verified_wait => {
-            i.srcs[i.fast_slot].filter(|s| s.ready).map(|s| s.effective_cycle)
-        }
-        _ => i.srcs_iter().try_fold(0, |at: u64, s| s.ready.then(|| at.max(s.effective_cycle))),
+    if matches!(wakeup, WakeupScheme::TagElimination { .. })
+        && i.is_two_source()
+        && !i.te_verified_wait
+    {
+        return i.srcs[i.fast_slot].filter(|s| s.ready).map(|s| s.effective_cycle);
     }
+    let mut at = 0;
+    for s in i.srcs.iter().flatten() {
+        if !s.ready {
+            return None;
+        }
+        at = at.max(s.effective_cycle);
+    }
+    Some(at)
 }
 
 /// Wakeup, select and replay state (see the module docs).
@@ -44,16 +53,13 @@ pub(crate) struct Scheduler {
     /// producer. Registered at rename, walked at tag broadcast, cleared
     /// when the producer's slot is released.
     matrix: WakeupMatrix,
-    /// The broadcasting producer's consumers, in sequence order.
-    consumers: Vec<u64>,
-    /// One bit per window slot whose instruction is a select candidate.
-    /// Set when [`ready_cycle`] becomes `Some`, rebuilt after squashes,
-    /// compacted lazily by select; may briefly hold instructions that
-    /// issued since. Commit clears a slot's bit when it releases the slot.
+    /// One bit per window slot whose instruction is a select candidate:
+    /// set while it waits and [`ready_cycle`] is `Some`, cleared at issue
+    /// and whenever [`ready_cycle`] returns to `None`.
     ready: SlotBitset,
-    /// Per-slot cache of the candidate's [`ready_cycle`] (`u64::MAX` for
-    /// `None`), so the select scan compares one word per candidate.
-    /// Meaningful only while the slot's bit is set.
+    /// Per-slot cache of the candidate's [`ready_cycle`], so the select
+    /// scan compares one word per candidate. Meaningful only while the
+    /// slot's bit is set.
     ready_at: Box<[u64]>,
     /// This cycle's candidates in select order: loads and branches first,
     /// then the rest (collected in `low` during the scan), each oldest
@@ -79,7 +85,6 @@ impl Scheduler {
             broadcasts: EventWheel::new(),
             due: Vec::new(),
             matrix: WakeupMatrix::new(slots),
-            consumers: Vec::new(),
             ready: SlotBitset::new(slots),
             ready_at: vec![u64::MAX; slots].into_boxed_slice(),
             cands: Vec::new(),
@@ -110,24 +115,18 @@ impl Scheduler {
         self.matrix.register(producer_slot, src, consumer_slot);
     }
 
-    /// Collects the consumers of the producer in `slot` in sequence order,
-    /// one entry per registered operand (a consumer with both operands on
-    /// it appears twice, src0 then src1); returns how many, each read
-    /// with [`Scheduler::consumer`].
-    pub(crate) fn collect_consumers(&mut self, window: &Window, slot: usize) -> usize {
-        let consumers = &mut self.consumers;
-        consumers.clear();
-        // Ring arithmetic alone recovers the consumer's seq; a live
-        // producer's rows never hold stale bits (consumers are younger,
-        // so they retire after the producer clears them).
-        self.matrix.for_each_consumer(slot, window.head_slot(), |c_slot, _| {
-            consumers.extend(window.seq_at(c_slot));
-        });
-        consumers.len()
+    /// Words per wakeup-matrix row: the word count of a ring walk over a
+    /// producer's consumers, each word read with
+    /// [`Scheduler::consumer_words`].
+    #[inline]
+    pub(crate) fn matrix_words(&self) -> usize {
+        self.matrix.words()
     }
 
-    pub(crate) fn consumer(&self, k: usize) -> u64 {
-        self.consumers[k]
+    /// Word `wi` of the src0 and src1 rows of the producer in `slot`.
+    #[inline]
+    pub(crate) fn consumer_words(&self, slot: usize, wi: usize) -> (u64, u64) {
+        self.matrix.consumer_words(slot, wi)
     }
 
     /// Whether the instruction in `slot` is a select candidate.
@@ -136,34 +135,40 @@ impl Scheduler {
     }
 
     /// Re-derives the candidacy of the waiting instruction `i` in `slot`
-    /// after its operands or its wakeup rule changed: it enqueues once
-    /// [`ready_cycle`] holds, and an enqueued candidate's cached cycle
-    /// follows its operands.
+    /// after its operands or its wakeup rule changed: listed with its
+    /// cached cycle while [`ready_cycle`] holds, unlisted otherwise.
+    #[inline]
     pub(crate) fn update(&mut self, slot: usize, i: &DynInst) {
-        let at = ready_cycle(i, self.wakeup);
-        if self.ready.test(slot) {
-            self.ready_at[slot] = at.unwrap_or(u64::MAX);
-        } else if let Some(at) = at {
-            self.ready.set(slot);
-            self.ready_at[slot] = at;
+        match ready_cycle(i, self.wakeup) {
+            Some(at) => {
+                self.ready.set(slot);
+                self.ready_at[slot] = at;
+            }
+            None => self.ready.clear(slot),
         }
+    }
+
+    /// Select issued the instruction in `slot`: it leaves the candidates.
+    #[inline]
+    pub(crate) fn issue(&mut self, slot: usize) {
+        self.ready.clear(slot);
     }
 
     /// Releases a committed instruction's slot, so a later instruction
     /// reusing it starts clean. Its consumer bits in *other* rows are
     /// already gone: every producer it depends on is older and released
-    /// its rows first.
+    /// its rows first. A committed instruction left the candidates when
+    /// it issued.
     pub(crate) fn release(&mut self, slot: usize) {
-        self.ready.clear(slot);
+        debug_assert!(!self.ready.test(slot), "committing slot {slot} is still listed");
         self.matrix.clear_rows(slot);
     }
 
     /// One ring-order (= oldest-first) pass over the ready bits, reading
-    /// only the window's flat columns: compacts away instructions that
-    /// issued since they were enqueued, and splits the ones that pass this
-    /// cycle's timing check and are not `held` into the two priority
-    /// classes (entries that fail keep their bit). Returns the candidate
-    /// count, each read with [`Scheduler::candidate`].
+    /// only the window's flat columns: splits the candidates that pass
+    /// this cycle's timing check and are not `held` into the two priority
+    /// classes. Returns the candidate count, each read with
+    /// [`Scheduler::candidate`].
     pub(crate) fn collect_candidates(
         &mut self,
         window: &Window,
@@ -173,14 +178,11 @@ impl Scheduler {
         let (ready_at, cands, low) = (&self.ready_at, &mut self.cands, &mut self.low);
         cands.clear();
         low.clear();
-        self.ready.retain_from(window.head_slot(), |slot| {
-            if window.state[slot] != IState::Waiting {
-                return false;
-            }
+        self.ready.for_each_from(window.head_slot(), |slot| {
             if cycle < ready_at[slot] {
-                return true;
+                return;
             }
-            let seq = window.seq_at(slot).expect("waiting slot is resident");
+            let seq = window.seq_at(slot).expect("listed slot is resident");
             if !held(slot, seq) {
                 if window.flags[slot] & slot_flags::HIGH_PRIORITY != 0 {
                     cands.push(seq);
@@ -188,7 +190,6 @@ impl Scheduler {
                     low.push(seq);
                 }
             }
-            true
         });
         cands.append(low);
         cands.len()
@@ -267,11 +268,11 @@ impl Scheduler {
     }
 
     /// Re-derives every waiting instruction's operand readiness from
-    /// producer availability and rebuilds the candidates (after squashes
-    /// — the one remaining O(window) scheduler path, paid only on replay
-    /// events, never in the steady state).
+    /// producer availability, and its candidacy (after squashes — the one
+    /// remaining O(window) scheduler path, paid only on replay events,
+    /// never in the steady state). Issued instructions are unlisted
+    /// already.
     fn recompute(&mut self, window: &mut Window, cycle: u64) {
-        self.ready.clear_all();
         for seq in window.head_seq()..window.head_seq() + window.len() as u64 {
             let slot = window.slot_of(seq);
             if window.state[slot] != IState::Waiting {
@@ -302,14 +303,14 @@ impl Scheduler {
 
     /// The scheduler's invariants against the window.
     pub(crate) fn check_invariants(&self, window: &Window) -> Result<(), String> {
-        // Every ready bit names an occupied slot (commit clears a slot's
-        // bit when releasing it; a stale bit would alias the slot's next
-        // occupant). Issued-but-not-yet-compacted stragglers still occupy
-        // their slot.
+        // Every ready bit names a waiting instruction (issue clears it;
+        // a stale bit would alias the slot's next occupant).
         let mut err = None;
         self.ready.for_each_from(0, |slot| {
             if err.is_none() && window.seq_at(slot).is_none() {
                 err = Some(format!("ready bit set on empty slot {slot}"));
+            } else if err.is_none() && window.state[slot] != IState::Waiting {
+                err = Some(format!("ready bit set on slot {slot}, which is not waiting"));
             }
         });
         if let Some(e) = err {
@@ -323,7 +324,7 @@ impl Scheduler {
             let at = ready_cycle(i, self.wakeup);
             if self.ready.test(slot) {
                 ensure!(
-                    self.ready_at[slot] == at.unwrap_or(u64::MAX),
+                    Some(self.ready_at[slot]) == at,
                     "cached ready cycle of slot {slot} ({}) diverges from seq {} ({at:?})",
                     self.ready_at[slot],
                     i.seq

@@ -47,23 +47,33 @@ fn flags_of(i: &DynInst) -> u8 {
         + u8::from(i.high_priority()) * slot_flags::HIGH_PRIORITY
 }
 
-/// The words of a `capacity`-slot bitset in ring order from slot `from`
-/// — the spans `[from, capacity)` then `[0, from)` — each with the mask
-/// of its bits inside the span.
-fn ring_masks(from: usize, capacity: usize) -> impl Iterator<Item = (usize, u64)> {
-    [(from, capacity), (0, from)].into_iter().filter(|(lo, hi)| lo < hi).flat_map(|(lo, hi)| {
-        let (w0, w1) = (lo / 64, (hi - 1) / 64);
-        (w0..=w1).map(move |wi| {
-            let mut mask = !0u64;
-            if wi == w0 {
-                mask &= !0u64 << (lo % 64);
-            }
-            if wi == w1 && !hi.is_multiple_of(64) {
-                mask &= !0u64 >> (64 - hi % 64);
-            }
-            (wi, mask)
-        })
-    })
+/// How many word visits a ring-order walk from slot `from` over `words`
+/// bitset words makes: every word once, plus a second visit of `from`'s
+/// word for its bits below `from` unless `from` starts a word.
+#[inline]
+pub(crate) fn ring_visits(from: usize, words: usize) -> usize {
+    words + usize::from(!from.is_multiple_of(64))
+}
+
+/// Visit `k` (`< ring_visits(from, words)`) of the ring-order walk from
+/// slot `from`: the word to read and the mask of its bits the visit
+/// covers. The walk covers slots `[from, 64 * words)` then `[0, from)`,
+/// so with `from` the head's slot it yields resident slots in ascending
+/// sequence order. Bits past a bitset's capacity are never set, so the
+/// last word needs no upper mask.
+#[inline]
+pub(crate) fn ring_word(from: usize, words: usize, k: usize) -> (usize, u64) {
+    let low = !0u64 << (from % 64);
+    let wi = from / 64 + k;
+    let wi = if wi >= words { wi - words } else { wi };
+    let mask = if k == 0 {
+        low
+    } else if k == words {
+        !low
+    } else {
+        !0
+    };
+    (wi, mask)
 }
 
 /// One bit per window slot, packed into `u64` words.
@@ -98,10 +108,6 @@ impl SlotBitset {
         self.words[slot / 64] & (1u64 << (slot % 64)) != 0
     }
 
-    pub(crate) fn clear_all(&mut self) {
-        self.words.fill(0);
-    }
-
     pub(crate) fn count(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
@@ -110,29 +116,16 @@ impl SlotBitset {
     /// slots `[from, capacity)` first, then `[0, from)`. With `from` the
     /// head's slot this is exactly ascending sequence order over the
     /// resident window — a masked word walk with trailing-zero scans.
+    #[inline]
     pub(crate) fn for_each_from(&self, from: usize, mut f: impl FnMut(usize)) {
         debug_assert!(from < self.capacity.max(1));
-        for (wi, mask) in ring_masks(from, self.capacity) {
+        let words = self.words.len();
+        for k in 0..ring_visits(from, words) {
+            let (wi, mask) = ring_word(from, words, k);
             let mut w = self.words[wi] & mask;
             while w != 0 {
                 f(wi * 64 + w.trailing_zeros() as usize);
                 w &= w - 1;
-            }
-        }
-    }
-
-    /// [`SlotBitset::for_each_from`] that clears every slot for which
-    /// `keep` returns false.
-    pub(crate) fn retain_from(&mut self, from: usize, mut keep: impl FnMut(usize) -> bool) {
-        debug_assert!(from < self.capacity.max(1));
-        for (wi, mask) in ring_masks(from, self.capacity) {
-            let mut w = self.words[wi] & mask;
-            while w != 0 {
-                let b = w.trailing_zeros();
-                w &= w - 1;
-                if !keep(wi * 64 + b as usize) {
-                    self.words[wi] &= !(1u64 << b);
-                }
             }
         }
     }
@@ -186,6 +179,19 @@ impl WakeupMatrix {
         self.rows[r + consumer_slot / 64] & (1u64 << (consumer_slot % 64)) != 0
     }
 
+    /// Words per row: the word count of a ring walk over consumers.
+    #[inline]
+    pub(crate) fn words(&self) -> usize {
+        self.words_per_row
+    }
+
+    /// Word `wi` of the producer's src0 and src1 rows.
+    #[inline]
+    pub(crate) fn consumer_words(&self, producer_slot: usize, wi: usize) -> (u64, u64) {
+        let r0 = self.row_range(producer_slot, 0).start + wi;
+        (self.rows[r0], self.rows[r0 + self.words_per_row])
+    }
+
     /// Clears both operand rows of a producer slot (on slot release).
     pub(crate) fn clear_rows(&mut self, producer_slot: usize) {
         for src in 0..2 {
@@ -205,10 +211,11 @@ impl WakeupMatrix {
         from: usize,
         mut f: impl FnMut(usize, usize),
     ) {
-        let r0 = self.row_range(producer_slot, 0).start;
-        let r1 = self.row_range(producer_slot, 1).start;
-        for (wi, mask) in ring_masks(from, self.words_per_row * 64) {
-            let (word0, word1) = (self.rows[r0 + wi] & mask, self.rows[r1 + wi] & mask);
+        let words = self.words_per_row;
+        for k in 0..ring_visits(from, words) {
+            let (wi, mask) = ring_word(from, words, k);
+            let (word0, word1) = self.consumer_words(producer_slot, wi);
+            let (word0, word1) = (word0 & mask, word1 & mask);
             let mut union = word0 | word1;
             while union != 0 {
                 let b = union.trailing_zeros() as usize;
@@ -490,8 +497,44 @@ mod tests {
         assert_eq!(order.len(), 64);
         assert_eq!(order[0], 17);
         assert_eq!(order[63], 16);
-        b.clear_all();
+        for s in 0..64 {
+            b.clear(s);
+        }
         assert!(b.is_empty());
+    }
+
+    /// Property: the word-at-a-time ring walk visits set slots in exactly
+    /// the naive ring order — `from, from + 1, ..., capacity - 1, 0, ...,
+    /// from - 1` filtered to the set ones — for every capacity the window
+    /// rounds to (8 through 256, one to four words) and every head slot,
+    /// over a full set, a sparse random set and the bitset and matrix
+    /// walks alike.
+    #[test]
+    fn ring_walk_matches_naive_ring_order() {
+        use hpa_workloads::SplitMix64;
+        let mut rng = SplitMix64::new(7);
+        for capacity in [8usize, 16, 32, 64, 128, 256] {
+            for fill in [None, Some(3), Some(1)] {
+                let mut b = SlotBitset::new(capacity);
+                let mut m = WakeupMatrix::new(capacity);
+                for slot in 0..capacity {
+                    if fill.is_none_or(|k| rng.below(k) == 0) {
+                        b.set(slot);
+                        m.register(0, 0, slot);
+                    }
+                }
+                for from in 0..capacity {
+                    let naive: Vec<usize> = (0..capacity)
+                        .map(|k| (from + k) % capacity)
+                        .filter(|&s| b.test(s))
+                        .collect();
+                    assert_eq!(b.collect_from(from), naive, "capacity {capacity} from {from}");
+                    let mut walked = Vec::new();
+                    m.for_each_consumer(0, from, |slot, _| walked.push(slot));
+                    assert_eq!(walked, naive, "matrix: capacity {capacity} from {from}");
+                }
+            }
+        }
     }
 
     #[test]

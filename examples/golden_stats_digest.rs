@@ -31,6 +31,15 @@ fn main() {
         }
     }
     println!("];\n");
+    println!("pub const GOLDEN_8W: [(&str, Scheme, u64); 24] = [");
+    for name in ["gap", "mcf", "perl"] {
+        for scheme in Scheme::ALL {
+            let r = run_workload(name, Scale::Tiny, MachineWidth::Eight, scheme)
+                .unwrap_or_else(|e| panic!("{e}"));
+            println!("    (\"{name}\", Scheme::{scheme:?}, {:#018x}),", digest(&r.stats));
+        }
+    }
+    println!("];\n");
     println!("pub const COUNTER_GOLDEN: [(&str, Scheme, u64); 12] = [");
     for name in ["gap", "mcf", "perl"] {
         for scheme in COUNTER_SCHEMES {

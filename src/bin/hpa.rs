@@ -164,18 +164,22 @@ const COMMANDS: &[Subcommand] = &[
     },
 ];
 
-fn usage_error(unknown: Option<&str>) -> CliError {
+/// The command listing: every verb with its help line and synopsis.
+fn listing() -> String {
     use std::fmt::Write as _;
-    let mut msg = String::new();
-    if let Some(name) = unknown {
-        let _ = writeln!(msg, "unknown command `{name}`");
-    }
     let verbs: Vec<&str> = COMMANDS.iter().map(|c| c.name).collect();
-    let _ = write!(msg, "usage: hpa <{}> ...", verbs.join("|"));
+    let mut msg = format!("usage: hpa <{}> ...", verbs.join("|"));
     for c in COMMANDS {
         let _ = write!(msg, "\n\n  {:10} {}\n             {}", c.name, c.help, c.usage);
     }
-    CliError::Usage(msg)
+    msg
+}
+
+fn usage_error(unknown: Option<&str>) -> CliError {
+    match unknown {
+        Some(name) => CliError::Usage(format!("unknown command `{name}`\n{}", listing())),
+        None => CliError::Usage(listing()),
+    }
 }
 
 /// The arguments after the verb, parsed against its synopsis.
@@ -256,6 +260,11 @@ fn main() -> ExitCode {
                 Ok(())
             }
         }),
+        // A help request is not a usage error: the listing, on stdout.
+        None if matches!(verb, Some("--help" | "-h")) => {
+            println!("{}", listing());
+            Ok(())
+        }
         None => Err(usage_error(verb)),
     };
     match result {

@@ -82,6 +82,22 @@ fn help_prints_the_synopsis_and_exits_0() {
     }
 }
 
+/// `hpa --help` and `hpa -h` print the command listing on stdout and exit
+/// 0; a help request is not an unknown command.
+#[test]
+fn top_level_help_prints_the_listing_and_exits_0() {
+    for help in ["--help", "-h"] {
+        let out = hpa(&[help], Duration::from_secs(10));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(0), "hpa {help}: {out:?}");
+        assert!(stdout.starts_with("usage: hpa <"), "{stdout}");
+        for verb in verbs() {
+            assert!(stdout.contains(&format!("\n             hpa {verb}")), "lists {verb}");
+        }
+        assert!(out.stderr.is_empty(), "hpa {help}: {out:?}");
+    }
+}
+
 /// One benchmark under one scheme is `hpa sim`, flags included; a sweep
 /// prints a table, so the run-record and trace flags are usage errors there.
 #[test]

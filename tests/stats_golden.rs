@@ -2,17 +2,16 @@
 //!
 //! The golden tables in `hpa_core::model` pin an FNV-1a digest of the
 //! full `SimStats` debug formatting — every counter, histogram and
-//! predictor-accuracy field — for three workloads under every scheme,
-//! captured from the pre-event-driven scheduler, plus the observability
-//! registry, the RISC-V fixtures and one sampled run. Any rewrite of
-//! wakeup/select, the LSQ walk or the PC-indexed tables must keep all of
-//! them bit-identical.
+//! predictor-accuracy field — for three workloads under every scheme at
+//! both widths, plus the observability registry, the RISC-V fixtures and
+//! one sampled run. Any rewrite of wakeup/select, the LSQ walk or the
+//! PC-indexed tables must keep all of them bit-identical.
 //!
 //! Regenerate (only after an *intentional* timing change) with
 //! `cargo run --release --example golden_stats_digest`; re-pinning moves
 //! the model fingerprint, which retires every cached result.
 
-use half_price::model::{COUNTER_GOLDEN, GOLDEN, RISCV_GOLDEN, SAMPLED_GOLDEN};
+use half_price::model::{COUNTER_GOLDEN, GOLDEN, GOLDEN_8W, RISCV_GOLDEN, SAMPLED_GOLDEN};
 use half_price::obs::digest::debug_digest as digest;
 use half_price::sim::SampleUnits;
 use half_price::workloads::{workload, Scale};
@@ -32,6 +31,23 @@ fn stats_match_pre_rewrite_golden_digests() {
         }
     }
     assert!(failures.is_empty(), "stats diverged from golden:\n{}", failures.join("\n"));
+}
+
+/// The same cells on the 8-wide machine: its 128-slot window is the only
+/// one whose ready set and wakeup-matrix rows span two bitset words, so
+/// these rows are what pins the second word of every scan.
+#[test]
+fn eight_wide_stats_match_golden_digests() {
+    let mut failures = Vec::new();
+    for &(name, scheme, expected) in &GOLDEN_8W {
+        let r = run_workload(name, Scale::Tiny, MachineWidth::Eight, scheme)
+            .unwrap_or_else(|e| panic!("{e}"));
+        let got = digest(&r.stats);
+        if got != expected {
+            failures.push(format!("{name}/{scheme:?}: {got:#018x} != {expected:#018x}"));
+        }
+    }
+    assert!(failures.is_empty(), "8-wide stats diverged from golden:\n{}", failures.join("\n"));
 }
 
 /// The translated real-binary workloads are as pinned as the hand-written

@@ -27,6 +27,13 @@
 #   within noise    otherwise;
 #   too few pairs   fewer than 10 pairs ran (no verdict is drawn).
 #
+# After each workload's table the script joins the result digests the
+# two sides recorded (each export's hpabench/out/digests-W-*.txt) by key
+# and prints `digests: identical (N)`, or `digests: K of N moved` with the
+# first few moved keys: a speed-only change must read identical. A model
+# change moves digests on purpose, so this line never changes the exit
+# status.
+#
 # The script exits 1 if any workload got `wrong result`, and stops at the
 # first run that exits non-zero. Every run's full output is kept under
 # DIR/logs/. The script only runs the benchmark; it never edits hpabench/
@@ -129,6 +136,29 @@ run_side() { # bin side workload index
   done <<<"$metrics"
 }
 
+# Joins the base and change digests of workload $1 by key and prints one
+# `digests:` line (informational: it never sets the exit status).
+compare_digests() {
+  local b c
+  b="$(cat "$base_dir/hpabench/out/digests-$1-"*.txt 2>/dev/null || true)"
+  c="$(cat "$change_dir/hpabench/out/digests-$1-"*.txt 2>/dev/null || true)"
+  awk '
+    FNR == NR { if (NF >= 2) base[$1] = $2; next }
+    NF >= 2 {
+      if (!($1 in base)) { only++; next }
+      seen[$1] = 1; n++
+      if (base[$1] != $2) { moved++; if (moved <= 5) keys = keys " " $1 }
+    }
+    END {
+      for (k in base) if (!(k in seen)) only++
+      if (n == 0) print "digests: none recorded on both sides"
+      else if (moved == 0) printf "digests: identical (%d)\n", n
+      else printf "digests: %d of %d moved; first:%s\n", moved, n, keys
+      if (only > 0) printf "digests: %d key(s) recorded on one side only\n", only
+    }
+  ' <(printf '%s\n' "$b") <(printf '%s\n' "$c")
+}
+
 status=0
 for w in "${workloads[@]}"; do
   results="$logs/$w-seed$seed.tsv"
@@ -188,6 +218,7 @@ for w in "${workloads[@]}"; do
       }
     ' "$results"
   done <<<"$metrics"
+  compare_digests "$w"
   if grep -q ' wrong_result ' "$results"; then status=1; fi
 done
 exit "$status"
